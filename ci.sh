@@ -11,6 +11,10 @@ go vet ./...
 # The robustness layer gates every other package's failures, so it may not
 # even carry a warning: vet it explicitly (and fail loudly if it vanishes).
 go vet ./internal/irverify ./internal/triage
+# perfbench is its own Go module (replace trapnull => ../), so neither
+# go build ./... nor the test suite compiles it. Vet it so an internal/ API
+# change that breaks the benchmark fails here, not in a benchmark run.
+(cd perfbench && go vet .)
 go build ./...
 go test -race ./...
 # Same suite with the structural IR verifier enabled after every pass —

@@ -51,9 +51,9 @@ func main() {
 		engine     = flag.String("engine", "", "execution engine: closure (default) or switch; both report identical numbers")
 		ablations  = flag.Bool("ablations", false, "run the ablation experiments instead")
 		tier       = flag.Bool("tier", false, "run the tiered-execution sweep instead (steady-state cycles and compile-time-to-peak per policy)")
-		tierReps   = flag.Int("tier-reps", 0, "invocations per tiered cell (0 = default; the last is the steady-state measurement)")
+		tierReps   = flag.Int("tier-reps", 0, "invocations per tiered cell (default 4, at least 3; the last is the steady-state measurement)")
 		degrade    = flag.Bool("degradation", false, "run the trap-storm degradation sweep instead (implicit vs explicit vs governed per model)")
-		degReps    = flag.Int("degradation-reps", 0, "invocations per degradation cell (0 = default 3; the last is the steady-state measurement)")
+		degReps    = flag.Int("degradation-reps", 0, "invocations per degradation cell (default 3, at least 2; the last is the steady-state measurement)")
 		chaos      = flag.Bool("chaos", false, "run the seeded fault-injection sweep instead; fails only on non-injected errors")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed of the -chaos fault schedule (same seed = byte-identical report)")
 		cellTO     = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for the main sweep (0 = none; expired cells render ERROR(timeout))")
@@ -129,49 +129,39 @@ func main() {
 		}
 	}
 
-	if *tier {
-		var tr *obs.Trace
-		if *traceOut != "" {
-			tr = obs.NewTrace()
+	var tr *obs.Trace
+	if *traceOut != "" {
+		tr = obs.NewTrace()
+	}
+	writeTrace := func() {
+		if tr == nil {
+			return
 		}
-		trep, sweepErr := bench.RunTieredAll(bench.TierOptions{
-			Quick: *quick, Reps: *tierReps, CompileParallelism: *cparallel,
-			Timeline: timeline, Trace: tr, Metrics: metrics})
-		if tr != nil {
-			if err := tr.WriteFile(*traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchtab: wrote %d trace events to %s\n", len(tr.Events()), *traceOut)
+		if err := tr.WriteFile(*traceOut); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+			os.Exit(1)
 		}
-		if *asJSON {
-			data, err := trep.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(string(data))
-		} else {
-			fmt.Print(trep.Render())
-		}
-		emitTelemetry()
-		failOn(sweepErr)
-		return
+		fmt.Fprintf(os.Stderr, "benchtab: wrote %d trace events to %s\n", len(tr.Events()), *traceOut)
 	}
 
-	if *degrade {
-		drep, sweepErr := bench.RunDegradationAll(bench.DegradationOptions{
-			Quick: *quick, Reps: *degReps, CompileParallelism: *cparallel,
-			Timeline: timeline, Metrics: metrics})
+	if *tier || *degrade {
+		popts := bench.PolicyOptions{Quick: *quick, Reps: *tierReps, CompileParallelism: *cparallel,
+			Timeline: timeline, Trace: tr, Metrics: metrics}
+		run := bench.RunTieredAll
+		if !*tier {
+			run, popts.Reps = bench.RunDegradationAll, *degReps
+		}
+		prep, sweepErr := run(popts)
+		writeTrace()
 		if *asJSON {
-			data, err := drep.JSON()
+			data, err := prep.JSON()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 				os.Exit(1)
 			}
 			fmt.Println(string(data))
 		} else {
-			fmt.Print(drep.Render())
+			fmt.Print(prep.Render())
 		}
 		emitTelemetry()
 		failOn(sweepErr)
@@ -224,21 +214,9 @@ func main() {
 	opts := bench.Options{Quick: *quick, CompileReps: *reps, Parallelism: *parallel,
 		CompileCache: cacheSetting, CompileParallelism: *cparallel,
 		Remarks: *remarks, Profile: *profile, CellTimeout: *cellTO,
-		Timeline: timeline, Metrics: metrics}
-	var tr *obs.Trace
-	if *traceOut != "" {
-		tr = obs.NewTrace()
-		opts.Trace = tr
-	}
+		Timeline: timeline, Trace: tr, Metrics: metrics}
 	rep, sweepErr := bench.RunAll(opts)
-
-	if tr != nil {
-		if err := tr.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchtab: wrote %d trace events to %s\n", len(tr.Events()), *traceOut)
-	}
+	writeTrace()
 
 	if *asJSON {
 		data, err := rep.JSON()

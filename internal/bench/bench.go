@@ -17,6 +17,7 @@ import (
 
 	"trapnull/internal/arch"
 	"trapnull/internal/faultinject"
+	"trapnull/internal/ir"
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
 	"trapnull/internal/obs"
@@ -215,9 +216,6 @@ func (o Options) workers(total int) int {
 // complete matrix, so callers can render the partial results and still exit
 // non-zero.
 func Run(model *arch.Model, configs []jit.Config, ws []*workloads.Workload, opts Options) (*Matrix, error) {
-	if opts.CompileReps < 1 {
-		opts.CompileReps = 1
-	}
 	// Pre-register the metric set so the snapshot's order is fixed before
 	// any worker touches a counter.
 	registerSweepMetrics(opts.Metrics)
@@ -227,13 +225,6 @@ func Run(model *arch.Model, configs []jit.Config, ws []*workloads.Workload, opts
 		Workloads: ws,
 		Quick:     opts.Quick,
 		Cells:     make(map[string]map[string]*Cell),
-	}
-
-	type job struct{ ci, wi int }
-	total := len(configs) * len(ws)
-	cells := make([][]*Cell, len(configs))
-	for ci := range configs {
-		cells[ci] = make([]*Cell, len(ws))
 	}
 
 	// One content-addressed compile cache per sweep: concurrent cells that
@@ -248,53 +239,47 @@ func Run(model *arch.Model, configs []jit.Config, ws []*workloads.Workload, opts
 		}
 	}
 
-	jobs := make(chan job, total)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.workers(total); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				cells[j.ci][j.wi] = runCell(model, configs[j.ci], ws[j.wi], opts, cache)
-			}
-		}()
-	}
-	for ci := range configs {
-		for wi := range ws {
-			jobs <- job{ci, wi}
+	var specs []cellSpec
+	for _, cfg := range configs {
+		m.Cells[cfg.Name] = make(map[string]*Cell, len(ws))
+		for _, w := range ws {
+			specs = append(specs, cellSpec{model: model, cfg: cfg, w: w, name: cfg.Name + "/" + w.Name, reps: 1, cache: cache})
 		}
 	}
-	close(jobs)
-	wg.Wait()
+	measured, err := sweep(specs, opts)
 	if cache != nil {
 		st := cache.Stats()
 		m.CompileCache = &st
 		publishCacheMetrics(opts.Metrics, st)
 		noteCacheEvents(opts.Timeline, model.Name, cache)
 	}
+	for i, s := range specs {
+		c := newCell(s, measured[i])
+		m.Cells[s.cfg.Name][s.w.Name] = c
+		publishCellMetrics(opts.Metrics, c)
+	}
+	return m, err
+}
 
-	// Assemble in declaration order, collecting failures in the same order
-	// so the aggregate error is deterministic too.
-	var failures []string
-	for ci, cfg := range configs {
-		row := make(map[string]*Cell, len(ws))
-		m.Cells[cfg.Name] = row
-		for wi, w := range ws {
-			c := cells[ci][wi]
-			row[w.Name] = c
-			// Metrics publish runs here, single-threaded and in declaration
-			// order, so the registry sees the same sequence of adds no
-			// matter how the worker pool interleaved the cells.
-			publishCellMetrics(opts.Metrics, c)
-			if c.Failed() {
-				failures = append(failures, fmt.Sprintf("%s/%s: %s", cfg.Name, w.Name, c.Err))
-			}
-		}
+// newCell projects a measurement of the paper sweep into its Cell.
+func newCell(s cellSpec, ms *measurement) *Cell {
+	c := &Cell{Workload: s.w.Name, Config: s.cfg.Name, Err: ms.err}
+	if c.Failed() {
+		return c
 	}
-	if len(failures) > 0 {
-		return m, fmt.Errorf("bench: %d cell(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
+	st := ms.stats
+	c.Cycles = ms.cycles
+	c.SimSeconds = float64(c.Cycles) / float64(s.model.ClockHz)
+	c.CompileNull, c.CompileOther = ms.best.Times.NullCheckOpt, ms.best.Times.Other
+	c.Exec, c.Static, c.Attr = st, *ms.best, ms.attr
+	if rem := ms.entry.Remarks; rem != nil {
+		fc := rem.Totals()
+		c.Fates, c.remarks = &fc, rem
 	}
-	return m, nil
+	if ms.prof != nil {
+		c.Profile = ms.prof.Summary(hotBlockTopN, ms.entry.Remarks, st.TrapsTaken, st.ExplicitChecks, st.ImplicitSites)
+	}
+	return c
 }
 
 // failReason maps a cell failure to its deterministic table text: structured
@@ -309,183 +294,125 @@ func failReason(err error) string {
 	return err.Error()
 }
 
-// runCell wraps runOne with the optional wall-clock deadline. The cell runs
-// on its own goroutine; on timeout the machine's abort flag is raised and the
-// wrapper waits for the cooperative cancel (block-entry polls) so the cell
-// has stopped touching shared state — the compile cache above all — before
-// the deterministic ERROR(timeout) entry replaces whatever it was measuring.
-func runCell(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts Options, cache *jit.Cache) *Cell {
+// cellSpec is one cell of a sweep: workload w compiled under cfg for model,
+// on a machine set up for policy ("" for the paper's static configurations),
+// invoked reps times.
+type cellSpec struct {
+	model  *arch.Model
+	cfg    jit.Config
+	w      *workloads.Workload
+	policy string
+	// name is "<config or policy>/<workload>": the cell's trace lane, its
+	// timeline section (after the model name) and its failure-list entry.
+	name string
+	reps int
+	// cache serves the cell's compile and recompiles; nil compiles afresh,
+	// keeping the fastest of Options.CompileReps compiles.
+	cache *jit.Cache
+}
+
+// measurement is what measureCell observed of one cell. Each sweep projects
+// it into its own cell type; a failed measurement carries only err.
+type measurement struct {
+	err   string
+	entry *jit.CacheEntry // the compiled program that ran, with its fate ledger
+	best  *jit.Result     // the fastest compile's result
+	prof  *obs.ExecProfile
+	attr  *obs.Attribution
+	// The machine's totals and adaptive reports; the machine itself is
+	// dropped with the cell.
+	cycles int64
+	stats  machine.ExecStats
+	tier   machine.TierReport
+	gov    machine.GovernorReport
+	// Cycles of invocation 1, of the last invocation and of all of them,
+	// and the last invocation's hardware traps and explicit checks.
+	first, steady, total      int64
+	steadyTraps, steadyChecks int64
+	// toPeak is host time spent compiling before the peak tier could run:
+	// the initial compile plus the policy's up-front closure compiles.
+	toPeak time.Duration
+}
+
+// sweep measures every spec on the bounded worker pool — each cell under
+// the optional CellTimeout deadline — and returns the measurements in spec
+// order, with an error listing every failed cell in that same order.
+func sweep(specs []cellSpec, opts Options) ([]*measurement, error) {
+	out := make([]*measurement, len(specs))
+	jobs := make(chan int, len(specs))
+	for i := range specs {
+		jobs <- i
+	}
+	close(jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < opts.workers(len(specs)); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				out[j] = runCell(specs[j], opts)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var failures []string
+	for i, ms := range out {
+		if ms.err != "" {
+			failures = append(failures, specs[i].name+": "+ms.err)
+		}
+	}
+	if len(failures) > 0 {
+		return out, fmt.Errorf("bench: %d cell(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
+	}
+	return out, nil
+}
+
+// runCell wraps measureCell with the optional wall-clock deadline. The cell
+// runs on its own goroutine; on timeout the machine's abort flag is raised
+// and the wrapper waits for the cooperative cancel (block-entry polls) so the
+// cell has stopped touching shared state — the compile cache above all —
+// before the deterministic ERROR(timeout) entry replaces whatever it was
+// measuring.
+func runCell(s cellSpec, opts Options) *measurement {
 	if opts.CellTimeout <= 0 {
-		return runOne(model, cfg, w, opts, cache, nil)
+		return measureCell(s, opts, nil)
 	}
 	abort := new(atomic.Bool)
-	done := make(chan *Cell, 1)
-	go func() { done <- runOne(model, cfg, w, opts, cache, abort) }()
+	done := make(chan *measurement, 1)
+	go func() { done <- measureCell(s, opts, abort) }()
 	timer := time.NewTimer(opts.CellTimeout)
 	defer timer.Stop()
 	select {
-	case c := <-done:
-		return c
+	case ms := <-done:
+		return ms
 	case <-timer.C:
 		abort.Store(true)
 		<-done
-		return &Cell{Workload: w.Name, Config: cfg.Name, Err: "timeout"}
+		return &measurement{err: "timeout"}
 	}
 }
 
-// runOne measures one (config, workload) cell. It never fails the sweep: any
-// error — including a panic out of the workload builder, the compiler, or
-// the simulated machine — degrades to an error cell. abort, when non-nil, is
-// the cooperative cancellation flag runCell polls through the machine.
-func runOne(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts Options, cache *jit.Cache, abort *atomic.Bool) (cell *Cell) {
-	errCell := func(reason string) *Cell {
-		return &Cell{Workload: w.Name, Config: cfg.Name, Err: reason}
-	}
+// measureCell is the one cell measurement of every sweep: build the
+// workload, compile it, set the machine up for the cell's policy, and invoke
+// the entry s.reps times on that machine, checking every invocation against
+// the pure-Go reference checksum. It never fails the sweep: any error —
+// including a panic out of the workload builder, the compiler or the
+// simulated machine — degrades to a measurement carrying only err. abort,
+// when non-nil, is the cooperative cancellation flag runCell raises.
+func measureCell(s cellSpec, opts Options, abort *atomic.Bool) (ms *measurement) {
 	defer func() {
 		if r := recover(); r != nil {
-			cell = errCell(fmt.Sprintf("panic: %v", r))
+			ms = &measurement{err: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
+	fail := func(reason string) *measurement { return &measurement{err: reason} }
+	ms = &measurement{}
 
-	n := w.N
+	n := s.w.N
 	if opts.Quick {
-		n = w.TestN
+		n = s.w.TestN
 	}
-
-	cellName := cfg.Name + "/" + w.Name
-	if cache != nil {
-		return runOneCached(model, cfg, w, opts, cache, n, cellName, errCell, abort)
-	}
-
-	// Compile: repeat for timing stability, keeping the fastest rep (the
-	// one least disturbed by the host). The final rep's program is run, and
-	// only the final rep is observed — remarks and trace spans describe
-	// exactly the program the measurements come from. (With tracing on, the
-	// observed rep's compile timing includes the span bookkeeping; the
-	// overhead budget test in internal/obs bounds it.)
-	var best *jit.Result
-	var finalProg *machine.Machine
-	var rem *obs.Remarks
-	var prof *obs.ExecProfile
-	var attr *obs.Attribution
-	var tid int64
-	var cellStart time.Time
-	for rep := 0; rep < opts.CompileReps; rep++ {
-		p, entryM := w.Build()
-		final := rep == opts.CompileReps-1
-
-		// Injected pass faults key on the compilation's content identity, so
-		// every rep of the same cell draws the same fault.
-		var passFault func(method, pass string) string
-		if opts.Inject != nil {
-			passFault = opts.Inject.PassFault(jit.Key(p, cfg, model).ID())
-		}
-
-		var res *jit.Result
-		var err error
-		if final && opts.observed() {
-			ob := &jit.Observer{}
-			if opts.Trace != nil {
-				tid = opts.Trace.NextTID()
-				cellStart = time.Now()
-				ob.Trace = opts.Trace
-				ob.TID = tid
-			}
-			if opts.Remarks {
-				rem = obs.NewRemarks()
-				ob.Remarks = rem
-			}
-			res, err = jit.CompileProgramWith(p, cfg, model,
-				jit.CompileOptions{Observer: ob, Parallelism: opts.CompileParallelism, PassFault: passFault})
-		} else {
-			res, err = jit.CompileProgramWith(p, cfg, model,
-				jit.CompileOptions{Parallelism: opts.CompileParallelism, PassFault: passFault})
-		}
-		if err != nil {
-			return errCell(failReason(err))
-		}
-		if best == nil || res.Times.Total() < best.Times.Total() {
-			best = res
-		}
-		if final {
-			mach := machine.New(model, p)
-			mach.Abort = abort
-			if opts.Profile {
-				prof = obs.NewExecProfile()
-				mach.Profile = prof
-			}
-			rec := attachRecorder(opts.Timeline, mach, true)
-			if opts.Inject != nil {
-				if step, ok := opts.Inject.StepFault(model.Name + "/" + cellName); ok {
-					mach.InjectStepFault(step)
-					rec.Record(0, "chaos", "step-fault-arm", cellName, fmt.Sprintf("fires at step %d", step))
-				}
-			}
-			var execStart time.Time
-			if opts.Trace != nil {
-				execStart = time.Now()
-			}
-			out, err := mach.Call(entryM.Fn, n)
-			execDur := time.Since(execStart)
-			if opts.Trace != nil {
-				now := time.Now()
-				opts.Trace.Span(tid, "exec", "run "+cellName, execStart, now.Sub(execStart),
-					map[string]any{"cycles": mach.Cycles, "instrs": mach.Stats.Instrs})
-				opts.Trace.Span(tid, "cell", cellName, cellStart, now.Sub(cellStart), nil)
-			}
-			attr = mach.CycleAttribution()
-			// Publish before the error checks: a cell that errored (an
-			// injected fault, say) still lands its recorded strand in the
-			// timeline — that is what the chaos fire markers are for.
-			publishTimeline(opts.Timeline, opts.Trace, model.Name+"/"+cellName, rec,
-				attr, tid, execStart, execDur, mach.Steps())
-			if err != nil {
-				return errCell(failReason(err))
-			}
-			if out.Exc != rt.ExcNone {
-				return errCell(fmt.Sprintf("unexpected exception %v", out.Exc))
-			}
-			if want := w.Ref(n); out.Value != want {
-				return errCell(fmt.Sprintf("checksum mismatch: got %d, want %d", out.Value, want))
-			}
-			finalProg = mach
-		}
-	}
-
-	cell = &Cell{
-		Workload:     w.Name,
-		Config:       cfg.Name,
-		Cycles:       finalProg.Cycles,
-		SimSeconds:   float64(finalProg.Cycles) / float64(model.ClockHz),
-		CompileNull:  best.Times.NullCheckOpt,
-		CompileOther: best.Times.Other,
-		Exec:         finalProg.Stats,
-		Static:       *best,
-		Attr:         attr,
-	}
-	if rem != nil {
-		fc := rem.Totals()
-		cell.Fates = &fc
-		cell.remarks = rem
-	}
-	if prof != nil {
-		cell.Profile = prof.Summary(hotBlockTopN, rem,
-			finalProg.Stats.TrapsTaken, finalProg.Stats.ExplicitChecks, finalProg.Stats.ImplicitSites)
-	}
-	return cell
-}
-
-// runOneCached is runOne's compile path when the sweep carries a compile
-// cache: build the program once, address the compilation by content, and
-// reuse the stored artifact on a hit. The CompileReps loop is skipped — a
-// cached Result replays the stored timings, so best-of-N has nothing to
-// average — and per-cell statistics (Fates, Static, compile times) are
-// RE-DERIVED from the shared immutable entry rather than accumulated into
-// it, so two cells hitting one entry never double-count.
-func runOneCached(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts Options,
-	cache *jit.Cache, n int64, cellName string, errCell func(string) *Cell, abort *atomic.Bool) *Cell {
-	p, entryM := w.Build()
-
 	var tid int64
 	var cellStart time.Time
 	if opts.Trace != nil {
@@ -493,113 +420,134 @@ func runOneCached(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts
 		cellStart = time.Now()
 	}
 
-	key := jit.Key(p, cfg, model)
-	// Injected pass faults key on the compilation identity (the cache key),
-	// not the cell: under single-flight coalescing WHICH cell compiles depends
-	// on worker interleaving, but what is compiled does not.
-	var passFault func(method, pass string) string
-	if opts.Inject != nil {
-		passFault = opts.Inject.PassFault(key.ID())
+	// Compile. Without a cache, repeat for timing stability and keep the
+	// fastest result (the one least disturbed by the host). The last
+	// compile's program runs, and only that compile is observed, so remarks
+	// and trace spans describe exactly the program the measurements come
+	// from. A cached entry replays its stored timings, so best-of-N has
+	// nothing to average; cells re-derive their statistics from the shared,
+	// immutable entry and never accumulate into it.
+	compiles := 1
+	if s.cache == nil {
+		compiles = max(opts.CompileReps, 1)
 	}
-	entry, hit, err := cache.GetOrCompile(key, opts.Remarks, func() (*jit.CacheEntry, error) {
-		var rem *obs.Remarks
-		var ob *jit.Observer
-		if opts.observed() {
-			ob = &jit.Observer{}
-			if opts.Trace != nil {
-				ob.Trace = opts.Trace
-				ob.TID = tid
-			}
+	// Policy cells compile unobserved: their compile-to-peak column is host
+	// time that pass spans would inflate.
+	observe := opts.observed() && s.policy == ""
+	var entryM *ir.Method
+	for rep := 0; rep < compiles; rep++ {
+		var p *ir.Program
+		p, entryM = s.w.Build()
+		co := jit.CompileOptions{Parallelism: opts.CompileParallelism}
+		// Injected pass faults key on the compilation's content identity,
+		// not the cell: under single-flight coalescing WHICH cell compiles
+		// depends on worker interleaving, but what is compiled does not.
+		if opts.Inject != nil {
+			co.PassFault = opts.Inject.PassFault(jit.Key(p, s.cfg, s.model).ID())
+		}
+		if rep == compiles-1 && observe {
+			co.Observer = &jit.Observer{Trace: opts.Trace, TID: tid}
 			if opts.Remarks {
-				rem = obs.NewRemarks()
-				ob.Remarks = rem
+				co.Observer.Remarks = obs.NewRemarks()
 			}
 		}
-		res, cerr := jit.CompileProgramWith(p, cfg, model,
-			jit.CompileOptions{Observer: ob, Parallelism: opts.CompileParallelism, PassFault: passFault})
-		if cerr != nil {
-			return nil, cerr
+		start := time.Now()
+		entry, hit, err := s.cache.Compile(p, s.cfg, s.model, co)
+		ms.toPeak = time.Since(start)
+		if observe && s.cache != nil && opts.Trace != nil {
+			opts.Trace.Span(tid, "compile_cache", s.name, cellStart, time.Since(cellStart),
+				map[string]any{"hit": hit})
 		}
-		return &jit.CacheEntry{Program: p, Result: res, Remarks: rem}, nil
-	})
-	if opts.Trace != nil {
-		opts.Trace.Span(tid, "compile_cache", cellName, cellStart, time.Since(cellStart),
-			map[string]any{"hit": hit})
-	}
-	if err != nil {
-		return errCell(failReason(err))
+		if err != nil {
+			return fail(failReason(err))
+		}
+		if ms.best == nil || entry.Result.Times.Total() < ms.best.Times.Total() {
+			ms.best = entry.Result
+		}
+		ms.entry = entry
 	}
 
-	// On a hit the entry's program is NOT the one we just built; resolve our
-	// entry method into the cached program by qualified name. The cached IR
-	// is shared between cells and execution never mutates it (machines decode
+	// On a cache hit the entry's program is NOT the one this cell built;
+	// resolve the entry method into it by qualified name. The compiled IR is
+	// shared between cells and execution never mutates it (machines decode
 	// into their own tables).
-	prog := entry.Program
-	em := prog.MethodByName(entryM.QualifiedName())
+	em := ms.entry.Program.MethodByName(entryM.QualifiedName())
 	if em == nil || em.Fn == nil {
-		return errCell("cached program lacks entry method " + entryM.QualifiedName())
+		return fail("compiled program lacks entry method " + entryM.QualifiedName())
 	}
-
-	mach := machine.New(model, prog)
+	mach := machine.New(s.model, ms.entry.Program)
 	mach.Abort = abort
-	var prof *obs.ExecProfile
 	if opts.Profile {
-		prof = obs.NewExecProfile()
-		mach.Profile = prof
+		ms.prof = obs.NewExecProfile()
+		mach.Profile = ms.prof
 	}
-	rec := attachRecorder(opts.Timeline, mach, true)
+	rec := attachRecorder(opts.Timeline, mach, !adaptive(s.policy))
 	if opts.Inject != nil {
-		if step, ok := opts.Inject.StepFault(model.Name + "/" + cellName); ok {
+		if step, ok := opts.Inject.StepFault(s.model.Name + "/" + s.name); ok {
 			mach.InjectStepFault(step)
-			rec.Record(0, "chaos", "step-fault-arm", cellName, fmt.Sprintf("fires at step %d", step))
+			rec.Record(0, "chaos", "step-fault-arm", s.name, fmt.Sprintf("fires at step %d", step))
 		}
 	}
-	var execStart time.Time
-	if opts.Trace != nil {
-		execStart = time.Now()
-	}
-	out, err := mach.Call(em.Fn, n)
-	execDur := time.Since(execStart)
-	if opts.Trace != nil {
-		now := time.Now()
-		opts.Trace.Span(tid, "exec", "run "+cellName, execStart, now.Sub(execStart),
-			map[string]any{"cycles": mach.Cycles, "instrs": mach.Stats.Instrs})
-		opts.Trace.Span(tid, "cell", cellName, cellStart, now.Sub(cellStart), nil)
-	}
-	attr := mach.CycleAttribution()
-	publishTimeline(opts.Timeline, opts.Trace, model.Name+"/"+cellName, rec,
-		attr, tid, execStart, execDur, mach.Steps())
-	if err != nil {
-		return errCell(failReason(err))
-	}
-	if out.Exc != rt.ExcNone {
-		return errCell(fmt.Sprintf("unexpected exception %v", out.Exc))
-	}
-	if want := w.Ref(n); out.Value != want {
-		return errCell(fmt.Sprintf("checksum mismatch: got %d, want %d", out.Value, want))
-	}
+	ms.toPeak += setupPolicy(s.policy, mach, opts.Quick, func(co jit.CompileOptions) (*ir.Program, error) {
+		p, _ := s.w.Build()
+		co.Parallelism = opts.CompileParallelism
+		entry, _, err := s.cache.Compile(p, s.cfg, s.model, co)
+		if err != nil {
+			return nil, err
+		}
+		return entry.Program, nil
+	})
 
-	cell := &Cell{
-		Workload:     w.Name,
-		Config:       cfg.Name,
-		Cycles:       mach.Cycles,
-		SimSeconds:   float64(mach.Cycles) / float64(model.ClockHz),
-		CompileNull:  entry.Result.Times.NullCheckOpt,
-		CompileOther: entry.Result.Times.Other,
-		Exec:         mach.Stats,
-		Static:       *entry.Result,
-		Attr:         attr,
+	want := s.w.Ref(n)
+	var wins []repWindow
+	var reason string
+	for rep := 0; rep < s.reps && reason == ""; rep++ {
+		st := mach.Stats
+		before, steps := mach.Cycles, mach.Steps()
+		start := time.Now()
+		out, err := mach.Call(em.Fn, n)
+		d := mach.Cycles - before
+		if opts.Trace != nil {
+			dur := time.Since(start)
+			name := "run " + s.name
+			if s.reps > 1 {
+				name = fmt.Sprintf("%s inv %d", s.name, rep+1)
+			}
+			opts.Trace.Span(tid, "exec", name, start, dur,
+				map[string]any{"cycles": d, "instrs": mach.Stats.Instrs - st.Instrs})
+			wins = append(wins, repWindow{start, dur, steps, mach.Steps()})
+		}
+		switch {
+		case err != nil:
+			reason = failReason(err)
+		case out.Exc != rt.ExcNone:
+			reason = fmt.Sprintf("unexpected exception %v", out.Exc)
+		case out.Value != want && s.reps > 1:
+			reason = fmt.Sprintf("checksum mismatch on rep %d: got %d, want %d", rep, out.Value, want)
+		case out.Value != want:
+			reason = fmt.Sprintf("checksum mismatch: got %d, want %d", out.Value, want)
+		}
+		if rep == 0 {
+			ms.first = d
+		}
+		ms.steady, ms.total = d, ms.total+d
+		ms.steadyTraps = mach.Stats.TrapsTaken - st.TrapsTaken
+		ms.steadyChecks = mach.Stats.ExplicitChecks - st.ExplicitChecks
 	}
-	if opts.Remarks && entry.Remarks != nil {
-		fc := entry.Remarks.Totals()
-		cell.Fates = &fc
-		cell.remarks = entry.Remarks
+	if opts.Trace != nil {
+		opts.Trace.Span(tid, "cell", s.name, cellStart, time.Since(cellStart), nil)
 	}
-	if prof != nil {
-		cell.Profile = prof.Summary(hotBlockTopN, entry.Remarks,
-			mach.Stats.TrapsTaken, mach.Stats.ExplicitChecks, mach.Stats.ImplicitSites)
+	// Publish before failing: a cell that errored (an injected fault, say)
+	// still lands its recorded strand in the timeline — that is what the
+	// chaos fire markers are for.
+	ms.attr = mach.CycleAttribution()
+	publishTimeline(opts.Timeline, opts.Trace, s.model.Name+"/"+s.name, rec, ms.attr, tid, wins)
+	if reason != "" {
+		return fail(reason)
 	}
-	return cell
+	ms.cycles, ms.stats = mach.Cycles, mach.Stats
+	ms.tier, ms.gov = mach.TierReport(), mach.GovernorReport()
+	return ms
 }
 
 // hotBlockTopN bounds the per-cell hot-block report.

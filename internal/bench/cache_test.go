@@ -122,7 +122,7 @@ func TestCompileCacheFateReattribution(t *testing.T) {
 }
 
 // TestCompileCacheEntryImmutable deep-freezes a cache entry and verifies
-// that consuming it the way runOneCached does — executing the program,
+// that consuming it the way measureCell does — executing the program,
 // re-deriving statistics — leaves every byte of it untouched.
 func TestCompileCacheEntryImmutable(t *testing.T) {
 	model := arch.IA32Win()
@@ -133,13 +133,7 @@ func TestCompileCacheEntryImmutable(t *testing.T) {
 	}
 	cache := jit.NewCache(0)
 	p, entryM := w.Build()
-	entry, _, err := cache.GetOrCompile(jit.Key(p, cfg, model), false, func() (*jit.CacheEntry, error) {
-		res, cerr := jit.CompileProgram(p, cfg, model)
-		if cerr != nil {
-			return nil, cerr
-		}
-		return &jit.CacheEntry{Program: p, Result: res}, nil
-	})
+	entry, _, err := cache.Compile(p, cfg, model, jit.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

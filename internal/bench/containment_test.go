@@ -25,8 +25,10 @@ func poisonedWorkload() *workloads.Workload {
 }
 
 // TestPanickingWorkloadDoesNotAbortSweep: a panicking cell degrades to a
-// deterministic ERROR entry while every other cell of the parallel sweep is
-// still measured; Run reports the failure without dropping the matrix.
+// deterministic ERROR entry while every other cell of the sweep is still
+// measured; the sweep reports the failure without dropping the matrix. The
+// parallel paper sweep and both policy sweeps run the same cell core, so the
+// poisoned workload goes through all three.
 func TestPanickingWorkloadDoesNotAbortSweep(t *testing.T) {
 	model := arch.IA32Win()
 	ws := append(workloads.JBYTEmark()[:3], poisonedWorkload())
@@ -67,6 +69,51 @@ func TestPanickingWorkloadDoesNotAbortSweep(t *testing.T) {
 					t.Errorf("%s/%s: healthy cell not measured", cfg.Name, w.Name)
 				}
 			}
+		}
+	}
+
+	policySweeps := []struct {
+		name string
+		ws   []*workloads.Workload
+		run  func([]*workloads.Workload) (*PolicyMatrix, error)
+	}{
+		{"tiered", []*workloads.Workload{workloads.NumericSort(), poisonedWorkload(), workloads.BigOffsetWalk()},
+			func(ws []*workloads.Workload) (*PolicyMatrix, error) {
+				return RunTiered(model, jit.ConfigPhase1Phase2(), ws, TierOptions{Quick: true})
+			}},
+		{"degradation", []*workloads.Workload{workloads.TrapStorm(), poisonedWorkload(), workloads.FlappingNull()},
+			func(ws []*workloads.Workload) (*PolicyMatrix, error) {
+				return RunDegradation(model, ImplicitConfigWin(), ws, DegradationOptions{Quick: true})
+			}},
+	}
+	for _, ps := range policySweeps {
+		m, err := ps.run(ps.ws)
+		if err == nil {
+			t.Fatalf("%s: expected an aggregate sweep error", ps.name)
+		}
+		if m == nil {
+			t.Fatalf("%s: matrix must be returned alongside the error", ps.name)
+		}
+		for _, pol := range m.Policies {
+			if id := pol + "/Poisoned: panic"; !strings.Contains(err.Error(), id) {
+				t.Errorf("%s: aggregate error does not name %s: %v", ps.name, id, err)
+			}
+			for _, w := range ps.ws {
+				c := m.Cell(pol, w.Name)
+				if c == nil {
+					t.Fatalf("%s: %s/%s: missing cell", ps.name, pol, w.Name)
+				}
+				if w.Name != "Poisoned" {
+					if c.Failed() || c.SteadyCycles == 0 {
+						t.Errorf("%s: %s/%s: healthy cell not measured: %q", ps.name, pol, w.Name, c.Err)
+					}
+				} else if c.Err != "panic: deliberately poisoned workload" {
+					t.Errorf("%s: %s/Poisoned: Err = %q, want deterministic panic reason", ps.name, pol, c.Err)
+				}
+			}
+		}
+		if table, want := m.Table(), "ERROR(panic: deliberately poisoned workload)"; strings.Count(table, want) != len(m.Policies) {
+			t.Errorf("%s: table does not render one %s per policy:\n%s", ps.name, want, table)
 		}
 	}
 }

@@ -69,15 +69,7 @@ func TestGovernorConvergesUnderFlappingNull(t *testing.T) {
 	_, entryM := w.Build()
 	demoteCompile := func(demote map[string][]int) (*ir.Program, error) {
 		p, _ := w.Build()
-		d := jit.DemoteSet(demote)
-		key := jit.KeyDemote(p, cfg, model, nil, d)
-		entry, _, err := cache.GetOrCompile(key, false, func() (*jit.CacheEntry, error) {
-			res, cerr := jit.CompileProgramWith(p, cfg, model, jit.CompileOptions{Demote: d})
-			if cerr != nil {
-				return nil, cerr
-			}
-			return &jit.CacheEntry{Program: p, Result: res}, nil
-		})
+		entry, _, err := cache.Compile(p, cfg, model, jit.CompileOptions{Demote: demote})
 		if err != nil {
 			return nil, err
 		}

@@ -90,14 +90,8 @@ func (r *Report) JSON() ([]byte, error) {
 				if c == nil {
 					continue
 				}
-				if c.Failed() {
-					cells = append(cells, jsonCell{
-						Workload: c.Workload,
-						Config:   c.Config,
-						Error:    c.Err,
-					})
-					continue
-				}
+				// A failed cell's measurement fields are zero, so it exports
+				// as workload, config and error alone.
 				cells = append(cells, jsonCell{
 					Workload:       c.Workload,
 					Config:         c.Config,
@@ -117,6 +111,7 @@ func (r *Report) JSON() ([]byte, error) {
 					Fates:          c.Fates,
 					Profile:        c.Profile,
 					TrapCost:       c.Attr,
+					Error:          c.Err,
 				})
 			}
 		}
@@ -150,60 +145,6 @@ type jsonTierCell struct {
 	Error           string              `json:"error,omitempty"`
 }
 
-// jsonTieredReport is the export shape of a tiered run.
-type jsonTieredReport struct {
-	GeneratedBy string                    `json:"generated_by"`
-	Matrices    map[string][]jsonTierCell `json:"matrices"`
-}
-
-// JSON renders the tiered report as machine-readable JSON. Cells appear in
-// workload-major, policy-minor order, so two marshals of the same sweep are
-// byte-identical up to the host compile timings.
-func (r *TieredReport) JSON() ([]byte, error) {
-	out := jsonTieredReport{
-		GeneratedBy: "trapnull benchtab -tier",
-		Matrices:    map[string][]jsonTierCell{},
-	}
-	add := func(name string, m *TierMatrix) {
-		if m == nil {
-			return
-		}
-		var cells []jsonTierCell
-		for _, w := range m.Workloads {
-			for _, pol := range m.Policies {
-				c := m.Cell(pol, w.Name)
-				if c == nil {
-					continue
-				}
-				if c.Failed() {
-					cells = append(cells, jsonTierCell{Workload: c.Workload, Policy: c.Policy, Error: c.Err})
-					continue
-				}
-				cells = append(cells, jsonTierCell{
-					Workload:        c.Workload,
-					Policy:          c.Policy,
-					Reps:            c.Reps,
-					FirstCycles:     c.FirstCycles,
-					SteadyCycles:    c.SteadyCycles,
-					TotalCycles:     c.TotalCycles,
-					CompileToPeak:   int64(c.CompileToPeak / time.Microsecond),
-					PromotionsT1:    c.PromotionsT1,
-					PromotionsT2:    c.PromotionsT2,
-					Deopts:          c.Deopts,
-					SpecLive:        c.SpecLive,
-					OSREntries:      c.OSREntries,
-					BudgetExhausted: c.BudgetExhausted,
-					Events:          c.Events,
-				})
-			}
-		}
-		out.Matrices[name] = cells
-	}
-	add("windows_tiered", r.Win)
-	add("aix_tiered", r.AIX)
-	return json.MarshalIndent(out, "", "  ")
-}
-
 // jsonDegradationCell is the export shape of one degradation measurement.
 type jsonDegradationCell struct {
 	Workload     string `json:"workload"`
@@ -227,57 +168,80 @@ type jsonDegradationCell struct {
 	Error         string                  `json:"error,omitempty"`
 }
 
-// jsonDegradationReport is the export shape of a degradation run.
-type jsonDegradationReport struct {
-	GeneratedBy string                           `json:"generated_by"`
-	Matrices    map[string][]jsonDegradationCell `json:"matrices"`
+// tierJSON and degradationJSON project a policy cell into its sweep's
+// export shape. A failed cell's measurement fields are zero, so it exports
+// its zero values and the error.
+func tierJSON(c *PolicyCell) any {
+	return jsonTierCell{
+		Workload:        c.Workload,
+		Policy:          c.Policy,
+		Reps:            c.Reps,
+		FirstCycles:     c.FirstCycles,
+		SteadyCycles:    c.SteadyCycles,
+		TotalCycles:     c.TotalCycles,
+		CompileToPeak:   int64(c.CompileToPeak / time.Microsecond),
+		PromotionsT1:    c.PromotionsT1,
+		PromotionsT2:    c.PromotionsT2,
+		Deopts:          c.Deopts,
+		SpecLive:        c.SpecLive,
+		OSREntries:      c.OSREntries,
+		BudgetExhausted: c.BudgetExhausted,
+		Events:          c.TierReport.Events,
+		Error:           c.Err,
+	}
 }
 
-// JSON renders the degradation report as machine-readable JSON. Cells appear
-// in workload-major, policy-minor order, so two marshals of the same sweep
-// are byte-identical (the measurements themselves are deterministic).
-func (r *DegradationReport) JSON() ([]byte, error) {
-	out := jsonDegradationReport{
-		GeneratedBy: "trapnull benchtab -degradation",
-		Matrices:    map[string][]jsonDegradationCell{},
+func degradationJSON(c *PolicyCell) any {
+	return jsonDegradationCell{
+		Workload:      c.Workload,
+		Policy:        c.Policy,
+		Reps:          c.Reps,
+		FirstCycles:   c.FirstCycles,
+		SteadyCycles:  c.SteadyCycles,
+		SteadyTraps:   c.SteadyTraps,
+		SteadyChecks:  c.SteadyChecks,
+		Demotions:     c.Demotions,
+		Recompiles:    c.Recompiles,
+		Pinned:        len(c.Pinned),
+		SiteExecs:     c.SiteExecs,
+		SiteNulls:     c.SiteNulls,
+		Backoffs:      c.Backoffs,
+		PinnedMethods: c.Pinned,
+		Events:        c.GovernorReport.Events,
+		Error:         c.Err,
 	}
-	add := func(name string, m *DegradationMatrix) {
+}
+
+// jsonPolicyReport is the export shape of a policy run.
+type jsonPolicyReport struct {
+	GeneratedBy string           `json:"generated_by"`
+	Matrices    map[string][]any `json:"matrices"`
+}
+
+// JSON renders the policy report as machine-readable JSON. Cells appear in
+// workload-major, policy-minor order, so two marshals of the same sweep are
+// byte-identical up to the host compile timings.
+func (r *PolicyReport) JSON() ([]byte, error) {
+	k := r.kind
+	out := jsonPolicyReport{
+		GeneratedBy: "trapnull benchtab " + k.flag,
+		Matrices:    map[string][]any{},
+	}
+	add := func(name string, m *PolicyMatrix) {
 		if m == nil {
 			return
 		}
-		var cells []jsonDegradationCell
+		var cells []any
 		for _, w := range m.Workloads {
 			for _, pol := range m.Policies {
-				c := m.Cell(pol, w.Name)
-				if c == nil {
-					continue
+				if c := m.Cell(pol, w.Name); c != nil {
+					cells = append(cells, k.jsonCell(c))
 				}
-				if c.Failed() {
-					cells = append(cells, jsonDegradationCell{Workload: c.Workload, Policy: c.Policy, Error: c.Err})
-					continue
-				}
-				cells = append(cells, jsonDegradationCell{
-					Workload:      c.Workload,
-					Policy:        c.Policy,
-					Reps:          c.Reps,
-					FirstCycles:   c.FirstCycles,
-					SteadyCycles:  c.SteadyCycles,
-					SteadyTraps:   c.SteadyTraps,
-					SteadyChecks:  c.SteadyChecks,
-					Demotions:     c.Demotions,
-					Recompiles:    c.Recompiles,
-					Pinned:        c.Pinned,
-					SiteExecs:     c.SiteExecs,
-					SiteNulls:     c.SiteNulls,
-					Backoffs:      c.Backoffs,
-					PinnedMethods: c.PinnedMethods,
-					Events:        c.Events,
-				})
 			}
 		}
 		out.Matrices[name] = cells
 	}
-	add("windows_degradation", r.Win)
-	add("aix_degradation", r.AIX)
+	add("windows_"+k.label, r.Win)
+	add("aix_"+k.label, r.AIX)
 	return json.MarshalIndent(out, "", "  ")
 }

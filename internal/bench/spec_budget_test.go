@@ -27,15 +27,7 @@ func TestSpecBudgetExhaustionSurfaced(t *testing.T) {
 	_, entryM := w.Build()
 	specCompile := func(mask map[string][]int) (*ir.Program, error) {
 		p, _ := w.Build()
-		spec := jit.SpecSet(mask)
-		key := jit.KeySpec(p, cfg, model, spec)
-		entry, _, err := cache.GetOrCompile(key, false, func() (*jit.CacheEntry, error) {
-			res, cerr := jit.CompileProgramWith(p, cfg, model, jit.CompileOptions{Spec: spec})
-			if cerr != nil {
-				return nil, cerr
-			}
-			return &jit.CacheEntry{Program: p, Result: res}, nil
-		})
+		entry, _, err := cache.Compile(p, cfg, model, jit.CompileOptions{Spec: mask})
 		if err != nil {
 			return nil, err
 		}

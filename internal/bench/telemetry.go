@@ -169,18 +169,52 @@ func attachRecorder(tl *obs.Timeline, mach *machine.Machine, attribute bool) *ob
 	return rec
 }
 
+// publishTierMetrics folds one tiered cell's controller report into the
+// registry.
+func publishTierMetrics(reg *obs.Registry, c *PolicyCell) {
+	if reg == nil {
+		return
+	}
+	reg.Counter("tier.promotions_t1", "").Add(int64(c.PromotionsT1))
+	reg.Counter("tier.promotions_t2", "").Add(int64(c.PromotionsT2))
+	reg.Counter("tier.osr_entries", "").Add(int64(c.OSREntries))
+	reg.Counter("tier.deopts", "").Add(int64(c.Deopts))
+	reg.Counter("tier.spec_live", "").Add(int64(c.SpecLive))
+	reg.Counter("tier.budget_exhausted", "").Add(int64(len(c.BudgetExhausted)))
+	reg.VolatileCounter("tier.compile_host_us", "").Add(int64(c.TierReport.CompileHost / time.Microsecond))
+}
+
+// publishGovernorMetrics folds one degradation cell's governor report into
+// the registry.
+func publishGovernorMetrics(reg *obs.Registry, c *PolicyCell) {
+	if reg == nil {
+		return
+	}
+	r := c.GovernorReport
+	reg.Counter("governor.site_execs", "").Add(r.SiteExecs)
+	reg.Counter("governor.site_nulls", "").Add(r.SiteNulls)
+	reg.Counter("governor.demotions", "").Add(int64(r.Demotions))
+	reg.Counter("governor.recompiles", "").Add(int64(r.Recompiles))
+	reg.Counter("governor.backoffs", "").Add(r.Backoffs)
+	reg.Counter("governor.pins", "").Add(int64(len(r.Pinned)))
+	reg.VolatileCounter("governor.compile_host_us", "").Add(int64(r.CompileHost / time.Microsecond))
+}
+
 // repWindow is one invocation's wall span and step range, for placing
-// logically-clocked events inside a multi-invocation cell's trace lane.
+// logically-clocked events inside a cell's trace lane.
 type repWindow struct {
 	start  time.Time
 	dur    time.Duration
 	s0, s1 int64
 }
 
-// publishRepTimeline lands a multi-invocation cell's recorded events in the
-// timeline and — when tracing — replays each event as an instant marker
-// positioned within its invocation's span at its step fraction.
-func publishRepTimeline(tl *obs.Timeline, tr *obs.Trace, name string, rec *obs.Recorder,
+// publishTimeline lands one cell's recorded events (and optional ledger) in
+// the timeline and — when the sweep also traces — replays each event as a
+// Perfetto instant marker on the cell's lane. The recorder itself holds
+// logical clocks only; the wall position is derived here as the event's
+// step fraction of its invocation's window, so the instants line up with the
+// span they annotate without the recorder ever touching wall time.
+func publishTimeline(tl *obs.Timeline, tr *obs.Trace, name string, rec *obs.Recorder,
 	attr *obs.Attribution, tid int64, wins []repWindow) {
 	if rec == nil {
 		return
@@ -203,82 +237,11 @@ func publishRepTimeline(tl *obs.Timeline, tr *obs.Trace, name string, rec *obs.R
 				at = w.start.Add(time.Duration(float64(w.dur) * frac))
 			}
 		case len(wins) > 0:
-			// The invocation never finished (an errored rep): pin the marker
-			// to the last recorded window's start.
+			// Recorded before the first invocation (a chaos arm) or in one
+			// that never finished: pin the marker to the last window's start.
 			at = wins[len(wins)-1].start
 		default:
 			continue
-		}
-		args := map[string]any{"invocation": e.Invocation, "step": e.Step}
-		if e.Detail != "" {
-			args["detail"] = e.Detail
-		}
-		tr.Instant(tid, e.Cat, e.Kind+" "+e.Subject, at, args)
-	}
-}
-
-// publishTierMetrics folds one tiered cell's controller report into the
-// registry.
-func publishTierMetrics(reg *obs.Registry, r machine.TierReport) {
-	if reg == nil {
-		return
-	}
-	var t1, t2 int64
-	for _, ev := range r.Events {
-		switch ev.Kind {
-		case "promote-t1":
-			t1++
-		case "promote-t2":
-			t2++
-		}
-	}
-	reg.Counter("tier.promotions_t1", "").Add(t1)
-	reg.Counter("tier.promotions_t2", "").Add(t2)
-	reg.Counter("tier.osr_entries", "").Add(int64(r.OSREntries))
-	reg.Counter("tier.deopts", "").Add(int64(r.Deopts))
-	reg.Counter("tier.spec_live", "").Add(int64(r.SpecLive))
-	reg.Counter("tier.budget_exhausted", "").Add(int64(len(r.BudgetExhausted)))
-	reg.VolatileCounter("tier.compile_host_us", "").Add(int64(r.CompileHost / time.Microsecond))
-}
-
-// publishGovernorMetrics folds one degradation cell's governor report into
-// the registry.
-func publishGovernorMetrics(reg *obs.Registry, r machine.GovernorReport) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("governor.site_execs", "").Add(r.SiteExecs)
-	reg.Counter("governor.site_nulls", "").Add(r.SiteNulls)
-	reg.Counter("governor.demotions", "").Add(int64(r.Demotions))
-	reg.Counter("governor.recompiles", "").Add(int64(r.Recompiles))
-	reg.Counter("governor.backoffs", "").Add(r.Backoffs)
-	reg.Counter("governor.pins", "").Add(int64(len(r.Pinned)))
-	reg.VolatileCounter("governor.compile_host_us", "").Add(int64(r.CompileHost / time.Microsecond))
-}
-
-// publishTimeline lands one cell's recorded events (and optional ledger) in
-// the timeline and — when the sweep also traces — replays each event as a
-// Perfetto instant marker on the cell's lane. The recorder itself holds
-// logical clocks only; the wall position is derived here as the event's step
-// fraction of the measured exec span, so the instants line up with the span
-// they annotate without the recorder ever touching wall time.
-func publishTimeline(tl *obs.Timeline, tr *obs.Trace, name string, rec *obs.Recorder,
-	attr *obs.Attribution, tid int64, execStart time.Time, execDur time.Duration, steps int64) {
-	if rec == nil {
-		return
-	}
-	tl.Add(name, rec, attr)
-	if tr == nil {
-		return
-	}
-	for _, e := range rec.Events() {
-		at := execStart
-		if steps > 0 && e.Step > 0 {
-			frac := float64(e.Step) / float64(steps)
-			if frac > 1 {
-				frac = 1
-			}
-			at = execStart.Add(time.Duration(float64(execDur) * frac))
 		}
 		args := map[string]any{"invocation": e.Invocation, "step": e.Step}
 		if e.Detail != "" {

@@ -12,21 +12,13 @@ import (
 	"trapnull/internal/workloads"
 )
 
-// tierCompiler builds the SpecCompiler glue the tests share with the
-// harness: rebuild the pristine workload, key by (program, config, model,
-// speculation set), compile through the cache.
-func tierCompiler(w *workloads.Workload, cfg jit.Config, model *arch.Model, cache *jit.Cache) machine.SpecCompiler {
+// tierCompiler builds the Recompiler glue the tests share with the
+// harness: rebuild the pristine workload and compile it under the
+// speculation mask through the cache.
+func tierCompiler(w *workloads.Workload, cfg jit.Config, model *arch.Model, cache *jit.Cache) machine.Recompiler {
 	return func(mask map[string][]int) (*ir.Program, error) {
 		p, _ := w.Build()
-		spec := jit.SpecSet(mask)
-		key := jit.KeySpec(p, cfg, model, spec)
-		entry, _, err := cache.GetOrCompile(key, false, func() (*jit.CacheEntry, error) {
-			res, cerr := jit.CompileProgramWith(p, cfg, model, jit.CompileOptions{Spec: spec})
-			if cerr != nil {
-				return nil, cerr
-			}
-			return &jit.CacheEntry{Program: p, Result: res}, nil
-		})
+		entry, _, err := cache.Compile(p, cfg, model, jit.CompileOptions{Spec: mask})
 		if err != nil {
 			return nil, err
 		}

@@ -547,6 +547,30 @@ func (c *Cache) GetOrCompile(key CacheKey, needRemarks bool, compile func() (*Ca
 	return entry, false, err
 }
 
+// Compile is the one cached compile path: it keys prog under (cfg,
+// execModel, opts.Spec, opts.Demote) with KeyDemote, compiles prog in place
+// on a miss, and returns the entry and whether it was a hit. A fate ledger is
+// demanded, and stored on a miss, when opts.Observer carries Remarks. A nil
+// cache compiles prog directly every time.
+func (c *Cache) Compile(prog *ir.Program, cfg Config, execModel *arch.Model, opts CompileOptions) (*CacheEntry, bool, error) {
+	var rem *obs.Remarks
+	if opts.Observer != nil {
+		rem = opts.Observer.Remarks
+	}
+	compile := func() (*CacheEntry, error) {
+		res, err := CompileProgramWith(prog, cfg, execModel, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &CacheEntry{Program: prog, Result: res, Remarks: rem}, nil
+	}
+	if c == nil {
+		e, err := compile()
+		return e, false, err
+	}
+	return c.GetOrCompile(KeyDemote(prog, cfg, execModel, opts.Spec, opts.Demote), rem != nil, compile)
+}
+
 // armFault consults the fault policy for a freshly completed entry, arming
 // at most one injected fault per key per cache lifetime. Caller holds c.mu.
 func (c *Cache) armFault(key CacheKey, s *cacheSlot) {

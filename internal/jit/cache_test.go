@@ -316,3 +316,50 @@ func TestCacheKeyIsComparable(t *testing.T) {
 	}
 	_ = fmt.Sprint(k)
 }
+
+// TestCacheCompile pins the one cached compile path: the key covers the
+// speculation and demote sets of the options, a structurally identical
+// rebuild hits the stored entry, a fate ledger in the observer demands (and
+// is stored by) the compile, and a nil cache compiles every time.
+func TestCacheCompile(t *testing.T) {
+	model := arch.IA32Win()
+	cfg := ConfigPhase1Phase2()
+	c := NewCache(0)
+	compile := func(opts CompileOptions) (*ir.Program, *CacheEntry, bool) {
+		t.Helper()
+		p, _ := sample()
+		e, hit, err := c.Compile(p, cfg, model, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, e, hit
+	}
+
+	p0, e0, hit := compile(CompileOptions{})
+	if hit || e0.Program != p0 || e0.Result == nil {
+		t.Fatalf("cold compile: hit=%v, entry program is the compiled one: %v", hit, e0.Program == p0)
+	}
+	if _, e, hit := compile(CompileOptions{}); !hit || e != e0 {
+		t.Fatal("structurally identical rebuild missed the stored entry")
+	}
+	if _, e, hit := compile(CompileOptions{Spec: SpecSet{"C.getF": {0}}}); hit || e == e0 {
+		t.Fatal("speculative compile shares the conservative entry")
+	}
+	if _, e, hit := compile(CompileOptions{Demote: DemoteSet{"C.getF": {0}}}); hit || e == e0 {
+		t.Fatal("demoted compile shares the conservative entry")
+	}
+	rem := obs.NewRemarks()
+	if _, e, hit := compile(CompileOptions{Observer: &Observer{Remarks: rem}}); hit || e.Remarks != rem {
+		t.Fatalf("observed compile: hit=%v, entry keeps the observer's ledger: %v", hit, e.Remarks == rem)
+	}
+	if st := c.Stats(); st.Lookups != 5 || st.Misses != 4 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 5 lookups, 4 misses, 1 hit", st)
+	}
+
+	var none *Cache
+	p, _ := sample()
+	e, hit, err := none.Compile(p, cfg, model, CompileOptions{})
+	if err != nil || hit || e.Program != p || e.Result == nil {
+		t.Fatalf("nil cache: hit=%v err=%v", hit, err)
+	}
+}

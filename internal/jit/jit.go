@@ -138,12 +138,10 @@ type CompileOptions struct {
 	Parallelism int
 	// Spec, when non-empty, flips the selected surviving checks into tier-2
 	// speculation guards after the normal pipeline has run (see
-	// speculate.go). Cache keys for speculative compiles must be built with
-	// KeySpec so artifacts never collide with conservative ones.
+	// speculate.go).
 	Spec SpecSet
 	// Demote, when non-empty, forces the selected implicit check sites back
 	// to explicit checks after the normal pipeline has run (see demote.go).
-	// Cache keys for demoted compiles must be built with KeyDemote.
 	Demote DemoteSet
 	// PassFault, when non-nil, is consulted before every optimization pass;
 	// a non-empty return panics inside the pass's containment boundary, so

@@ -63,13 +63,6 @@ func DefaultGovernorPolicy() GovernorPolicy {
 	return GovernorPolicy{MinSiteExecs: 256, NullPerMille: 5, RecompileBudget: 3, BackoffTraps: 16}
 }
 
-// DemoteCompiler compiles the machine's source program under a demote set —
-// method qualified name → trap-site ordinals forced back to explicit checks —
-// and returns the compiled program. The bench harness supplies a closure
-// over the workload builder, the jit pipeline and its compile cache (keyed
-// with jit.KeyDemote, so each governed generation has its own entry).
-type DemoteCompiler func(demote map[string][]int) (*ir.Program, error)
-
 // GovernorEvent is one demotion decision, in occurrence order.
 type GovernorEvent struct {
 	Method string `json:"method"`
@@ -117,7 +110,7 @@ type govSite struct {
 // governor is the tier controller's trap-storm state (tierController.gov).
 type governor struct {
 	policy  GovernorPolicy
-	compile DemoteCompiler
+	compile Recompiler
 
 	// demote is the monotone demote set handed to the compiler; demoted
 	// mirrors it as membership sets.
@@ -142,7 +135,7 @@ type governor struct {
 // disabled — the governor only needs the dispatch table; callers wanting the
 // closure ladder call EnableTiering first. Tier-2 speculation is disabled
 // for the controller's lifetime (the governor clears its compiler).
-func (m *Machine) EnableGovernor(policy GovernorPolicy, compile DemoteCompiler) {
+func (m *Machine) EnableGovernor(policy GovernorPolicy, compile Recompiler) {
 	if m.tier == nil {
 		m.EnableTiering(TierPolicy{}, nil)
 	}

@@ -36,7 +36,7 @@ import (
 // (obs.CheckCounts), which both engines maintain through pointers bound at
 // prepare/closure-compile time.
 //
-// Tier artifacts are whole-program compiles: the SpecCompiler callback
+// Tier artifacts are whole-program compiles: the Recompiler callback
 // rebuilds and recompiles the source program under a speculation mask, so
 // the machine package never imports the jit package. Speculation is a
 // post-pipeline flag flip on a deterministic recompile, which keeps every
@@ -77,13 +77,15 @@ func DefaultTierPolicy() TierPolicy {
 		SpecRecompileBudget: DefaultSpecRecompileBudget}
 }
 
-// SpecCompiler compiles the machine's source program under a speculation
-// mask — method qualified name → check ordinals in ir.Func.NullChecks order;
-// nil or empty is the conservative compilation — and returns the compiled
-// program. The bench harness supplies a closure over the workload builder,
-// the jit pipeline and its compile cache (keyed with jit.KeySpec, so
-// speculative and conservative artifacts never collide).
-type SpecCompiler func(mask map[string][]int) (*ir.Program, error)
+// Recompiler compiles the machine's source program under a set of per-check
+// overrides — method qualified name → ordinals — and returns the compiled
+// program; nil or empty is the unmodified compilation. The tier controller
+// passes speculation masks (ordinals in ir.Func.NullChecks order), the
+// governor demote sets (trap-site ordinals forced back to explicit checks).
+// The bench harness supplies a closure over the workload builder and
+// jit.Cache.Compile, whose key covers both sets, so every artifact
+// generation has its own cache entry.
+type Recompiler func(set map[string][]int) (*ir.Program, error)
 
 // tierLevel is a method's current rung.
 type tierLevel uint8
@@ -139,7 +141,7 @@ type TierReport struct {
 type tierController struct {
 	m       *Machine
 	policy  TierPolicy
-	compile SpecCompiler
+	compile Recompiler
 
 	byFn  map[*ir.Func]*methodTier // every known artifact body → its method
 	order []*methodTier            // method order: deterministic mask building
@@ -159,7 +161,7 @@ type tierController struct {
 // EnableTiering switches the machine to tiered adaptive execution. compile
 // supplies speculative recompiles; nil disables tier 2 regardless of policy.
 // Tiering needs the execution profile, so one is attached if absent.
-func (m *Machine) EnableTiering(policy TierPolicy, compile SpecCompiler) {
+func (m *Machine) EnableTiering(policy TierPolicy, compile Recompiler) {
 	if m.Profile == nil {
 		m.Profile = obs.NewExecProfile()
 	}

@@ -183,14 +183,7 @@ func compileCached(cache *jit.Cache, c Case, prog *ir.Program, entry *ir.Func) (
 		_, err := jit.CompileProgram(prog, c.Config, c.Model)
 		return prog, entry, err
 	}
-	key := jit.Key(prog, c.Config, c.Model)
-	ent, _, err := cache.GetOrCompile(key, false, func() (*jit.CacheEntry, error) {
-		res, cerr := jit.CompileProgram(prog, c.Config, c.Model)
-		if cerr != nil {
-			return nil, cerr
-		}
-		return &jit.CacheEntry{Program: prog, Result: res}, nil
-	})
+	ent, _, err := cache.Compile(prog, c.Config, c.Model, jit.CompileOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
