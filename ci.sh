@@ -17,6 +17,14 @@ go vet ./internal/irverify ./internal/triage
 (cd perfbench && go vet .)
 go build ./...
 go test -race ./...
+# Real interleavings: the container may have one CPU, where the race run
+# above schedules goroutines one at a time. Re-run the worker-pool,
+# single-flight and timeline tests at GOMAXPROCS 1 and 4 so the sweep
+# workers, concurrent cache lookups and concurrent metric publishes
+# actually interleave.
+go test -race -cpu 1,4 -run 'TestParallel|TestChaosDeterministicAcrossWorkers|TestTelemetryDeterminism' ./internal/bench
+go test -race -cpu 1,4 -run 'TestCacheSingleFlight|TestParallelCompile' ./internal/jit
+go test -race -cpu 1,4 -run 'TestRegistryConcurrentPublish|TestTimeline' ./internal/obs
 # Same suite with the structural IR verifier enabled after every pass —
 # catches pass-boundary corruption the differential tests would only see as
 # a downstream mystery.
@@ -58,6 +66,10 @@ go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCompile' .
 go test -race -run 'TestTiered|TestTierHook' ./internal/bench
 TRAPNULL_ENGINE=switch go test -run 'TestTiered' ./internal/bench ./internal/jit
 go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/jit
+# The adaptive controller both policies share: counters stay aliased across
+# tier-2 and governed adopts, ResetPrepared keeps governor state and drops
+# speculation.
+go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps' ./internal/machine
 # Tiered bench smoke: the -tier table end to end on quick sizes (checksums
 # verified per invocation), plus one tiered nulljit run that must deopt and
 # converge on the lying-profile workload.
@@ -113,3 +125,25 @@ if go run ./cmd/benchdiff -quiet BENCH_baseline.json "$tdir/bench-perturbed.json
     echo "benchdiff failed to catch a planted 10% cycle regression" >&2
     exit 1
 fi
+# Policy-sweep gates: the quick -tier and -degradation sweeps against their
+# checked-in baselines. benchdiff reads the report kind from generated_by;
+# steady and first cycles gate under the cycle tolerance, promotions, deopts,
+# demotions, recompiles and pins on any change, and compile-to-peak (host
+# time) is only reported. Each gate is proved live the same way: a planted
+# 10% steady-cycle regression must be rejected.
+for kind in tier degradation; do
+    go run ./cmd/benchtab -$kind -quick -json > "$tdir/$kind.json"
+    go run ./cmd/benchdiff -quiet "BENCH_${kind}_baseline.json" "$tdir/$kind.json"
+    python3 -c "
+import json, sys
+d = json.load(open(sys.argv[1]))
+for cells in d['matrices'].values():
+    for c in cells:
+        c['steady_cycles'] = c['steady_cycles'] * 110 // 100
+json.dump(d, open(sys.argv[2], 'w'))
+" "$tdir/$kind.json" "$tdir/$kind-perturbed.json"
+    if go run ./cmd/benchdiff -quiet "BENCH_${kind}_baseline.json" "$tdir/$kind-perturbed.json" > /dev/null; then
+        echo "benchdiff failed to catch a planted 10% $kind steady-cycle regression" >&2
+        exit 1
+    fi
+done

@@ -19,10 +19,12 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"time"
 
 	"trapnull/internal/arch"
+	"trapnull/internal/bench"
 	"trapnull/internal/codegen"
 	"trapnull/internal/ir"
 	"trapnull/internal/jasm"
@@ -258,35 +260,9 @@ func main() {
 		fmt.Print(tl.Render())
 	}
 	if *metrics {
-		fmt.Print(runMetrics(m, res).RenderText(false))
+		fmt.Print(bench.RunMetrics(bench.RunCounters{Exec: m.Stats, Checks: res.Checks,
+			Cycles: m.Cycles, Attr: m.CycleAttribution()}).RenderText(false))
 	}
-}
-
-// runMetrics builds the single-run metrics snapshot: the engine's dynamic
-// counters, the compilation's static check statistics, and — when the
-// machine carried attribution — the four-bucket cycle ledger.
-func runMetrics(m *machine.Machine, res *jit.Result) *obs.Registry {
-	reg := obs.NewRegistry()
-	reg.Counter("engine.instrs", "dynamic instructions executed").Add(m.Stats.Instrs)
-	reg.Counter("engine.explicit_checks", "explicit null check instructions executed").Add(m.Stats.ExplicitChecks)
-	reg.Counter("engine.implicit_sites", "dereferences executed at implicit-check sites").Add(m.Stats.ImplicitSites)
-	reg.Counter("engine.bound_checks", "dynamic array bound checks").Add(m.Stats.BoundChecks)
-	reg.Counter("engine.loads", "dynamic loads").Add(m.Stats.Loads)
-	reg.Counter("engine.stores", "dynamic stores").Add(m.Stats.Stores)
-	reg.Counter("engine.calls", "dynamic calls").Add(m.Stats.Calls)
-	reg.Counter("engine.traps_taken", "hardware traps that became NPEs").Add(m.Stats.TrapsTaken)
-	reg.Counter("engine.thrown_software", "exceptions raised by explicit checks").Add(m.Stats.ThrownSoftware)
-	reg.Counter("engine.cycles", "simulated cycles").Add(m.Cycles)
-	reg.Counter("static.implicit", "checks compiled to implicit trap sites").Add(int64(res.Checks.Implicit))
-	reg.Counter("static.explicit_left", "explicit checks surviving compilation").Add(int64(res.Checks.ExplicitRemaining))
-	reg.Counter("static.eliminated", "checks eliminated at compile time").Add(int64(res.Checks.Eliminated))
-	if a := m.CycleAttribution(); a != nil {
-		reg.Counter("attr.implicit_cycles", "cycles attributed to implicit-check sites").Add(a.ImplicitCycles)
-		reg.Counter("attr.explicit_cycles", "cycles attributed to explicit checks").Add(a.ExplicitCycles)
-		reg.Counter("attr.trap_cycles", "cycles attributed to trap dispatch").Add(a.TrapCycles)
-		reg.Counter("attr.guard_free_cycles", "cycles outside any null-check machinery").Add(a.GuardFree)
-	}
-	return reg
 }
 
 // runTiered executes one workload on a tiered machine — full ladder, with a
@@ -359,8 +335,14 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 			fmt.Printf("event       %-10s %s\n", ev.Kind, ev.Method)
 		}
 	}
-	for name, ords := range m.Blacklisted() {
-		fmt.Printf("blacklist   %s: checks %v\n", name, ords)
+	bl := m.Blacklisted()
+	names := make([]string, 0, len(bl))
+	for name := range bl {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("blacklist   %s: checks %v\n", name, bl[name])
 	}
 	if timeline {
 		tl := obs.NewTimeline()

@@ -217,3 +217,78 @@ func TestDiffRoundTripSelf(t *testing.T) {
 		t.Errorf("two sweeps of the same tree gate each other: %v", d.Regressions)
 	}
 }
+
+// policyFixture builds a small -tier report document in the export shape.
+func policyFixture(t *testing.T, edit func(c *jsonTierCell)) []byte {
+	t.Helper()
+	c := jsonTierCell{Workload: "LateNullStorm", Policy: "tiered-spec", Reps: 4,
+		FirstCycles: 483004, SteadyCycles: 482404, CompileToPeak: 1309,
+		PromotionsT1: 1, PromotionsT2: 1, Deopts: 1}
+	if edit != nil {
+		edit(&c)
+	}
+	data, err := json.MarshalIndent(jsonPolicyReport{
+		GeneratedBy: "trapnull benchtab " + tierKind.flag,
+		Matrices:    map[string][]any{"windows_tiered": {c}},
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDiffPolicyReport pins the policy-sweep gate, selected by generated_by:
+// steady and first cycles gate under the cycle tolerance, the adaptive
+// decision counts gate on any change, compile-to-peak (host time) never
+// gates, and a report of another kind is refused.
+func TestDiffPolicyReport(t *testing.T) {
+	base := policyFixture(t, nil)
+	for _, c := range []struct {
+		name string
+		edit func(c *jsonTierCell)
+		gate string // "" = passes; otherwise a substring of the regression
+	}{
+		{"identical", func(*jsonTierCell) {}, ""},
+		{"compile-to-peak", func(c *jsonTierCell) { c.CompileToPeak *= 3 }, ""},
+		{"steady+10%", func(c *jsonTierCell) { c.SteadyCycles = c.SteadyCycles * 110 / 100 }, "steady cycles 482404 -> 530644"},
+		{"first+10%", func(c *jsonTierCell) { c.FirstCycles = c.FirstCycles * 110 / 100 }, "first cycles"},
+		{"steady+1%", func(c *jsonTierCell) { c.SteadyCycles = c.SteadyCycles * 101 / 100 }, ""},
+		{"deopts", func(c *jsonTierCell) { c.Deopts = 0 }, "deopts 1 -> 0"},
+		{"promotions", func(c *jsonTierCell) { c.PromotionsT2 = 2 }, "promotions_t2 1 -> 2"},
+		{"error", func(c *jsonTierCell) { c.Error = "checksum mismatch" }, "now fails"},
+	} {
+		d, err := DiffReports(base, policyFixture(t, c.edit), DiffOptions{CyclesTolerancePct: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		regs := strings.Join(d.Regressions, "\n")
+		if c.gate == "" && !d.Ok() {
+			t.Errorf("%s: gated: %s", c.name, regs)
+		}
+		if c.gate != "" && !strings.Contains(regs, c.gate) {
+			t.Errorf("%s: regressions %q lack %q", c.name, regs, c.gate)
+		}
+	}
+	if _, err := DiffReports(base, diffFixture(t), DiffOptions{}); err == nil {
+		t.Error("a -tier baseline diffed against a paper-sweep report")
+	}
+
+	degradation := func(c jsonDegradationCell) []byte {
+		data, err := json.Marshal(jsonPolicyReport{GeneratedBy: "trapnull benchtab " + degradationKind.flag,
+			Matrices: map[string][]any{"windows_degradation": {c}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	gov := jsonDegradationCell{Workload: "TrapStorm", Policy: "governed", SteadyCycles: 125098, Demotions: 1, Recompiles: 1}
+	pinned := gov
+	pinned.Demotions, pinned.Recompiles, pinned.Pinned = 3, 3, 1
+	d, err := DiffReports(degradation(gov), degradation(pinned), DiffOptions{CyclesTolerancePct: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs := strings.Join(d.Regressions, "\n"); len(d.Regressions) != 3 || !strings.Contains(regs, "pinned 0 -> 1") {
+		t.Errorf("demotions, recompiles and pins did not each gate: %s", regs)
+	}
+}

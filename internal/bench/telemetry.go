@@ -6,6 +6,7 @@ import (
 
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
+	"trapnull/internal/nullcheck"
 	"trapnull/internal/obs"
 )
 
@@ -21,6 +22,83 @@ import (
 // same sweep is therefore byte-identical at any parallelism and on either
 // engine; the telemetry tests in telemetry_test.go pin that.
 
+// RunCounters are one measured run's deterministic facts: the source of the
+// engine.*, static.* and attr.* metrics of both the sweep snapshot
+// (benchtab -metrics, summed over cells) and the single-run snapshot
+// (nulljit -metrics).
+type RunCounters struct {
+	Exec    machine.ExecStats
+	Checks  nullcheck.Stats
+	Cycles  int64               // single-run snapshot only
+	Profile *obs.ProfileSummary // sweep only; nil unless the cell was profiled
+	Attr    *obs.Attribution    // nil without trap-cost attribution
+}
+
+// runMetric flags: which snapshot a row belongs to when not both, and which
+// optional source it needs.
+const (
+	sweepOnly = 1 << iota
+	runOnly
+	needsProfile
+	needsAttr
+)
+
+// runMetrics declares each run metric once, in snapshot order.
+var runMetrics = []struct {
+	name, help string
+	flags      int
+	value      func(*RunCounters) int64
+}{
+	{"engine.instrs", "dynamic instructions executed", 0, func(r *RunCounters) int64 { return r.Exec.Instrs }},
+	{"engine.explicit_checks", "explicit null check instructions executed", 0, func(r *RunCounters) int64 { return r.Exec.ExplicitChecks }},
+	{"engine.implicit_sites", "dereferences executed at implicit-check sites", 0, func(r *RunCounters) int64 { return r.Exec.ImplicitSites }},
+	{"engine.bound_checks", "dynamic array bound checks", 0, func(r *RunCounters) int64 { return r.Exec.BoundChecks }},
+	{"engine.loads", "dynamic loads", 0, func(r *RunCounters) int64 { return r.Exec.Loads }},
+	{"engine.stores", "dynamic stores", 0, func(r *RunCounters) int64 { return r.Exec.Stores }},
+	{"engine.calls", "dynamic calls", 0, func(r *RunCounters) int64 { return r.Exec.Calls }},
+	{"engine.traps_taken", "hardware traps that became NPEs", 0, func(r *RunCounters) int64 { return r.Exec.TrapsTaken }},
+	{"engine.thrown_software", "exceptions raised by explicit checks", 0, func(r *RunCounters) int64 { return r.Exec.ThrownSoftware }},
+	{"engine.blocks", "block entries (profiled cells only)", sweepOnly | needsProfile, func(r *RunCounters) int64 { return r.Profile.BlocksEntered }},
+	{"engine.cycles", "simulated cycles", runOnly, func(r *RunCounters) int64 { return r.Cycles }},
+	{"static.implicit", "checks compiled to implicit trap sites", 0, func(r *RunCounters) int64 { return int64(r.Checks.Implicit) }},
+	{"static.explicit_left", "explicit checks surviving compilation", 0, func(r *RunCounters) int64 { return int64(r.Checks.ExplicitRemaining) }},
+	{"static.eliminated", "checks eliminated at compile time", 0, func(r *RunCounters) int64 { return int64(r.Checks.Eliminated) }},
+	{"attr.implicit_cycles", "cycles attributed to implicit-check sites", needsAttr, func(r *RunCounters) int64 { return r.Attr.ImplicitCycles }},
+	{"attr.explicit_cycles", "cycles attributed to explicit checks", needsAttr, func(r *RunCounters) int64 { return r.Attr.ExplicitCycles }},
+	{"attr.trap_cycles", "cycles attributed to trap dispatch", needsAttr, func(r *RunCounters) int64 { return r.Attr.TrapCycles }},
+	{"attr.guard_free_cycles", "cycles outside any null-check machinery", needsAttr, func(r *RunCounters) int64 { return r.Attr.GuardFree }},
+}
+
+// publishRun adds one run's counters to reg: the sweep rows, or the
+// single-run rows. A nil r only registers the sweep rows, so the sweep
+// snapshot has a fixed shape; a row whose optional source is missing is
+// skipped.
+func publishRun(reg *obs.Registry, r *RunCounters, sweep bool) {
+	skip := runOnly
+	if !sweep {
+		skip = sweepOnly
+	}
+	for _, row := range runMetrics {
+		switch {
+		case row.flags&skip != 0:
+		case r == nil:
+			reg.Counter(row.name, row.help)
+		case row.flags&needsProfile != 0 && r.Profile == nil, row.flags&needsAttr != 0 && r.Attr == nil:
+		default:
+			reg.Counter(row.name, row.help).Add(row.value(r))
+		}
+	}
+}
+
+// RunMetrics is the single-run metrics snapshot: the engine's dynamic
+// counters, the compilation's static check statistics, and — when the run
+// carried attribution — the four-bucket cycle ledger.
+func RunMetrics(r RunCounters) *obs.Registry {
+	reg := obs.NewRegistry()
+	publishRun(reg, &r, false)
+	return reg
+}
+
 // registerSweepMetrics pre-registers the main sweep's metric set in fixed
 // order, so snapshots render identically no matter which cells ran or in
 // what order the counters were touched.
@@ -32,23 +110,7 @@ func registerSweepMetrics(reg *obs.Registry) {
 	reg.Counter("bench.cell_errors", "cells that degraded to ERROR entries")
 	reg.Histogram("bench.cell_cycles", "simulated cycles per cell",
 		[]int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000})
-	reg.Counter("engine.instrs", "dynamic instructions executed")
-	reg.Counter("engine.explicit_checks", "explicit null check instructions executed")
-	reg.Counter("engine.implicit_sites", "dereferences executed at implicit-check sites")
-	reg.Counter("engine.bound_checks", "dynamic array bound checks")
-	reg.Counter("engine.loads", "dynamic loads")
-	reg.Counter("engine.stores", "dynamic stores")
-	reg.Counter("engine.calls", "dynamic calls")
-	reg.Counter("engine.traps_taken", "hardware traps that became NPEs")
-	reg.Counter("engine.thrown_software", "exceptions raised by explicit checks")
-	reg.Counter("engine.blocks", "block entries (profiled cells only)")
-	reg.Counter("static.implicit", "checks compiled to implicit trap sites")
-	reg.Counter("static.explicit_left", "explicit checks surviving compilation")
-	reg.Counter("static.eliminated", "checks eliminated at compile time")
-	reg.Counter("attr.implicit_cycles", "cycles attributed to implicit-check sites")
-	reg.Counter("attr.explicit_cycles", "cycles attributed to explicit checks")
-	reg.Counter("attr.trap_cycles", "cycles attributed to trap dispatch")
-	reg.Counter("attr.guard_free_cycles", "cycles outside any null-check machinery")
+	publishRun(reg, nil, true)
 	registerCacheMetrics(reg)
 }
 
@@ -105,28 +167,7 @@ func publishCellMetrics(reg *obs.Registry, c *Cell) {
 		return
 	}
 	reg.Histogram("bench.cell_cycles", "", nil).Observe(c.Cycles)
-	st := c.Exec
-	reg.Counter("engine.instrs", "").Add(st.Instrs)
-	reg.Counter("engine.explicit_checks", "").Add(st.ExplicitChecks)
-	reg.Counter("engine.implicit_sites", "").Add(st.ImplicitSites)
-	reg.Counter("engine.bound_checks", "").Add(st.BoundChecks)
-	reg.Counter("engine.loads", "").Add(st.Loads)
-	reg.Counter("engine.stores", "").Add(st.Stores)
-	reg.Counter("engine.calls", "").Add(st.Calls)
-	reg.Counter("engine.traps_taken", "").Add(st.TrapsTaken)
-	reg.Counter("engine.thrown_software", "").Add(st.ThrownSoftware)
-	if c.Profile != nil {
-		reg.Counter("engine.blocks", "").Add(c.Profile.BlocksEntered)
-	}
-	reg.Counter("static.implicit", "").Add(int64(c.Static.Checks.Implicit))
-	reg.Counter("static.explicit_left", "").Add(int64(c.Static.Checks.ExplicitRemaining))
-	reg.Counter("static.eliminated", "").Add(int64(c.Static.Checks.Eliminated))
-	if a := c.Attr; a != nil {
-		reg.Counter("attr.implicit_cycles", "").Add(a.ImplicitCycles)
-		reg.Counter("attr.explicit_cycles", "").Add(a.ExplicitCycles)
-		reg.Counter("attr.trap_cycles", "").Add(a.TrapCycles)
-		reg.Counter("attr.guard_free_cycles", "").Add(a.GuardFree)
-	}
+	publishRun(reg, &RunCounters{Exec: c.Exec, Checks: c.Static.Checks, Profile: c.Profile, Attr: c.Attr}, true)
 }
 
 // publishCacheMetrics folds one sweep's cache traffic into the registry.

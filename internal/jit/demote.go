@@ -21,60 +21,13 @@
 package jit
 
 import (
-	"sort"
-	"strconv"
-	"strings"
-
 	"trapnull/internal/arch"
 	"trapnull/internal/ir"
 )
 
-// DemoteSet maps a method's qualified name to the trap-site ordinals
-// (numberTrapSites order) to force back to explicit checks. A nil or empty
-// set leaves every site implicit.
-type DemoteSet map[string][]int
-
-// Canon renders the set in its canonical form: methods sorted by name,
-// ordinals sorted ascending and deduplicated, e.g. "A.main:0,2;B.get:1".
-// The empty string means no demotion. The canonical form enters the cache
-// key, so governed artifacts with distinct demote sets never collide with
-// each other or with the ungoverned compilation.
-func (s DemoteSet) Canon() string {
-	if len(s) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(s))
-	for name, ords := range s {
-		if len(ords) > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, name := range names {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(name)
-		b.WriteByte(':')
-		ords := append([]int(nil), s[name]...)
-		sort.Ints(ords)
-		prev := -1
-		first := true
-		for _, o := range ords {
-			if o == prev {
-				continue
-			}
-			prev = o
-			if !first {
-				b.WriteByte(',')
-			}
-			first = false
-			b.WriteString(strconv.Itoa(o))
-		}
-	}
-	return b.String()
-}
+// DemoteSet is a SiteSet of trap-site ordinals (numberTrapSites order) to
+// force back to explicit checks.
+type DemoteSet = SiteSet
 
 // KeyDemote builds the cache key for compiling prog under cfg on execModel
 // with the given speculation and demotion sets. Either set may be nil.
@@ -117,23 +70,13 @@ func numberTrapSites(prog *ir.Program) {
 // are ignored (a stale set must not corrupt a compile). Must run after
 // numberTrapSites.
 func applyDemotion(prog *ir.Program, demote DemoteSet) int {
-	applied := 0
-	for _, m := range prog.Methods {
-		if m.Fn == nil {
-			continue
-		}
-		ords := demote[m.QualifiedName()]
-		if len(ords) == 0 {
-			continue
-		}
-		want := make(map[int32]bool, len(ords))
-		for _, o := range ords {
-			want[int32(o)+1] = true
-		}
-		for _, b := range m.Fn.Blocks {
+	return demote.apply(prog, func(fn *ir.Func, want map[int]bool) int {
+		demoted := func(in *ir.Instr) bool { return in.ExcSite && want[int(in.TrapSite)-1] }
+		applied := 0
+		for _, b := range fn.Blocks {
 			grow := 0
 			for _, in := range b.Instrs {
-				if in.ExcSite && want[in.TrapSite] {
+				if demoted(in) {
 					grow++
 				}
 			}
@@ -142,7 +85,7 @@ func applyDemotion(prog *ir.Program, demote DemoteSet) int {
 			}
 			out := make([]*ir.Instr, 0, len(b.Instrs)+grow)
 			for _, in := range b.Instrs {
-				if in.ExcSite && want[in.TrapSite] {
+				if demoted(in) {
 					out = append(out, &ir.Instr{
 						Op:       ir.OpNullCheck,
 						Dst:      ir.NoVar,
@@ -159,8 +102,8 @@ func applyDemotion(prog *ir.Program, demote DemoteSet) int {
 			}
 			b.Instrs = out
 		}
-	}
-	return applied
+		return applied
+	})
 }
 
 // demoteReason picks the CheckReason for a check re-materialized by demotion,

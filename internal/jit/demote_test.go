@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"slices"
 	"testing"
 
 	"trapnull/internal/arch"
@@ -12,15 +13,24 @@ import (
 // it feeds both the cache key and the content hash.
 func TestDemoteSetCanon(t *testing.T) {
 	a := DemoteSet{"B.get": {3, 1}, "A.main": {2, 0, 2}}
-	b := DemoteSet{"A.main": {0, 2}, "B.get": {1, 3}}
+	b := DemoteSet{"A.main": {0, 2}, "B.get": {1, 3, 3}}
 	if a.Canon() != b.Canon() {
-		t.Fatalf("canon is order-sensitive: %q vs %q", a.Canon(), b.Canon())
+		t.Fatalf("canon is order- or duplicate-sensitive: %q vs %q", a.Canon(), b.Canon())
 	}
 	if want := "A.main:0,2;B.get:1,3"; a.Canon() != want {
 		t.Fatalf("canon %q, want %q", a.Canon(), want)
 	}
 	if (DemoteSet{}).Canon() != "" || DemoteSet(nil).Canon() != "" {
 		t.Fatal("empty demote set must canonicalize to the empty string")
+	}
+	// Canon must not reorder the caller's ordinals in place.
+	if !slices.Equal(a["B.get"], []int{3, 1}) {
+		t.Errorf("Canon mutated its input: %v", a["B.get"])
+	}
+	// SpecSet and DemoteSet are one SiteSet type, so one keys like the other.
+	var spec SpecSet = DemoteSet{"A.main": {0}}
+	if spec.Canon() != "A.main:0" {
+		t.Errorf("SpecSet of a DemoteSet canonicalizes as %q", spec.Canon())
 	}
 }
 

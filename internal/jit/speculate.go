@@ -1,14 +1,16 @@
-// Tier-2 speculative compilation input.
+// Per-check recompile input: site sets, and tier-2 speculation.
 //
-// The tier controller (internal/machine) watches per-check null profiles on
-// the conservative tier-1 artifact; checks that executed often enough with
-// zero observed nulls become speculation candidates. The controller hands the
-// candidate set here as a SpecSet — method qualified name → ordinals of the
-// surviving checks in ir.Func.NullChecks order — and the pipeline applies it
-// AFTER the normal pass list has run, flipping each selected check into a
-// speculation guard (Instr.SpecGuard = ordinal+1).
+// Both adaptive policies of the machine (internal/machine) move checks along
+// the implicit/explicit line by recompiling the whole program under a
+// SiteSet — method qualified name → per-method check ordinals — applied
+// AFTER the normal pass list has run. The tier controller hands over a
+// speculation set (SpecSet): ordinals of surviving checks in
+// ir.Func.NullChecks order, each flipped into a speculation guard
+// (Instr.SpecGuard = ordinal+1). The trap-storm governor hands over a demote
+// set (DemoteSet, see demote.go): trap-site ordinals forced back to explicit
+// checks.
 //
-// The application is deliberately a flag flip and nothing more: block
+// Speculation is deliberately a flag flip and nothing more: block
 // structure, instruction order and every other field are untouched, so the
 // speculative artifact is block-for-block aligned with the conservative one.
 // That alignment is what makes on-stack replacement (tier promotion) and
@@ -19,6 +21,7 @@
 package jit
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,20 +30,20 @@ import (
 	"trapnull/internal/ir"
 )
 
-// SpecSet maps a method's qualified name to the ordinals (Func.NullChecks
-// order) of the checks to speculate. A nil or empty set is the conservative
-// compilation.
-type SpecSet map[string][]int
+// SiteSet maps a method's qualified name to per-method check ordinals. A nil
+// or empty set selects nothing: the unmodified compilation.
+type SiteSet map[string][]int
+
+// SpecSet is a SiteSet of check ordinals (Func.NullChecks order) to
+// speculate.
+type SpecSet = SiteSet
 
 // Canon renders the set in its canonical form: methods sorted by name,
 // ordinals sorted ascending and deduplicated, e.g. "A.main:0,2;B.get:1".
-// The empty string is the conservative (no-speculation) compilation. The
-// canonical form enters the cache key, so speculative and conservative
-// artifacts — and any two distinct speculation sets — can never collide.
-func (s SpecSet) Canon() string {
-	if len(s) == 0 {
-		return ""
-	}
+// The empty string is the unmodified compilation. The canonical form enters
+// the cache key, so artifacts of any two distinct sets — and of a set and
+// the unmodified compilation — can never collide.
+func (s SiteSet) Canon() string {
 	names := make([]string, 0, len(s))
 	for name, ords := range s {
 		if len(ords) > 0 {
@@ -54,45 +57,27 @@ func (s SpecSet) Canon() string {
 			b.WriteByte(';')
 		}
 		b.WriteString(name)
-		b.WriteByte(':')
-		ords := append([]int(nil), s[name]...)
-		sort.Ints(ords)
-		prev := -1
-		first := true
-		for _, o := range ords {
-			if o == prev {
-				continue
-			}
-			prev = o
-			if !first {
-				b.WriteByte(',')
-			}
-			first = false
+		ords := slices.Clone(s[name])
+		slices.Sort(ords)
+		sep := byte(':')
+		for _, o := range slices.Compact(ords) {
+			b.WriteByte(sep)
+			sep = ','
 			b.WriteString(strconv.Itoa(o))
 		}
 	}
 	return b.String()
 }
 
-// KeySpec builds the cache key for compiling prog under cfg on execModel with
-// the given speculation set. Key(prog, cfg, model) is KeySpec with a nil set.
-func KeySpec(prog *ir.Program, cfg Config, execModel *arch.Model, spec SpecSet) CacheKey {
-	k := Key(prog, cfg, execModel)
-	k.Spec = spec.Canon()
-	return k
-}
-
-// applySpeculation flips the selected surviving checks into speculation
-// guards and returns how many were applied. Ordinals outside the method's
-// check list are ignored (they cannot arise from a deterministic profile of
-// the same compiled body, but a stale mask must not corrupt a compile).
-func applySpeculation(prog *ir.Program, spec SpecSet) int {
+// apply runs f on the body of every method the set selects ordinals of,
+// with those ordinals as a membership set, and sums what f applied.
+func (s SiteSet) apply(prog *ir.Program, f func(fn *ir.Func, want map[int]bool) int) int {
 	applied := 0
 	for _, m := range prog.Methods {
 		if m.Fn == nil {
 			continue
 		}
-		ords := spec[m.QualifiedName()]
+		ords := s[m.QualifiedName()]
 		if len(ords) == 0 {
 			continue
 		}
@@ -100,12 +85,30 @@ func applySpeculation(prog *ir.Program, spec SpecSet) int {
 		for _, o := range ords {
 			want[o] = true
 		}
-		for ord, in := range m.Fn.NullChecks() {
+		applied += f(m.Fn, want)
+	}
+	return applied
+}
+
+// KeySpec builds the cache key for compiling prog under cfg on execModel with
+// the given speculation set. Key(prog, cfg, model) is KeySpec with a nil set.
+func KeySpec(prog *ir.Program, cfg Config, execModel *arch.Model, spec SpecSet) CacheKey {
+	return KeyDemote(prog, cfg, execModel, spec, nil)
+}
+
+// applySpeculation flips the selected surviving checks into speculation
+// guards and returns how many were applied. Ordinals outside the method's
+// check list are ignored (they cannot arise from a deterministic profile of
+// the same compiled body, but a stale mask must not corrupt a compile).
+func applySpeculation(prog *ir.Program, spec SpecSet) int {
+	return spec.apply(prog, func(fn *ir.Func, want map[int]bool) int {
+		applied := 0
+		for ord, in := range fn.NullChecks() {
 			if want[ord] {
 				in.SpecGuard = int32(ord) + 1
 				applied++
 			}
 		}
-	}
-	return applied
+		return applied
+	})
 }

@@ -7,6 +7,9 @@ import (
 	"trapnull/internal/workloads"
 )
 
+// TestSpecSetCanon pins the canonical form behind the speculation (and
+// demotion) cache keys: methods sorted by name, ordinals sorted and
+// deduplicated, empty selections dropped.
 func TestSpecSetCanon(t *testing.T) {
 	cases := []struct {
 		name string
@@ -19,6 +22,7 @@ func TestSpecSetCanon(t *testing.T) {
 		{"one", SpecSet{"A.m": {1}}, "A.m:1"},
 		{"sorted-dedup", SpecSet{"A.m": {2, 0, 2, 0}}, "A.m:0,2"},
 		{"methods-sorted", SpecSet{"B.g": {1}, "A.m": {0}}, "A.m:0;B.g:1"},
+		{"mixed", SpecSet{"B.get": {3, 1}, "A.main": {2, 0, 2}, "C.x": {}}, "A.main:0,2;B.get:1,3"},
 	}
 	for _, c := range cases {
 		if got := c.set.Canon(); got != c.want {

@@ -1,0 +1,239 @@
+package machine
+
+import (
+	"slices"
+	"testing"
+
+	"trapnull/internal/arch"
+	"trapnull/internal/ir"
+	"trapnull/internal/jit"
+	"trapnull/internal/workloads"
+)
+
+// Tests of the adaptive controller that tiering and the trap-storm governor
+// share: one per-method record, one recompile-and-adopt path, one site-set
+// type.
+
+// controlled compiles w under cfg for ia32-win and returns a machine on the
+// result, the entry body, and a Recompiler that recompiles w under
+// opts(set) — the shape the bench harness wires into EnableTiering and
+// EnableGovernor.
+func controlled(t *testing.T, w *workloads.Workload, cfg jit.Config, opts func(map[string][]int) jit.CompileOptions) (*Machine, *ir.Func, Recompiler) {
+	t.Helper()
+	model := arch.IA32Win()
+	compile := func(set map[string][]int) (*ir.Program, error) {
+		p, _ := w.Build()
+		_, err := jit.CompileProgramWith(p, cfg, model, opts(set))
+		return p, err
+	}
+	prog, err := compile(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, entry := w.Build()
+	em := prog.MethodByName(entry.QualifiedName())
+	if em == nil || em.Fn == nil {
+		t.Fatalf("compiled %s lacks its entry method", w.Name)
+	}
+	return New(model, prog), em.Fn, compile
+}
+
+// invoke calls the entry reps times, checking every result against the
+// workload's reference checksum.
+func invoke(t *testing.T, m *Machine, w *workloads.Workload, fn *ir.Func, reps int) {
+	t.Helper()
+	for rep := 0; rep < reps; rep++ {
+		out, err := m.Call(fn, w.TestN)
+		if err != nil {
+			t.Fatalf("invocation %d: %v", rep+1, err)
+		}
+		if want := w.Ref(w.TestN); out.Value != want {
+			t.Fatalf("invocation %d: checksum %d, want %d", rep+1, out.Value, want)
+		}
+	}
+}
+
+// record returns the controller's record of the named method.
+func record(t *testing.T, m *Machine, name string) *methodTier {
+	t.Helper()
+	mt := m.tier.byName()[name]
+	if mt == nil {
+		t.Fatalf("no tier record for %s", name)
+	}
+	return mt
+}
+
+// quickTiers and quickGovernor scale the default thresholds down so TestN
+// sizes cross them within a few invocations.
+var (
+	quickTiers    = TierPolicy{T1Blocks: 128, T2Blocks: 128, MinCheckExecs: 16}
+	quickGovernor = GovernorPolicy{MinSiteExecs: 64, NullPerMille: 5, RecompileBudget: 3, BackoffTraps: 8}
+)
+
+func specOpts(set map[string][]int) jit.CompileOptions   { return jit.CompileOptions{Spec: set} }
+func demoteOpts(set map[string][]int) jit.CompileOptions { return jit.CompileOptions{Demote: set} }
+
+// sameBox reports whether two block-counter slices are one shared box.
+func sameBox(a, b []int64) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
+
+// TestAdoptAliasesCounters pins the one adopt path's two uses. A tier-2
+// generation shares the conservative artifact's block-entry box and aliases
+// every check onto the conservative check's counter, ordinal by ordinal. A
+// governed generation replaces the conservative artifact, shares the
+// original's block-entry box, and its trap-site-tagged instructions bind to
+// the same canonical per-site cells the original generation's sites used.
+func TestAdoptAliasesCounters(t *testing.T) {
+	t.Run("tier2", func(t *testing.T) {
+		w := workloads.BigOffsetWalk()
+		m, fn, compile := controlled(t, w, jit.ConfigPhase1Phase2(), specOpts)
+		m.EnableTiering(quickTiers, compile)
+		invoke(t, m, w, fn, 4)
+		mt := record(t, m, "BigOffsetWalk.main")
+		if mt.tier != tierSpec || mt.fn2 == nil {
+			t.Fatalf("BigOffsetWalk.main never reached tier 2 (tier %d)", mt.tier)
+		}
+		if m.tier.byFn[mt.fn2] != mt {
+			t.Error("speculative body does not dispatch through its method's record")
+		}
+		if !sameBox(m.Profile.Counters(mt.fn2), m.Profile.Counters(mt.fn0)) {
+			t.Error("speculative body counts block entries into its own box")
+		}
+		checks0, checks2 := mt.fn0.NullChecks(), mt.fn2.NullChecks()
+		if len(checks0) == 0 || len(checks0) != len(checks2) {
+			t.Fatalf("check lists not aligned: %d vs %d", len(checks0), len(checks2))
+		}
+		for ord := range checks0 {
+			c0, c2 := m.Profile.PeekCheck(checks0[ord]), m.Profile.PeekCheck(checks2[ord])
+			if c0 == nil || c0 != c2 {
+				t.Errorf("check %d: speculative counter %p is not the conservative %p", ord, c2, c0)
+			}
+		}
+	})
+
+	t.Run("governed", func(t *testing.T) {
+		w := workloads.TrapStorm()
+		m, fn, compile := controlled(t, w, jit.ConfigPhase1Phase2(), demoteOpts)
+		m.EnableGovernor(quickGovernor, compile)
+		mt := record(t, m, "TrapStorm.main")
+		orig := mt.fn0
+		invoke(t, m, w, fn, 1)
+		sites := make(map[int]bool)
+		for _, b := range orig.Blocks {
+			for _, in := range b.Instrs {
+				if in.TrapSite != 0 {
+					sites[int(in.TrapSite)-1] = true
+					if c := m.Profile.PeekCheck(in); c == nil || c != mt.cells[int(in.TrapSite)-1] {
+						t.Errorf("original site %d is not bound to its canonical cell", in.TrapSite-1)
+					}
+				}
+			}
+		}
+		if len(sites) == 0 {
+			t.Fatal("TrapStorm.main has no trap sites")
+		}
+		invoke(t, m, w, fn, 2)
+		if m.GovernorReport().Recompiles == 0 || mt.fn0 == orig {
+			t.Fatal("governor never adopted a demoted generation")
+		}
+		if m.tier.byFn[mt.fn0] != mt {
+			t.Error("governed body does not dispatch through its method's record")
+		}
+		if !sameBox(m.Profile.Counters(mt.fn0), m.Profile.Counters(orig)) {
+			t.Error("governed generation counts block entries into its own box")
+		}
+		demoted := 0
+		for _, b := range mt.fn0.Blocks {
+			for _, in := range b.Instrs {
+				if in.TrapSite == 0 {
+					continue
+				}
+				ord := int(in.TrapSite) - 1
+				if !sites[ord] {
+					t.Errorf("governed generation grew unknown site %d", ord)
+				}
+				if c := m.Profile.PeekCheck(in); c == nil || c != mt.cells[ord] {
+					t.Errorf("governed site %d is not bound to the canonical cell", ord)
+				}
+				if in.Op == ir.OpNullCheck {
+					demoted++
+				}
+			}
+		}
+		if demoted != len(mt.demote) {
+			t.Errorf("%d demoted checks in the adopted body, demote set %v", demoted, mt.demote)
+		}
+	})
+}
+
+// TestResetPreparedKeepsGovernorDropsSpeculation pins which half of the
+// per-method record survives ResetPrepared. The governor's demote set, pin
+// and site cells carry over (demotion is monotone), so the governor report
+// is unchanged; speculation — rung, speculative artifact, blacklist,
+// attempts — is dropped, and every method restarts at tier 0.
+func TestResetPreparedKeepsGovernorDropsSpeculation(t *testing.T) {
+	t.Run("governor", func(t *testing.T) {
+		w := workloads.TrapStorm()
+		m, fn, compile := controlled(t, w, jit.ConfigPhase1Phase2(), demoteOpts)
+		pinFirst := quickGovernor
+		pinFirst.RecompileBudget = 1 // the first recompile pins
+		m.EnableGovernor(pinFirst, compile)
+		invoke(t, m, w, fn, 2)
+		before := m.GovernorReport()
+		old := record(t, m, "TrapStorm.main")
+		if !old.pinned || len(old.demote) == 0 {
+			t.Fatalf("TrapStorm.main not pinned (pinned=%v demote=%v)", old.pinned, old.demote)
+		}
+
+		m.ResetPrepared()
+		mt := record(t, m, "TrapStorm.main")
+		if mt == old {
+			t.Fatal("ResetPrepared kept the old record")
+		}
+		if !mt.pinned || !slices.Equal(mt.demote, old.demote) || mt.recompiles != old.recompiles {
+			t.Errorf("governor state lost: pinned=%v demote=%v recompiles=%d, want true %v %d",
+				mt.pinned, mt.demote, mt.recompiles, old.demote, old.recompiles)
+		}
+		for ord, c := range old.cells {
+			if mt.cells[ord] != c {
+				t.Errorf("site %d: canonical cell replaced", ord)
+			}
+		}
+		after := m.GovernorReport()
+		if after.Demotions != before.Demotions || after.SiteExecs != before.SiteExecs ||
+			!slices.Equal(after.Pinned, before.Pinned) {
+			t.Errorf("governor report changed across reset: %+v -> %+v", before, after)
+		}
+		invoke(t, m, w, fn, 1)
+		if got := m.GovernorReport().Recompiles; got != before.Recompiles {
+			t.Errorf("pinned method recompiled after reset: %d -> %d", before.Recompiles, got)
+		}
+	})
+
+	t.Run("speculation", func(t *testing.T) {
+		w := workloads.LateNullStorm()
+		m, fn, compile := controlled(t, w, jit.ConfigPhase1Phase2(), specOpts)
+		m.EnableTiering(quickTiers, compile)
+		invoke(t, m, w, fn, 3)
+		if len(m.Blacklisted()) == 0 {
+			t.Fatal("LateNullStorm never deoptimized")
+		}
+		old := record(t, m, "LateNullStorm.main")
+		if old.specAttempts == 0 {
+			t.Fatal("no speculative recompile recorded")
+		}
+
+		m.ResetPrepared()
+		if bl := m.Blacklisted(); len(bl) != 0 {
+			t.Errorf("blacklist survived reset: %v", bl)
+		}
+		for _, mt := range m.tier.order {
+			if mt.tier != tierInterp || mt.fn2 != nil || mt.spec != nil || mt.specAttempts != 0 || mt.exhausted {
+				t.Errorf("%s: speculation state survived reset (tier %d, attempts %d)", mt.name, mt.tier, mt.specAttempts)
+			}
+			if mt.fn0 != m.Prog.MethodByName(mt.name).Fn {
+				t.Errorf("%s: conservative artifact is not the program's body", mt.name)
+			}
+		}
+		invoke(t, m, w, fn, 1)
+	})
+}

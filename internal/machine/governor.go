@@ -25,8 +25,10 @@ import (
 // again. Exponential backoff between recompiles (counted in swallowed traps)
 // keeps a flapping profile from thrashing the compiler.
 //
-// The governor rides the tier controller's dispatch table: adopted governed
-// artifacts replace methodTier.fn0, so both engines and every tier rung
+// The governor is part of the tier controller: its per-method state lives on
+// the method's record (methodTier), and its recompiles go through the
+// controller's one generation path (recompile, then adopt), whose governed
+// generations replace methodTier.fn0, so both engines and every tier rung
 // dispatch to them on the next invocation. Demotion only inserts explicit
 // check instructions (never moves, splits or reorders blocks), so governed
 // artifacts stay block-aligned with their predecessors and block-boundary
@@ -93,11 +95,16 @@ type GovernorReport struct {
 	Backoffs int64
 }
 
-// govMethod is one method's governor state.
+// govMethod is one method's governor state, embedded in its methodTier
+// record. It survives reset: demotion is monotone.
 type govMethod struct {
+	demote     ordSet // trap-site ordinals demoted to explicit checks
 	recompiles int
 	backoff    int64
 	pinned     bool
+	// cells holds the canonical per-site profile counters, by trap-site
+	// ordinal, aliased onto every artifact generation at prepare time.
+	cells map[int]*obs.CheckCounts
 }
 
 // govSite locates a registered exception site: its method and stable ordinal.
@@ -109,20 +116,10 @@ type govSite struct {
 
 // governor is the tier controller's trap-storm state (tierController.gov).
 type governor struct {
-	policy  GovernorPolicy
-	compile Recompiler
-
-	// demote is the monotone demote set handed to the compiler; demoted
-	// mirrors it as membership sets.
-	demote  map[string][]int
-	demoted map[string]map[int]bool
-	state   map[string]*govMethod
-	// cells holds the canonical per-(method, ordinal) profile counters,
-	// aliased onto every artifact generation at prepare time; refs maps a
-	// generation's site instructions back to their coordinates for the trap
-	// path.
-	cells map[string]map[int]*obs.CheckCounts
-	refs  map[*ir.Instr]*govSite
+	policy GovernorPolicy
+	// sites maps the prepared generations' exception-site instructions back
+	// to their coordinates for the trap path.
+	sites map[*ir.Instr]govSite
 
 	events      []GovernorEvent
 	recompiles  int
@@ -133,23 +130,17 @@ type governor struct {
 // EnableGovernor switches the machine's tier controller to governed
 // execution. If the machine is untiered, tiering is enabled with promotion
 // disabled — the governor only needs the dispatch table; callers wanting the
-// closure ladder call EnableTiering first. Tier-2 speculation is disabled
-// for the controller's lifetime (the governor clears its compiler).
+// closure ladder call EnableTiering first. compile replaces the controller's
+// recompiler, and tier-2 speculation is disabled for the controller's
+// lifetime.
 func (m *Machine) EnableGovernor(policy GovernorPolicy, compile Recompiler) {
 	if m.tier == nil {
 		m.EnableTiering(TierPolicy{}, nil)
 	}
-	m.tier.compile = nil
-	m.tier.gov = &governor{
-		policy:  policy,
-		compile: compile,
-		demote:  make(map[string][]int),
-		demoted: make(map[string]map[int]bool),
-		state:   make(map[string]*govMethod),
-		cells:   make(map[string]map[int]*obs.CheckCounts),
-		refs:    make(map[*ir.Instr]*govSite),
-	}
-	// Drop prepared tables so the next prepare() binds site counters.
+	m.tier.compile = compile
+	m.tier.gov = &governor{policy: policy}
+	// Rebuild the table and drop prepared tables so the next prepare() binds
+	// site counters.
 	m.ResetPrepared()
 }
 
@@ -162,18 +153,14 @@ func (m *Machine) GovernorReport() GovernorReport {
 	g := m.tier.gov
 	r := GovernorReport{Events: g.events, Recompiles: g.recompiles,
 		Backoffs: g.backoffs, CompileHost: g.compileHost}
-	for _, ords := range g.demote {
-		r.Demotions += len(ords)
-	}
-	for name, gm := range g.state {
-		if gm.pinned {
-			r.Pinned = append(r.Pinned, name)
+	for _, mt := range m.tier.order {
+		r.Demotions += len(mt.demote)
+		if mt.pinned {
+			r.Pinned = append(r.Pinned, mt.name)
 		}
-	}
-	// Sums over the canonical cells are commutative, so map iteration order
-	// cannot leak into the report.
-	for _, per := range g.cells {
-		for _, c := range per {
+		// Sums are commutative, so map iteration order cannot leak into the
+		// report.
+		for _, c := range mt.cells {
 			r.SiteExecs += c.Execs
 			r.SiteNulls += c.Nulls
 		}
@@ -182,49 +169,29 @@ func (m *Machine) GovernorReport() GovernorReport {
 	return r
 }
 
-// methodState returns (creating on demand) the governor state for a method.
-func (g *governor) methodState(name string) *govMethod {
-	gm := g.state[name]
-	if gm == nil {
-		gm = &govMethod{}
-		g.state[name] = gm
-	}
-	return gm
-}
-
-// cell returns the canonical counter for (method, ordinal).
-func (g *governor) cell(name string, ord int) *obs.CheckCounts {
-	per := g.cells[name]
-	if per == nil {
-		per = make(map[int]*obs.CheckCounts)
-		g.cells[name] = per
-	}
-	c := per[ord]
-	if c == nil {
-		c = &obs.CheckCounts{}
-		per[ord] = c
-	}
-	return c
-}
-
-// bind attaches the canonical site counter to one prepared instruction. Both
-// current exception sites and demoted explicit checks carry TrapSite tags,
-// so a site's Execs/Nulls keep accumulating into one cell across the
+// bindSite attaches the canonical site counter to one prepared instruction.
+// Both current exception sites and demoted explicit checks carry TrapSite
+// tags, so a site's Execs/Nulls keep accumulating into one cell across the
 // implicit→explicit transition and every artifact generation.
-func (g *governor) bind(t *tierController, fn *ir.Func, pin *pInstr) {
+func (t *tierController) bindSite(fn *ir.Func, pin *pInstr) {
 	in := pin.in
-	if in.TrapSite == 0 {
-		return
-	}
 	mt := t.byFn[fn]
-	if mt == nil {
+	if in.TrapSite == 0 || mt == nil {
 		return
 	}
-	cell := g.cell(mt.name, int(in.TrapSite)-1)
+	ord := int(in.TrapSite) - 1
+	cell := mt.cells[ord]
+	if cell == nil {
+		if mt.cells == nil {
+			mt.cells = make(map[int]*obs.CheckCounts)
+		}
+		cell = &obs.CheckCounts{}
+		mt.cells[ord] = cell
+	}
 	pin.chk = cell
 	t.m.Profile.BindCheck(in, cell)
 	if in.ExcSite {
-		g.refs[in] = &govSite{mt: mt, ord: int(in.TrapSite) - 1, cell: cell}
+		t.gov.sites[in] = govSite{mt: mt, ord: ord, cell: cell}
 	}
 }
 
@@ -232,16 +199,15 @@ func (g *governor) bind(t *tierController, fn *ir.Func, pin *pInstr) {
 // marked exception site. It charges the site's null counter and evaluates
 // the demotion trigger. Runs only on traps, never on the fast path.
 func (t *tierController) siteTrapped(in *ir.Instr) {
-	g := t.gov
-	if g == nil {
+	if t.gov == nil {
 		return
 	}
-	ref := g.refs[in]
-	if ref == nil {
+	site, ok := t.gov.sites[in]
+	if !ok {
 		return
 	}
-	ref.cell.Nulls++
-	g.trigger(t, ref)
+	site.cell.Nulls++
+	t.trigger(site)
 }
 
 // trigger decides whether the trap that just fired demotes its site. The
@@ -249,133 +215,62 @@ func (t *tierController) siteTrapped(in *ir.Instr) {
 // a recompile; thin or below-threshold profiles wait; sites already demoted
 // (still trapping in a stale frame of the previous generation) never
 // retrigger. A firing trigger grows the demote set — the budget's last
-// recompile demotes every site (pin) — recompiles through the compiler, and
-// adopts the new artifact for all future invocations.
-func (g *governor) trigger(t *tierController, ref *govSite) {
-	gm := g.methodState(ref.mt.name)
-	if gm.pinned {
+// recompile demotes every site (pin) — recompiles the program under every
+// method's demote set, and adopts the new generation for all future
+// invocations.
+func (t *tierController) trigger(site govSite) {
+	g, mt, c := t.gov, site.mt, site.cell
+	switch {
+	case mt.pinned:
 		return
-	}
-	if gm.backoff > 0 {
-		gm.backoff--
+	case mt.backoff > 0:
+		mt.backoff--
 		g.backoffs++
 		return
-	}
-	c := ref.cell
-	if c.Execs < g.policy.MinSiteExecs {
-		return
-	}
-	if c.Nulls*1000 < g.policy.NullPerMille*c.Execs {
-		return
-	}
-	if g.demoted[ref.mt.name][ref.ord] {
-		return
-	}
-	if g.compile == nil {
+	case c.Execs < g.policy.MinSiteExecs, c.Nulls*1000 < g.policy.NullPerMille*c.Execs,
+		mt.demote.has(site.ord), t.compile == nil:
 		return
 	}
 
-	name := ref.mt.name
-	gm.recompiles++
+	mt.recompiles++
 	g.recompiles++
-	shift := uint(gm.recompiles - 1)
-	if shift > 20 {
-		shift = 20
-	}
-	gm.backoff = g.policy.BackoffTraps << shift
-	if gm.recompiles >= g.policy.RecompileBudget {
+	mt.backoff = backoff(g.policy.BackoffTraps, mt.recompiles-1)
+	if mt.recompiles >= g.policy.RecompileBudget {
 		// Terminal pin: demote every site of the method, known and future —
 		// the artifact after this recompile carries no implicit sites, so
 		// the method can never trigger again.
-		g.demoteAll(ref.mt)
-		gm.pinned = true
-		g.events = append(g.events, GovernorEvent{
-			Method: name, Kind: "pin", Site: -1, Demoted: len(g.demote[name])})
-		t.m.Recorder.Record(t.m.steps, "governor", "pin", name,
-			fmt.Sprintf("budget spent: %d sites demoted", len(g.demote[name])))
+		for _, b := range mt.fn0.Blocks {
+			for _, in := range b.Instrs {
+				if in.TrapSite != 0 {
+					mt.demote.add(int(in.TrapSite) - 1)
+				}
+			}
+		}
+		mt.pinned = true
+		t.govNote(mt, "pin", -1, fmt.Sprintf("budget spent: %d sites demoted", len(mt.demote)))
 	} else {
-		g.addDemote(name, ref.ord)
-		g.events = append(g.events, GovernorEvent{
-			Method: name, Kind: "demote", Site: ref.ord, Demoted: len(g.demote[name])})
-		t.m.Recorder.Record(t.m.steps, "governor", "demote", name,
-			fmt.Sprintf("site %d: %d/%d nulls", ref.ord, c.Nulls, c.Execs))
+		mt.demote.add(site.ord)
+		t.govNote(mt, "demote", site.ord, fmt.Sprintf("site %d: %d/%d nulls", site.ord, c.Nulls, c.Execs))
 	}
-	if gm.backoff > 0 {
-		t.m.Recorder.Record(t.m.steps, "governor", "backoff-armed", name,
-			fmt.Sprintf("swallowing next %d traps", gm.backoff))
+	if mt.backoff > 0 {
+		t.m.Recorder.Record(t.m.steps, "governor", "backoff-armed", mt.name,
+			fmt.Sprintf("swallowing next %d traps", mt.backoff))
 	}
 
-	start := time.Now()
-	prog2, err := g.compile(g.demote)
-	g.compileHost += time.Since(start)
+	prog, err := t.recompile(t.siteSet(func(o *methodTier) []int { return o.demote }))
 	if err != nil {
 		// Graceful floor on compile failure: keep the current (correct)
 		// artifact, stop retrying. The site keeps paying traps, but the
 		// run completes with the exact same Outcome.
-		gm.pinned = true
-		g.events = append(g.events, GovernorEvent{
-			Method: name, Kind: "recompile-error", Site: -1, Demoted: len(g.demote[name])})
-		t.m.Recorder.Record(t.m.steps, "governor", "recompile-error", name, err.Error())
+		mt.pinned = true
+		t.govNote(mt, "recompile-error", -1, err.Error())
 		return
 	}
-	g.adopt(t, prog2)
+	t.adopt(prog, nil)
 }
 
-// addDemote grows the monotone demote set.
-func (g *governor) addDemote(name string, ord int) {
-	set := g.demoted[name]
-	if set == nil {
-		set = make(map[int]bool)
-		g.demoted[name] = set
-	}
-	if set[ord] {
-		return
-	}
-	set[ord] = true
-	g.demote[name] = append(g.demote[name], ord)
-	sort.Ints(g.demote[name])
-}
-
-// demoteAll demotes every trap-site ordinal of the method: the ones still
-// implicit in the current artifact plus everything already demoted.
-func (g *governor) demoteAll(mt *methodTier) {
-	for _, b := range mt.fn0.Blocks {
-		for _, in := range b.Instrs {
-			if in.TrapSite != 0 {
-				g.addDemote(mt.name, int(in.TrapSite)-1)
-			}
-		}
-	}
-}
-
-// adopt installs a governed program generation: every method body maps into
-// the tier table and becomes that method's conservative artifact, so the
-// next invocation (any rung, either engine) dispatches to it. The faulting
-// invocation finishes on the old artifact — the trap that triggered the
-// recompile already became the correct NullPointerException — and site
-// counters rebind lazily when the new bodies are prepared.
-func (g *governor) adopt(t *tierController, prog2 *ir.Program) {
-	byName := make(map[string]*methodTier, len(t.order))
-	for _, mt := range t.order {
-		byName[mt.name] = mt
-	}
-	for _, mth := range prog2.Methods {
-		if mth.Fn == nil {
-			continue
-		}
-		mt := byName[mth.QualifiedName()]
-		if mt == nil {
-			continue
-		}
-		t.byFn[mth.Fn] = mt
-		// Governed generations are block-aligned with their predecessors
-		// (demotion only inserts check instructions at existing sites), so the
-		// block-entry profile keeps accumulating into one box across adoptions.
-		t.m.Profile.BindCounters(mth.Fn, mt.fn0)
-		mt.fn0 = mth.Fn
-		mt.fn2, mt.cf2, mt.spec = nil, nil, nil
-		if mt.tier == tierSpec {
-			mt.tier = tierClosure
-		}
-	}
+// govNote logs one governor event and mirrors it into the flight recorder.
+func (t *tierController) govNote(mt *methodTier, kind string, site int, detail string) {
+	t.gov.events = append(t.gov.events, GovernorEvent{Method: mt.name, Kind: kind, Site: site, Demoted: len(mt.demote)})
+	t.m.Recorder.Record(t.m.steps, "governor", kind, mt.name, detail)
 }

@@ -115,8 +115,8 @@ func (m *Machine) prepare(fn *ir.Func) *pFunc {
 			if m.tier != nil && m.tier.gov != nil {
 				// Governed machines profile trap sites (and demoted checks)
 				// through canonical per-(method, ordinal) cells that survive
-				// artifact generations; see governor.bind.
-				m.tier.gov.bind(m.tier, fn, &pins[i])
+				// artifact generations; see tierController.bindSite.
+				m.tier.bindSite(fn, &pins[i])
 			}
 		}
 		pf.blocks[b.ID] = pins

@@ -36,13 +36,18 @@ import (
 // (obs.CheckCounts), which both engines maintain through pointers bound at
 // prepare/closure-compile time.
 //
-// Tier artifacts are whole-program compiles: the Recompiler callback
-// rebuilds and recompiles the source program under a speculation mask, so
-// the machine package never imports the jit package. Speculation is a
-// post-pipeline flag flip on a deterministic recompile, which keeps every
-// artifact block-for-block aligned with the conservative one — that
-// alignment is what makes on-stack replacement (tier 0→1 and 1→2 hand-offs
-// mid-invocation) and deopt transfers exact.
+// One controller serves both adaptive policies. Tier-2 speculation moves
+// checks toward implicit, the trap-storm governor (governor.go) moves them
+// back, and both do it the same way: a whole-program recompile under a
+// per-method set of check ordinals (the Recompiler callback rebuilds and
+// recompiles the source program, so the machine package never imports the
+// jit package), adopted as a new block-aligned generation. Every method has
+// one record (methodTier) holding its tier rung, its speculation state and
+// its governor state; recompile and adopt are the one generation path.
+// Speculation is a post-pipeline flag flip on a deterministic recompile,
+// which keeps every artifact block-for-block aligned with the conservative
+// one — that alignment is what makes on-stack replacement (tier 0→1 and 1→2
+// hand-offs mid-invocation) and deopt transfers exact.
 
 // TierPolicy sets the promotion thresholds.
 type TierPolicy struct {
@@ -97,20 +102,50 @@ const (
 	tierSpec                          // speculative closure artifact
 )
 
-// methodTier is one method's tier state.
+// methodTier is one method's record: its tier rung and speculation state,
+// which reset drops, and its governor state, which reset keeps.
 type methodTier struct {
 	name   string
 	tier   tierLevel
 	budget int64    // block entries remaining until the next promotion attempt
-	fn0    *ir.Func // conservative artifact (the program's Method.Fn)
+	fn0    *ir.Func // conservative artifact (the program's Method.Fn, or the adopted governed generation)
 	fn2    *ir.Func // speculative artifact body; nil below tier 2
 	cf2    *cFunc
-	spec   []int // ordinals speculated in fn2
+	spec   []int  // ordinals speculated in fn2
+	black  ordSet // blacklisted check ordinals (guards that fired)
 	// specAttempts counts tier-2 speculative recompiles; capped by
 	// TierPolicy.SpecRecompileBudget with exponential deopt backoff.
 	specAttempts int
 	// exhausted marks the method parked by a spent recompile budget.
 	exhausted bool
+
+	govMethod
+}
+
+// ordSet is a sorted, duplicate-free set of check or trap-site ordinals.
+type ordSet []int
+
+func (s ordSet) has(ord int) bool {
+	i := sort.SearchInts(s, ord)
+	return i < len(s) && s[i] == ord
+}
+
+// add inserts ord, keeping the set sorted.
+func (s *ordSet) add(ord int) {
+	i := sort.SearchInts(*s, ord)
+	if i < len(*s) && (*s)[i] == ord {
+		return
+	}
+	*s = append(*s, 0)
+	copy((*s)[i+1:], (*s)[i:])
+	(*s)[i] = ord
+}
+
+// backoff is base doubled once per earlier attempt (capped at 2^20): the
+// exponential spacing both policies put between a method's recompiles, so a
+// flapping profile converges instead of thrashing the compiler.
+func backoff(base int64, attempts int) int64 {
+	return base << uint(min(attempts, 20))
 }
 
 // TierEvent is one promotion/deoptimization, in occurrence order.
@@ -144,8 +179,7 @@ type tierController struct {
 	compile Recompiler
 
 	byFn  map[*ir.Func]*methodTier // every known artifact body → its method
-	order []*methodTier            // method order: deterministic mask building
-	black map[string]map[int]bool  // blacklisted (method, check ordinal)
+	order []*methodTier            // method order: deterministic set building
 
 	events      []TierEvent
 	deopts      int
@@ -153,8 +187,8 @@ type tierController struct {
 	compileHost time.Duration
 
 	// gov, when non-nil, is the trap-storm governor (EnableGovernor):
-	// per-site trap-rate monitoring with implicit→explicit demotion. See
-	// governor.go.
+	// per-site trap-rate monitoring with implicit→explicit demotion. A
+	// governed controller never speculates. See governor.go.
 	gov *governor
 }
 
@@ -166,7 +200,7 @@ func (m *Machine) EnableTiering(policy TierPolicy, compile Recompiler) {
 		m.Profile = obs.NewExecProfile()
 	}
 	t := &tierController{m: m, policy: policy, compile: compile}
-	t.rebuild()
+	t.reset()
 	m.tier = t
 }
 
@@ -190,12 +224,30 @@ func (m *Machine) TierReport() TierReport {
 	return r
 }
 
-// rebuild initializes the per-method table from the machine's current
-// program. Everything restarts at tier 0 with a clean blacklist.
-func (t *tierController) rebuild() {
+// byName indexes the method records by qualified name.
+func (t *tierController) byName() map[string]*methodTier {
+	idx := make(map[string]*methodTier, len(t.order))
+	for _, mt := range t.order {
+		idx[mt.name] = mt
+	}
+	return idx
+}
+
+// reset rebuilds the per-method table from the machine's current program.
+// ResetPrepared calls it so triage bisection replays — which swap Method.Fn
+// values between Calls — can never dispatch through a stale speculative
+// closure of the previous generation. Every method restarts at tier 0 with
+// a clean blacklist; its governor state (demote set, recompiles, backoff,
+// pin, site cells) carries over by name, matching the monotone-demotion
+// contract. Governor site bindings are dropped with the old records they
+// point at and rebind when the bodies are next prepared.
+func (t *tierController) reset() {
+	prev := t.byName()
 	t.byFn = make(map[*ir.Func]*methodTier)
-	t.order = t.order[:0]
-	t.black = make(map[string]map[int]bool)
+	t.order = nil
+	if t.gov != nil {
+		t.gov.sites = make(map[*ir.Instr]govSite)
+	}
 	if t.m.Prog == nil {
 		return
 	}
@@ -208,35 +260,17 @@ func (t *tierController) rebuild() {
 			continue
 		}
 		mt := &methodTier{name: mth.QualifiedName(), tier: tierInterp, budget: startBudget, fn0: mth.Fn}
+		if old := prev[mt.name]; old != nil {
+			mt.govMethod = old.govMethod
+		}
 		t.byFn[mth.Fn] = mt
 		t.order = append(t.order, mt)
-	}
-}
-
-// reset invalidates all tier state. ResetPrepared calls it so triage
-// bisection replays — which swap Method.Fn values between Calls — can never
-// dispatch through a stale speculative closure of the previous generation.
-// Governor site bindings are dropped with the tier table (they hold
-// methodTier pointers); the demote set and policy state survive, matching
-// the monotone-demotion contract.
-func (t *tierController) reset() {
-	t.rebuild()
-	if t.gov != nil {
-		t.gov.refs = make(map[*ir.Instr]*govSite)
 	}
 }
 
 // stateOf returns fn's tier state, or nil for bodies outside the program
 // (bare test functions). One map lookup per call; never on the block path.
 func (t *tierController) stateOf(fn *ir.Func) *methodTier { return t.byFn[fn] }
-
-// specBudget returns the effective per-method tier-2 recompile bound.
-func (t *tierController) specBudget() int {
-	if t.policy.SpecRecompileBudget > 0 {
-		return t.policy.SpecRecompileBudget
-	}
-	return DefaultSpecRecompileBudget
-}
 
 // tierInvoke dispatches one call through the tier table. The tier chooses
 // the artifact and engine; all rungs are observationally identical, so this
@@ -257,26 +291,39 @@ func (m *Machine) tierInvoke(fn *ir.Func, args []int64, depth int) (Outcome, err
 	}
 }
 
+// note logs one tier event and mirrors it into the flight recorder.
+func (t *tierController) note(ev TierEvent, detail string) {
+	t.events = append(t.events, ev)
+	t.m.Recorder.Record(t.m.steps, "tier", ev.Kind, ev.Method, detail)
+}
+
+// closure closure-compiles fn, counting the host time toward
+// compile-time-to-peak.
+func (t *tierController) closure(fn *ir.Func) *cFunc {
+	start := time.Now()
+	cf := t.m.compiled(fn)
+	t.compileHost += time.Since(start)
+	return cf
+}
+
 // promoteT1 promotes an interpreted method to the closure engine, returning
 // the compiled artifact for the caller's on-stack replacement (nil when
-// promotion is disabled). The closure-compile cost counts toward
-// compile-time-to-peak.
+// promotion is disabled).
 func (t *tierController) promoteT1(mt *methodTier) *cFunc {
 	if t.policy.T1Blocks <= 0 {
 		return nil
 	}
-	start := time.Now()
-	cf := t.m.compiled(mt.fn0)
-	t.compileHost += time.Since(start)
-	if t.policy.T2Blocks > 0 && t.compile != nil {
+	cf := t.closure(mt.fn0)
+	// Tier 2 needs a recompiler and no governor: check ordinals shift between
+	// demoted generations, and the two policies bet in opposite directions.
+	if t.policy.T2Blocks > 0 && t.compile != nil && t.gov == nil {
 		mt.tier = tierClosure
 		mt.budget = t.policy.T2Blocks
 	} else {
 		mt.tier = tierClosureFinal
 	}
 	t.osrEntries++
-	t.events = append(t.events, TierEvent{Method: mt.name, Kind: "promote-t1", Check: -1})
-	t.m.Recorder.Record(t.m.steps, "tier", "promote-t1", mt.name, "osr into closure artifact")
+	t.note(TierEvent{Method: mt.name, Kind: "promote-t1", Check: -1}, "osr into closure artifact")
 	return cf
 }
 
@@ -285,10 +332,8 @@ func (t *tierController) promoteT1(mt *methodTier) *cFunc {
 // reports whether some check is still below the execution floor (the
 // promotion attempt should be retried once more data accumulates).
 func (t *tierController) candidates(mt *methodTier) (ords []int, thin bool) {
-	checks := mt.fn0.NullChecks()
-	bl := t.black[mt.name]
-	for ord, in := range checks {
-		if bl[ord] {
+	for ord, in := range mt.fn0.NullChecks() {
+		if mt.black.has(ord) {
 			continue
 		}
 		c := t.m.Profile.PeekCheck(in)
@@ -303,98 +348,118 @@ func (t *tierController) candidates(mt *methodTier) (ords []int, thin bool) {
 	return ords, thin
 }
 
-// specMask assembles the whole-program speculation mask: every method
-// currently at tier 2 keeps its ordinals, plus the new candidate set.
-func (t *tierController) specMask(promoting *methodTier, cand []int) map[string][]int {
-	mask := make(map[string][]int)
-	for _, mt := range t.order {
-		if mt.tier == tierSpec && len(mt.spec) > 0 {
-			mask[mt.name] = mt.spec
-		}
-	}
-	if len(cand) > 0 {
-		mask[promoting.name] = cand
-	}
-	return mask
-}
-
-// promoteT2 attempts the speculative recompile of a tier-1 method. On
-// success it returns the speculative body and closure artifact for the
-// caller's mid-invocation hand-off. On failure it either re-arms the
-// countdown (profile still too thin) or parks the method at
-// tierClosureFinal (nothing left to speculate, or the recompile failed).
+// promoteT2 attempts the speculative recompile of a tier-1 method under the
+// whole-program mask: every method at tier 2 keeps its ordinals, mt adds its
+// candidates. On success it returns the speculative body and closure
+// artifact for the caller's mid-invocation hand-off. On failure it either
+// re-arms the countdown (profile still too thin) or parks the method at
+// tierClosureFinal (budget spent, nothing left to speculate, or the
+// recompile failed).
 func (t *tierController) promoteT2(mt *methodTier) (*ir.Func, *cFunc) {
-	if mt.specAttempts >= t.specBudget() {
-		// Recompile budget spent: park for good and surface the exhaustion.
+	budget := t.policy.SpecRecompileBudget
+	if budget <= 0 {
+		budget = DefaultSpecRecompileBudget
+	}
+	if mt.specAttempts >= budget {
 		mt.tier = tierClosureFinal
 		if !mt.exhausted {
 			mt.exhausted = true
-			t.events = append(t.events, TierEvent{Method: mt.name, Kind: "spec-budget-exhausted", Check: -1})
-			t.m.Recorder.Record(t.m.steps, "tier", "spec-budget-exhausted", mt.name,
+			t.note(TierEvent{Method: mt.name, Kind: "spec-budget-exhausted", Check: -1},
 				fmt.Sprintf("parked after %d recompiles", mt.specAttempts))
 		}
 		return nil, nil
 	}
 	cand, thin := t.candidates(mt)
+	if len(cand) == 0 && thin {
+		mt.budget = t.policy.T2Blocks
+		return nil, nil
+	}
+	mt.tier = tierClosureFinal
 	if len(cand) == 0 {
-		if thin {
-			mt.budget = t.policy.T2Blocks
-		} else {
-			mt.tier = tierClosureFinal
-		}
 		return nil, nil
 	}
 	mt.specAttempts++
-	start := time.Now()
-	prog2, err := t.compile(t.specMask(mt, cand))
-	t.compileHost += time.Since(start)
+	prog2, err := t.recompile(t.siteSet(func(o *methodTier) []int {
+		if o == mt {
+			return cand
+		}
+		if o.tier == tierSpec {
+			return o.spec
+		}
+		return nil
+	}))
 	if err != nil {
-		mt.tier = tierClosureFinal
 		return nil, nil
 	}
 	fn2 := t.adopt(prog2, mt)
 	if fn2 == nil {
-		mt.tier = tierClosureFinal
 		return nil, nil
 	}
-	start = time.Now()
-	cf2 := t.m.compiled(fn2)
-	t.compileHost += time.Since(start)
 	mt.tier = tierSpec
-	mt.fn2, mt.cf2 = fn2, cf2
+	mt.fn2, mt.cf2 = fn2, t.closure(fn2)
 	mt.spec = cand
 	t.osrEntries++
-	t.events = append(t.events, TierEvent{Method: mt.name, Kind: "promote-t2", Check: -1, Specs: len(cand)})
-	t.m.Recorder.Record(t.m.steps, "tier", "promote-t2", mt.name,
+	t.note(TierEvent{Method: mt.name, Kind: "promote-t2", Check: -1, Specs: len(cand)},
 		fmt.Sprintf("%d checks speculated", len(cand)))
-	return fn2, cf2
+	return fn2, mt.cf2
+}
+
+// siteSet assembles a whole-program recompile set: each method's ordinals
+// as picked, methods with none omitted.
+func (t *tierController) siteSet(pick func(*methodTier) []int) map[string][]int {
+	set := make(map[string][]int)
+	for _, mt := range t.order {
+		if ords := pick(mt); len(ords) > 0 {
+			set[mt.name] = ords
+		}
+	}
+	return set
+}
+
+// recompile compiles the program under set. The host time counts toward the
+// governor's report when governed (a governed controller never speculates)
+// and toward the tier report otherwise.
+func (t *tierController) recompile(set map[string][]int) (*ir.Program, error) {
+	host := &t.compileHost
+	if t.gov != nil {
+		host = &t.gov.compileHost
+	}
+	start := time.Now()
+	prog, err := t.compile(set)
+	*host += time.Since(start)
+	return prog, err
 }
 
 // adopt registers a freshly compiled program generation: every method body
 // maps into byFn (calls inside the new artifact dispatch through the tier
-// table like any other), and each body's checks alias the conservative
-// artifact's profile counters — compilation is deterministic, so ordinals
-// align — letting conservative and speculative runs accumulate one profile.
-// Returns the promoting method's new body.
-func (t *tierController) adopt(prog2 *ir.Program, promoting *methodTier) *ir.Func {
-	byName := make(map[string]*methodTier, len(t.order))
-	for _, mt := range t.order {
-		byName[mt.name] = mt
-	}
+// table like any other), and — generations being block-aligned — shares the
+// conservative artifact's block-entry counter box, so the execution profile
+// survives the swap instead of fragmenting across generations.
+//
+// A speculative generation also aliases each body's checks onto the
+// conservative artifact's check counters (compilation is deterministic, so
+// ordinals align), letting conservative and speculative runs accumulate one
+// profile; adopt returns promoting's new body. A governed generation instead
+// becomes each method's conservative artifact, so the next invocation (any
+// rung, either engine) dispatches to it; demotion shifts check ordinals, so
+// its site counters rebind by trap-site ordinal when the new bodies are
+// prepared. The faulting invocation finishes on the old artifact — the trap
+// that triggered the recompile already became the correct
+// NullPointerException.
+func (t *tierController) adopt(prog *ir.Program, promoting *methodTier) *ir.Func {
+	idx := t.byName()
 	var promoted *ir.Func
-	for _, mth := range prog2.Methods {
-		if mth.Fn == nil {
-			continue
-		}
-		mt := byName[mth.QualifiedName()]
-		if mt == nil {
+	for _, mth := range prog.Methods {
+		mt := idx[mth.QualifiedName()]
+		if mth.Fn == nil || mt == nil {
 			continue
 		}
 		t.byFn[mth.Fn] = mt
-		// Block-aligned generations share one block-entry counter box, so
-		// the execution profile survives the artifact swap instead of
-		// fragmenting across generations.
 		t.m.Profile.BindCounters(mth.Fn, mt.fn0)
+		if t.gov != nil {
+			mt.fn0 = mth.Fn
+			continue
+		}
 		checks0 := mt.fn0.NullChecks()
 		for ord, in2 := range mth.Fn.NullChecks() {
 			if ord < len(checks0) {
@@ -421,38 +486,22 @@ func (t *tierController) deopted(fn *ir.Func, in *ir.Instr, fr *frame) {
 		return
 	}
 	ord := int(in.SpecGuard) - 1
-	bl := t.black[mt.name]
-	if bl == nil {
-		bl = make(map[int]bool)
-		t.black[mt.name] = bl
-	}
-	if !bl[ord] {
-		bl[ord] = true
-	}
+	mt.black.add(ord)
 	t.deopts++
 	mt.tier = tierClosure
-	// Exponential backoff: each failed speculation doubles the block-entry
-	// countdown before the next recompile attempt, so a flapping profile
-	// converges to the conservative artifact instead of thrashing the
-	// compiler. The budget check in promoteT2 is the hard stop.
-	shift := uint(mt.specAttempts)
-	if shift > 20 {
-		shift = 20
-	}
-	mt.budget = t.policy.T2Blocks << shift
+	// Each failed speculation doubles the countdown before the next attempt;
+	// the budget check in promoteT2 is the hard stop.
+	mt.budget = backoff(t.policy.T2Blocks, mt.specAttempts)
 	mt.fn2, mt.cf2 = nil, nil
 	mt.spec = nil
 	if t.compile != nil {
-		start := time.Now()
-		_, _ = t.compile(nil) // conservative recompile through the cache
-		t.compileHost += time.Since(start)
+		_, _ = t.recompile(nil) // conservative recompile through the cache
 	}
 	if fr != nil {
 		fr.deoptFn = mt.fn0
 		fr.deoptCf = t.m.compiled(mt.fn0)
 	}
-	t.events = append(t.events, TierEvent{Method: mt.name, Kind: "deopt", Check: ord})
-	t.m.Recorder.Record(t.m.steps, "tier", "deopt", mt.name,
+	t.note(TierEvent{Method: mt.name, Kind: "deopt", Check: ord},
 		fmt.Sprintf("guard %d fired: blacklisted, backoff %d blocks", ord, mt.budget))
 }
 
@@ -463,11 +512,10 @@ func (m *Machine) Blacklisted() map[string][]int {
 		return nil
 	}
 	out := make(map[string][]int)
-	for name, bl := range m.tier.black {
-		for ord := range bl {
-			out[name] = append(out[name], ord)
+	for _, mt := range m.tier.order {
+		if len(mt.black) > 0 {
+			out[mt.name] = append([]int(nil), mt.black...)
 		}
-		sort.Ints(out[name])
 	}
 	return out
 }
