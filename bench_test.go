@@ -214,7 +214,7 @@ func BenchmarkFigure15AIXSpecImprovement(b *testing.B) {
 // whole experiment" number.
 func BenchmarkEndToEndSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunAll(bench.Options{Quick: true, CompileReps: 1})
+		r, err := bench.RunAll(bench.Options{Quick: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -52,11 +52,12 @@ go run ./cmd/nulljit -workload Assignment -config full -remarks -profile -trace 
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); evs=d['traceEvents']; assert evs and all(e.get('ph')=='X' for e in evs), 'bad trace events'" "$obs_trace"
 go test -run 'TestObsEquivalence|TestFateConservation' ./internal/bench
 TRAPNULL_ENGINE=switch go test -run TestObsEquivalence ./internal/bench
-# Compile-cache differential gate: the whole bench/jit surface again with the
-# content-addressed compile cache forced off, so the cached fast path (the
-# default) and the always-recompile path cannot drift apart — the cache
-# equivalence tests themselves compare the two directly.
-TRAPNULL_COMPILE_CACHE=off go test ./internal/bench ./internal/jit
+# Compile-cache differential gate: the bench suite again with the
+# content-addressed compile cache forced off (internal/bench is the only
+# reader of TRAPNULL_COMPILE_CACHE), so the cached fast path (the default) and
+# the always-recompile path cannot drift apart — the cache equivalence tests
+# themselves compare the two directly.
+TRAPNULL_COMPILE_CACHE=off go test ./internal/bench
 go test -run 'TestCompileCache' ./internal/bench
 go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCompile' ./internal/jit
 # Tiered differential gate: the full ladder — promotion, speculation,
@@ -72,9 +73,17 @@ go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/jit
 go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps' ./internal/machine
 # Tiered bench smoke: the -tier table end to end on quick sizes (checksums
 # verified per invocation), plus one tiered nulljit run that must deopt and
-# converge on the lying-profile workload.
+# converge on the lying-profile workload: nulljit exits non-zero on any
+# invocation's checksum mismatch, and the output must log the deopt.
 go run ./cmd/benchtab -tier -quick > /dev/null
-go run ./cmd/nulljit -workload LateNullStorm -tier -tier-reps 3 > /dev/null
+storm="$(go run ./cmd/nulljit -workload LateNullStorm -tier -tier-reps 3)"
+case "$storm" in
+*"event       deopt"*) ;;
+*)
+    echo "nulljit LateNullStorm -tier logged no deopt" >&2
+    exit 1
+    ;;
+esac
 # Robustness gate (governor + fault injection). The chaos pass replays the
 # same seeded fault schedule under the race detector and on both engines —
 # the reports must be byte-identical and every failure one the schedule

@@ -7,10 +7,8 @@
 //	benchtab -table 1             # just Table 1
 //	benchtab -figure 8            # just Figure 8
 //	benchtab -quick               # small problem sizes (fast smoke run)
-//	benchtab -reps 9              # compile-time measurement repetitions
 //	benchtab -parallel 8          # sweep cells on 8 workers (0 = GOMAXPROCS)
 //	benchtab -compile-cache=off   # disable the content-addressed compile cache
-//	benchtab -compile-parallel 4  # compile each cell's methods on 4 workers
 //	benchtab -engine switch       # run on the reference switch interpreter
 //	benchtab -tier                # tiered-execution tables (policies, not configs)
 //	benchtab -tier-reps 6         # invocations per tiered cell (last = steady state)
@@ -44,10 +42,8 @@ func main() {
 		table      = flag.Int("table", 0, "render one table (1-7)")
 		figure     = flag.Int("figure", 0, "render one figure (8-15)")
 		quick      = flag.Bool("quick", false, "use small problem sizes")
-		reps       = flag.Int("reps", 5, "compile-time measurement repetitions (ignored when the compile cache is on)")
 		parallel   = flag.Int("parallel", 0, "concurrent sweep cells (0 = GOMAXPROCS, 1 = serial)")
 		ccache     = flag.String("compile-cache", "auto", "content-addressed compile cache: auto (TRAPNULL_COMPILE_CACHE), on, off")
-		cparallel  = flag.Int("compile-parallel", 0, "per-method compile workers inside each cell (<=1 = serial)")
 		engine     = flag.String("engine", "", "execution engine: closure (default) or switch; both report identical numbers")
 		ablations  = flag.Bool("ablations", false, "run the ablation experiments instead")
 		tier       = flag.Bool("tier", false, "run the tiered-execution sweep instead (steady-state cycles and compile-time-to-peak per policy)")
@@ -145,7 +141,7 @@ func main() {
 	}
 
 	if *tier || *degrade {
-		popts := bench.PolicyOptions{Quick: *quick, Reps: *tierReps, CompileParallelism: *cparallel,
+		popts := bench.PolicyOptions{Quick: *quick, Reps: *tierReps,
 			Timeline: timeline, Trace: tr, Metrics: metrics}
 		run := bench.RunTieredAll
 		if !*tier {
@@ -173,7 +169,7 @@ func main() {
 		// deterministic ERROR(...) cells inside the report. Only a fault the
 		// schedule did not arm fails the run.
 		crep, chaosErr := bench.RunChaos(*chaosSeed, bench.ChaosOptions{
-			Parallelism: *parallel, CellTimeout: *cellTO, CompileParallelism: *cparallel,
+			Parallelism: *parallel, CellTimeout: *cellTO,
 			Timeline: timeline, Metrics: metrics})
 		fmt.Print(crep.Render())
 		emitTelemetry()
@@ -211,8 +207,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := bench.Options{Quick: *quick, CompileReps: *reps, Parallelism: *parallel,
-		CompileCache: cacheSetting, CompileParallelism: *cparallel,
+	opts := bench.Options{Quick: *quick, Parallelism: *parallel, CompileCache: cacheSetting,
 		Remarks: *remarks, Profile: *profile, CellTimeout: *cellTO,
 		Timeline: timeline, Trace: tr, Metrics: metrics}
 	rep, sweepErr := bench.RunAll(opts)

@@ -63,6 +63,7 @@ func configByName(name string) (jit.Config, error) {
 	for k := range short {
 		names = append(names, k)
 	}
+	sort.Strings(names)
 	return jit.Config{}, fmt.Errorf("unknown config %q (try one of %s)", name, strings.Join(names, ", "))
 }
 
@@ -213,14 +214,21 @@ func main() {
 	}
 	fail(err)
 
+	// A workload's run must return its reference checksum; a wrong value or
+	// an exception is a miscompile, reported after the full output.
+	var verdict error
 	fmt.Printf("program     %s (n=%d) on %s under %s\n", label, size, model.Name, cfg.Name)
 	if out.Exc != rt.ExcNone {
 		fmt.Printf("exception   %v\n", out.Exc)
+		if ref != nil {
+			verdict = fmt.Errorf("unexpected exception %v", out.Exc)
+		}
 	} else if ref != nil {
 		want := ref(size)
 		status := "OK"
 		if out.Value != want {
 			status = fmt.Sprintf("MISMATCH (want %d)", want)
+			verdict = fmt.Errorf("checksum mismatch: got %d, want %d", out.Value, want)
 		}
 		fmt.Printf("checksum    %d  [%s]\n", out.Value, status)
 	} else {
@@ -263,12 +271,14 @@ func main() {
 		fmt.Print(bench.RunMetrics(bench.RunCounters{Exec: m.Stats, Checks: res.Checks,
 			Cycles: m.Cycles, Attr: m.CycleAttribution()}).RenderText(false))
 	}
+	fail(verdict)
 }
 
 // runTiered executes one workload on a tiered machine — full ladder, with a
 // speculative recompiler wired through a compile cache — and prints the
 // per-invocation cycle deltas, the promotion/deopt event log, and the
-// speculation blacklist. The checksum is verified on every invocation.
+// speculation blacklist. The checksum is verified on every invocation; a
+// failed one exits non-zero after the full output.
 func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps int, timeline bool) {
 	w, err := workloads.ByName(wname)
 	fail(err)
@@ -309,6 +319,7 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 	fmt.Printf("program     %s (n=%d) on %s under %s, tiered (%d invocations)\n",
 		w.Name, size, model.Name, cfg.Name, reps)
 	want := w.Ref(size)
+	var verdict error
 	for rep := 0; rep < reps; rep++ {
 		before := m.Cycles
 		out, err := m.Call(em.Fn, size)
@@ -318,6 +329,9 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 			status = fmt.Sprintf("exception %v", out.Exc)
 		} else if out.Value != want {
 			status = fmt.Sprintf("MISMATCH (want %d)", want)
+		}
+		if status != "OK" && verdict == nil {
+			verdict = fmt.Errorf("invocation %d: %s", rep+1, status)
 		}
 		fmt.Printf("invocation  %d: cycles=%d checksum=%d [%s]\n", rep+1, m.Cycles-before, out.Value, status)
 	}
@@ -349,6 +363,7 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 		tl.Add(w.Name+"/tiered", rec, nil)
 		fmt.Print(tl.Render())
 	}
+	fail(verdict)
 }
 
 func fail(err error) {

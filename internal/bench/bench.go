@@ -97,29 +97,20 @@ func (m *Matrix) Cell(config, workload string) *Cell {
 type Options struct {
 	// Quick selects the small problem sizes (used by tests).
 	Quick bool
-	// CompileReps measures compilation this many times and keeps the
-	// fastest, stabilizing the µs-scale timings of Tables 3–5. Minimum 1.
-	CompileReps int
 	// Parallelism bounds how many (config, workload) cells run
 	// concurrently: 0 means GOMAXPROCS, 1 forces the serial sweep. Every
-	// cell gets its own Machine and Heap, and each cell's compile timing
-	// runs start-to-finish on its own goroutine with CompileReps
-	// unchanged, so per-phase compile accounting (Tables 3–5) stays valid.
+	// cell gets its own Machine and Heap, and each cell's one compilation
+	// runs start-to-finish on its own goroutine, so per-phase compile
+	// accounting (Tables 3–5) stays valid.
 	Parallelism int
 
 	// CompileCache controls the sweep-scoped content-addressed compilation
 	// cache (internal/jit cache.go). The zero value CacheAuto enables it
 	// unless the TRAPNULL_COMPILE_CACHE environment variable says otherwise.
-	// With the cache on, each cell compiles its program at most once — the
-	// CompileReps best-of-N timing loop is skipped, because a cached Result
-	// replays the stored times anyway — so Tables 3–5 report single-compile
-	// timings; every timing-free artifact is byte-identical either way (the
+	// A cached Result replays the timings of the compile that filled the
+	// entry; every timing-free artifact is byte-identical either way (the
 	// compiled IR is deterministic, cache or no cache).
 	CompileCache CacheSetting
-	// CompileParallelism is forwarded to jit.CompileOptions.Parallelism:
-	// methods of one program compile on that many workers (≤ 1 = serial).
-	// The artifact is byte-identical at any setting.
-	CompileParallelism int
 
 	// Trace, when non-nil, collects Chrome trace-event spans: one lane per
 	// cell, a cell span wrapping the measured compile and run, pass and
@@ -186,7 +177,7 @@ func (o Options) cacheEnabled() bool {
 	return true
 }
 
-// observed reports whether the final compile rep needs an observer.
+// observed reports whether a cell's compile needs an observer.
 func (o Options) observed() bool { return o.Trace != nil || o.Remarks }
 
 func (o Options) workers(total int) int {
@@ -270,8 +261,9 @@ func newCell(s cellSpec, ms *measurement) *Cell {
 	st := ms.stats
 	c.Cycles = ms.cycles
 	c.SimSeconds = float64(c.Cycles) / float64(s.model.ClockHz)
-	c.CompileNull, c.CompileOther = ms.best.Times.NullCheckOpt, ms.best.Times.Other
-	c.Exec, c.Static, c.Attr = st, *ms.best, ms.attr
+	res := ms.entry.Result
+	c.CompileNull, c.CompileOther = res.Times.NullCheckOpt, res.Times.Other
+	c.Exec, c.Static, c.Attr = st, *res, ms.attr
 	if rem := ms.entry.Remarks; rem != nil {
 		fc := rem.Totals()
 		c.Fates, c.remarks = &fc, rem
@@ -306,8 +298,7 @@ type cellSpec struct {
 	// timeline section (after the model name) and its failure-list entry.
 	name string
 	reps int
-	// cache serves the cell's compile and recompiles; nil compiles afresh,
-	// keeping the fastest of Options.CompileReps compiles.
+	// cache serves the cell's compile and recompiles; nil compiles afresh.
 	cache *jit.Cache
 }
 
@@ -315,8 +306,7 @@ type cellSpec struct {
 // it into its own cell type; a failed measurement carries only err.
 type measurement struct {
 	err   string
-	entry *jit.CacheEntry // the compiled program that ran, with its fate ledger
-	best  *jit.Result     // the fastest compile's result
+	entry *jit.CacheEntry // the compiled program that ran, with its result and fate ledger
 	prof  *obs.ExecProfile
 	attr  *obs.Attribution
 	// The machine's totals and adaptive reports; the machine itself is
@@ -420,52 +410,38 @@ func measureCell(s cellSpec, opts Options, abort *atomic.Bool) (ms *measurement)
 		cellStart = time.Now()
 	}
 
-	// Compile. Without a cache, repeat for timing stability and keep the
-	// fastest result (the one least disturbed by the host). The last
-	// compile's program runs, and only that compile is observed, so remarks
-	// and trace spans describe exactly the program the measurements come
-	// from. A cached entry replays its stored timings, so best-of-N has
-	// nothing to average; cells re-derive their statistics from the shared,
-	// immutable entry and never accumulate into it.
-	compiles := 1
-	if s.cache == nil {
-		compiles = max(opts.CompileReps, 1)
-	}
-	// Policy cells compile unobserved: their compile-to-peak column is host
-	// time that pass spans would inflate.
+	// Compile once; that compile's program runs, so remarks and trace spans
+	// describe exactly the program the measurements come from. Cells
+	// re-derive their statistics from the (possibly shared, immutable) cache
+	// entry and never accumulate into it. Policy cells compile unobserved:
+	// their compile-to-peak column is host time that pass spans would
+	// inflate.
 	observe := opts.observed() && s.policy == ""
-	var entryM *ir.Method
-	for rep := 0; rep < compiles; rep++ {
-		var p *ir.Program
-		p, entryM = s.w.Build()
-		co := jit.CompileOptions{Parallelism: opts.CompileParallelism}
-		// Injected pass faults key on the compilation's content identity,
-		// not the cell: under single-flight coalescing WHICH cell compiles
-		// depends on worker interleaving, but what is compiled does not.
-		if opts.Inject != nil {
-			co.PassFault = opts.Inject.PassFault(jit.Key(p, s.cfg, s.model).ID())
-		}
-		if rep == compiles-1 && observe {
-			co.Observer = &jit.Observer{Trace: opts.Trace, TID: tid}
-			if opts.Remarks {
-				co.Observer.Remarks = obs.NewRemarks()
-			}
-		}
-		start := time.Now()
-		entry, hit, err := s.cache.Compile(p, s.cfg, s.model, co)
-		ms.toPeak = time.Since(start)
-		if observe && s.cache != nil && opts.Trace != nil {
-			opts.Trace.Span(tid, "compile_cache", s.name, cellStart, time.Since(cellStart),
-				map[string]any{"hit": hit})
-		}
-		if err != nil {
-			return fail(failReason(err))
-		}
-		if ms.best == nil || entry.Result.Times.Total() < ms.best.Times.Total() {
-			ms.best = entry.Result
-		}
-		ms.entry = entry
+	p, entryM := s.w.Build()
+	var co jit.CompileOptions
+	// Injected pass faults key on the compilation's content identity, not
+	// the cell: under single-flight coalescing WHICH cell compiles depends
+	// on worker interleaving, but what is compiled does not.
+	if opts.Inject != nil {
+		co.PassFault = opts.Inject.PassFault(jit.Key(p, s.cfg, s.model).ID())
 	}
+	if observe {
+		co.Observer = &jit.Observer{Trace: opts.Trace, TID: tid}
+		if opts.Remarks {
+			co.Observer.Remarks = obs.NewRemarks()
+		}
+	}
+	start := time.Now()
+	entry, hit, err := s.cache.Compile(p, s.cfg, s.model, co)
+	ms.toPeak = time.Since(start)
+	if observe && s.cache != nil && opts.Trace != nil {
+		opts.Trace.Span(tid, "compile_cache", s.name, cellStart, time.Since(cellStart),
+			map[string]any{"hit": hit})
+	}
+	if err != nil {
+		return fail(failReason(err))
+	}
+	ms.entry = entry
 
 	// On a cache hit the entry's program is NOT the one this cell built;
 	// resolve the entry method into it by qualified name. The compiled IR is
@@ -490,7 +466,6 @@ func measureCell(s cellSpec, opts Options, abort *atomic.Bool) (ms *measurement)
 	}
 	ms.toPeak += setupPolicy(s.policy, mach, opts.Quick, func(co jit.CompileOptions) (*ir.Program, error) {
 		p, _ := s.w.Build()
-		co.Parallelism = opts.CompileParallelism
 		entry, _, err := s.cache.Compile(p, s.cfg, s.model, co)
 		if err != nil {
 			return nil, err

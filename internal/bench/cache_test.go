@@ -15,15 +15,14 @@ import (
 // TestCompileCacheDeterminism is the cache acceptance gate: a cache-on sweep
 // and a cache-off sweep must render byte-identical timing-free artifacts and
 // identical per-cell simulated measurements, static statistics, and fate
-// histograms. Only host compile timings may differ (cache-on skips the
-// best-of-reps loop).
+// histograms. Only host compile timings may differ.
 func TestCompileCacheDeterminism(t *testing.T) {
-	on, err := RunAll(Options{Quick: true, CompileReps: 2, Parallelism: 4,
+	on, err := RunAll(Options{Quick: true, Parallelism: 4,
 		CompileCache: CacheOn, Remarks: true})
 	if err != nil {
 		t.Fatalf("cache-on sweep: %v", err)
 	}
-	off, err := RunAll(Options{Quick: true, CompileReps: 2, Parallelism: 4,
+	off, err := RunAll(Options{Quick: true, Parallelism: 4,
 		CompileCache: CacheOff, Remarks: true})
 	if err != nil {
 		t.Fatalf("cache-off sweep: %v", err)
@@ -95,7 +94,7 @@ func TestCompileCacheFateReattribution(t *testing.T) {
 	ws := workloads.JBYTEmark()[:3]
 
 	m, err := Run(model, []jit.Config{base, clone}, ws,
-		Options{Quick: true, CompileReps: 1, CompileCache: CacheOn, Remarks: true})
+		Options{Quick: true, CompileCache: CacheOn, Remarks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +175,11 @@ func TestCompileCacheEntryImmutable(t *testing.T) {
 // when the cache ran, so cache-off JSON stays byte-compatible with the
 // pre-cache shape.
 func TestCompileCacheJSONGating(t *testing.T) {
-	on, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4, CompileCache: CacheOn})
+	on, err := RunAll(Options{Quick: true, Parallelism: 4, CompileCache: CacheOn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4, CompileCache: CacheOff})
+	off, err := RunAll(Options{Quick: true, Parallelism: 4, CompileCache: CacheOff})
 	if err != nil {
 		t.Fatal(err)
 	}

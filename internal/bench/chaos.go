@@ -39,8 +39,6 @@ type ChaosOptions struct {
 	// the last-resort backstop — injected faults are all deterministic, so a
 	// timeout firing means a genuine hang (and fails the run).
 	CellTimeout time.Duration
-	// CompileParallelism is forwarded to jit.CompileOptions.Parallelism.
-	CompileParallelism int
 	// Timeline / Metrics are forwarded to the underlying sweeps: the
 	// timeline collects every cell's chaos arm/fire events (and the cache
 	// fault log as notes), the registry totals the sweep counters.
@@ -128,14 +126,13 @@ func RunChaos(seed int64, opts ChaosOptions) (*ChaosReport, error) {
 		// aggregate error restates the per-cell Err fields, which the loop
 		// below classifies line by line — so it is deliberately dropped.
 		m, _ := Run(sw.model, sw.configs, sw.ws, Options{
-			Quick:              true,
-			Parallelism:        opts.Parallelism,
-			CompileCache:       CacheOn,
-			CompileParallelism: opts.CompileParallelism,
-			CellTimeout:        opts.cellTimeout(),
-			Inject:             inj,
-			Timeline:           opts.Timeline,
-			Metrics:            opts.Metrics,
+			Quick:        true,
+			Parallelism:  opts.Parallelism,
+			CompileCache: CacheOn,
+			CellTimeout:  opts.cellTimeout(),
+			Inject:       inj,
+			Timeline:     opts.Timeline,
+			Metrics:      opts.Metrics,
 		})
 		for _, cfg := range sw.configs {
 			for _, w := range sw.ws {

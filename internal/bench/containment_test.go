@@ -34,7 +34,7 @@ func TestPanickingWorkloadDoesNotAbortSweep(t *testing.T) {
 	ws := append(workloads.JBYTEmark()[:3], poisonedWorkload())
 	cfgs := jit.WindowsConfigs()[:3]
 
-	m, err := Run(model, cfgs, ws, Options{Quick: true, CompileReps: 1, Parallelism: 4})
+	m, err := Run(model, cfgs, ws, Options{Quick: true, Parallelism: 4})
 	if err == nil {
 		t.Fatal("expected an aggregate sweep error")
 	}
@@ -125,7 +125,7 @@ func TestErrorCellsRenderDeterministically(t *testing.T) {
 	render := func(par int) string {
 		ws := append(workloads.JBYTEmark()[:3], poisonedWorkload())
 		cfgs := jit.WindowsConfigs()[:3]
-		m, err := Run(model, cfgs, ws, Options{Quick: true, CompileReps: 1, Parallelism: par})
+		m, err := Run(model, cfgs, ws, Options{Quick: true, Parallelism: par})
 		if err == nil {
 			t.Fatal("expected sweep error")
 		}

@@ -192,7 +192,7 @@ func TestDiffStrictFates(t *testing.T) {
 // benchtab JSON diffed against itself must pass, proving the gate tolerates
 // the one legitimately noisy column (host compile µs) out of the box.
 func TestDiffRoundTripSelf(t *testing.T) {
-	rep, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4})
+	rep, err := RunAll(Options{Quick: true, Parallelism: 4})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestDiffRoundTripSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second independent sweep differs only in host timings.
-	rep2, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4})
+	rep2, err := RunAll(Options{Quick: true, Parallelism: 4})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

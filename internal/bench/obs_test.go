@@ -69,11 +69,11 @@ func TestFateConservation(t *testing.T) {
 // artifacts plus per-cell cycles and event counts. ci.sh re-runs this test
 // under TRAPNULL_ENGINE=switch so both engines are held to it.
 func TestObsEquivalence(t *testing.T) {
-	off, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4})
+	off, err := RunAll(Options{Quick: true, Parallelism: 4})
 	if err != nil {
 		t.Fatalf("obs-off sweep: %v", err)
 	}
-	on, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4,
+	on, err := RunAll(Options{Quick: true, Parallelism: 4,
 		Trace: obs.NewTrace(), Remarks: true, Profile: true})
 	if err != nil {
 		t.Fatalf("obs-on sweep: %v", err)
@@ -253,11 +253,11 @@ func benchObs(b *testing.B, observed bool) {
 // artifacts: fate histograms and profile summaries must be identical between
 // a serial and a 4-worker sweep.
 func TestParallelObsDeterminism(t *testing.T) {
-	serial, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 1, Remarks: true, Profile: true})
+	serial, err := RunAll(Options{Quick: true, Parallelism: 1, Remarks: true, Profile: true})
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	parallel, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4, Remarks: true, Profile: true})
+	parallel, err := RunAll(Options{Quick: true, Parallelism: 4, Remarks: true, Profile: true})
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}

@@ -22,11 +22,11 @@ var timingFreeArtifacts = []string{
 // measurements — and byte-identical rendered artifacts — to the serial
 // sweep. Only host-clock compile durations may differ.
 func TestParallelSweepDeterminism(t *testing.T) {
-	serial, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 1})
+	serial, err := RunAll(Options{Quick: true, Parallelism: 1})
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	parallel, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4})
+	parallel, err := RunAll(Options{Quick: true, Parallelism: 4})
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestParallelErrorDeterminism(t *testing.T) {
 
 	var msgs []string
 	for _, par := range []int{1, 4} {
-		_, err := Run(model, cfgs, ws, Options{Quick: true, CompileReps: 1, Parallelism: par})
+		_, err := Run(model, cfgs, ws, Options{Quick: true, Parallelism: par})
 		if err == nil {
 			t.Fatalf("parallelism %d: expected checksum error", par)
 		}

@@ -98,8 +98,6 @@ type PolicyOptions struct {
 	// (storm and demote, steady) and defaults to 3. Values below the floor
 	// select the default.
 	Reps int
-	// CompileParallelism is forwarded to jit.CompileOptions.Parallelism.
-	CompileParallelism int
 
 	// Timeline, when non-nil, attaches a flight recorder to every cell's
 	// machine and merges its promotion/deopt/demotion events into the
@@ -428,7 +426,7 @@ func runPolicies(k *policyKind, model *arch.Model, cfg jit.Config, ws []*workloa
 	// One worker and no deadline: compile-to-peak is host time, which
 	// concurrent cells would perturb.
 	measured, err := sweep(specs, Options{Quick: opts.Quick, Parallelism: 1,
-		CompileParallelism: opts.CompileParallelism, Trace: opts.Trace, Timeline: opts.Timeline})
+		Trace: opts.Trace, Timeline: opts.Timeline})
 	for i, s := range specs {
 		c := newPolicyCell(s, measured[i])
 		m.Cells[s.policy][s.w.Name] = c

@@ -18,7 +18,7 @@ func telemetrySweep(t *testing.T, parallelism int) (string, string) {
 	t.Helper()
 	tl := obs.NewTimeline()
 	reg := obs.NewRegistry()
-	if _, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: parallelism,
+	if _, err := RunAll(Options{Quick: true, Parallelism: parallelism,
 		Timeline: tl, Metrics: reg}); err != nil {
 		t.Fatalf("sweep (parallelism %d): %v", parallelism, err)
 	}
@@ -129,7 +129,7 @@ func TestTieredTelemetryDeterminism(t *testing.T) {
 // bucket is the dispatch cost model applied to the trap count.
 func TestAttributionConservation(t *testing.T) {
 	tl := obs.NewTimeline()
-	rep, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4, Timeline: tl})
+	rep, err := RunAll(Options{Quick: true, Parallelism: 4, Timeline: tl})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestAttributionConservation(t *testing.T) {
 // surface: a sweep without the telemetry plane must not grow any of the new
 // keys, so pre-existing consumers see byte-identical documents.
 func TestTelemetryOffUnchanged(t *testing.T) {
-	rep, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4})
+	rep, err := RunAll(Options{Quick: true, Parallelism: 4})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestTelemetryOffUnchanged(t *testing.T) {
 		}
 	}
 	// And the telemetry-on sweep does carry the ledger.
-	onRep, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4, Timeline: obs.NewTimeline()})
+	onRep, err := RunAll(Options{Quick: true, Parallelism: 4, Timeline: obs.NewTimeline()})
 	if err != nil {
 		t.Fatalf("telemetry-on sweep: %v", err)
 	}

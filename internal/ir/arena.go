@@ -12,9 +12,10 @@ package ir
 //   - An Arena is owned by exactly one Func (lazily, via Func.Alloc) or is
 //     shared by the Funcs of one Program generation (randprog's GenerateIn).
 //     Everything allocated from it must not outlive the owner.
-//   - Arenas are NOT safe for concurrent use. The parallel compiler keeps
-//     this trivially true: each method's passes run on one goroutine and only
-//     ever allocate from that method's own arena.
+//   - Arenas are NOT safe for concurrent use. Compilation keeps this
+//     trivially true: a program compiles on one goroutine, each method's
+//     passes only ever allocate from that method's own arena, and concurrent
+//     sweep cells compile distinct programs.
 //   - Reset recycles the chunks for a new generation. It zeroes the recycled
 //     memory so stale *Block/*Field/*Class pointers neither leak objects nor
 //     masquerade as live IR. Callers must guarantee every Func built from the

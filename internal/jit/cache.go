@@ -1,9 +1,10 @@
 // Content-addressed compilation cache.
 //
-// A sweep (bench.Run) and a triage session compile the same (program,
-// configuration, model) triple over and over: every CompileReps repetition,
-// every bisection replay, every delta-debug oracle call re-runs the whole
-// pass pipeline on an identical input. Compilation is deterministic — same
+// A triage session compiles the same (program, configuration, model) triple
+// over and over: every bisection replay, every delta-debug oracle call
+// re-runs the whole pass pipeline on an identical input, and an adaptive
+// sweep cell (bench.Run) recompiles for site sets it may have seen before.
+// Compilation is deterministic — same
 // input program, same effective configuration, same models, same output IR —
 // so the triple is a perfect cache key. The cache stores the compiled
 // program together with its immutable *Result (and fate ledger, when the

@@ -130,12 +130,6 @@ type CompileOptions struct {
 	// Observer attaches the observability layer (trace spans, fate ledgers).
 	// Nil (or nil fields) degrades to the exact unobserved compilation.
 	Observer *Observer
-	// Parallelism caps how many independent methods compile concurrently;
-	// values ≤ 1 compile serially in method order. Methods related by the
-	// pristine call graph are still ordered exactly as the serial loop would
-	// order them, so the compiled artifact is byte-identical at any setting
-	// (see parallel.go for the safety argument and DESIGN.md §10).
-	Parallelism int
 	// Spec, when non-empty, flips the selected surviving checks into tier-2
 	// speculation guards after the normal pipeline has run (see
 	// speculate.go).
@@ -169,18 +163,21 @@ func CompileProgramObserved(prog *ir.Program, cfg Config, execModel *arch.Model,
 }
 
 // CompileProgramWith is the full-control entry point behind CompileProgram
-// and CompileProgramObserved.
+// and CompileProgramObserved. Methods compile one at a time in program
+// order, so each method inlines its callees' final (already optimized)
+// bodies when they precede it and their pristine bodies otherwise.
 func CompileProgramWith(prog *ir.Program, cfg Config, execModel *arch.Model, opts CompileOptions) (*Result, error) {
-	var res *Result
-	var err error
-	if opts.Parallelism > 1 {
-		res, err = compileParallel(prog, cfg, execModel, opts)
-	} else {
-		res, err = compileSerial(prog, cfg, execModel, opts)
+	res := &Result{Config: cfg}
+	for _, m := range prog.Methods {
+		if m.Fn == nil {
+			continue
+		}
+		if err := compileFunc(m, cfg, execModel, res, opts.Observer, opts.PassFault); err != nil {
+			return nil, fmt.Errorf("%s: %w", m.QualifiedName(), err)
+		}
+		res.FuncsCompiled++
 	}
-	if err != nil {
-		return nil, err
-	}
+	finishProgramStats(prog, res)
 	// Trap sites are numbered on every compile so the governor can key its
 	// per-site profile on ordinals that survive recompilation; the numbering
 	// is a pure function of the (deterministic) compiled body.
@@ -203,31 +200,6 @@ func CompileProgramWith(prog *ir.Program, cfg Config, execModel *arch.Model, opt
 	return res, nil
 }
 
-// compileSerial is the single-threaded method loop behind CompileProgramWith.
-func compileSerial(prog *ir.Program, cfg Config, execModel *arch.Model, opts CompileOptions) (*Result, error) {
-	res := &Result{Config: cfg}
-	ob := opts.Observer
-	for _, m := range prog.Methods {
-		if m.Fn == nil {
-			continue
-		}
-		if err := compileFunc(m.Fn, cfg, execModel, res, ob, newLedgerFor(ob, m), opts.PassFault); err != nil {
-			return nil, fmt.Errorf("%s: %w", m.QualifiedName(), err)
-		}
-		res.FuncsCompiled++
-	}
-	finishProgramStats(prog, res)
-	return res, nil
-}
-
-// newLedgerFor registers a fate ledger for m's body, or nil when unobserved.
-func newLedgerFor(ob *Observer, m *ir.Method) *obs.Ledger {
-	if ob == nil || ob.Remarks == nil {
-		return nil
-	}
-	return ob.Remarks.NewLedger(m.Fn, m.QualifiedName())
-}
-
 // finishProgramStats recomputes the surviving static check count from the
 // final bodies (the per-pass values accumulated by Add double-count across
 // iterations).
@@ -240,17 +212,15 @@ func finishProgramStats(prog *ir.Program, res *Result) {
 	}
 }
 
-// compileFunc runs the cfg pipeline on one function body. ledger, when
-// non-nil, was pre-registered by the caller (parallel compilation creates
-// every ledger up front, in method order, so ledger order never depends on
-// worker interleaving). fault is CompileOptions.PassFault (usually nil).
-func compileFunc(f *ir.Func, cfg Config, execModel *arch.Model, res *Result, ob *Observer, ledger *obs.Ledger, fault func(method, pass string) string) error {
+// compileFunc runs the cfg pipeline on m's body, registering a fate ledger
+// for it when ob collects remarks. fault is CompileOptions.PassFault
+// (usually nil).
+func compileFunc(m *ir.Method, cfg Config, execModel *arch.Model, res *Result, ob *Observer, fault func(method, pass string) string) error {
 	verify := cfg.Verify || envVerify
-	name := f.Name
-	if f.Method != nil {
-		name = f.Method.QualifiedName()
-	}
-	if ledger != nil {
+	f, name := m.Fn, m.QualifiedName()
+	var ledger *obs.Ledger
+	if ob != nil && ob.Remarks != nil {
+		ledger = ob.Remarks.NewLedger(f, name)
 		f.Track = ledger
 		defer func() { f.Track = nil }()
 	}

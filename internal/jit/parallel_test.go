@@ -2,6 +2,7 @@ package jit
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"trapnull/internal/arch"
@@ -32,68 +33,110 @@ func renderRemarks(r *obs.Remarks) string {
 	return sb.String()
 }
 
-// TestParallelCompileMatchesSerial is the parallel-compilation determinism
-// gate: for every workload under every configuration of both sweeps, the
-// parallel compiler must produce byte-identical disassembly, an identical
-// fate ledger, and identical non-time statistics — any worker interleaving
-// effect is a bug (see parallel.go's safety argument).
-func TestParallelCompileMatchesSerial(t *testing.T) {
-	type matrix struct {
-		configs []Config
-		model   *arch.Model
+// concurrently runs f(0) … f(n-1) on n goroutines and waits for all of them.
+func concurrently(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
 	}
-	matrices := []matrix{
-		{WindowsConfigs(), arch.IA32Win()},
-		{AIXConfigs(), arch.PPCAIX()},
+	wg.Wait()
+}
+
+// compileCopies is how many fresh builds of one (workload, config) pair the
+// concurrency tests compile at the same time.
+const compileCopies = 2
+
+// compiled is one observed compilation's artifact: disassembly, fate ledger
+// and time-free Result.
+type compiled struct {
+	disasm, remarks string
+	res             Result
+	err             error
+}
+
+func compileObserved(w *workloads.Workload, cfg Config, model *arch.Model) compiled {
+	p, _ := w.Build()
+	ob := &Observer{Remarks: obs.NewRemarks()}
+	res, err := CompileProgramWith(p, cfg, model, CompileOptions{Observer: ob})
+	if err != nil {
+		return compiled{err: err}
+	}
+	c := compiled{disasm: disasm(p), remarks: renderRemarks(ob.Remarks), res: *res}
+	c.res.Times = Times{}
+	return c
+}
+
+// TestParallelCompileMatchesSerial is the concurrent-compilation determinism
+// gate. The bench worker pool compiles distinct programs at the same time,
+// so for every workload, every configuration of both sweeps is compiled on
+// its own goroutines — several fresh builds each, all at once — and each
+// must produce byte-identical disassembly, an identical fate ledger and an
+// identical time-free Result to the same compilation run alone. Any
+// cross-compilation effect (shared mutable state in the pipeline or its
+// passes) is a bug.
+func TestParallelCompileMatchesSerial(t *testing.T) {
+	type job struct {
+		cfg   Config
+		model *arch.Model
+	}
+	var jobs []job
+	for _, cfg := range WindowsConfigs() {
+		jobs = append(jobs, job{cfg, arch.IA32Win()})
+	}
+	for _, cfg := range AIXConfigs() {
+		jobs = append(jobs, job{cfg, arch.PPCAIX()})
 	}
 	for _, w := range workloads.All() {
-		for _, mx := range matrices {
-			for _, cfg := range mx.configs {
-				serialP, _ := w.Build()
-				serialOb := &Observer{Remarks: obs.NewRemarks()}
-				serialRes, err := CompileProgramWith(serialP, cfg, mx.model, CompileOptions{Observer: serialOb})
-				if err != nil {
-					t.Fatalf("%s/%s serial: %v", w.Name, cfg.Name, err)
-				}
-
-				parP, _ := w.Build()
-				parOb := &Observer{Remarks: obs.NewRemarks()}
-				parRes, err := CompileProgramWith(parP, cfg, mx.model,
-					CompileOptions{Observer: parOb, Parallelism: 4})
-				if err != nil {
-					t.Fatalf("%s/%s parallel: %v", w.Name, cfg.Name, err)
-				}
-
-				if s, p := disasm(serialP), disasm(parP); s != p {
-					t.Fatalf("%s/%s: parallel disassembly diverges from serial", w.Name, cfg.Name)
-				}
-				if s, p := renderRemarks(serialOb.Remarks), renderRemarks(parOb.Remarks); s != p {
-					t.Fatalf("%s/%s: fate ledgers diverge:\nserial:\n%s\nparallel:\n%s",
-						w.Name, cfg.Name, s, p)
-				}
-				ss, ps := *serialRes, *parRes
-				ss.Times, ps.Times = Times{}, Times{}
-				if ss != ps {
-					t.Fatalf("%s/%s: results diverge:\nserial:   %+v\nparallel: %+v",
-						w.Name, cfg.Name, ss, ps)
-				}
+		serial := make([]compiled, len(jobs))
+		for i, j := range jobs {
+			serial[i] = compileObserved(w, j.cfg, j.model)
+			if serial[i].err != nil {
+				t.Fatalf("%s/%s serial: %v", w.Name, j.cfg.Name, serial[i].err)
+			}
+		}
+		got := make([]compiled, len(jobs)*compileCopies)
+		concurrently(len(got), func(i int) {
+			j := jobs[i/compileCopies]
+			got[i] = compileObserved(w, j.cfg, j.model)
+		})
+		for i, c := range got {
+			want, name := serial[i/compileCopies], w.Name+"/"+jobs[i/compileCopies].cfg.Name
+			switch {
+			case c.err != nil:
+				t.Fatalf("%s concurrent: %v", name, c.err)
+			case c.disasm != want.disasm:
+				t.Fatalf("%s: concurrent disassembly diverges from serial", name)
+			case c.remarks != want.remarks:
+				t.Fatalf("%s: fate ledgers diverge:\nserial:\n%s\nconcurrent:\n%s", name, want.remarks, c.remarks)
+			case c.res != want.res:
+				t.Fatalf("%s: results diverge:\nserial:     %+v\nconcurrent: %+v", name, want.res, c.res)
 			}
 		}
 	}
 }
 
-// TestParallelCompileRunsCorrectCode executes a parallel-compiled program to
-// the reference checksum — the end-to-end backstop behind the byte-equality
-// test above.
+// TestParallelCompileRunsCorrectCode compiles every workload at the same
+// time and executes each compiled program to the reference checksum — the
+// end-to-end backstop behind the byte-equality test above.
 func TestParallelCompileRunsCorrectCode(t *testing.T) {
-	for _, w := range workloads.All() {
-		p, entryM := w.Build()
-		if _, err := CompileProgramWith(p, ConfigPhase1Phase2(), arch.IA32Win(),
-			CompileOptions{Parallelism: 4}); err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
+	ws := workloads.All()
+	progs := make([]*ir.Program, len(ws))
+	entries := make([]*ir.Method, len(ws))
+	errs := make([]error, len(ws))
+	concurrently(len(ws), func(i int) {
+		progs[i], entries[i] = ws[i].Build()
+		_, errs[i] = CompileProgram(progs[i], ConfigPhase1Phase2(), arch.IA32Win())
+	})
+	for i, w := range ws {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", w.Name, errs[i])
 		}
-		m := machine.New(arch.IA32Win(), p)
-		out, err := m.Call(entryM.Fn, w.TestN)
+		m := machine.New(arch.IA32Win(), progs[i])
+		out, err := m.Call(entries[i].Fn, w.TestN)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -103,8 +146,8 @@ func TestParallelCompileRunsCorrectCode(t *testing.T) {
 	}
 }
 
-// TestParallelCompileErrorMatchesSerial: a failing compilation reports the
-// same method (the lowest-index failure) regardless of parallelism.
+// TestParallelCompileErrorMatchesSerial: failing compilations running at the
+// same time each report exactly the error the same compilation reports alone.
 func TestParallelCompileErrorMatchesSerial(t *testing.T) {
 	cfg := ConfigPhase1Phase2()
 	cfg.Verify = true
@@ -129,11 +172,16 @@ func TestParallelCompileErrorMatchesSerial(t *testing.T) {
 	if serialErr == nil {
 		t.Fatal("expected the forged program to fail serial compilation")
 	}
-	_, parErr := CompileProgramWith(build(), cfg, arch.IA32Win(), CompileOptions{Parallelism: 4})
-	if parErr == nil {
-		t.Fatal("expected the forged program to fail parallel compilation")
-	}
-	if serialErr.Error() != parErr.Error() {
-		t.Fatalf("error diverges:\nserial:   %v\nparallel: %v", serialErr, parErr)
+	errs := make([]error, 4)
+	concurrently(len(errs), func(i int) {
+		_, errs[i] = CompileProgram(build(), cfg, arch.IA32Win())
+	})
+	for _, err := range errs {
+		if err == nil {
+			t.Fatal("expected the forged program to fail concurrent compilation")
+		}
+		if serialErr.Error() != err.Error() {
+			t.Fatalf("error diverges:\nserial:     %v\nconcurrent: %v", serialErr, err)
+		}
 	}
 }

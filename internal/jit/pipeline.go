@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"trapnull/internal/arch"
@@ -16,7 +17,18 @@ import (
 // envVerify force-enables per-pass IR verification for a whole process:
 // `TRAPNULL_VERIFY=1 go test ./...` is ci.sh's verifier-enabled gate. It is
 // read once at init, so concurrent compilations observe a constant.
-var envVerify = os.Getenv("TRAPNULL_VERIFY") != ""
+var envVerify = verifySetting(os.Getenv("TRAPNULL_VERIFY"))
+
+// verifySetting parses a TRAPNULL_VERIFY value: unset, "off", "0" and
+// "false" (any case, the spellings TRAPNULL_COMPILE_CACHE accepts for off)
+// leave the verifier off; anything else turns it on.
+func verifySetting(v string) bool {
+	switch strings.ToLower(v) {
+	case "", "off", "0", "false":
+		return false
+	}
+	return true
+}
 
 // pass is one named step of the compilation pipeline.
 type pass struct {

@@ -121,3 +121,16 @@ func TestObserverSeesEveryPass(t *testing.T) {
 		t.Errorf("observed passes %v, pipeline declares %v", observed, fromPipeline)
 	}
 }
+
+// TestVerifySetting: TRAPNULL_VERIFY turns the verifier on for any value
+// except unset and the off spellings TRAPNULL_COMPILE_CACHE accepts.
+func TestVerifySetting(t *testing.T) {
+	for v, want := range map[string]bool{
+		"": false, "0": false, "off": false, "OFF": false, "false": false, "False": false,
+		"1": true, "on": true, "true": true, "yes": true,
+	} {
+		if got := verifySetting(v); got != want {
+			t.Errorf("verifySetting(%q) = %v, want %v", v, got, want)
+		}
+	}
+}

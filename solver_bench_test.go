@@ -95,7 +95,7 @@ func BenchmarkFullTableRun(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunAll(bench.Options{Quick: true, CompileReps: 1, Parallelism: par}); err != nil {
+				if _, err := bench.RunAll(bench.Options{Quick: true, Parallelism: par}); err != nil {
 					b.Fatal(err)
 				}
 			}
