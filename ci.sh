@@ -15,6 +15,8 @@ go vet ./internal/irverify ./internal/triage
 # go build ./... nor the test suite compiles it. Vet it so an internal/ API
 # change that breaks the benchmark fails here, not in a benchmark run.
 (cd perfbench && go vet .)
+# Format gate: every tracked Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...
 go test -race ./...
 # Real interleavings: the container may have one CPU, where the race run

@@ -35,43 +35,53 @@ import (
 	"trapnull/internal/workloads"
 )
 
+// shortConfigs maps the -config short names to configuration names, in the
+// order the help lists them.
+var shortConfigs = []struct{ short, long string }{
+	{"notrap", "NoNullOpt(NoTrap)"},
+	{"trap", "NoNullOpt(Trap)"},
+	{"old", "OldNullCheck"},
+	{"phase1", "NewNullCheck(Phase1)"},
+	{"full", "NewNullCheck(Phase1+2)"},
+	{"hotspot", "HotSpotSim"},
+	{"spec", "Speculation"},
+	{"nospec", "NoSpeculation"},
+	{"aixbase", "NoNullCheckOpt"},
+	{"illegal", "IllegalImplicit(NoSpec)"},
+	{"writeimpl", "WriteImplicit(Spec)"},
+}
+
+// shortConfigNames joins the -config short names with sep.
+func shortConfigNames(sep string) string {
+	names := make([]string, len(shortConfigs))
+	for i, c := range shortConfigs {
+		names[i] = c.short
+	}
+	return strings.Join(names, sep)
+}
+
 func configByName(name string) (jit.Config, error) {
 	all := append(jit.WindowsConfigs(), jit.AIXConfigs()...)
 	all = append(all, jit.ConfigAIXWriteImplicit())
-	short := map[string]string{
-		"notrap":    "NoNullOpt(NoTrap)",
-		"trap":      "NoNullOpt(Trap)",
-		"old":       "OldNullCheck",
-		"phase1":    "NewNullCheck(Phase1)",
-		"full":      "NewNullCheck(Phase1+2)",
-		"hotspot":   "HotSpotSim",
-		"spec":      "Speculation",
-		"nospec":    "NoSpeculation",
-		"aixbase":   "NoNullCheckOpt",
-		"illegal":   "IllegalImplicit(NoSpec)",
-		"writeimpl": "WriteImplicit(Spec)",
-	}
-	if long, ok := short[strings.ToLower(name)]; ok {
-		name = long
+	for _, c := range shortConfigs {
+		if strings.EqualFold(name, c.short) {
+			name = c.long
+			break
+		}
 	}
 	for _, c := range all {
 		if c.Name == name {
 			return c, nil
 		}
 	}
-	names := make([]string, 0, len(short))
-	for k := range short {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return jit.Config{}, fmt.Errorf("unknown config %q (try one of %s)", name, strings.Join(names, ", "))
+	return jit.Config{}, fmt.Errorf("unknown config %q (try one of %s)", name, shortConfigNames(", "))
 }
 
 func main() {
 	var (
 		file   = flag.String("file", "", "run a .jasm program instead of a workload (entry func: main)")
 		wname  = flag.String("workload", "Assignment", "workload name (see -list)")
-		cname  = flag.String("config", "full", "configuration (notrap|trap|old|phase1|full|hotspot|spec|nospec|aixbase|illegal)")
+		cname  = flag.String("config", "full", "configuration ("+shortConfigNames("|")+")")
 		aname  = flag.String("arch", "ia32", "architecture model (ia32|aix|sparc)")
 		n      = flag.Int64("n", 0, "problem size (0 = workload default)")
 		pr     = flag.Bool("print", false, "print the optimized entry function IR")

@@ -241,7 +241,7 @@ func Run(model *arch.Model, configs []jit.Config, ws []*workloads.Workload, opts
 	if cache != nil {
 		st := cache.Stats()
 		m.CompileCache = &st
-		publishCacheMetrics(opts.Metrics, st)
+		cacheMetrics.publish(opts.Metrics, st)
 		noteCacheEvents(opts.Timeline, model.Name, cache)
 	}
 	for i, s := range specs {

@@ -163,8 +163,7 @@ type policyKind struct {
 	win, aix    func() jit.Config
 	minReps     int
 	defaultReps int
-	register    func(*obs.Registry)
-	publish     func(*obs.Registry, *PolicyCell)
+	metrics     counterSet[*PolicyCell]
 	title       string
 	columns     []policyColumn
 	notes       []string
@@ -187,8 +186,7 @@ var tierKind = &policyKind{
 	aix:         jit.ConfigAIXSpeculation,
 	minReps:     3,
 	defaultReps: 4,
-	register:    registerTierMetrics,
-	publish:     publishTierMetrics,
+	metrics:     tierMetrics,
 	title:       "Tiered execution",
 	columns: []policyColumn{
 		{"steady cycles", func(c *PolicyCell) int64 { return c.SteadyCycles }},
@@ -218,8 +216,7 @@ var degradationKind = &policyKind{
 	aix:         ImplicitConfigAIX,
 	minReps:     2,
 	defaultReps: 3,
-	register:    registerGovernorMetrics,
-	publish:     publishGovernorMetrics,
+	metrics:     governorMetrics,
 	title:       "Trap-storm degradation",
 	columns: []policyColumn{
 		{"steady cycles", func(c *PolicyCell) int64 { return c.SteadyCycles }},
@@ -390,7 +387,8 @@ func runPolicyReport(k *policyKind, opts PolicyOptions) (*PolicyReport, error) {
 // runPolicies sweeps k's policies × workloads for one (model, config) in
 // workload-major, policy-minor order.
 func runPolicies(k *policyKind, model *arch.Model, cfg jit.Config, ws []*workloads.Workload, opts PolicyOptions) (*PolicyMatrix, error) {
-	k.register(opts.Metrics)
+	k.metrics.register(opts.Metrics)
+	cacheMetrics.register(opts.Metrics)
 	m := &PolicyMatrix{
 		Model:     model,
 		Config:    cfg,
@@ -431,8 +429,8 @@ func runPolicies(k *policyKind, model *arch.Model, cfg jit.Config, ws []*workloa
 		c := newPolicyCell(s, measured[i])
 		m.Cells[s.policy][s.w.Name] = c
 		if !c.Failed() {
-			k.publish(opts.Metrics, c)
-			publishCacheMetrics(opts.Metrics, s.cache.Stats())
+			k.metrics.publish(opts.Metrics, c)
+			cacheMetrics.publish(opts.Metrics, s.cache.Stats())
 			noteCacheEvents(opts.Timeline, model.Name+"/"+s.name, s.cache)
 		}
 	}

@@ -111,49 +111,75 @@ func registerSweepMetrics(reg *obs.Registry) {
 	reg.Histogram("bench.cell_cycles", "simulated cycles per cell",
 		[]int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000})
 	publishRun(reg, nil, true)
-	registerCacheMetrics(reg)
+	cacheMetrics.register(reg)
 }
 
-func registerCacheMetrics(reg *obs.Registry) {
+// counterRow declares one counter once: its name and help, whether it is
+// volatile (host timing or interleaving, so kept out of the deterministic
+// snapshot), and what one source adds to it.
+type counterRow[S any] struct {
+	name, help string
+	volatile   bool
+	value      func(S) int64
+}
+
+// counterSet is a counter family declared once, in snapshot order.
+type counterSet[S any] []counterRow[S]
+
+func (r *counterRow[S]) metric(reg *obs.Registry) *obs.Metric {
+	if r.volatile {
+		return reg.VolatileCounter(r.name, r.help)
+	}
+	return reg.Counter(r.name, r.help)
+}
+
+// register pre-registers every row, fixing the snapshot order.
+func (rows counterSet[S]) register(reg *obs.Registry) {
+	for i := range rows {
+		rows[i].metric(reg)
+	}
+}
+
+// publish adds one source's values to reg.
+func (rows counterSet[S]) publish(reg *obs.Registry, src S) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("cache.lookups", "compile cache lookups")
-	reg.Counter("cache.hits", "compile cache hits")
-	reg.Counter("cache.misses", "compile cache misses")
-	reg.Counter("cache.evictions", "compile cache capacity evictions")
-	reg.Counter("cache.injected_fault_repairs", "injected cache faults repaired by recompiling")
-	reg.VolatileCounter("cache.single_flight_waits", "lookups that blocked on an in-flight compile (interleaving-dependent)")
+	for i := range rows {
+		rows[i].metric(reg).Add(rows[i].value(src))
+	}
 }
 
-// registerTierMetrics pre-registers the tiered sweep's counters.
-func registerTierMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("tier.promotions_t1", "interpreter -> closure promotions")
-	reg.Counter("tier.promotions_t2", "closure -> speculative promotions")
-	reg.Counter("tier.osr_entries", "mid-invocation on-stack replacements")
-	reg.Counter("tier.deopts", "speculation guards fired")
-	reg.Counter("tier.spec_live", "methods at tier 2 at end of cell")
-	reg.Counter("tier.budget_exhausted", "methods parked by the recompile budget")
-	reg.VolatileCounter("tier.compile_host_us", "host microseconds spent in tier recompiles")
-	registerCacheMetrics(reg)
+// cacheMetrics is one sweep's compile-cache traffic.
+var cacheMetrics = counterSet[jit.CacheStats]{
+	{"cache.lookups", "compile cache lookups", false, func(s jit.CacheStats) int64 { return s.Lookups }},
+	{"cache.hits", "compile cache hits", false, func(s jit.CacheStats) int64 { return s.Hits }},
+	{"cache.misses", "compile cache misses", false, func(s jit.CacheStats) int64 { return s.Misses }},
+	{"cache.evictions", "compile cache capacity evictions", false, func(s jit.CacheStats) int64 { return s.Evictions }},
+	{"cache.injected_fault_repairs", "injected cache faults repaired by recompiling", false, func(s jit.CacheStats) int64 { return s.InjectedFaults }},
+	{"cache.single_flight_waits", "lookups that blocked on an in-flight compile (interleaving-dependent)", true, func(s jit.CacheStats) int64 { return s.SingleFlightWaits }},
 }
 
-// registerGovernorMetrics pre-registers the degradation sweep's counters.
-func registerGovernorMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("governor.site_execs", "marked-site executions observed")
-	reg.Counter("governor.site_nulls", "null outcomes at marked sites")
-	reg.Counter("governor.demotions", "sites demoted to explicit checks")
-	reg.Counter("governor.recompiles", "governed recompiles performed")
-	reg.Counter("governor.backoffs", "traps swallowed by backoff windows")
-	reg.Counter("governor.pins", "methods pinned conservative")
-	reg.VolatileCounter("governor.compile_host_us", "host microseconds spent in governed recompiles")
-	registerCacheMetrics(reg)
+// tierMetrics is one tiered cell's controller report.
+var tierMetrics = counterSet[*PolicyCell]{
+	{"tier.promotions_t1", "interpreter -> closure promotions", false, func(c *PolicyCell) int64 { return int64(c.PromotionsT1) }},
+	{"tier.promotions_t2", "closure -> speculative promotions", false, func(c *PolicyCell) int64 { return int64(c.PromotionsT2) }},
+	{"tier.osr_entries", "mid-invocation on-stack replacements", false, func(c *PolicyCell) int64 { return int64(c.OSREntries) }},
+	{"tier.deopts", "speculation guards fired", false, func(c *PolicyCell) int64 { return int64(c.Deopts) }},
+	{"tier.spec_live", "methods at tier 2 at end of cell", false, func(c *PolicyCell) int64 { return int64(c.SpecLive) }},
+	{"tier.budget_exhausted", "methods parked by the recompile budget", false, func(c *PolicyCell) int64 { return int64(len(c.BudgetExhausted)) }},
+	{"tier.compile_host_us", "host microseconds spent in tier recompiles", true, func(c *PolicyCell) int64 { return int64(c.TierReport.CompileHost / time.Microsecond) }},
+}
+
+// governorMetrics is one degradation cell's governor report.
+var governorMetrics = counterSet[*PolicyCell]{
+	{"governor.site_execs", "marked-site executions observed", false, func(c *PolicyCell) int64 { return c.GovernorReport.SiteExecs }},
+	{"governor.site_nulls", "null outcomes at marked sites", false, func(c *PolicyCell) int64 { return c.GovernorReport.SiteNulls }},
+	{"governor.demotions", "sites demoted to explicit checks", false, func(c *PolicyCell) int64 { return int64(c.GovernorReport.Demotions) }},
+	{"governor.recompiles", "governed recompiles performed", false, func(c *PolicyCell) int64 { return int64(c.GovernorReport.Recompiles) }},
+	{"governor.backoffs", "traps swallowed by backoff windows", false, func(c *PolicyCell) int64 { return c.GovernorReport.Backoffs }},
+	{"governor.pins", "methods pinned conservative", false, func(c *PolicyCell) int64 { return int64(len(c.GovernorReport.Pinned)) }},
+	{"governor.compile_host_us", "host microseconds spent in governed recompiles", true, func(c *PolicyCell) int64 { return int64(c.GovernorReport.CompileHost / time.Microsecond) }},
 }
 
 // publishCellMetrics folds one finished main-sweep cell into the registry.
@@ -168,19 +194,6 @@ func publishCellMetrics(reg *obs.Registry, c *Cell) {
 	}
 	reg.Histogram("bench.cell_cycles", "", nil).Observe(c.Cycles)
 	publishRun(reg, &RunCounters{Exec: c.Exec, Checks: c.Static.Checks, Profile: c.Profile, Attr: c.Attr}, true)
-}
-
-// publishCacheMetrics folds one sweep's cache traffic into the registry.
-func publishCacheMetrics(reg *obs.Registry, st jit.CacheStats) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("cache.lookups", "").Add(st.Lookups)
-	reg.Counter("cache.hits", "").Add(st.Hits)
-	reg.Counter("cache.misses", "").Add(st.Misses)
-	reg.Counter("cache.evictions", "").Add(st.Evictions)
-	reg.Counter("cache.injected_fault_repairs", "").Add(st.InjectedFaults)
-	reg.VolatileCounter("cache.single_flight_waits", "").Add(st.SingleFlightWaits)
 }
 
 // noteCacheEvents appends one sweep's aggregated cache lifecycle events
@@ -208,37 +221,6 @@ func attachRecorder(tl *obs.Timeline, mach *machine.Machine, attribute bool) *ob
 		mach.EnableAttribution()
 	}
 	return rec
-}
-
-// publishTierMetrics folds one tiered cell's controller report into the
-// registry.
-func publishTierMetrics(reg *obs.Registry, c *PolicyCell) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("tier.promotions_t1", "").Add(int64(c.PromotionsT1))
-	reg.Counter("tier.promotions_t2", "").Add(int64(c.PromotionsT2))
-	reg.Counter("tier.osr_entries", "").Add(int64(c.OSREntries))
-	reg.Counter("tier.deopts", "").Add(int64(c.Deopts))
-	reg.Counter("tier.spec_live", "").Add(int64(c.SpecLive))
-	reg.Counter("tier.budget_exhausted", "").Add(int64(len(c.BudgetExhausted)))
-	reg.VolatileCounter("tier.compile_host_us", "").Add(int64(c.TierReport.CompileHost / time.Microsecond))
-}
-
-// publishGovernorMetrics folds one degradation cell's governor report into
-// the registry.
-func publishGovernorMetrics(reg *obs.Registry, c *PolicyCell) {
-	if reg == nil {
-		return
-	}
-	r := c.GovernorReport
-	reg.Counter("governor.site_execs", "").Add(r.SiteExecs)
-	reg.Counter("governor.site_nulls", "").Add(r.SiteNulls)
-	reg.Counter("governor.demotions", "").Add(int64(r.Demotions))
-	reg.Counter("governor.recompiles", "").Add(int64(r.Recompiles))
-	reg.Counter("governor.backoffs", "").Add(r.Backoffs)
-	reg.Counter("governor.pins", "").Add(int64(len(r.Pinned)))
-	reg.VolatileCounter("governor.compile_host_us", "").Add(int64(r.CompileHost / time.Microsecond))
 }
 
 // repWindow is one invocation's wall span and step range, for placing

@@ -12,9 +12,9 @@ import (
 // Instead of re-dispatching a switch on every dynamic instruction, each
 // instruction is compiled once per (Machine, Func) into a step closure
 // specialized on opcode and operand shape; hot adjacent pairs are fused into
-// superinstructions; and call-free blocks run with block-batched accounting:
-// one steps/Instrs/Cycles update on block entry, with the unexecuted suffix
-// rolled back on the rare early exit (raise or simulation error).
+// superinstructions; and every block runs as charged stretches: one
+// steps/Instrs/Cycles update per stretch, with the unexecuted suffix rolled
+// back on the rare early exit (raise or simulation error).
 //
 // The engine is required to be observationally identical to the reference
 // switch interpreter in machine.go: same Outcome, same ExecStats, same
@@ -22,8 +22,10 @@ import (
 // reference — steps++ and the limit check first (a step over the limit is
 // counted by `steps` but never reaches Instrs), then Instrs++, then the
 // ImplicitSites bump for ExcSite instructions, then the static cycle cost,
-// then the semantics. tick() and the charged fast path both preserve that
-// order; differential tests pin it.
+// then the semantics. A stretch ends after every call and every terminator,
+// so whatever runs after a stretch entry (a callee, the next block) sees
+// exactly the reference's accounting; runSteps, the step-limit fallback,
+// applies the order one instruction at a time. Differential tests pin it.
 //
 // Closures capture the Machine and its Arch's costs, so a Machine's Arch
 // must not be swapped after the first Call (nothing in the repository does).
@@ -57,48 +59,38 @@ type frame struct {
 // stepFn executes one instruction (or one fused superinstruction).
 type stepFn func(fr *frame) status
 
-// cStep is one accounted step: the closure plus the static accounting the
-// runner applies before invoking it. Fused superinstructions are marked
-// self — they account each constituent internally via tick, because a raise
-// or step-limit hit can land between the halves.
+// cStep is one unfused instruction of the step-limit fallback: the bare
+// closure plus the static accounting runSteps applies before invoking it.
 type cStep struct {
 	step stepFn
 	cost int64 // static cycle cost (m.Arch.Cost)
 	imp  bool  // ExcSite: bump Stats.ImplicitSites
-	self bool  // superinstruction: does its own accounting
 }
 
-// cBlock is one compiled block. segs is non-nil when the block ends in its
-// only terminator: the block then runs as a sequence of segments — call-free
-// charged stretches whose accounting is paid once on entry, separated by
-// individually accounted call steps (a callee's step counting must observe
-// the caller's steps exactly as of the call, never a pre-charged suffix).
-// steps is the per-instruction accounted form, used for irregular blocks
-// and to finish a block when the step limit could fire inside a stretch.
+// cBlock is one compiled block: a sequence of charged stretches. Each
+// stretch ends after a call (a callee's step counting must observe the
+// caller's steps exactly as of the call, never a pre-charged suffix), after
+// a terminator (a mid-block terminator must not leave the rest of its block
+// charged) or at the block end. steps is the per-instruction form, run only
+// when the step limit could fire inside a stretch.
 type cBlock struct {
-	steps []cStep
-	// one is the whole block as a single charged stretch (one.charged
-	// non-nil) — the common call-free case, kept out of the segment walk.
-	one     cSeg
 	segs    []cSeg
+	steps   []cStep
 	handler int      // handler block ID, or -1 outside any try region
 	excVar  ir.VarID // handler's exception variable (NoVar when none)
 	b       *ir.Block
 }
 
-// cSeg is one segment of a segmented block. charged is nil for an accounted
-// segment — cb.steps[accFrom:accTo], covering calls and stretches too short
-// to be worth charging. Otherwise the segment is a charged stretch:
-// count/cycles/implicit are paid up front and a step that exits early via
-// raise or error rolls back its unexecuted suffix.
+// cSeg is one charged stretch: count/cycles/implicit are paid up front and
+// an entry that exits early via raise or error rolls back its unexecuted
+// suffix.
 type cSeg struct {
 	charged  []stepFn
 	suffix   []suf // per charged entry: accounting of the entries after it
 	count    int64
 	cycles   int64
 	implicit int64
-	accFrom  int // index into cb.steps of this segment's first instruction
-	accTo    int // accounted segments: index just past the last step
+	from     int // index into cb.steps of this stretch's first instruction
 }
 
 // suf is the accounting a charged stretch pre-paid for the instructions
@@ -191,69 +183,34 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 		}
 		cb := &cf.blocks[blkID]
 		st := stNext
-		if sg := &cb.one; sg.charged != nil {
+	stretches:
+		for si := range cb.segs {
+			sg := &cb.segs[si]
 			if m.steps+sg.count > m.MaxSteps {
-				st = m.runSteps(fr, fn, cb.steps)
-			} else {
-				m.steps += sg.count
-				m.Stats.Instrs += sg.count
-				m.Stats.ImplicitSites += sg.implicit
-				m.Cycles += sg.cycles
-				for i, s := range sg.charged {
-					if st = s(fr); st != stNext {
-						if st == stRaise || st == stErr {
-							sx := &sg.suffix[i]
-							m.steps -= sx.count
-							m.Stats.Instrs -= sx.count
-							m.Stats.ImplicitSites -= sx.imp
-							m.Cycles -= sx.cycles
-						}
-						break
+				// The step limit can fire inside this stretch: finish the
+				// block per-instruction accounted.
+				st = m.runSteps(fr, fn, cb.steps[sg.from:])
+				break
+			}
+			// Charge the stretch up front and run the bare closures; a
+			// raising entry rolls back its unexecuted suffix, restoring
+			// exactly the reference's per-instruction accounting.
+			m.steps += sg.count
+			m.Stats.Instrs += sg.count
+			m.Stats.ImplicitSites += sg.implicit
+			m.Cycles += sg.cycles
+			for i, s := range sg.charged {
+				if st = s(fr); st != stNext {
+					if st == stRaise || st == stErr {
+						sx := &sg.suffix[i]
+						m.steps -= sx.count
+						m.Stats.Instrs -= sx.count
+						m.Stats.ImplicitSites -= sx.imp
+						m.Cycles -= sx.cycles
 					}
+					break stretches
 				}
 			}
-		} else if cb.segs != nil {
-			for si := range cb.segs {
-				sg := &cb.segs[si]
-				if sg.charged == nil {
-					// Calls and too-short stretches between charged ones.
-					if st = m.runSteps(fr, fn, cb.steps[sg.accFrom:sg.accTo]); st != stNext {
-						break
-					}
-					continue
-				}
-				if m.steps+sg.count > m.MaxSteps {
-					// The step limit can fire inside this stretch: finish the
-					// whole block per-instruction accounted.
-					st = m.runSteps(fr, fn, cb.steps[sg.accFrom:])
-					break
-				}
-				// Block-batched accounting: charge the stretch up front and
-				// run the bare closures; a raising step rolls back its
-				// unexecuted suffix, restoring exactly the reference's
-				// per-instruction accounting.
-				m.steps += sg.count
-				m.Stats.Instrs += sg.count
-				m.Stats.ImplicitSites += sg.implicit
-				m.Cycles += sg.cycles
-				for i, s := range sg.charged {
-					if st = s(fr); st != stNext {
-						if st == stRaise || st == stErr {
-							sx := &sg.suffix[i]
-							m.steps -= sx.count
-							m.Stats.Instrs -= sx.count
-							m.Stats.ImplicitSites -= sx.imp
-							m.Cycles -= sx.cycles
-						}
-						break
-					}
-				}
-				if st != stNext {
-					break
-				}
-			}
-		} else {
-			st = m.runSteps(fr, fn, cb.steps)
 		}
 
 		switch st {
@@ -295,45 +252,26 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 	}
 }
 
-// runSteps executes accounted steps in order until one leaves the straight
+// runSteps executes unfused steps in order until one leaves the straight
 // line, applying the reference's per-instruction accounting to each.
 func (m *Machine) runSteps(fr *frame, fn *ir.Func, steps []cStep) status {
 	for i := range steps {
 		s := &steps[i]
-		if !s.self {
-			m.steps++
-			if m.steps > m.MaxSteps {
-				fr.err = m.stepLimitErr(fn)
-				return stErr
-			}
-			m.Stats.Instrs++
-			if s.imp {
-				m.Stats.ImplicitSites++
-			}
-			m.Cycles += s.cost
+		m.steps++
+		if m.steps > m.MaxSteps {
+			fr.err = m.stepLimitErr(fn)
+			return stErr
 		}
+		m.Stats.Instrs++
+		if s.imp {
+			m.Stats.ImplicitSites++
+		}
+		m.Cycles += s.cost
 		if st := s.step(fr); st != stNext {
 			return st
 		}
 	}
 	return stNext
-}
-
-// tick applies one instruction's accounting inside a self-accounting fused
-// step. It mirrors the reference order exactly; false means the step limit
-// fired and fr.err is set.
-func (m *Machine) tick(fr *frame, fn *ir.Func, cost int64, imp bool) bool {
-	m.steps++
-	if m.steps > m.MaxSteps {
-		fr.err = m.stepLimitErr(fn)
-		return false
-	}
-	m.Stats.Instrs++
-	if imp {
-		m.Stats.ImplicitSites++
-	}
-	m.Cycles += cost
-	return true
 }
 
 // finishLoad completes a memory read: a direct hit inside the live heap —
@@ -405,193 +343,99 @@ func (m *Machine) framePut(fr *frame) {
 	}
 }
 
-// compiled returns fn's closure-compiled form, building and caching it on
-// first use. The cache shares prepare()'s pointer-identity keying and bound.
+// compiled returns fn's closure-compiled form, building it on first use
+// into fn's entry in the per-function cache.
 func (m *Machine) compiled(fn *ir.Func) *cFunc {
-	if m.compiledFns == nil {
-		m.compiledFns = newFnCache[*cFunc](maxPreparedFuncs)
+	e := m.prepare(fn)
+	if e.cf == nil {
+		e.cf = m.compileFunc(fn, e.pf)
 	}
-	if cf, ok := m.compiledFns.get(fn); ok {
-		return cf
-	}
-	pf := m.prepare(fn)
+	return e.cf
+}
+
+// compileFunc closure-compiles fn from its prepared table.
+func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
 	cf := &cFunc{blocks: make([]cBlock, fn.MaxBlockID()+1), entry: fn.Entry.ID}
 	for _, b := range fn.Blocks {
 		pins := pf.blocks[b.ID]
-		cb := cBlock{b: b, handler: -1, excVar: ir.NoVar}
+		cb := cBlock{b: b, handler: -1, excVar: ir.NoVar, steps: make([]cStep, len(pins))}
 		if b.Try != ir.NoTry {
 			r := fn.Regions[b.Try]
 			cb.handler = r.Handler.ID
 			cb.excVar = r.ExcVar
 		}
-
-		bare := make([]stepFn, len(pins))
 		for i := range pins {
-			bare[i] = m.compileStep(fn, &pins[i])
+			step := m.compileStep(fn, &pins[i])
 			if c := pins[i].chk; c != nil && pins[i].in.ExcSite {
 				// Governed site counter: mirror the interpreter's per-site
 				// Execs increment. Fusion refuses counter-bearing sites, so
 				// every execution flows through this wrapper.
-				inner := bare[i]
-				bare[i] = func(fr *frame) status {
+				inner := step
+				step = func(fr *frame) status {
 					c.Execs++
 					return inner(fr)
 				}
 			}
+			cb.steps[i] = cStep{step: step, cost: m.Arch.Cost(pins[i].in), imp: pins[i].in.ExcSite}
 		}
-
-		// Accounted steps, with superinstruction fusion. stepAt[i] is the
-		// index in cb.steps of the step beginning at pin i; second halves of
-		// fused pairs have no entry, and no segment ever starts on one
-		// (segment boundaries are calls, and calls are never fused).
-		cb.steps = make([]cStep, 0, len(pins))
-		stepAt := make([]int, len(pins))
-		for i := 0; i < len(pins); {
-			stepAt[i] = len(cb.steps)
-			if i+1 < len(pins) {
-				if f := m.fuseAccounted(fn, &pins[i], &pins[i+1]); f != nil {
-					cb.steps = append(cb.steps, cStep{step: f, self: true})
-					i += 2
-					continue
-				}
-			}
-			cb.steps = append(cb.steps, cStep{
-				step: bare[i],
-				cost: m.Arch.Cost(pins[i].in),
-				imp:  pins[i].in.ExcSite,
-			})
-			i++
-		}
-
-		if blockSegmentable(pins) {
-			segs := m.buildSegs(pins, bare, stepAt, len(cb.steps))
-			if len(segs) == 1 && segs[0].charged != nil {
-				cb.one = segs[0]
-			} else {
-				cb.segs = segs
-			}
-		}
+		cb.segs = m.buildSegs(pins, cb.steps)
 		cf.blocks[b.ID] = cb
 	}
-	m.compiledFns.put(fn, cf)
 	return cf
 }
 
-// blockSegmentable reports whether the block can run as charged segments:
-// it must end in its only terminator. A mid-block terminator would skip —
-// and so leave overcharged — the rest of its stretch; such irregular blocks
-// stay on the per-instruction accounted path. Calls and raising
-// instructions are fine: calls become their own accounted segments, raises
-// roll back.
-func blockSegmentable(pins []pInstr) bool {
-	n := len(pins)
-	if n == 0 || !pins[n-1].in.IsTerminator() {
-		return false
-	}
-	for i := 0; i < n-1; i++ {
-		if pins[i].in.IsTerminator() {
-			return false
-		}
-	}
-	return true
-}
-
-// minChargeRun is the shortest call-free stretch worth charging inside a
-// call-bearing block: below this, per-stretch charging machinery costs more
-// than plain per-instruction accounting. Call-free blocks are always
-// charged whole — there the machinery runs once per block regardless.
-const minChargeRun = 4
-
-// buildSegs splits a segmentable block into charged call-free stretches and
-// accounted ranges (calls plus any stretch shorter than minChargeRun).
-// Returns nil when nothing qualifies for charging, so the block skips the
-// segment walk entirely.
-func (m *Machine) buildSegs(pins []pInstr, bare []stepFn, stepAt []int, nSteps int) []cSeg {
+// buildSegs splits a block into charged stretches, each ending after a call,
+// after a terminator or at the block end, and fuses adjacent pairs within
+// each stretch. steps holds the block's unfused closures and accounting.
+func (m *Machine) buildSegs(pins []pInstr, steps []cStep) []cSeg {
 	var segs []cSeg
-	start := 0
-	hasCall := false
-	for i := range pins {
-		switch pins[i].in.Op {
-		case ir.OpCallStatic, ir.OpCallVirtual:
-			hasCall = true
+	for start := 0; start < len(pins); {
+		end := start + 1
+		for end < len(pins) && !endsStretch(pins[end-1].in) {
+			end++
 		}
-	}
-	// stepEnd maps a pin boundary to its cb.steps boundary. Boundaries are
-	// always calls or the block end, never the swallowed second half of a
-	// fused pair, so stepAt is valid there.
-	stepEnd := func(pinEnd int) int {
-		if pinEnd == len(pins) {
-			return nSteps
-		}
-		return stepAt[pinEnd]
-	}
-	// Accounted ranges merge with adjacent ones so consecutive calls and
-	// short stretches run as one runSteps span.
-	accounted := func(from, to int) {
-		if n := len(segs); n > 0 && segs[n-1].charged == nil {
-			segs[n-1].accTo = to
-			return
-		}
-		segs = append(segs, cSeg{accFrom: from, accTo: to})
-	}
-	flush := func(end int) {
-		if end == start {
-			return
-		}
-		if hasCall && end-start < minChargeRun {
-			accounted(stepAt[start], stepEnd(end))
-			return
-		}
-		seg := pins[start:end]
-		n := len(seg)
-		// Suffix totals: sufAt[i] covers seg[i+1:], the part of this stretch
-		// a raise at seg[i] must roll back.
-		sufAt := make([]suf, n)
-		for i := n - 2; i >= 0; i-- {
-			sufAt[i] = sufAt[i+1]
-			sufAt[i].count++
-			sufAt[i].cycles += m.Arch.Cost(seg[i+1].in)
-			if seg[i+1].in.ExcSite {
-				sufAt[i].imp++
+		sg := cSeg{from: start, count: int64(end - start)}
+		// sufAt[i] covers steps[i+1:end], the part of this stretch a raise at
+		// steps[i] must roll back.
+		sufAt := make([]suf, end-start)
+		var acc suf
+		for i := end - 1; i >= start; i-- {
+			sufAt[i-start] = acc
+			acc.count++
+			acc.cycles += steps[i].cost
+			if steps[i].imp {
+				acc.imp++
 			}
 		}
-		sg := cSeg{accFrom: stepAt[start], count: int64(n)}
-		for i := range seg {
-			sg.cycles += m.Arch.Cost(seg[i].in)
-			if seg[i].in.ExcSite {
-				sg.implicit++
-			}
-		}
-		for i := 0; i < n; {
-			if i+1 < n {
-				if s := m.fuseBare(&seg[i], &seg[i+1]); s != nil {
+		sg.cycles, sg.implicit = acc.cycles, acc.imp
+		for i := start; i < end; {
+			if i+1 < end {
+				if s := m.fuseBare(&pins[i], &pins[i+1]); s != nil {
 					sg.charged = append(sg.charged, s)
-					sg.suffix = append(sg.suffix, sufAt[i+1])
+					sg.suffix = append(sg.suffix, sufAt[i+1-start])
 					i += 2
 					continue
 				}
 			}
-			sg.charged = append(sg.charged, bare[start+i])
-			sg.suffix = append(sg.suffix, sufAt[i])
+			sg.charged = append(sg.charged, steps[i].step)
+			sg.suffix = append(sg.suffix, sufAt[i-start])
 			i++
 		}
 		segs = append(segs, sg)
+		start = end
 	}
-	for i := range pins {
-		switch pins[i].in.Op {
-		case ir.OpCallStatic, ir.OpCallVirtual:
-			flush(i)
-			accounted(stepAt[i], stepEnd(i+1))
-			start = i + 1
-		}
+	return segs
+}
+
+// endsStretch reports whether a charged stretch must end after in: calls,
+// so the callee reads the caller's step count exactly as of the call, and
+// terminators, so no pre-charged suffix is left behind.
+func endsStretch(in *ir.Instr) bool {
+	switch in.Op {
+	case ir.OpCallStatic, ir.OpCallVirtual:
+		return true
 	}
-	flush(len(pins))
-	for i := range segs {
-		if segs[i].charged != nil {
-			return segs
-		}
-	}
-	return nil
+	return in.IsTerminator()
 }
 
 // Operand access helpers over the pre-decoded pOp shapes.
@@ -680,7 +524,7 @@ func unI(d ir.VarID, a pOp, op func(x int64) int64) stepFn {
 }
 
 // compileStep compiles one instruction into its bare step closure: pure
-// semantics, no accounting (the runner or the batch header supplies it).
+// semantics, no accounting (runSteps or the stretch charge supplies it).
 func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
 	in := pin.in
 	d := in.Dst
@@ -1206,7 +1050,9 @@ func fuseableCmpIf(p, q *pInstr) bool {
 	return fa0.varIdx >= 0 && ir.VarID(fa0.varIdx) == p.in.Dst && fa1.varIdx < 0
 }
 
-// fuseBare tries to fuse p;q into a superinstruction for charged blocks.
+// fuseBare tries to fuse p;q into a superinstruction, the one
+// implementation of every fusion rule; fused steps only run inside charged
+// stretches (the step-limit fallback runs the halves unfused).
 // A fused step whose FIRST half exits the block early must itself un-charge
 // its unexecuted second half (the runner's suffix for the pair only covers
 // what follows the pair); uncharge() does that.
@@ -1215,7 +1061,7 @@ func (m *Machine) fuseBare(p, q *pInstr) stepFn {
 		return m.bareCmpIf(p, q)
 	}
 	// Governed site counters never fuse: the per-site Execs increment lives
-	// in the wrapped bare closure (see compiled), which fusion would bypass.
+	// in the wrapped bare closure (see compileFunc), which fusion would bypass.
 	if q.chk != nil && q.in.ExcSite {
 		return nil
 	}
@@ -1252,8 +1098,8 @@ func (m *Machine) uncharge(cost int64, imp bool) {
 }
 
 // bareNullDeref fuses an explicit null check with the dereference it guards
-// (same base variable) for charged blocks: one closure, one null test, and
-// the base local read once.
+// (same base variable): one closure, one null test, and the base local read
+// once.
 func (m *Machine) bareNullDeref(p, q *pInstr) stepFn {
 	ai := p.args[0].varIdx
 	chk := p.chk
@@ -1321,9 +1167,8 @@ func (m *Machine) bareNullDeref(p, q *pInstr) stepFn {
 }
 
 // bareBoundArray fuses a bound check with the array access it guards (the
-// access indexes by the checked variable) for charged blocks: the index
-// local is read once and the bound test feeds straight into the address
-// computation.
+// access indexes by the checked variable): the index local is read once and
+// the bound test feeds straight into the address computation.
 func (m *Machine) bareBoundArray(p, q *pInstr) stepFn {
 	ii, ni := p.args[0].varIdx, p.args[1].varIdx
 	bi := q.args[0].varIdx
@@ -1362,7 +1207,7 @@ func (m *Machine) bareBoundArray(p, q *pInstr) stepFn {
 	}
 }
 
-// bareCmpIf builds the unaccounted cmp→if superinstruction for charged runs.
+// bareCmpIf builds the cmp→if superinstruction.
 // The cmp's destination is still written: later blocks may read it.
 func (m *Machine) bareCmpIf(p, q *pInstr) stepFn {
 	ccmp := intCmpFn(p.in.Cond)
@@ -1383,129 +1228,5 @@ func (m *Machine) bareCmpIf(p, q *pInstr) stepFn {
 			fr.next = t1
 		}
 		return stJump
-	}
-}
-
-// fuseAccounted tries to fuse the pair p;q into a self-accounting
-// superinstruction for the per-instruction path.
-func (m *Machine) fuseAccounted(fn *ir.Func, p, q *pInstr) stepFn {
-	if fuseableCmpIf(p, q) {
-		return m.accCmpIf(fn, p, q)
-	}
-	// Governed site counters never fuse (see fuseBare).
-	if q.chk != nil && q.in.ExcSite {
-		return nil
-	}
-	// Speculation guards never fuse (see fuseBare).
-	if p.in.Op == ir.OpNullCheck && p.in.SpecGuard == 0 && p.args[0].varIdx >= 0 {
-		switch q.in.Op {
-		case ir.OpGetField, ir.OpPutField, ir.OpArrayLength:
-			if q.args[0].varIdx == p.args[0].varIdx {
-				return m.accNullDeref(fn, p, q)
-			}
-		}
-	}
-	return nil
-}
-
-// accCmpIf is the accounted cmp→if superinstruction: each constituent ticks
-// before it executes, so a step-limit hit between the halves lands exactly
-// where the reference engine puts it.
-func (m *Machine) accCmpIf(fn *ir.Func, p, q *pInstr) stepFn {
-	ccmp := intCmpFn(p.in.Cond)
-	icmp := intCmpFn(q.in.Cond)
-	d := p.in.Dst
-	a, b := p.args[0], p.args[1]
-	k := q.args[1].i64
-	t0, t1 := q.in.Targets[0].ID, q.in.Targets[1].ID
-	costC, impC := m.Arch.Cost(p.in), p.in.ExcSite
-	costI, impI := m.Arch.Cost(q.in), q.in.ExcSite
-	return func(fr *frame) status {
-		if !m.tick(fr, fn, costC, impC) {
-			return stErr
-		}
-		var v int64
-		if ccmp(pv(fr, &a), pv(fr, &b)) {
-			v = 1
-		}
-		fr.locals[d] = v
-		if !m.tick(fr, fn, costI, impI) {
-			return stErr
-		}
-		if icmp(v, k) {
-			fr.next = t0
-		} else {
-			fr.next = t1
-		}
-		return stJump
-	}
-}
-
-// accNullDeref fuses an explicit null check with the dereference it guards
-// (same base variable). Both halves can raise, so the pair is accounted-only
-// and never batched; each constituent ticks before executing.
-func (m *Machine) accNullDeref(fn *ir.Func, p, q *pInstr) stepFn {
-	ai := p.args[0].varIdx
-	chk := p.chk
-	costN, impN := m.Arch.Cost(p.in), p.in.ExcSite
-	costD, impD := m.Arch.Cost(q.in), q.in.ExcSite
-	in := q.in
-
-	check := func(fr *frame) (int64, status) {
-		if !m.tick(fr, fn, costN, impN) {
-			return 0, stErr
-		}
-		m.Stats.ExplicitChecks++
-		ref := fr.locals[ai]
-		if chk != nil {
-			chk.Execs++
-			if ref == 0 {
-				chk.Nulls++
-			}
-		}
-		if ref == 0 {
-			m.Stats.ThrownSoftware++
-			fr.pending = m.throw(rt.ExcNullPointer)
-			return 0, stRaise
-		}
-		if !m.tick(fr, fn, costD, impD) {
-			return 0, stErr
-		}
-		return ref, stNext
-	}
-
-	switch in.Op {
-	case ir.OpGetField:
-		off := int64(in.Field.Offset)
-		d := in.Dst
-		return func(fr *frame) status {
-			ref, st := check(fr)
-			if st != stNext {
-				return st
-			}
-			m.Stats.Loads++
-			return m.finishLoad(fr, in, ref+off, d)
-		}
-	case ir.OpPutField:
-		off := int64(in.Field.Offset)
-		b := q.args[1]
-		return func(fr *frame) status {
-			ref, st := check(fr)
-			if st != stNext {
-				return st
-			}
-			m.Stats.Stores++
-			return m.finishStore(fr, in, ref+off, pv(fr, &b))
-		}
-	default: // ir.OpArrayLength
-		d := in.Dst
-		return func(fr *frame) status {
-			ref, st := check(fr)
-			if st != stNext {
-				return st
-			}
-			m.Stats.Loads++
-			return m.finishLoad(fr, in, ref, d)
-		}
 	}
 }

@@ -19,8 +19,9 @@ const (
 	// EngineClosure is the closure-compiled (subroutine-threaded) engine:
 	// each instruction is pre-compiled to a step closure specialized on
 	// opcode and operand shape, hot adjacent pairs are fused into
-	// superinstructions, and statically non-faulting blocks run with
-	// block-batched accounting. The default.
+	// superinstructions, and every block runs as charged stretches ending at
+	// calls and terminators, with the unexecuted suffix rolled back when an
+	// instruction raises. The default.
 	EngineClosure Engine = iota
 	// EngineSwitch is the original per-instruction switch interpreter, kept
 	// as the reference implementation the closure engine is differentially

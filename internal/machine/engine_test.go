@@ -7,7 +7,6 @@ import (
 
 	"trapnull/internal/arch"
 	"trapnull/internal/ir"
-	"trapnull/internal/rt"
 )
 
 // runEngine executes fn on a fresh machine with the given engine and returns
@@ -50,9 +49,9 @@ func assertEnginesAgree(t *testing.T, a *arch.Model, p *ir.Program, fn *ir.Func,
 	return cOut, cErr
 }
 
-// spinFn builds an infinite counting loop whose loop block is batchable
-// (add; add; if — no faulting ops), so the step limit must be enforced by
-// the batch guard's per-instruction fallback, not just the batch header.
+// spinFn builds an infinite counting loop whose loop block is one charged
+// stretch (add; add; if), so the step limit must be enforced by the
+// stretch guard's per-instruction fallback, not just the stretch charge.
 func spinFn() *ir.Func {
 	b := ir.NewFunc("spin", false)
 	b.Result(ir.KindInt)
@@ -263,87 +262,6 @@ func TestEngineDivByZeroMidBlock(t *testing.T) {
 	}
 }
 
-// TestEngineNullCheckFusion exercises the nullcheck→dereference
-// superinstructions on the null and non-null paths, for each fused second
-// op, on both arch models.
-func TestEngineNullCheckFusion(t *testing.T) {
-	for _, am := range []*arch.Model{arch.IA32Win(), arch.PPCAIX()} {
-		p, c := prog()
-		build := func(kind string) *ir.Func {
-			b := ir.NewFunc("fused_"+kind, false)
-			a := b.Param("a", ir.KindRef)
-			b.Result(ir.KindInt)
-			b.Block("entry")
-			v := b.Temp(ir.KindInt)
-			switch kind {
-			case "get":
-				b.GetField(v, a, c.FieldByName("f")) // emits nullcheck; getfield
-			case "put":
-				b.PutField(a, c.FieldByName("f"), ir.ConstInt(9))
-				b.Move(v, ir.ConstInt(1))
-			case "len":
-				b.ArrayLength(v, a)
-			}
-			b.Return(ir.Var(v))
-			return b.Finish()
-		}
-		for _, kind := range []string{"get", "put", "len"} {
-			fn := build(kind)
-			// Null path: explicit check throws, ThrownSoftware counted.
-			out, err := assertEnginesAgree(t, am, p, fn, 0,
-				func(m *Machine) []int64 { return []int64{0} })
-			if err != nil || out.Exc != rt.ExcNullPointer {
-				t.Fatalf("%s/%s null: out=%+v err=%v, want NPE", am.Name, kind, out, err)
-			}
-			// Non-null path.
-			if _, err := assertEnginesAgree(t, am, p, fn, 0, func(m *Machine) []int64 {
-				if kind == "len" {
-					return []int64{m.Heap.AllocArray(4)}
-				}
-				o := m.Heap.AllocObject(c)
-				m.Heap.Store(o+int64(c.FieldByName("f").Offset), 5)
-				return []int64{o}
-			}); err != nil {
-				t.Fatalf("%s/%s ok path: %v", am.Name, kind, err)
-			}
-		}
-	}
-}
-
-// TestEngineCmpIfFusion drives the cmp→if superinstruction down both edges
-// and verifies the cmp result variable is still materialized for later
-// blocks to read.
-func TestEngineCmpIfFusion(t *testing.T) {
-	p, _ := prog()
-	b := ir.NewFunc("cmpif", false)
-	x := b.Param("x", ir.KindInt)
-	y := b.Param("y", ir.KindInt)
-	b.Result(ir.KindInt)
-	entry := b.Block("entry")
-	lt := b.DeclareBlock("lt")
-	ge := b.DeclareBlock("ge")
-	b.SetBlock(entry)
-	cres := b.Local("cres", ir.KindInt)
-	b.Cmp(cres, ir.CondLT, ir.Var(x), ir.Var(y))
-	b.If(ir.CondNE, ir.Var(cres), ir.ConstInt(0), lt, ge)
-	b.SetBlock(lt)
-	// Read the cmp result AFTER the branch: fusion must still write it.
-	r := b.Temp(ir.KindInt)
-	b.Binop(ir.OpAdd, r, ir.Var(cres), ir.ConstInt(100))
-	b.Return(ir.Var(r))
-	b.SetBlock(ge)
-	b.Return(ir.Var(cres))
-	fn := b.Finish()
-
-	for _, tc := range []struct{ x, y, want int64 }{{1, 2, 101}, {2, 1, 0}, {3, 3, 0}} {
-		out, err := assertEnginesAgree(t, arch.IA32Win(), p, fn, 0,
-			func(m *Machine) []int64 { return []int64{tc.x, tc.y} })
-		if err != nil || out.Value != tc.want {
-			t.Fatalf("cmpif(%d,%d) = %+v err=%v, want %d", tc.x, tc.y, out, err, tc.want)
-		}
-	}
-}
-
 // TestEngineRecursiveCallScratch pins the per-closure scratch argument
 // buffer against recursion: fib(12) re-enters the same call closure many
 // times and must still compute correct arguments at every depth.
@@ -383,7 +301,7 @@ func TestEngineRecursiveCallScratch(t *testing.T) {
 }
 
 // TestPreparedCacheBounded pushes more distinct Func values through one
-// Machine than the cache bound and asserts both per-function caches stay
+// Machine than the cache bound and asserts the per-function cache stays
 // bounded while execution stays correct.
 func TestPreparedCacheBounded(t *testing.T) {
 	p, _ := prog()
@@ -395,29 +313,29 @@ func TestPreparedCacheBounded(t *testing.T) {
 		if err != nil || out.Value != 3 {
 			t.Fatalf("iteration %d: out=%+v err=%v", i, out, err)
 		}
-		if m.prepared.size() > maxPreparedFuncs || m.compiledFns.size() > maxPreparedFuncs {
-			t.Fatalf("caches unbounded: prepared=%d compiled=%d (max %d)",
-				m.prepared.size(), m.compiledFns.size(), maxPreparedFuncs)
+		if m.fns.size() > maxPreparedFuncs {
+			t.Fatalf("cache unbounded: %d entries (max %d)", m.fns.size(), maxPreparedFuncs)
 		}
 	}
 }
 
-// TestResetPrepared drops the caches explicitly and proves execution
-// rebuilds them transparently.
+// TestResetPrepared drops the cache explicitly and proves execution
+// rebuilds it transparently. A closure-engine function takes one slot
+// holding both its prepared table and its compiled code.
 func TestResetPrepared(t *testing.T) {
 	p, _ := prog()
 	m := New(arch.IA32Win(), p)
-	m.Engine = EngineClosure // compiledFns only fills on the closure engine
+	m.Engine = EngineClosure // compiled code is only built on the closure engine
 	fn := boundedFn()
 	if _, err := m.Call(fn, 5); err != nil {
 		t.Fatal(err)
 	}
-	if m.prepared.size() == 0 || m.compiledFns.size() == 0 {
-		t.Fatalf("caches not populated: prepared=%d compiled=%d", m.prepared.size(), m.compiledFns.size())
+	if e, ok := m.fns.get(fn); m.fns.size() != 1 || !ok || e.pf == nil || e.cf == nil {
+		t.Fatalf("cache not populated: size=%d entry=%+v", m.fns.size(), e)
 	}
 	m.ResetPrepared()
-	if m.prepared.size() != 0 || m.compiledFns.size() != 0 {
-		t.Fatalf("caches not cleared: prepared=%d compiled=%d", m.prepared.size(), m.compiledFns.size())
+	if m.fns.size() != 0 {
+		t.Fatalf("cache not cleared: size=%d", m.fns.size())
 	}
 	out, err := m.Call(fn, 5)
 	if err != nil || out.Value != 5 {

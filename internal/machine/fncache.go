@@ -2,13 +2,13 @@ package machine
 
 import "trapnull/internal/ir"
 
-// fnCache is a bounded map from *ir.Func to a per-function compiled artifact
-// (prepared-operand tables, closure-compiled code) with deterministic
+// fnCache is a bounded map from *ir.Func to a per-function artifact (the
+// prepared-operand table and closure-compiled code) with deterministic
 // clock/second-chance eviction.
 //
-// The previous scheme dropped BOTH caches entirely whenever either reached
-// its bound, so a sweep touching a few more functions than the bound
-// re-prepared the whole working set on every lap. Second-chance instead
+// A full-drop scheme would empty the cache whenever it reached its bound, so
+// a sweep touching a few more functions than the bound would re-prepare the
+// whole working set on every lap. Second-chance instead
 // evicts exactly one cold entry per insertion: entries sit in a ring with a
 // reference bit that get() sets and the rotating hand clears; the first
 // unreferenced slot the hand finds is the victim. Everything is driven by

@@ -82,15 +82,13 @@ func TestPreparedCacheNoThrash(t *testing.T) {
 		hot[i] = boundedFn()
 	}
 
-	// Count how often a hot function must be re-closure-compiled: residency
-	// is probed without touching the reference bit, so the measurement
-	// itself cannot keep entries alive. (A compiledFns hit never consults
-	// the prepared cache, so compiledFns is the cache whose retention
-	// decides the rebuild cost.)
+	// Count how often a hot function must be re-prepared and re-compiled:
+	// residency is probed without touching the reference bit, so the
+	// measurement itself cannot keep entries alive.
 	hotMisses := 0
 	callHot := func() {
 		for _, fn := range hot {
-			if !m.compiledFns.contains(fn) {
+			if !m.fns.contains(fn) {
 				hotMisses++
 			}
 			if _, err := m.Call(fn, 3); err != nil {
@@ -120,7 +118,7 @@ func TestPreparedCacheNoThrash(t *testing.T) {
 	if hotMisses > budget {
 		t.Fatalf("hot set thrashing: %d hot-entry misses (budget %d)", hotMisses, budget)
 	}
-	if m.prepared.size() > maxPreparedFuncs {
-		t.Fatalf("cache exceeded bound: %d > %d", m.prepared.size(), maxPreparedFuncs)
+	if m.fns.size() > maxPreparedFuncs {
+		t.Fatalf("cache exceeded bound: %d > %d", m.fns.size(), maxPreparedFuncs)
 	}
 }

@@ -79,13 +79,11 @@ type Machine struct {
 	// recompile, and trap-triggered deoptimization. Untiered cost: one nil
 	// test per call and one per block entry.
 	tier *tierController
-	// prepared caches per-function pre-decoded instruction tables; entries
-	// are keyed (and invalidated) by *ir.Func identity. Bounded with
-	// second-chance eviction: see fncache.go and ResetPrepared.
-	prepared *fnCache[*pFunc]
-	// compiledFns caches closure-compiled functions for EngineClosure,
-	// bounded the same way.
-	compiledFns *fnCache[*cFunc]
+	// fns caches per-function pre-decoded instruction tables and, for
+	// EngineClosure, closure-compiled code; entries are keyed (and
+	// invalidated) by *ir.Func identity. Bounded with second-chance
+	// eviction: see fncache.go and ResetPrepared.
+	fns *fnCache[*fnEntry]
 	// frames is the closure engine's activation-record pool.
 	frames []*frame
 }
@@ -93,13 +91,12 @@ type Machine struct {
 // New returns a machine for the given model and program.
 func New(m *arch.Model, prog *ir.Program) *Machine {
 	return &Machine{
-		Arch:        m,
-		Heap:        rt.NewHeap(0),
-		Prog:        prog,
-		MaxSteps:    2_000_000_000,
-		Engine:      DefaultEngine,
-		prepared:    newFnCache[*pFunc](maxPreparedFuncs),
-		compiledFns: newFnCache[*cFunc](maxPreparedFuncs),
+		Arch:     m,
+		Heap:     rt.NewHeap(0),
+		Prog:     prog,
+		MaxSteps: 2_000_000_000,
+		Engine:   DefaultEngine,
+		fns:      newFnCache[*fnEntry](maxPreparedFuncs),
 	}
 }
 
@@ -174,7 +171,7 @@ func (m *Machine) exec(fn *ir.Func, args []int64, depth int) (Outcome, error) {
 	}
 	locals := make([]int64, fn.NumLocals())
 	copy(locals, args)
-	pf := m.prepare(fn)
+	pf := m.prepare(fn).pf
 
 	// Operands were pre-classified by prepare(); these helpers are the whole
 	// residue of the old per-step `switch o.Kind` decode.

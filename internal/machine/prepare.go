@@ -55,28 +55,29 @@ func decodeOperand(fn *ir.Func, o ir.Operand) pOp {
 	}
 }
 
-// maxPreparedFuncs bounds both per-function caches (prepared tables and
-// closure-compiled functions). The caches are keyed by *ir.Func identity and
-// every compilation builds fresh Func values, so long triage/fuzz sessions
-// that push thousands of distinct functions through one Machine would
-// otherwise grow them without limit. Hitting the bound evicts one cold entry
-// per insertion (second chance, see fncache.go); a working set slightly
-// larger than the bound no longer drops everything and re-prepares from
-// scratch each lap.
+// fnEntry is one function's slot in the per-Machine cache: the prepared
+// table and, once the closure engine has run the function, its compiled code.
+type fnEntry struct {
+	pf *pFunc
+	cf *cFunc
+}
+
+// maxPreparedFuncs bounds the per-function cache. It is keyed by *ir.Func
+// identity and every compilation builds fresh Func values, so long
+// triage/fuzz sessions that push thousands of distinct functions through one
+// Machine would otherwise grow it without limit. Hitting the bound evicts
+// one cold entry per insertion (second chance, see fncache.go).
 const maxPreparedFuncs = 512
 
 // ResetPrepared drops all cached per-function tables (prepared operands and
 // closure-compiled code). Callers that replay many distinct Func values on
 // one Machine — triage's bisection replays, long fuzz loops — call it
-// between replays to keep the caches from retaining dead functions. Tables
+// between replays to keep the cache from retaining dead functions. Tables
 // still referenced by an in-flight exec remain valid; only the cache entries
 // are dropped.
 func (m *Machine) ResetPrepared() {
-	if m.prepared != nil {
-		m.prepared.reset()
-	}
-	if m.compiledFns != nil {
-		m.compiledFns.reset()
+	if m.fns != nil {
+		m.fns.reset()
 	}
 	// Tier state indexes compiled artifacts by *ir.Func identity too; a replay
 	// that swaps Func values must not dispatch through a stale speculative
@@ -86,13 +87,14 @@ func (m *Machine) ResetPrepared() {
 	}
 }
 
-// prepare returns fn's prepared table, building and caching it on first use.
-func (m *Machine) prepare(fn *ir.Func) *pFunc {
-	if m.prepared == nil {
-		m.prepared = newFnCache[*pFunc](maxPreparedFuncs)
+// prepare returns fn's cache entry, building its prepared table on first
+// use.
+func (m *Machine) prepare(fn *ir.Func) *fnEntry {
+	if m.fns == nil {
+		m.fns = newFnCache[*fnEntry](maxPreparedFuncs)
 	}
-	if pf, ok := m.prepared.get(fn); ok {
-		return pf
+	if e, ok := m.fns.get(fn); ok {
+		return e
 	}
 	pf := &pFunc{blocks: make([][]pInstr, fn.MaxBlockID()+1)}
 	for _, b := range fn.Blocks {
@@ -121,6 +123,7 @@ func (m *Machine) prepare(fn *ir.Func) *pFunc {
 		}
 		pf.blocks[b.ID] = pins
 	}
-	m.prepared.put(fn, pf)
-	return pf
+	e := &fnEntry{pf: pf}
+	m.fns.put(fn, e)
+	return e
 }
