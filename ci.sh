@@ -102,6 +102,10 @@ go test ./internal/faultinject
 # failure).
 go run ./cmd/benchtab -degradation -quick > /dev/null
 go run ./cmd/benchtab -chaos -chaos-seed 7 > /dev/null
+# Ablation golden gate: the ablation and extension tables are purely
+# simulated, so the full-size run must reproduce the checked-in output byte
+# for byte.
+go run ./cmd/benchtab -ablations | cmp - ablation_output.txt
 # Telemetry plane gate. The timeline (flight recorder + trap-cost
 # attribution) and the metrics snapshot are deterministic surfaces: two
 # sweeps must render them byte-identical, and the merged Perfetto trace of a

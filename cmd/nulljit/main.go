@@ -60,19 +60,17 @@ func shortConfigNames(sep string) string {
 	return strings.Join(names, sep)
 }
 
+// configByName resolves a -config value: a short name from shortConfigs, or
+// any configuration name jit.ConfigByName accepts.
 func configByName(name string) (jit.Config, error) {
-	all := append(jit.WindowsConfigs(), jit.AIXConfigs()...)
-	all = append(all, jit.ConfigAIXWriteImplicit())
 	for _, c := range shortConfigs {
 		if strings.EqualFold(name, c.short) {
 			name = c.long
 			break
 		}
 	}
-	for _, c := range all {
-		if c.Name == name {
-			return c, nil
-		}
+	if c, ok := jit.ConfigByName(name); ok {
+		return c, nil
 	}
 	return jit.Config{}, fmt.Errorf("unknown config %q (try one of %s)", name, shortConfigNames(", "))
 }
@@ -177,7 +175,7 @@ func main() {
 		}
 	}
 
-	res, err := jit.CompileProgramObserved(prog, cfg, model, ob)
+	res, err := jit.CompileProgramWith(prog, cfg, model, jit.CompileOptions{Observer: ob})
 	fail(err)
 
 	if *pr {

@@ -31,27 +31,6 @@ import (
 	"trapnull/internal/triage"
 )
 
-func configs() []jit.Config {
-	var out []jit.Config
-	seen := map[string]bool{}
-	for _, c := range append(jit.WindowsConfigs(), jit.AIXConfigs()...) {
-		if !seen[c.Name] {
-			seen[c.Name] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func configByName(name string) (jit.Config, bool) {
-	for _, c := range configs() {
-		if strings.EqualFold(c.Name, name) {
-			return c, true
-		}
-	}
-	return jit.Config{}, false
-}
-
 func main() {
 	var (
 		seed        = flag.Int64("seed", 0, "random program seed to triage")
@@ -65,7 +44,7 @@ func main() {
 	flag.Parse()
 
 	if *listConfigs {
-		for _, c := range configs() {
+		for _, c := range jit.AllConfigs() {
 			fmt.Println(c.Name)
 		}
 		return
@@ -75,7 +54,7 @@ func main() {
 	if err != nil {
 		fail(2, "%v", err)
 	}
-	cfg, ok := configByName(*configName)
+	cfg, ok := jit.ConfigByName(*configName)
 	if !ok {
 		fail(2, "unknown config %q (try -list-configs)", *configName)
 	}

@@ -2,107 +2,81 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"trapnull/internal/arch"
-	"trapnull/internal/ir"
 	"trapnull/internal/jit"
-	"trapnull/internal/machine"
-	"trapnull/internal/rt"
 	"trapnull/internal/workloads"
 )
 
 // This file holds the ablation experiments DESIGN.md calls out — probes of
-// the design choices rather than reproductions of the paper's tables.
+// the design choices rather than reproductions of the paper's tables. Every
+// cell is measured by Run, the sweeps' checksum-verified cell runner.
 
-// ablRun compiles and runs one workload and returns the cycle count.
-func ablRun(w *workloads.Workload, cfg jit.Config, model *arch.Model, n int64) (int64, error) {
-	prog, entryM := w.Build()
-	if _, err := jit.CompileProgram(prog, cfg, model); err != nil {
-		return 0, err
+// cyclesGrid runs configs × the named workloads on model and renders one row
+// of cycles per configuration, labelled with the configuration's name.
+func cyclesGrid(title, corner string, model *arch.Model, configs []jit.Config, names []string, quick bool, footer string) (string, error) {
+	ws := make([]*workloads.Workload, len(names))
+	for i, name := range names {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return "", err
+		}
+		ws[i] = w
 	}
-	m := machine.New(model, prog)
-	out, err := m.Call(entryM.Fn, n)
+	m, err := Run(model, configs, ws, Options{Quick: quick})
 	if err != nil {
-		return 0, err
+		return "", err
 	}
-	if out.Exc != rt.ExcNone {
-		return 0, fmt.Errorf("unexpected exception %v", out.Exc)
+	var rows [][]string
+	for _, cfg := range configs {
+		row := []string{cfg.Name}
+		for _, name := range names {
+			row = append(row, strconv.FormatInt(m.Cell(cfg.Name, name).Cycles, 10))
+		}
+		rows = append(rows, row)
 	}
-	if want := w.Ref(n); out.Value != want {
-		return 0, fmt.Errorf("checksum mismatch: got %d want %d", out.Value, want)
+	return renderGrid(title, append([]string{corner}, names...), rows, footer), nil
+}
+
+// sweptConfigs returns one copy of the full algorithm per value, with set
+// applying the value and the copy named after it.
+func sweptConfigs(values []int, set func(*jit.Config, int)) []jit.Config {
+	out := make([]jit.Config, len(values))
+	for i, v := range values {
+		out[i] = jit.ConfigPhase1Phase2()
+		out[i].Name = strconv.Itoa(v)
+		set(&out[i], v)
 	}
-	return m.Cycles, nil
+	return out
 }
 
 // AblationIterations sweeps the phase-1 iteration count — the paper only
 // says "iterated for a few times"; this measures where it converges.
 func AblationIterations(quick bool) (string, error) {
-	model := arch.IA32Win()
-	names := []string{"Assignment", "LUDecomposition", "NeuralNet", "MTRT"}
-	counts := []int{1, 2, 3, 5}
-
-	header := append([]string{"phase1 iterations"}, names...)
-	var rows [][]string
-	for _, it := range counts {
-		row := []string{fmt.Sprintf("%d", it)}
-		for _, name := range names {
-			w, err := workloads.ByName(name)
-			if err != nil {
-				return "", err
-			}
-			n := w.N
-			if quick {
-				n = w.TestN
-			}
-			cfg := jit.ConfigPhase1Phase2()
-			cfg.Iterations = it
-			cycles, err := ablRun(w, cfg, model, n)
-			if err != nil {
-				return "", fmt.Errorf("iterations=%d %s: %w", it, name, err)
-			}
-			row = append(row, fmt.Sprintf("%d", cycles))
-		}
-		rows = append(rows, row)
-	}
-	return renderGrid("Ablation A. Phase-1 iteration count (cycles; lower is better)",
-		header, rows,
-		"the paper iterates \"a few times\"; gains typically converge by 2-3"), nil
+	return cyclesGrid("Ablation A. Phase-1 iteration count (cycles; lower is better)", "phase1 iterations",
+		arch.IA32Win(), sweptConfigs([]int{1, 2, 3, 5}, func(c *jit.Config, v int) { c.Iterations = v }),
+		[]string{"Assignment", "LUDecomposition", "NeuralNet", "MTRT"}, quick,
+		"the paper iterates \"a few times\"; gains typically converge by 2-3")
 }
 
 // AblationInlineBudget sweeps the inliner budget: inlining is what creates
 // the explicit checks phase 2 optimizes, so both too little and the paper's
 // choice are visible here.
 func AblationInlineBudget(quick bool) (string, error) {
-	model := arch.IA32Win()
-	names := []string{"MTRT", "Jess", "DB", "Jack"}
-	budgets := []int{1, 12, 24, 96}
+	return cyclesGrid("Ablation B. Inline budget (cycles; lower is better)", "inline budget",
+		arch.IA32Win(), sweptConfigs([]int{1, 12, 24, 96}, func(c *jit.Config, v int) { c.InlineBudget = v }),
+		[]string{"MTRT", "Jess", "DB", "Jack"}, quick,
+		"budget 1 disables inlining; the accessor-heavy kernels need it before phase 2 matters")
+}
 
-	header := append([]string{"inline budget"}, names...)
-	var rows [][]string
-	for _, budget := range budgets {
-		row := []string{fmt.Sprintf("%d", budget)}
-		for _, name := range names {
-			w, err := workloads.ByName(name)
-			if err != nil {
-				return "", err
-			}
-			n := w.N
-			if quick {
-				n = w.TestN
-			}
-			cfg := jit.ConfigPhase1Phase2()
-			cfg.InlineBudget = budget
-			cycles, err := ablRun(w, cfg, model, n)
-			if err != nil {
-				return "", fmt.Errorf("budget=%d %s: %w", budget, name, err)
-			}
-			row = append(row, fmt.Sprintf("%d", cycles))
-		}
-		rows = append(rows, row)
-	}
-	return renderGrid("Ablation B. Inline budget (cycles; lower is better)",
-		header, rows,
-		"budget 1 disables inlining; the accessor-heavy kernels need it before phase 2 matters"), nil
+// nullStormAt is NullStorm fixed at rate nulls per 1000 dereferences (its
+// problem size) at both sizes, named after the rate.
+func nullStormAt(rate int64) *workloads.Workload {
+	w := workloads.NullStorm()
+	w.Name = strconv.FormatInt(rate, 10)
+	w.N, w.TestN = rate, rate
+	return w
 }
 
 // AblationNullRate sweeps how often the checked reference actually is null.
@@ -112,67 +86,58 @@ func AblationInlineBudget(quick bool) (string, error) {
 // VMs that adopted the paper's technique recompile methods that trap
 // repeatedly.)
 func AblationNullRate() (string, error) {
-	model := arch.IA32Win()
-	w := workloads.NullStorm()
-	rates := []int64{0, 1, 5, 20, 100, 500}
-
+	var ws []*workloads.Workload
+	for _, rate := range []int64{0, 1, 5, 20, 100, 500} {
+		ws = append(ws, nullStormAt(rate))
+	}
+	explicit, trap := jit.ConfigNoNullOptNoTrap(), jit.ConfigPhase1Phase2()
+	m, err := Run(arch.IA32Win(), []jit.Config{explicit, trap}, ws, Options{})
+	if err != nil {
+		return "", err
+	}
 	header := []string{"nulls per 1000", "explicit checks (cycles)", "trap-based (cycles)", "winner"}
 	var rows [][]string
-	for _, rate := range rates {
-		exp, err := ablRun(w, jit.ConfigNoNullOptNoTrap(), model, rate)
-		if err != nil {
-			return "", fmt.Errorf("rate=%d explicit: %w", rate, err)
-		}
-		trap, err := ablRun(w, jit.ConfigPhase1Phase2(), model, rate)
-		if err != nil {
-			return "", fmt.Errorf("rate=%d trap: %w", rate, err)
-		}
+	for _, w := range ws {
+		exp, tr := m.Cell(explicit.Name, w.Name).Cycles, m.Cell(trap.Name, w.Name).Cycles
 		winner := "trap"
-		if exp < trap {
+		if exp < tr {
 			winner = "explicit"
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", rate), fmt.Sprintf("%d", exp), fmt.Sprintf("%d", trap), winner,
-		})
+		rows = append(rows, []string{w.Name, fmt.Sprintf("%d", exp), fmt.Sprintf("%d", tr), winner})
 	}
 	return renderGrid("Ablation C. Null frequency vs. check implementation (NullStorm)",
 		header, rows,
 		"traps win only when nulls are rare — the assumption underlying the whole design"), nil
 }
 
+// trapAreaCell measures BigOffsetWalk under the full algorithm on an IA32
+// model whose protected area is size bytes.
+func trapAreaCell(size int64, quick bool) (*Cell, error) {
+	model := arch.IA32Win()
+	model.TrapAreaBytes = size
+	w, cfg := workloads.BigOffsetWalk(), jit.ConfigPhase1Phase2()
+	m, err := Run(model, []jit.Config{cfg}, []*workloads.Workload{w}, Options{Quick: quick})
+	if err != nil {
+		return nil, fmt.Errorf("trap area %d KB: %w", size/1024, err)
+	}
+	return m.Cell(cfg.Name, w.Name), nil
+}
+
 // AblationTrapArea sweeps the protected-area size against a big-offset
 // field (Figure 5(1)): once the area covers the offset, the explicit check
 // disappears.
 func AblationTrapArea(quick bool) (string, error) {
-	w := workloads.BigOffsetWalk()
-	n := w.N
-	if quick {
-		n = w.TestN
-	}
-	sizes := []int64{4 << 10, 16 << 10, 512 << 10}
-
 	header := []string{"trap area", "cycles", "dynamic explicit checks"}
 	var rows [][]string
-	for _, size := range sizes {
-		model := arch.IA32Win()
-		model.TrapAreaBytes = size
-
-		prog, entryM := w.Build()
-		if _, err := jit.CompileProgram(prog, jit.ConfigPhase1Phase2(), model); err != nil {
-			return "", err
-		}
-		m := machine.New(model, prog)
-		out, err := m.Call(entryM.Fn, n)
+	for _, size := range []int64{4 << 10, 16 << 10, 512 << 10} {
+		c, err := trapAreaCell(size, quick)
 		if err != nil {
 			return "", err
 		}
-		if out.Value != w.Ref(n) {
-			return "", fmt.Errorf("trapArea=%d: checksum mismatch", size)
-		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d KB", size/1024),
-			fmt.Sprintf("%d", m.Cycles),
-			fmt.Sprintf("%d", m.Stats.ExplicitChecks),
+			fmt.Sprintf("%d", c.Cycles),
+			fmt.Sprintf("%d", c.Exec.ExplicitChecks),
 		})
 	}
 	return renderGrid("Ablation D. Protected trap area vs. a 64 KB field offset (BigOffsetWalk)",
@@ -186,38 +151,15 @@ func AblationTrapArea(quick bool) (string, error) {
 // yet". This extension implements it (phase 2 against the real AIX model)
 // and compares against the paper's shipped AIX configurations.
 func ExtensionAIXWriteImplicit(quick bool) (string, error) {
-	model := arch.PPCAIX()
-	names := []string{"FPEmulation", "Bitfield", "Assignment", "DB", "Javac"}
 	configs := []jit.Config{
 		jit.ConfigAIXSpeculation(),
 		jit.ConfigAIXWriteImplicit(),
 		jit.ConfigAIXIllegalImplicit(),
 	}
-
-	header := append([]string{"configuration"}, names...)
-	var rows [][]string
-	for _, cfg := range configs {
-		row := []string{cfg.Name}
-		for _, name := range names {
-			w, err := workloads.ByName(name)
-			if err != nil {
-				return "", err
-			}
-			n := w.N
-			if quick {
-				n = w.TestN
-			}
-			cycles, err := ablRun(w, cfg, model, n)
-			if err != nil {
-				return "", fmt.Errorf("%s %s: %w", cfg.Name, name, err)
-			}
-			row = append(row, fmt.Sprintf("%d", cycles))
-		}
-		rows = append(rows, row)
-	}
-	return renderGrid("Extension E. AIX write-implicit checks (§3.3.1 future work; cycles, lower is better)",
-		header, rows,
-		"legal write-implicit recovers part of IllegalImplicit's gain without violating the spec"), nil
+	return cyclesGrid("Extension E. AIX write-implicit checks (§3.3.1 future work; cycles, lower is better)",
+		"configuration", arch.PPCAIX(), configs,
+		[]string{"FPEmulation", "Bitfield", "Assignment", "DB", "Javac"}, quick,
+		"legal write-implicit recovers part of IllegalImplicit's gain without violating the spec")
 }
 
 // Ablations renders every ablation experiment.
@@ -237,9 +179,4 @@ func Ablations(quick bool) (string, error) {
 		out += s + "\n"
 	}
 	return out, nil
-}
-
-// newMachineFor is a small indirection for tests that need custom models.
-func newMachineFor(m *arch.Model, prog *ir.Program) *machine.Machine {
-	return machine.New(m, prog)
 }

@@ -25,21 +25,17 @@ func TestAblationsRender(t *testing.T) {
 // the second iteration already captures the bulk of the gain (the paper's
 // "a few times").
 func TestAblationIterationsMonotone(t *testing.T) {
-	model := arch.IA32Win()
 	w, err := workloads.ByName("Assignment")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles := func(iters int) int64 {
-		cfg := jit.ConfigPhase1Phase2()
-		cfg.Iterations = iters
-		c, err := ablRun(w, cfg, model, w.TestN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	configs := sweptConfigs([]int{1, 2, 5}, func(c *jit.Config, v int) { c.Iterations = v })
+	m, err := Run(arch.IA32Win(), configs, []*workloads.Workload{w}, Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c1, c2, c5 := cycles(1), cycles(2), cycles(5)
+	cycles := func(iters string) int64 { return m.Cell(iters, w.Name).Cycles }
+	c1, c2, c5 := cycles("1"), cycles("2"), cycles("5")
 	if !(c5 <= c2 && c2 <= c1) {
 		t.Fatalf("iteration sweep not monotone: 1->%d 2->%d 5->%d", c1, c2, c5)
 	}
@@ -52,21 +48,19 @@ func TestAblationIterationsMonotone(t *testing.T) {
 // traps only pay when nulls are rare. Explicit checks must win once nulls
 // are common, and trap-based checks must win when nulls never occur.
 func TestAblationNullRateCrossover(t *testing.T) {
-	model := arch.IA32Win()
-	w := workloads.NullStorm()
-	run := func(cfg jit.Config, rate int64) int64 {
-		c, err := ablRun(w, cfg, model, rate)
-		if err != nil {
-			t.Fatalf("rate=%d: %v", rate, err)
-		}
-		return c
+	explicit, trap := jit.ConfigNoNullOptNoTrap(), jit.ConfigPhase1Phase2()
+	ws := []*workloads.Workload{nullStormAt(0), nullStormAt(500)}
+	m, err := Run(arch.IA32Win(), []jit.Config{explicit, trap}, ws, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	run := func(cfg jit.Config, rate string) int64 { return m.Cell(cfg.Name, rate).Cycles }
 	// No nulls: the trap configuration is at least as fast.
-	if e, tr := run(jit.ConfigNoNullOptNoTrap(), 0), run(jit.ConfigPhase1Phase2(), 0); tr > e {
+	if e, tr := run(explicit, "0"), run(trap, "0"); tr > e {
 		t.Fatalf("rate 0: trap config slower (%d > %d)", tr, e)
 	}
 	// Frequent nulls: explicit checks win decisively.
-	if e, tr := run(jit.ConfigNoNullOptNoTrap(), 500), run(jit.ConfigPhase1Phase2(), 500); e >= tr {
+	if e, tr := run(explicit, "500"), run(trap, "500"); e >= tr {
 		t.Fatalf("rate 500: explicit checks did not win (%d >= %d)", e, tr)
 	}
 }
@@ -74,23 +68,12 @@ func TestAblationNullRateCrossover(t *testing.T) {
 // TestAblationTrapAreaBoundary: a big-offset field converts to an implicit
 // check exactly when the protected area covers its offset.
 func TestAblationTrapAreaBoundary(t *testing.T) {
-	w := workloads.BigOffsetWalk()
 	run := func(area int64) int64 {
-		model := arch.IA32Win()
-		model.TrapAreaBytes = area
-		prog, entryM := w.Build()
-		if _, err := jit.CompileProgram(prog, jit.ConfigPhase1Phase2(), model); err != nil {
-			t.Fatal(err)
-		}
-		m := newMachineFor(model, prog)
-		out, err := m.Call(entryM.Fn, w.TestN)
+		c, err := trapAreaCell(area, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Value != w.Ref(w.TestN) {
-			t.Fatalf("area=%d: checksum mismatch", area)
-		}
-		return m.Stats.ExplicitChecks
+		return c.Exec.ExplicitChecks
 	}
 	small := run(4 << 10)
 	big := run(512 << 10)
@@ -105,12 +88,8 @@ func TestAblationTrapAreaBoundary(t *testing.T) {
 // TestExtensionWorkloadsMatchReference: the ablation workloads obey the same
 // differential contract as the paper's seventeen.
 func TestExtensionWorkloadsMatchReference(t *testing.T) {
-	model := arch.IA32Win()
-	for _, w := range []*workloads.Workload{workloads.NullStorm(), workloads.BigOffsetWalk()} {
-		for _, cfg := range jit.WindowsConfigs() {
-			if _, err := ablRun(w, cfg, model, w.TestN); err != nil {
-				t.Fatalf("%s under %s: %v", w.Name, cfg.Name, err)
-			}
-		}
+	ws := []*workloads.Workload{workloads.NullStorm(), workloads.BigOffsetWalk()}
+	if _, err := Run(arch.IA32Win(), jit.WindowsConfigs(), ws, Options{Quick: true}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -41,7 +41,7 @@ func TestFateConservation(t *testing.T) {
 						}
 					}
 					rem := obs.NewRemarks()
-					if _, err := jit.CompileProgramObserved(prog, cfg, combo.model, &jit.Observer{Remarks: rem}); err != nil {
+					if _, err := jit.CompileProgramWith(prog, cfg, combo.model, jit.CompileOptions{Observer: &jit.Observer{Remarks: rem}}); err != nil {
 						t.Fatalf("%s/%s on %s: compile: %v", cfg.Name, w.Name, combo.model.Name, err)
 					}
 					tot := rem.Totals()
@@ -153,7 +153,7 @@ func obsTrial(t *testing.T, observed bool) time.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := configByName(t, jit.WindowsConfigs(), "NewNullCheck(Phase1+2)")
+	cfg := jit.ConfigPhase1Phase2()
 	model := arch.IA32Win()
 
 	start := time.Now()
@@ -163,7 +163,7 @@ func obsTrial(t *testing.T, observed bool) time.Duration {
 		tr := obs.NewTrace()
 		ob = &jit.Observer{Trace: tr, TID: tr.NextTID(), Remarks: obs.NewRemarks()}
 	}
-	if _, err := jit.CompileProgramObserved(prog, cfg, model, ob); err != nil {
+	if _, err := jit.CompileProgramWith(prog, cfg, model, jit.CompileOptions{Observer: ob}); err != nil {
 		t.Fatal(err)
 	}
 	m := machine.New(model, prog)
@@ -174,17 +174,6 @@ func obsTrial(t *testing.T, observed bool) time.Duration {
 		t.Fatal(err)
 	}
 	return time.Since(start)
-}
-
-func configByName(t *testing.T, configs []jit.Config, name string) jit.Config {
-	t.Helper()
-	for _, c := range configs {
-		if c.Name == name {
-			return c
-		}
-	}
-	t.Fatalf("no config %q", name)
-	return jit.Config{}
 }
 
 // TestObsOverheadBudget pins the enabled-overhead acceptance criterion:
@@ -236,7 +225,7 @@ func benchObs(b *testing.B, observed bool) {
 			tr := obs.NewTrace()
 			ob = &jit.Observer{Trace: tr, TID: tr.NextTID(), Remarks: obs.NewRemarks()}
 		}
-		if _, err := jit.CompileProgramObserved(prog, cfg, model, ob); err != nil {
+		if _, err := jit.CompileProgramWith(prog, cfg, model, jit.CompileOptions{Observer: ob}); err != nil {
 			b.Fatal(err)
 		}
 		m := machine.New(model, prog)

@@ -218,7 +218,7 @@ func telemetryTrial(t *testing.T, observed bool) time.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := configByName(t, jit.WindowsConfigs(), "NewNullCheck(Phase1+2)")
+	cfg := jit.ConfigPhase1Phase2()
 	model := arch.IA32Win()
 
 	start := time.Now()
@@ -280,7 +280,7 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 // artifact's counter box, so the totals survive the swaps.
 func TestExecProfileTieredAgree(t *testing.T) {
 	model := arch.IA32Win()
-	cfg := configByName(t, jit.WindowsConfigs(), "NewNullCheck(Phase1+2)")
+	cfg := jit.ConfigPhase1Phase2()
 	const reps = 3
 	for _, w := range append(workloads.All(), workloads.Extensions()...) {
 		// Untiered oracle on the reference interpreter.

@@ -87,7 +87,7 @@ type Func struct {
 
 	// Track, when non-nil, observes the fate of every null check the
 	// optimization passes remove from this function. It is attached only for
-	// the duration of an observed compilation (jit.CompileProgramObserved)
+	// the duration of a compilation with remarks on (jit.CompileOptions.Observer)
 	// and is deliberately not copied by Clone: snapshots replayed by the
 	// triage machinery must not double-report events.
 	Track CheckTracker

@@ -20,8 +20,10 @@
 //   - Proj: the projection of jit.Config onto the fields that can change
 //     generated code, with defaults applied ("effective" values) so configs
 //     spelled differently but compiled identically share entries.
-//   - Model: the execution model NAME (models are identified by name;
-//     comparing pointers would split identical configurations).
+//   - Model: the execution model's VALUE. arch.Model is a flat comparable
+//     struct, so two models with equal fields share entries while two that
+//     share a name but differ in a field a pass consults (TrapAreaBytes,
+//     say) do not; comparing pointers would split identical models.
 package jit
 
 import (
@@ -52,7 +54,9 @@ import (
 //   - TrapFold/TrapConvert/Phase2 raw flags: collapsed into Lowering by the
 //     pipeline's precedence (Phase2 > TrapConvert > TrapFold).
 //   - Phase2Model: collapsed into TrapModel (its NAME, nil → execution
-//     model), and only when some lowering actually consults it.
+//     model), and only when some lowering actually consults it. A name is
+//     enough here because Phase2Model is only ever a stock model; the
+//     execution model's full value is in CacheKey.Model.
 //   - Speculation: collapsed into the effective conjunction with the
 //     execution model's SpeculativeReads, exactly as pipeline() computes the
 //     scalar-replacement model.
@@ -119,7 +123,7 @@ func ProjectConfig(cfg Config, execModel *arch.Model) Projection {
 type CacheKey struct {
 	Program [sha256.Size]byte
 	Proj    Projection
-	Model   string // execution model name
+	Model   arch.Model // execution model, by value
 	// Spec is the canonical speculation set (SpecSet.Canon); "" is the
 	// conservative compilation. Including it keys speculative artifacts
 	// separately from conservative ones — and from each other per distinct
@@ -132,20 +136,20 @@ type CacheKey struct {
 	Demote string
 }
 
-// ID renders the key as a deterministic, human-readable string. The
-// fault-injection harness keys its schedule decisions on it, so the same
-// compilation draws the same faults regardless of which sweep cell reaches
-// it first.
+// ID renders the key as a deterministic, human-readable string that names
+// the model rather than printing its fields. The fault-injection harness keys
+// its schedule decisions on it, so the same compilation draws the same faults
+// regardless of which sweep cell reaches it first.
 func (k CacheKey) ID() string {
 	return fmt.Sprintf("%x|%s|%+v|spec=%s|demote=%s",
-		k.Program[:8], k.Model, k.Proj, k.Spec, k.Demote)
+		k.Program[:8], k.Model.Name, k.Proj, k.Spec, k.Demote)
 }
 
 // Key builds the cache key for compiling prog under cfg on execModel. The
 // program must be in its PRISTINE (pre-compilation) state: hashing an
 // already-optimized program would key the output by itself.
 func Key(prog *ir.Program, cfg Config, execModel *arch.Model) CacheKey {
-	return CacheKey{Program: HashProgram(prog), Proj: ProjectConfig(cfg, execModel), Model: execModel.Name}
+	return CacheKey{Program: HashProgram(prog), Proj: ProjectConfig(cfg, execModel), Model: *execModel}
 }
 
 // HashProgram computes the canonical content digest of a program. The

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"trapnull/internal/arch"
 )
 
 // TestCacheSingleFlightSharesCompileFailure: when the in-flight compilation
@@ -14,7 +16,7 @@ import (
 // compilation and succeeds.
 func TestCacheSingleFlightSharesCompileFailure(t *testing.T) {
 	c := NewCache(0)
-	key := CacheKey{Model: "test", Spec: "", Demote: ""}
+	key := CacheKey{Model: arch.Model{Name: "test"}}
 
 	const waiters = 8
 	boom := errors.New("injected compile failure")

@@ -10,6 +10,7 @@ import (
 	"trapnull/internal/ir"
 	"trapnull/internal/obs"
 	"trapnull/internal/opt"
+	"trapnull/internal/workloads"
 )
 
 // TestProjectConfigEffectiveValues pins the key-projection rules of DESIGN.md
@@ -162,7 +163,7 @@ func TestHashProgramContentAddressed(t *testing.T) {
 
 func testKey(i int) CacheKey {
 	var k CacheKey
-	k.Model = "m"
+	k.Model = arch.Model{Name: "m"}
 	k.Program[0] = byte(i)
 	k.Program[1] = byte(i >> 8)
 	return k
@@ -361,5 +362,49 @@ func TestCacheCompile(t *testing.T) {
 	e, hit, err := none.Compile(p, cfg, model, CompileOptions{})
 	if err != nil || hit || e.Program != p || e.Result == nil {
 		t.Fatalf("nil cache: hit=%v err=%v", hit, err)
+	}
+}
+
+// TestCacheKeysModelByValue: two models that share a name but differ in a
+// field the passes consult must not share an artifact. BigOffsetWalk's 64 KB
+// field offset lies outside a 4 KB protected area but inside a 512 KB one,
+// so phase 2 leaves an explicit check under the first and none under the
+// second; one cache must hand each model its own compile.
+func TestCacheKeysModelByValue(t *testing.T) {
+	cfg := ConfigPhase1Phase2()
+	small, big := arch.IA32Win(), arch.IA32Win()
+	small.TrapAreaBytes, big.TrapAreaBytes = 4<<10, 512<<10
+	w := workloads.BigOffsetWalk()
+
+	p, _ := w.Build()
+	if Key(p, cfg, small) == Key(p, cfg, big) {
+		t.Fatal("models differing only in TrapAreaBytes share a cache key")
+	}
+	if Key(p, cfg, small).ID() != Key(p, cfg, big).ID() {
+		t.Fatal("key ID must name the model, not print its fields")
+	}
+
+	fresh, _ := w.Build()
+	res, err := CompileProgram(fresh, cfg, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(0)
+	for _, m := range []*arch.Model{small, big} {
+		p, _ := w.Build()
+		if _, _, err := c.Compile(p, cfg, m, CompileOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, _ = w.Build()
+	e, _, err := c.Compile(p, cfg, big, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Result.Checks.ExplicitRemaining, res.Checks.ExplicitRemaining; got != want {
+		t.Fatalf("cache served the 512 KB model an artifact with %d explicit checks, a fresh compile leaves %d", got, want)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 2 misses (one per model) and 1 hit", st)
 	}
 }

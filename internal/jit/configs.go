@@ -1,6 +1,10 @@
 package jit
 
-import "trapnull/internal/arch"
+import (
+	"strings"
+
+	"trapnull/internal/arch"
+)
 
 // The Windows/IA32 configurations of Tables 1–2 (§5). All enable inlining
 // and the other optimizations; only the null check treatment varies, exactly
@@ -170,4 +174,29 @@ func AIXConfigs() []Config {
 		ConfigAIXNoNullOpt(),
 		ConfigAIXIllegalImplicit(),
 	}
+}
+
+// AllConfigs returns every named configuration — the Windows rows, the AIX
+// rows and the write-implicit extension — once each, in that order.
+func AllConfigs() []Config {
+	var out []Config
+	seen := map[string]bool{}
+	for _, c := range append(append(WindowsConfigs(), AIXConfigs()...), ConfigAIXWriteImplicit()) {
+		if !seen[c.Name] {
+			seen[c.Name] = true
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// ConfigByName returns the configuration of AllConfigs whose name matches
+// name, ignoring case.
+func ConfigByName(name string) (Config, bool) {
+	for _, c := range AllConfigs() {
+		if strings.EqualFold(c.Name, name) {
+			return c, true
+		}
+	}
+	return Config{}, false
 }

@@ -143,6 +143,10 @@ type CompileOptions struct {
 	// pass bug would. The fault-injection harness (internal/faultinject)
 	// supplies pure functions of (seed, method, pass) here.
 	PassFault func(method, pass string) string
+	// AfterPass, when non-nil, sees every function after every pass it
+	// survives (after verification, when that runs); a non-nil return stops
+	// the compile with that error. internal/triage bisects through it.
+	AfterPass PassObserver
 }
 
 // CompileProgram optimizes every method body of prog (in place) under cfg
@@ -155,24 +159,17 @@ func CompileProgram(prog *ir.Program, cfg Config, execModel *arch.Model) (*Resul
 	return CompileProgramWith(prog, cfg, execModel, CompileOptions{})
 }
 
-// CompileProgramObserved is CompileProgram with the observability layer
-// attached: pass/function trace spans land in ob.Trace and per-check fate
-// ledgers in ob.Remarks.
-func CompileProgramObserved(prog *ir.Program, cfg Config, execModel *arch.Model, ob *Observer) (*Result, error) {
-	return CompileProgramWith(prog, cfg, execModel, CompileOptions{Observer: ob})
-}
-
-// CompileProgramWith is the full-control entry point behind CompileProgram
-// and CompileProgramObserved. Methods compile one at a time in program
-// order, so each method inlines its callees' final (already optimized)
-// bodies when they precede it and their pristine bodies otherwise.
+// CompileProgramWith is the full-control entry point behind CompileProgram.
+// Methods compile one at a time in program order, so each method inlines its
+// callees' final (already optimized) bodies when they precede it and their
+// pristine bodies otherwise.
 func CompileProgramWith(prog *ir.Program, cfg Config, execModel *arch.Model, opts CompileOptions) (*Result, error) {
 	res := &Result{Config: cfg}
 	for _, m := range prog.Methods {
 		if m.Fn == nil {
 			continue
 		}
-		if err := compileFunc(m, cfg, execModel, res, opts.Observer, opts.PassFault); err != nil {
+		if err := compileFunc(m, cfg, execModel, res, opts); err != nil {
 			return nil, fmt.Errorf("%s: %w", m.QualifiedName(), err)
 		}
 		res.FuncsCompiled++
@@ -213,11 +210,11 @@ func finishProgramStats(prog *ir.Program, res *Result) {
 }
 
 // compileFunc runs the cfg pipeline on m's body, registering a fate ledger
-// for it when ob collects remarks. fault is CompileOptions.PassFault
-// (usually nil).
-func compileFunc(m *ir.Method, cfg Config, execModel *arch.Model, res *Result, ob *Observer, fault func(method, pass string) string) error {
+// for it when opts.Observer collects remarks. It is the one loop over
+// pipeline(): every compile, observed or not, runs its passes here.
+func compileFunc(m *ir.Method, cfg Config, execModel *arch.Model, res *Result, opts CompileOptions) error {
 	verify := cfg.Verify || envVerify
-	f, name := m.Fn, m.QualifiedName()
+	f, name, ob := m.Fn, m.QualifiedName(), opts.Observer
 	var ledger *obs.Ledger
 	if ob != nil && ob.Remarks != nil {
 		ledger = ob.Remarks.NewLedger(f, name)
@@ -236,19 +233,7 @@ func compileFunc(m *ir.Method, cfg Config, execModel *arch.Model, res *Result, o
 		if ledger != nil {
 			ledger.BeginPass(p.name)
 		}
-		if fault != nil {
-			// Injected faults panic inside runPass's containment boundary,
-			// so they surface as deterministic *PassError values exactly
-			// like organic pass bugs.
-			run, pname := p.run, p.name
-			p.run = func(f *ir.Func, res *Result) {
-				if msg := fault(name, pname); msg != "" {
-					panic(msg)
-				}
-				run(f, res)
-			}
-		}
-		if err := runPass(p, f, res, verify, nil, ob); err != nil {
+		if err := runPass(p, name, f, res, verify, opts); err != nil {
 			return err
 		}
 		if ledger != nil {

@@ -73,6 +73,31 @@ func TestConfigNamesUnique(t *testing.T) {
 	}
 }
 
+// TestConfigByName: the CLI lookup covers every table row plus the
+// write-implicit extension, each once in declaration order, and matches
+// names ignoring case.
+func TestConfigByName(t *testing.T) {
+	var names []string
+	for _, c := range AllConfigs() {
+		names = append(names, c.Name)
+	}
+	var want []string
+	for _, c := range append(allConfigs(), ConfigAIXWriteImplicit()) {
+		want = append(want, c.Name)
+	}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("AllConfigs = %v, want %v", names, want)
+	}
+	for _, name := range []string{"WriteImplicit(Spec)", "newnullcheck(phase1+2)", "HOTSPOTSIM"} {
+		if c, ok := ConfigByName(name); !ok || !strings.EqualFold(c.Name, name) {
+			t.Errorf("ConfigByName(%q) = %q, %v", name, c.Name, ok)
+		}
+	}
+	if _, ok := ConfigByName("full"); ok {
+		t.Error("ConfigByName resolved a name no configuration has")
+	}
+}
+
 func TestCompileAllConfigsOnSample(t *testing.T) {
 	for _, cfg := range WindowsConfigs() {
 		p, _ := sample()

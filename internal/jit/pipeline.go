@@ -39,9 +39,9 @@ type pass struct {
 	run  func(f *ir.Func, res *Result)
 }
 
-// pipeline assembles the ordered pass list for one configuration. Both
-// CompileProgram and CompileFuncObserved execute exactly this list, so the
-// production pipeline and the observed/bisected one can never drift apart.
+// pipeline assembles the ordered pass list for one configuration. compileFunc
+// is its only caller, so the production pipeline and the observed/bisected
+// one (CompileOptions.AfterPass) can never drift apart.
 func pipeline(cfg Config, execModel *arch.Model) []pass {
 	trapModel := cfg.Phase2Model
 	if trapModel == nil {
@@ -146,16 +146,19 @@ func pipeline(cfg Config, execModel *arch.Model) []pass {
 	return ps
 }
 
-// runPass executes one pass with full containment: a panic inside the pass
-// becomes a *PassError carrying the pass name, function, IR dump and stack
-// instead of unwinding the caller, and — when verify is set — the structural
-// verifier runs on the result so a silently-corrupting pass is caught at the
-// boundary it crossed. The observer, if any, sees the function after the
-// pass (and after verification, so it only ever sees verified IR). When ob
-// carries a trace, the pass is wrapped in a span recording its wall time, IR
-// size before/after, and — when the verifier ran — the verification time.
-func runPass(p pass, f *ir.Func, res *Result, verify bool, po PassObserver, ob *Observer) (err error) {
+// runPass executes one pass of method's body f with full containment: a
+// panic inside the pass — or a fault opts.PassFault injects for (method,
+// pass) — becomes a *PassError carrying the pass name, function, IR dump and
+// stack instead of unwinding the caller, and — when verify is set — the
+// structural verifier runs on the result so a silently-corrupting pass is
+// caught at the boundary it crossed. opts.AfterPass, if any, sees the
+// function after the pass (and after verification, so it only ever sees
+// verified IR). When opts.Observer carries a trace, the pass is wrapped in a
+// span recording its wall time, IR size before/after, and — when the
+// verifier ran — the verification time.
+func runPass(p pass, method string, f *ir.Func, res *Result, verify bool, opts CompileOptions) (err error) {
 	start := time.Now()
+	ob := opts.Observer
 	tracing := ob.tracing()
 	irBefore := 0
 	if tracing {
@@ -182,6 +185,11 @@ func runPass(p pass, f *ir.Func, res *Result, verify bool, po PassObserver, ob *
 				}
 			}
 		}()
+		if opts.PassFault != nil {
+			if msg := opts.PassFault(method, p.name); msg != "" {
+				panic(msg)
+			}
+		}
 		p.run(f, res)
 	}()
 	if err != nil {
@@ -204,8 +212,8 @@ func runPass(p pass, f *ir.Func, res *Result, verify bool, po PassObserver, ob *
 		}
 		ob.Trace.Span(ob.TID, "pass", p.name, start, time.Since(start), args)
 	}
-	if po != nil {
-		if oerr := po(p.name, f, time.Since(start)); oerr != nil {
+	if opts.AfterPass != nil {
+		if oerr := opts.AfterPass(p.name, f, time.Since(start)); oerr != nil {
 			return fmt.Errorf("after %s: %w", p.name, oerr)
 		}
 	}

@@ -27,7 +27,7 @@ func TestRunPassContainsPanic(t *testing.T) {
 	res := &Result{}
 	p := pass{name: "exploding", run: func(*ir.Func, *Result) { panic("kaboom") }}
 
-	err := runPass(p, f, res, false, nil, nil)
+	err := runPass(p, "victim", f, res, false, CompileOptions{})
 	var pe *PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %T (%v), want *PassError", err, err)
@@ -63,12 +63,12 @@ func TestRunPassVerifierCatchesCorruption(t *testing.T) {
 		e.Instrs = e.Instrs[:len(e.Instrs)-1]
 	}}
 
-	if err := runPass(corrupt, f, res, false, nil, nil); err != nil {
+	if err := runPass(corrupt, "victim", f, res, false, CompileOptions{}); err != nil {
 		t.Fatalf("unverified pipeline should not notice: %v", err)
 	}
 
 	f2 := pipelineTestFunc()
-	err := runPass(corrupt, f2, res, true, nil, nil)
+	err := runPass(corrupt, "victim", f2, res, true, CompileOptions{})
 	var pe *PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %T (%v), want *PassError", err, err)
@@ -99,8 +99,8 @@ func benchCompile(b *testing.B, verify bool) {
 func BenchmarkCompileNoVerify(b *testing.B) { benchCompile(b, false) }
 func BenchmarkCompileVerify(b *testing.B)   { benchCompile(b, true) }
 
-// TestObserverSeesEveryPass: the observed pipeline reports the same pass
-// names the production pipeline runs, in order.
+// TestObserverSeesEveryPass: AfterPass reports the same pass names the
+// pipeline declares, in order, for every compiled function.
 func TestObserverSeesEveryPass(t *testing.T) {
 	cfg := ConfigPhase1Phase2()
 	var fromPipeline []string
@@ -108,11 +108,15 @@ func TestObserverSeesEveryPass(t *testing.T) {
 	for _, p := range pipeline(cfg, model) {
 		fromPipeline = append(fromPipeline, p.name)
 	}
+	prog, fn := sample()
 	var observed []string
-	f := pipelineTestFunc()
-	err := CompileFuncObserved(f, cfg, model, func(pass string, _ *ir.Func, _ time.Duration) error {
-		observed = append(observed, pass)
-		return nil
+	_, err := CompileProgramWith(prog, cfg, model, CompileOptions{
+		AfterPass: func(pass string, f *ir.Func, _ time.Duration) error {
+			if f == fn {
+				observed = append(observed, pass)
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

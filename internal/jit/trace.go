@@ -3,21 +3,20 @@ package jit
 import (
 	"time"
 
-	"trapnull/internal/arch"
 	"trapnull/internal/ir"
 	"trapnull/internal/obs"
 )
 
 // PassObserver is invoked after every pipeline pass with the pass name, the
 // function in its current state, and how long the pass ran (verification
-// included). Observers are how miscompilations get bisected: run the
-// observed pipeline, execute the function after each pass, and the first
-// divergence names the guilty pass — internal/triage automates exactly that,
-// and reports the timings alongside.
+// included); CompileOptions.AfterPass carries it. Observers are how
+// miscompilations get bisected: compile with one set, execute the function
+// after each pass, and the first divergence names the guilty pass —
+// internal/triage automates exactly that, and reports the timings alongside.
 type PassObserver func(pass string, f *ir.Func, elapsed time.Duration) error
 
 // Observer bundles the observability sinks of one observed compilation
-// (ISSUE: internal/obs). Both fields are optional; a nil Observer — the
+// (internal/obs). Both fields are optional; a nil Observer — the
 // CompileProgram path — costs nothing.
 type Observer struct {
 	// Trace records one span per pass and per function; TID is the trace
@@ -30,22 +29,3 @@ type Observer struct {
 }
 
 func (ob *Observer) tracing() bool { return ob != nil && ob.Trace != nil }
-
-// CompileFuncObserved runs the cfg pipeline on a single function, invoking
-// po after every pass. It executes the same pass list as CompileProgram
-// (both call pipeline()), with the structural verifier always on, so the
-// observed pipeline can never drift from the production one.
-func CompileFuncObserved(f *ir.Func, cfg Config, execModel *arch.Model, po PassObserver) error {
-	res := &Result{Config: cfg}
-	for _, p := range pipeline(cfg, execModel) {
-		if err := runPass(p, f, res, true, po, nil); err != nil {
-			return err
-		}
-	}
-	if !cfg.SkipGuardCheck {
-		if err := checkGuardsContained(f, execModel); err != nil {
-			return err
-		}
-	}
-	return nil
-}

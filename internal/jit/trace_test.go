@@ -10,14 +10,20 @@ import (
 	"trapnull/internal/ir"
 )
 
+// compileSampleWith compiles the sample program under cfg with po as
+// CompileOptions.AfterPass and returns the program's entry function.
+func compileSampleWith(cfg Config, po PassObserver) (*ir.Func, error) {
+	prog, fn := sample()
+	_, err := CompileProgramWith(prog, cfg, arch.IA32Win(), CompileOptions{AfterPass: po})
+	return fn, err
+}
+
 func TestObservedPipelineVisitsEveryPass(t *testing.T) {
-	_, fn := sample()
 	var passes []string
-	err := CompileFuncObserved(fn, ConfigPhase1Phase2(), arch.IA32Win(),
-		func(pass string, f *ir.Func, _ time.Duration) error {
-			passes = append(passes, pass)
-			return nil
-		})
+	_, err := compileSampleWith(ConfigPhase1Phase2(), func(pass string, f *ir.Func, _ time.Duration) error {
+		passes = append(passes, pass)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,23 +37,15 @@ func TestObservedPipelineVisitsEveryPass(t *testing.T) {
 }
 
 func TestObservedPipelineMatchesCompileProgram(t *testing.T) {
-	// The observed pipeline must produce the identical function as the
-	// production one.
+	// Compiling with an AfterPass observer must produce the identical
+	// function as compiling without one.
 	for _, cfg := range WindowsConfigs() {
 		p1, f1 := sample()
 		if _, err := CompileProgram(p1, cfg, arch.IA32Win()); err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		p2, f2 := sample()
-		// CompileProgram compiles the accessor method too; do the same.
-		for _, m := range p2.Methods {
-			if m.Fn != nil && m.Fn != f2 {
-				if err := CompileFuncObserved(m.Fn, cfg, arch.IA32Win(), nil); err != nil {
-					t.Fatalf("%s: callee: %v", cfg.Name, err)
-				}
-			}
-		}
-		if err := CompileFuncObserved(f2, cfg, arch.IA32Win(), nil); err != nil {
+		f2, err := compileSampleWith(cfg, func(string, *ir.Func, time.Duration) error { return nil })
+		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 		if f1.String() != f2.String() {
@@ -58,19 +56,59 @@ func TestObservedPipelineMatchesCompileProgram(t *testing.T) {
 }
 
 func TestObserverErrorStopsPipeline(t *testing.T) {
-	_, fn := sample()
 	boom := errors.New("stop here")
-	err := CompileFuncObserved(fn, ConfigPhase1Phase2(), arch.IA32Win(),
-		func(pass string, f *ir.Func, _ time.Duration) error {
-			if strings.HasPrefix(pass, "phase1") {
-				return boom
-			}
-			return nil
-		})
+	_, err := compileSampleWith(ConfigPhase1Phase2(), func(pass string, f *ir.Func, _ time.Duration) error {
+		if strings.HasPrefix(pass, "phase1") {
+			return boom
+		}
+		return nil
+	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped observer error", err)
 	}
 	if !strings.Contains(err.Error(), "phase1") {
 		t.Fatalf("error %q does not name the pass", err)
+	}
+}
+
+// TestPassFaultNamesPassAndMethod: a fault injected for one (method, pass)
+// surfaces as a *PassError naming that pass and that method, carrying the
+// fault message as its panic, and the AfterPass observer never sees the
+// failing pass.
+func TestPassFaultNamesPassAndMethod(t *testing.T) {
+	prog, _ := sample()
+	var asked, seen []string
+	opts := CompileOptions{
+		PassFault: func(method, pass string) string {
+			asked = append(asked, method+"/"+pass)
+			if method == "C.getF" && pass == "scalar#1" {
+				return "injected fault"
+			}
+			return ""
+		},
+		AfterPass: func(pass string, f *ir.Func, _ time.Duration) error {
+			seen = append(seen, f.Name+"/"+pass)
+			return nil
+		},
+	}
+	_, err := CompileProgramWith(prog, ConfigPhase1Phase2(), arch.IA32Win(), opts)
+	var pe *PassError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %T (%v), want *PassError", err, err)
+	}
+	if pe.Pass != "scalar#1" || pe.Func != "getF" {
+		t.Errorf("PassError identifies %s/%s, want scalar#1/getF", pe.Pass, pe.Func)
+	}
+	if pe.Panic != "injected fault" {
+		t.Errorf("Panic = %v, want the fault message", pe.Panic)
+	}
+	if !strings.HasPrefix(err.Error(), "C.getF: ") {
+		t.Errorf("error %q does not name the method", err)
+	}
+	if len(asked) == 0 || asked[len(asked)-1] != "C.getF/scalar#1" {
+		t.Errorf("fault not consulted last for C.getF/scalar#1: %v", asked)
+	}
+	if len(seen) == 0 || seen[len(seen)-1] != "getF/boundelim#1" {
+		t.Errorf("AfterPass saw the failing pass or stopped early: %v", seen)
 	}
 }

@@ -29,7 +29,6 @@ type MetricKind uint8
 
 const (
 	KindCounter MetricKind = iota
-	KindGauge
 	KindHistogram
 )
 
@@ -37,17 +36,15 @@ func (k MetricKind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindGauge:
-		return "gauge"
 	case KindHistogram:
 		return "histogram"
 	}
 	return "unknown"
 }
 
-// Metric is one typed cell. Counters and gauges hold a single int64; a
-// histogram additionally holds cumulative-style bucket counts over fixed
-// upper bounds. Updates are atomic (commutative), so concurrent publishers
+// Metric is one typed cell. A counter holds a single int64; a histogram
+// additionally holds cumulative-style bucket counts over fixed upper
+// bounds. Updates are atomic (commutative), so concurrent publishers
 // still sum deterministically.
 type Metric struct {
 	name     string
@@ -63,17 +60,10 @@ type Metric struct {
 // Name returns the metric's registered name.
 func (m *Metric) Name() string { return m.name }
 
-// Add increments a counter (or shifts a gauge) by n. Nil-safe.
+// Add increments a counter by n. Nil-safe.
 func (m *Metric) Add(n int64) {
 	if m != nil {
 		m.v.Add(n)
-	}
-}
-
-// Set stores a gauge value. Nil-safe.
-func (m *Metric) Set(v int64) {
-	if m != nil {
-		m.v.Store(v)
 	}
 }
 
@@ -137,11 +127,6 @@ func (r *Registry) Counter(name, help string) *Metric {
 // are excluded from deterministic snapshots.
 func (r *Registry) VolatileCounter(name, help string) *Metric {
 	return r.get(name, help, KindCounter, true, nil)
-}
-
-// Gauge registers (or returns) a deterministic gauge. Nil-safe.
-func (r *Registry) Gauge(name, help string) *Metric {
-	return r.get(name, help, KindGauge, false, nil)
 }
 
 // Histogram registers (or returns) a deterministic histogram over the given

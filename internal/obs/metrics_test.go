@@ -13,7 +13,7 @@ func TestRegistryRegistrationOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last", "")
 	r.Counter("a.first", "")
-	r.Gauge("m.middle", "")
+	r.Histogram("m.middle", "", []int64{1})
 	snap := r.Snapshot(false)
 	got := []string{snap[0].Name, snap[1].Name, snap[2].Name}
 	want := []string{"z.last", "a.first", "m.middle"}
@@ -82,7 +82,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
 	m := r.Counter("x", "")
 	m.Add(1)
-	m.Set(2)
 	m.Observe(3)
 	if r.Snapshot(true) != nil {
 		t.Error("nil registry produced a snapshot")

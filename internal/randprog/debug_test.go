@@ -2,8 +2,8 @@ package randprog
 
 // Bisection helper for fuzzer findings: set the seed/config below, remove
 // the Skip, and the first pass whose output diverges from the baseline
-// outcome is reported. Built on jit.CompileFuncObserved so it always matches
-// the production pipeline exactly.
+// outcome is reported. Built on CompileOptions.AfterPass, so it observes the
+// production pipeline itself.
 
 import (
 	"fmt"
@@ -39,21 +39,19 @@ func TestBisectSeed(t *testing.T) {
 	fmt.Printf("baseline: %d %v cycles=%d\n", wantV, wantE, baseCycles)
 
 	p, fn := Generate(DefaultConfig(seed))
-	// Compile the helper methods first, as CompileProgram would.
-	for _, m := range p.Methods {
-		if m.Fn != nil && m.Fn != fn {
-			if err := jit.CompileFuncObserved(m.Fn, cfg, model, nil); err != nil {
-				t.Fatalf("callee %s: %v", m.QualifiedName(), err)
+	cfg.Verify = true
+	_, err := jit.CompileProgramWith(p, cfg, model, jit.CompileOptions{
+		AfterPass: func(pass string, f *ir.Func, _ time.Duration) error {
+			if f != fn {
+				return nil
 			}
-		}
-	}
-	err := jit.CompileFuncObserved(fn, cfg, model, func(pass string, f *ir.Func, _ time.Duration) error {
-		gotV, gotE, cycles := run(p, f)
-		fmt.Printf("%-16s %d %v cycles=%d\n", pass, gotV, gotE, cycles)
-		if gotV != wantV || gotE != wantE {
-			return fmt.Errorf("diverged (got %d %v, want %d %v)\n%s", gotV, gotE, wantV, wantE, f)
-		}
-		return nil
+			gotV, gotE, cycles := run(p, f)
+			fmt.Printf("%-16s %d %v cycles=%d\n", pass, gotV, gotE, cycles)
+			if gotV != wantV || gotE != wantE {
+				return fmt.Errorf("diverged (got %d %v, want %d %v)\n%s", gotV, gotE, wantV, wantE, f)
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

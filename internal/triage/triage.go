@@ -229,10 +229,11 @@ type snapshot struct {
 
 // bisect finds the first pass after which the program's behaviour on the
 // diverging input no longer matches the baseline. It recompiles a fresh copy
-// under a pass observer, cloning the function after every pass, then replays
-// the timeline: evaluation step i runs the program with every method's body
-// set to its latest snapshot at or before i (methods not yet compiled keep
-// their unoptimized bodies). Method.Fn swapping is sound because the machine
+// once, whole-program and with the structural verifier on, under an AfterPass
+// observer that clones every function after every pass, then replays the
+// timeline: evaluation step i runs the program with every method's body set
+// to its latest snapshot at or before i (methods not yet compiled keep their
+// unoptimized bodies). Method.Fn swapping is sound because the machine
 // resolves every call through Callee.Fn at call time and Func.Clone shares
 // the program-level metadata.
 func bisect(c Case, div *Divergence, rep *Report) error {
@@ -240,7 +241,7 @@ func bisect(c Case, div *Divergence, rep *Report) error {
 
 	var entryMethod *ir.Method
 	initial := make(map[*ir.Method]*ir.Func)
-	var order []*ir.Method
+	owner := make(map[*ir.Func]*ir.Method)
 	for _, m := range prog.Methods {
 		if m.Fn == nil {
 			continue
@@ -249,29 +250,28 @@ func bisect(c Case, div *Divergence, rep *Report) error {
 			entryMethod = m
 		}
 		initial[m] = m.Fn.Clone()
-		order = append(order, m)
+		owner[m.Fn] = m
 	}
 	if entryMethod == nil {
 		return fmt.Errorf("entry function %s is not a method of the program", entry.Name)
 	}
 
-	// Compile in program order — the same order CompileProgram uses, so
-	// inlining sees identically-optimized callees.
 	var timeline []snapshot
-	for _, m := range order {
-		m := m
-		err := jit.CompileFuncObserved(m.Fn, c.Config, c.Model, func(pass string, f *ir.Func, elapsed time.Duration) error {
-			timeline = append(timeline, snapshot{m: m, pass: pass, fn: f.Clone(), elapsed: elapsed})
+	cfg := c.Config
+	cfg.Verify = true
+	_, err := jit.CompileProgramWith(prog, cfg, c.Model, jit.CompileOptions{
+		AfterPass: func(pass string, f *ir.Func, elapsed time.Duration) error {
+			timeline = append(timeline, snapshot{m: owner[f], pass: pass, fn: f.Clone(), elapsed: elapsed})
 			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("observed compile of %s: %w", m.QualifiedName(), err)
-		}
+		},
+	})
+	if err != nil {
+		return fmt.Errorf("observed compile: %w", err)
 	}
 
-	compiled := make(map[*ir.Method]*ir.Func)
-	for _, m := range order {
-		compiled[m] = m.Fn
+	compiled := make(map[*ir.Method]*ir.Func, len(owner))
+	for f, m := range owner {
+		compiled[m] = f
 	}
 	current := make(map[*ir.Method]*ir.Func, len(initial))
 	for m, f := range initial {
