@@ -15,6 +15,10 @@ go vet ./internal/irverify ./internal/triage
 # go build ./... nor the test suite compiles it. Vet it so an internal/ API
 # change that breaks the benchmark fails here, not in a benchmark run.
 (cd perfbench && go vet .)
+# perfbench's self-tests, among them the check that the traced compile-cold
+# run's pass replica compiles exactly what the production pipeline does —
+# run here so a drift fails CI, not only a benchmark run.
+(cd perfbench && go test -short .)
 # Format gate: every tracked Go file must be gofmt-clean.
 test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...

@@ -40,27 +40,6 @@ func New(n int) *Set {
 	return s
 }
 
-// NewPair returns two independent empty sets of size n sharing one heap
-// allocation — the gen/kill summary shape every per-block data-flow scan
-// builds, so a scan costs one object instead of two (or four).
-func NewPair(n int) (*Set, *Set) {
-	if n < 0 {
-		panic(fmt.Sprintf("bitset: negative size %d", n))
-	}
-	w := (n + wordBits - 1) / wordBits
-	p := new([2]Set)
-	p[0].n, p[1].n = n, n
-	if w <= len(p[0].inline) {
-		p[0].words = p[0].inline[:w]
-		p[1].words = p[1].inline[:w]
-	} else {
-		backing := make([]uint64, 2*w)
-		p[0].words = backing[:w:w]
-		p[1].words = backing[w:]
-	}
-	return &p[0], &p[1]
-}
-
 // NewFull returns a set of size n with every bit set.
 func NewFull(n int) *Set {
 	s := New(n)
@@ -69,21 +48,61 @@ func NewFull(n int) *Set {
 }
 
 // NewSlab returns count independent empty sets of size n carved out of a
-// single backing allocation. A data-flow solver materializing In/Out sets for
-// every block of a large function allocates twice instead of 2×count times.
+// single backing allocation.
 func NewSlab(count, n int) []*Set {
+	return new(Slab).Carve(count, n)
+}
+
+// Slab is reusable storage for many sets of one size: a data-flow solver
+// materializing In/Out sets (and gen/kill summaries) for every block of a
+// function carves them all out of one slab, and a pooled slab is carved again
+// by the next solve without allocating once it is large enough.
+type Slab struct {
+	words []uint64
+	hdrs  []Set
+	sets  []*Set
+}
+
+// Carve returns count empty sets of size n backed by the slab, growing its
+// storage only when it is too small. It invalidates every set carved from
+// the slab before: their storage is reused.
+func (sl *Slab) Carve(count, n int) []*Set {
 	if n < 0 || count < 0 {
 		panic(fmt.Sprintf("bitset: negative slab dimensions %d×%d", count, n))
 	}
-	words := (n + wordBits - 1) / wordBits
-	backing := make([]uint64, count*words)
-	hdrs := make([]Set, count)
-	out := make([]*Set, count)
-	for i := range hdrs {
-		hdrs[i] = Set{n: n, words: backing[i*words : (i+1)*words : (i+1)*words]}
-		out[i] = &hdrs[i]
+	w := (n + wordBits - 1) / wordBits
+	sl.words = reuse(sl.words, count*w)
+	if cap(sl.hdrs) < count {
+		sl.hdrs = make([]Set, count)
+		sl.sets = make([]*Set, count)
 	}
-	return out
+	sl.hdrs, sl.sets = sl.hdrs[:count], sl.sets[:count]
+	for i := range sl.hdrs {
+		sl.hdrs[i] = Set{n: n, words: sl.words[i*w : (i+1)*w : (i+1)*w]}
+		sl.sets[i] = &sl.hdrs[i]
+	}
+	return sl.sets
+}
+
+// Reset makes s an empty set able to hold elements 0..n-1, reusing its
+// storage when it is large enough.
+func (s *Set) Reset(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("bitset: negative size %d", n))
+	}
+	s.n = n
+	s.words = reuse(s.words, (n+wordBits-1)/wordBits)
+}
+
+// reuse returns words resized to w zeroed words, allocating only when its
+// capacity is too small.
+func reuse(words []uint64, w int) []uint64 {
+	if cap(words) < w {
+		return make([]uint64, w)
+	}
+	words = words[:w]
+	clear(words)
+	return words
 }
 
 // Len returns the number of elements the set can hold.

@@ -24,32 +24,9 @@ func ReversePostorderWithHandlers(f *ir.Func) []*ir.Block {
 }
 
 func rpo(f *ir.Func, withHandlers bool) []*ir.Block {
-	// Dense visited marks and a pre-sized postorder buffer: this runs once
-	// per Solve, and compile time is itself measured (Tables 3–5).
-	seen := make([]bool, f.MaxBlockID()+1)
-	post := make([]*ir.Block, 0, len(f.Blocks))
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b.ID] = true
-		for _, s := range b.Succs {
-			if !seen[s.ID] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry)
-	if withHandlers {
-		for _, r := range f.Regions {
-			if !seen[r.Handler.ID] {
-				dfs(r.Handler)
-			}
-		}
-	}
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
+	var n Numbering
+	n.Renumber(f, withHandlers)
+	return n.Order
 }
 
 // Numbering is a reverse-postorder numbering of the reachable blocks: Order
@@ -71,15 +48,54 @@ func (n *Numbering) Reaches(b *ir.Block) bool {
 // traversal additionally at every try-region handler when withHandlers is
 // set (the variant every analysis feeding a transformation wants).
 func NumberReversePostorder(f *ir.Func, withHandlers bool) *Numbering {
-	order := rpo(f, withHandlers)
-	pos := make([]int32, f.MaxBlockID()+1)
-	for i := range pos {
-		pos[i] = -1
+	n := new(Numbering)
+	n.Renumber(f, withHandlers)
+	return n
+}
+
+// Renumber recomputes n for f in place, reusing n's storage: a pooled
+// Numbering renumbers without allocating once it has seen a function as
+// large.
+func (n *Numbering) Renumber(f *ir.Func, withHandlers bool) {
+	size := f.MaxBlockID() + 1
+	if cap(n.Pos) < size {
+		n.Pos = make([]int32, size)
 	}
-	for i, b := range order {
-		pos[b.ID] = int32(i)
+	n.Pos = n.Pos[:size]
+	for i := range n.Pos {
+		n.Pos[i] = -1
 	}
-	return &Numbering{Order: order, Pos: pos}
+	if cap(n.Order) < len(f.Blocks) {
+		n.Order = make([]*ir.Block, 0, len(f.Blocks))
+	}
+	n.Order = n.Order[:0]
+	n.visit(f.Entry)
+	if withHandlers {
+		for _, r := range f.Regions {
+			if n.Pos[r.Handler.ID] < 0 {
+				n.visit(r.Handler)
+			}
+		}
+	}
+	post := n.Order
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	for i, b := range post {
+		n.Pos[b.ID] = int32(i)
+	}
+}
+
+// visit appends the blocks first reached from b to n.Order in postorder.
+// During the traversal a Pos of 0 marks a block as seen.
+func (n *Numbering) visit(b *ir.Block) {
+	n.Pos[b.ID] = 0
+	for _, s := range b.Succs {
+		if n.Pos[s.ID] < 0 {
+			n.visit(s)
+		}
+	}
+	n.Order = append(n.Order, b)
 }
 
 // Reachable returns the set of blocks reachable from entry.

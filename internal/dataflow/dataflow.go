@@ -1,7 +1,7 @@
 // Package dataflow implements a generic iterative bit-vector data-flow
 // solver. All four analyses of the paper (§4.1.1 backward insertion, §4.1.2
 // forward non-null, §4.2.1 forward motion, §4.2.2 backward substitutable)
-// instantiate it with their own Gen/Kill/Edge functions over variable-indexed
+// instantiate it with their own Scan/Edge functions over variable-indexed
 // sets.
 //
 // The solver is a priority worklist: blocks are drained in reverse-postorder
@@ -9,11 +9,17 @@
 // re-enqueued only when the output of a neighbor it depends on actually
 // changes. On reducible CFGs forward problems converge in near one pass, and
 // the per-block state lives in dense slices indexed by Block.ID with all
-// meets performed in place — the solver allocates nothing per iteration.
-// Compile time is itself a measured quantity here (Tables 3–5).
+// meets performed in place. That state — the In/Out and gen/kill slabs, the
+// dense tables, the block numbering, the worklist and the scratch sets —
+// comes from a pooled workspace that Result.Release hands back, so the
+// solver allocates nothing per iteration and nothing per solve after the
+// first beyond the Result header. Compile time is itself a measured quantity
+// here (Tables 3–5).
 package dataflow
 
 import (
+	"sync"
+
 	"trapnull/internal/bitset"
 	"trapnull/internal/cfg"
 	"trapnull/internal/ir"
@@ -37,8 +43,8 @@ const (
 	Union
 )
 
-// Problem describes one bit-vector data-flow problem. Gen and Kill summarize
-// a whole block; EdgeSubtract removes elements crossing a specific edge (the
+// Problem describes one bit-vector data-flow problem. Scan summarizes a
+// whole block; EdgeSubtract removes elements crossing a specific edge (the
 // paper's Edge_try) and EdgeAdd injects elements on an edge (the paper's
 // Edge sets: ifnonnull outcomes, the `this` parameter). Either edge function
 // may be nil. The solver does not retain the sets returned by the edge
@@ -48,8 +54,11 @@ type Problem struct {
 	Meet     Meet
 	Size     int
 	Boundary *bitset.Set // value at the CFG boundary (entry or all exits)
-	Gen      func(b *ir.Block) *bitset.Set
-	Kill     func(b *ir.Block) *bitset.Set
+	// Scan adds block b's generated elements to gen and its killed elements
+	// to kill: every analysis here derives both from one walk over the
+	// block. Solve calls it once per reachable block with two empty sets of
+	// Size that it owns; Scan must not retain them.
+	Scan func(b *ir.Block, gen, kill *bitset.Set)
 
 	EdgeSubtract func(from, to *ir.Block) *bitset.Set
 	EdgeAdd      func(from, to *ir.Block) *bitset.Set
@@ -59,6 +68,7 @@ type Problem struct {
 type Result struct {
 	in  []*bitset.Set
 	out []*bitset.Set
+	ws  *workspace
 }
 
 // In returns the fixpoint value at the entry of b.
@@ -67,48 +77,55 @@ func (r *Result) In(b *ir.Block) *bitset.Set { return r.in[b.ID] }
 // Out returns the fixpoint value at the exit of b.
 func (r *Result) Out(b *ir.Block) *bitset.Set { return r.out[b.ID] }
 
-// GenKill adapts a combined per-block scan into the separate Gen/Kill
-// accessors of Problem, computing each block's summary exactly once. Every
-// analysis in this repository derives gen and kill from one walk over the
-// block, so this halves summary construction cost. The cache is a dense
-// slice by Block.ID scoped to the returned closures — one Solve — so
-// repeated compilations neither rescan blocks nor retain summaries of
-// functions long gone.
-func GenKill(scan func(b *ir.Block) (gen, kill *bitset.Set)) (genFn, killFn func(*ir.Block) *bitset.Set) {
-	var gens, kills []*bitset.Set
-	get := func(b *ir.Block) (*bitset.Set, *bitset.Set) {
-		id := b.ID
-		if id >= len(gens) {
-			// Grow geometrically: the solver asks for summaries in block-ID
-			// order often enough that one-element growth would reallocate
-			// per block.
-			newCap := 2 * len(gens)
-			if newCap <= id {
-				newCap = id + 1
-			}
-			grown := make([]*bitset.Set, newCap)
-			copy(grown, gens)
-			gens = grown
-			grown = make([]*bitset.Set, newCap)
-			copy(grown, kills)
-			kills = grown
-		}
-		if gens[id] == nil {
-			gens[id], kills[id] = scan(b)
-		}
-		return gens[id], kills[id]
+// Release hands the result's memory back for the next Solve to reuse. The
+// result and every set it returned are invalid afterwards. Releasing is
+// optional — an unreleased result is garbage-collected like any value, which
+// is how callers whose sets outlive them use it — and a second Release is a
+// no-op.
+func (r *Result) Release() {
+	if r.ws == nil {
+		return
 	}
-	return func(b *ir.Block) *bitset.Set { g, _ := get(b); return g },
-		func(b *ir.Block) *bitset.Set { _, k := get(b); return k }
+	ws := r.ws
+	r.in, r.out, r.ws = nil, nil, nil
+	workspaces.Put(ws)
+}
+
+// workspace is all the memory one Solve uses. Workspaces live in a
+// package-level pool, the package's only state; sync.Pool makes it safe for
+// concurrent solves, and each live Result owns its workspace exclusively.
+type workspace struct {
+	num            cfg.Numbering
+	state, summary bitset.Slab
+	in, out        []*bitset.Set
+	gen, kill      []*bitset.Set
+	byPrio         []*ir.Block
+	prio           []int32
+	work, edge     bitset.Set
+	boundary       bitset.Set
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// dense returns s resized to n nil entries, reusing its storage.
+func dense(s []*bitset.Set, n int) []*bitset.Set {
+	if cap(s) < n {
+		return make([]*bitset.Set, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Solve runs the worklist algorithm to a fixpoint over the reachable blocks
-// of f. Unreachable blocks receive empty sets. The returned sets are owned by
-// the caller.
+// of f. Unreachable blocks receive empty sets. The returned sets stay valid
+// until the caller releases the Result.
 func Solve(f *ir.Func, p *Problem) *Result {
+	ws := workspaces.Get().(*workspace)
 	// Handlers run even though no CFG edge reaches them; they participate
 	// in every analysis with a conservative (empty) entry value.
-	num := cfg.NumberReversePostorder(f, true)
+	num := &ws.num
+	num.Renumber(f, true)
 
 	// byPrio orders blocks by processing priority: ascending RPO position
 	// for forward problems, descending (≈ postorder) for backward ones.
@@ -116,46 +133,50 @@ func Solve(f *ir.Func, p *Problem) *Result {
 	prio := num.Pos
 	if p.Dir == Backward {
 		n := len(num.Order)
-		byPrio = make([]*ir.Block, n)
-		prio = make([]int32, len(num.Pos))
-		copy(prio, num.Pos)
+		if cap(ws.byPrio) < n {
+			ws.byPrio = make([]*ir.Block, n)
+		}
+		byPrio = ws.byPrio[:n]
+		prio = append(ws.prio[:0], num.Pos...)
+		ws.prio = prio
 		for i, b := range num.Order {
 			byPrio[n-1-i] = b
 			prio[b.ID] = int32(n - 1 - i)
 		}
 	}
 
-	res := &Result{
-		in:  make([]*bitset.Set, f.MaxBlockID()+1),
-		out: make([]*bitset.Set, f.MaxBlockID()+1),
-	}
+	ids := f.MaxBlockID() + 1
+	ws.in, ws.out = dense(ws.in, ids), dense(ws.out, ids)
+	res := &Result{in: ws.in, out: ws.out, ws: ws}
 	// Intersection problems start optimistic (full sets) so that loops reach
 	// the greatest fixpoint; union problems start empty for the least one.
 	// Unreachable blocks keep empty sets either way.
-	slab := bitset.NewSlab(2*len(f.Blocks), p.Size)
+	state := ws.state.Carve(2*len(f.Blocks), p.Size)
 	for i, b := range f.Blocks {
-		res.in[b.ID] = slab[2*i]
-		res.out[b.ID] = slab[2*i+1]
+		res.in[b.ID] = state[2*i]
+		res.out[b.ID] = state[2*i+1]
 		if p.Meet == Intersect && num.Reaches(b) {
 			res.in[b.ID].Fill()
 			res.out[b.ID].Fill()
 		}
 	}
 
-	gen := make([]*bitset.Set, f.MaxBlockID()+1)
-	kill := make([]*bitset.Set, f.MaxBlockID()+1)
-	for _, b := range num.Order {
-		gen[b.ID] = p.Gen(b)
-		kill[b.ID] = p.Kill(b)
+	gen, kill := dense(ws.gen, ids), dense(ws.kill, ids)
+	ws.gen, ws.kill = gen, kill
+	sums := ws.summary.Carve(2*len(num.Order), p.Size)
+	for i, b := range num.Order {
+		gen[b.ID], kill[b.ID] = sums[2*i], sums[2*i+1]
+		p.Scan(b, gen[b.ID], kill[b.ID])
 	}
 
 	boundary := p.Boundary
 	if boundary == nil {
-		boundary = bitset.New(p.Size)
+		ws.boundary.Reset(p.Size)
+		boundary = &ws.boundary
 	}
-	var edgeScratch *bitset.Set
+	edgeScratch := &ws.edge
 	if p.EdgeAdd != nil || p.EdgeSubtract != nil {
-		edgeScratch = bitset.New(p.Size)
+		edgeScratch.Reset(p.Size)
 	}
 
 	// meetFrom folds the (edge-adjusted) value of one reachable neighbor
@@ -188,7 +209,8 @@ func Solve(f *ir.Func, p *Problem) *Result {
 	// The worklist holds priority positions; popping the minimum processes
 	// blocks in convergence order. Seed it with every reachable block so
 	// each is visited at least once.
-	work := bitset.New(len(byPrio))
+	work := &ws.work
+	work.Reset(len(byPrio))
 	work.Fill()
 
 	for {

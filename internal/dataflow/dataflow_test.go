@@ -54,12 +54,16 @@ func setOf(size int, elems ...int) *bitset.Set {
 	return s
 }
 
-func constGen(m map[*ir.Block]*bitset.Set, size int) func(*ir.Block) *bitset.Set {
-	return func(b *ir.Block) *bitset.Set {
-		if s, ok := m[b]; ok {
-			return s.Copy()
+// scanOf summarizes each block by its entries in the gen and kill maps;
+// blocks absent from a map get the empty set Solve supplies.
+func scanOf(gen, kill map[*ir.Block]*bitset.Set) func(*ir.Block, *bitset.Set, *bitset.Set) {
+	return func(b *ir.Block, g, k *bitset.Set) {
+		if s, ok := gen[b]; ok {
+			g.CopyFrom(s)
 		}
-		return bitset.New(size)
+		if s, ok := kill[b]; ok {
+			k.CopyFrom(s)
+		}
 	}
 }
 
@@ -69,8 +73,7 @@ func TestForwardUnionPropagates(t *testing.T) {
 	gen := map[*ir.Block]*bitset.Set{blocks[0]: setOf(size, 1)}
 	res := Solve(f, &Problem{
 		Dir: Forward, Meet: Union, Size: size,
-		Gen:  constGen(gen, size),
-		Kill: constGen(nil, size),
+		Scan: scanOf(gen, nil),
 	})
 	if !res.In(blocks[2]).Has(1) {
 		t.Fatalf("bit 1 did not reach exit: In(exit) = %v", res.In(blocks[2]))
@@ -87,8 +90,7 @@ func TestForwardKillStopsPropagation(t *testing.T) {
 	kill := map[*ir.Block]*bitset.Set{blocks[1]: setOf(size, 1)}
 	res := Solve(f, &Problem{
 		Dir: Forward, Meet: Union, Size: size,
-		Gen:  constGen(gen, size),
-		Kill: constGen(kill, size),
+		Scan: scanOf(gen, kill),
 	})
 	if res.In(blocks[2]).Has(1) {
 		t.Fatal("killed bit reached exit")
@@ -126,8 +128,7 @@ func TestForwardIntersectAtMerge(t *testing.T) {
 	}{{Intersect, false}, {Union, true}} {
 		res := Solve(f, &Problem{
 			Dir: Forward, Meet: tc.meet, Size: size,
-			Gen:  constGen(gen, size),
-			Kill: constGen(nil, size),
+			Scan: scanOf(gen, nil),
 		})
 		if got := res.In(merge).Has(0); got != tc.want {
 			t.Fatalf("meet=%v: In(merge).Has(0) = %v, want %v", tc.meet, got, tc.want)
@@ -144,8 +145,7 @@ func TestBackwardAnticipabilityThroughLoop(t *testing.T) {
 	gen := map[*ir.Block]*bitset.Set{m["body"]: setOf(size, 0), m["exit"]: setOf(size, 0)}
 	res := Solve(f, &Problem{
 		Dir: Backward, Meet: Intersect, Size: size,
-		Gen:  constGen(gen, size),
-		Kill: constGen(nil, size),
+		Scan: scanOf(gen, nil),
 	})
 	if !res.Out(m["header"]).Has(0) {
 		t.Fatal("bit generated on every path from header not anticipated at header exit")
@@ -158,8 +158,7 @@ func TestBackwardAnticipabilityThroughLoop(t *testing.T) {
 	gen2 := map[*ir.Block]*bitset.Set{m["body"]: setOf(size, 1)}
 	res2 := Solve(f, &Problem{
 		Dir: Backward, Meet: Intersect, Size: size,
-		Gen:  constGen(gen2, size),
-		Kill: constGen(nil, size),
+		Scan: scanOf(gen2, nil),
 	})
 	if res2.Out(m["header"]).Has(1) {
 		t.Fatal("body-only bit wrongly anticipated at header exit")
@@ -172,8 +171,7 @@ func TestBoundaryValueUsed(t *testing.T) {
 	res := Solve(f, &Problem{
 		Dir: Forward, Meet: Intersect, Size: size,
 		Boundary: setOf(size, 2),
-		Gen:      constGen(nil, size),
-		Kill:     constGen(nil, size),
+		Scan:     scanOf(nil, nil),
 	})
 	if !res.In(blocks[0]).Has(2) {
 		t.Fatal("boundary bit missing from entry In")
@@ -189,8 +187,7 @@ func TestEdgeSubtract(t *testing.T) {
 	gen := map[*ir.Block]*bitset.Set{blocks[0]: setOf(size, 0)}
 	res := Solve(f, &Problem{
 		Dir: Forward, Meet: Union, Size: size,
-		Gen:  constGen(gen, size),
-		Kill: constGen(nil, size),
+		Scan: scanOf(gen, nil),
 		EdgeSubtract: func(from, to *ir.Block) *bitset.Set {
 			if from == blocks[1] && to == blocks[2] {
 				return setOf(size, 0)
@@ -211,8 +208,7 @@ func TestEdgeAdd(t *testing.T) {
 	const size = 2
 	res := Solve(f, &Problem{
 		Dir: Forward, Meet: Union, Size: size,
-		Gen:  constGen(nil, size),
-		Kill: constGen(nil, size),
+		Scan: scanOf(nil, nil),
 		EdgeAdd: func(from, to *ir.Block) *bitset.Set {
 			if from == blocks[0] && to == blocks[1] {
 				return setOf(size, 1)
@@ -239,37 +235,41 @@ func TestUnreachableBlocksGetEmptySets(t *testing.T) {
 	res := Solve(f, &Problem{
 		Dir: Forward, Meet: Intersect, Size: 4,
 		Boundary: setOf(4, 1),
-		Gen:      constGen(nil, 4),
-		Kill:     constGen(nil, 4),
+		Scan:     scanOf(nil, nil),
 	})
 	if !res.In(dead).IsEmpty() || !res.Out(dead).IsEmpty() {
 		t.Fatal("unreachable block should have empty sets")
 	}
 }
 
-func TestGenKillMemoizesSingleScan(t *testing.T) {
+func TestScanRunsOncePerReachableBlock(t *testing.T) {
 	f, blocks := straightLine()
-	scans := 0
-	gen, kill := GenKill(func(b *ir.Block) (*bitset.Set, *bitset.Set) {
-		scans++
-		g := bitset.New(4)
-		g.Add(1)
-		return g, bitset.New(4)
+	dead := f.NewBlock("dead")
+	dead.Instrs = []*ir.Instr{{Op: ir.OpReturn, Dst: ir.NoVar, Args: []ir.Operand{ir.ConstInt(0)}}}
+	f.RecomputeEdges()
+	scans := map[*ir.Block]int{}
+	res := Solve(f, &Problem{
+		Dir: Forward, Meet: Union, Size: 4,
+		Scan: func(b *ir.Block, gen, kill *bitset.Set) {
+			scans[b]++
+			if !gen.IsEmpty() || !kill.IsEmpty() || gen.Len() != 4 || kill.Len() != 4 {
+				t.Fatalf("%s: Scan got gen %v, kill %v; want two empty sets of size 4", b, gen, kill)
+			}
+			gen.Add(1)
+		},
 	})
-	for i := 0; i < 3; i++ {
-		for _, b := range blocks {
-			if !gen(b).Has(1) {
-				t.Fatal("gen lost")
-			}
-			if !kill(b).IsEmpty() {
-				t.Fatal("kill wrong")
-			}
+	defer res.Release()
+	for _, b := range blocks {
+		if scans[b] != 1 {
+			t.Errorf("%s scanned %d times, want once", b, scans[b])
 		}
 	}
-	if scans != len(blocks) {
-		t.Fatalf("scanned %d times for %d blocks; memoization broken", scans, len(blocks))
+	if scans[dead] != 0 {
+		t.Errorf("unreachable block scanned %d times", scans[dead])
 	}
-	_ = f
+	if !res.Out(blocks[2]).Has(1) {
+		t.Fatal("Scan's gen lost")
+	}
 }
 
 func TestHandlerBlocksParticipateInAnalysis(t *testing.T) {
@@ -304,8 +304,7 @@ func TestHandlerBlocksParticipateInAnalysis(t *testing.T) {
 	genVals := map[*ir.Block]*bitset.Set{handler: setOf(size, 2)}
 	res := Solve(f, &Problem{
 		Dir: Forward, Meet: Union, Size: size,
-		Gen:  constGen(genVals, size),
-		Kill: constGen(nil, size),
+		Scan: scanOf(genVals, nil),
 	})
 	if !res.Out(handler).Has(2) {
 		t.Fatal("handler block not analyzed")

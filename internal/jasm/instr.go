@@ -100,6 +100,9 @@ func (fp *funcParser) instr(line string) error {
 	if !fp.started {
 		return fp.errf("instruction before first block label: %q", line)
 	}
+	if t := fp.b.Cur().Terminator(); t != nil {
+		return fp.errf("instruction %q after the terminator of block %s", line, fp.b.Cur().Name)
+	}
 
 	// Annotations: "@excsite vN" marks the instruction as an implicit null
 	// check exception site; "@spec" marks a speculated load. They attach to

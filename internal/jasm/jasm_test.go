@@ -220,6 +220,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown field", "class C {\n int f\n}\nfunc main() int {\nentry:\n  var p ref\n  p = new C\n  putfield p, C.g, 1\n  return 0\n}", "unknown field"},
 		{"bad if", "func main(n int) int {\nentry:\n  if n goto A else B\n}", "malformed if"},
 		{"unknown region", "func main() int {\nentry (try R9):\n  return 0\n}", "unknown region"},
+		{"instr after terminator", afterTerminator, "line 4: instruction \"return 1\" after the terminator of block entry"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,8 +41,9 @@ type Config struct {
 	InlineBudget int
 
 	Algo Algo
-	// Iterations is how many times the null check algorithm iterates with
-	// the other optimizations (Figure 2's loop); minimum 1.
+	// Iterations caps how many times the null check algorithm iterates with
+	// the other optimizations (Figure 2's loop); minimum 1. The loop stops
+	// early after the first round in which no pass changes anything.
 	Iterations int
 	// OtherOpts enables bounds check elimination, scalar replacement, copy
 	// propagation and DCE in each iteration.
@@ -153,8 +154,10 @@ type CompileOptions struct {
 // for execution on execModel. Workload constructors build a fresh program
 // per compilation, so in-place rewriting is safe. Calls on distinct programs
 // are safe to run concurrently: all statistics accumulate into the per-call
-// Result and neither this package nor the passes it drives keep mutable
-// package-level state — the parallel bench harness relies on this.
+// Result, and the one package-level state the passes reach is the dataflow
+// solver's workspace pool, which is safe for concurrent use and hands each
+// solve memory no other live solve holds — the parallel bench harness
+// relies on this.
 func CompileProgram(prog *ir.Program, cfg Config, execModel *arch.Model) (*Result, error) {
 	return CompileProgramWith(prog, cfg, execModel, CompileOptions{})
 }
@@ -164,12 +167,18 @@ func CompileProgram(prog *ir.Program, cfg Config, execModel *arch.Model) (*Resul
 // callees' final (already optimized) bodies when they precede it and their
 // pristine bodies otherwise.
 func CompileProgramWith(prog *ir.Program, cfg Config, execModel *arch.Model, opts CompileOptions) (*Result, error) {
+	return compileProgram(prog, pipeline(cfg, execModel), cfg, execModel, opts)
+}
+
+// compileProgram compiles every method of prog through passes, cfg's
+// pipeline built once for the whole program.
+func compileProgram(prog *ir.Program, passes []pass, cfg Config, execModel *arch.Model, opts CompileOptions) (*Result, error) {
 	res := &Result{Config: cfg}
 	for _, m := range prog.Methods {
 		if m.Fn == nil {
 			continue
 		}
-		if err := compileFunc(m, cfg, execModel, res, opts); err != nil {
+		if err := compileFunc(m, passes, cfg, execModel, res, opts); err != nil {
 			return nil, fmt.Errorf("%s: %w", m.QualifiedName(), err)
 		}
 		res.FuncsCompiled++
@@ -209,10 +218,16 @@ func finishProgramStats(prog *ir.Program, res *Result) {
 	}
 }
 
-// compileFunc runs the cfg pipeline on m's body, registering a fate ledger
+// compileFunc runs cfg's pass list on m's body, registering a fate ledger
 // for it when opts.Observer collects remarks. It is the one loop over
 // pipeline(): every compile, observed or not, runs its passes here.
-func compileFunc(m *ir.Method, cfg Config, execModel *arch.Model, res *Result, opts CompileOptions) error {
+//
+// cfg.Iterations caps Figure 2's loop rather than fixing its length. Every
+// pass is a deterministic function of the IR, so a round in which no pass
+// changes anything is a fixed point and so is every round after it: those
+// rounds are skipped, and the passes after the loop run on the same IR the
+// fully unrolled pipeline would hand them.
+func compileFunc(m *ir.Method, passes []pass, cfg Config, execModel *arch.Model, res *Result, opts CompileOptions) error {
 	verify := cfg.Verify || envVerify
 	f, name, ob := m.Fn, m.QualifiedName(), opts.Observer
 	var ledger *obs.Ledger
@@ -229,13 +244,22 @@ func compileFunc(m *ir.Method, cfg Config, execModel *arch.Model, res *Result, o
 				map[string]any{"instrs": f.NumInstrs(), "config": cfg.Name})
 		}()
 	}
-	for _, p := range pipeline(cfg, execModel) {
+	round, changes := 0, 0
+	for _, p := range passes {
+		if p.round > round {
+			if round > 0 && changes == 0 {
+				continue // the previous round was quiescent
+			}
+			round, changes = p.round, 0
+		}
 		if ledger != nil {
 			ledger.BeginPass(p.name)
 		}
-		if err := runPass(p, name, f, res, verify, opts); err != nil {
+		n, err := runPass(p, name, f, res, verify, opts)
+		if err != nil {
 			return err
 		}
+		changes += n
 		if ledger != nil {
 			ledger.Sync()
 		}

@@ -36,12 +36,18 @@ type pass struct {
 	// null accounts the pass's time to Times.NullCheckOpt (Table 4's split);
 	// everything else bills to Times.Other.
 	null bool
-	run  func(f *ir.Func, res *Result)
+	// round is the pass's Figure 2 round, counted from 1; 0 marks the passes
+	// before and after the iterated loop, which always run.
+	round int
+	// run applies the pass and returns how many changes it made; zero means
+	// it left f as it found it (runPass also counts blocks it created).
+	run func(f *ir.Func, res *Result) int
 }
 
-// pipeline assembles the ordered pass list for one configuration. compileFunc
-// is its only caller, so the production pipeline and the observed/bisected
-// one (CompileOptions.AfterPass) can never drift apart.
+// pipeline assembles the ordered pass list for one configuration.
+// CompileProgramWith builds it once per program, and compileFunc runs it, so
+// the production pipeline and the observed/bisected one
+// (CompileOptions.AfterPass) can never drift apart.
 func pipeline(cfg Config, execModel *arch.Model) []pass {
 	trapModel := cfg.Phase2Model
 	if trapModel == nil {
@@ -53,8 +59,9 @@ func pipeline(cfg Config, execModel *arch.Model) []pass {
 	scalarModel.SpeculativeReads = execModel.SpeculativeReads && cfg.Speculation
 
 	var ps []pass
-	add := func(name string, null bool, run func(*ir.Func, *Result)) {
-		ps = append(ps, pass{name: name, null: null, run: run})
+	round := 0
+	add := func(name string, null bool, run func(*ir.Func, *Result) int) {
+		ps = append(ps, pass{name: name, null: null, round: round, run: run})
 	}
 
 	if cfg.Inline {
@@ -62,101 +69,119 @@ func pipeline(cfg Config, execModel *arch.Model) []pass {
 		if budget == 0 {
 			budget = opt.InlineBudget
 		}
-		add("inline", false, func(f *ir.Func, res *Result) {
-			res.Inline.Add(opt.InlineWithBudget(f, execModel, budget))
+		add("inline", false, func(f *ir.Func, res *Result) int {
+			st := opt.InlineWithBudget(f, execModel, budget)
+			res.Inline.Add(st)
+			return st.Devirtualized + st.Inlined + st.Intrinsified
 		})
 	}
 	if cfg.OtherOpts {
 		// Rotate top-tested loops into the guarded do-while shape before
 		// any PRE runs: anticipability needs bodies on every path.
-		add("rotate", false, func(f *ir.Func, res *Result) {
-			opt.RotateLoops(f)
+		add("rotate", false, func(f *ir.Func, res *Result) int {
+			return opt.RotateLoops(f)
 		})
 	}
 
+	// Figure 2's loop. The change counts stop it early: compileFunc skips
+	// every round after the first one in which no pass changed anything.
 	iters := cfg.Iterations
 	if iters < 1 {
 		iters = 1
 	}
 	for i := 0; i < iters; i++ {
+		round = i + 1
 		switch cfg.Algo {
 		case AlgoWhaley:
-			add(fmt.Sprintf("whaley#%d", i), true, func(f *ir.Func, res *Result) {
-				res.Checks.Add(nullcheck.Whaley(f))
+			add(fmt.Sprintf("whaley#%d", i), true, func(f *ir.Func, res *Result) int {
+				return addChecks(res, nullcheck.Whaley(f))
 			})
 		case AlgoNew:
-			add(fmt.Sprintf("phase1#%d", i), true, func(f *ir.Func, res *Result) {
-				res.Checks.Add(nullcheck.Phase1(f))
+			add(fmt.Sprintf("phase1#%d", i), true, func(f *ir.Func, res *Result) int {
+				return addChecks(res, nullcheck.Phase1(f))
 			})
 		}
 		if cfg.OtherOpts {
-			add(fmt.Sprintf("copyprop#%d", i), false, func(f *ir.Func, res *Result) {
-				opt.CopyProp(f)
+			add(fmt.Sprintf("copyprop#%d", i), false, func(f *ir.Func, res *Result) int {
+				return opt.CopyProp(f)
 			})
-			add(fmt.Sprintf("constfold#%d", i), false, func(f *ir.Func, res *Result) {
-				opt.ConstFold(f)
+			add(fmt.Sprintf("constfold#%d", i), false, func(f *ir.Func, res *Result) int {
+				return opt.ConstFold(f)
 			})
 			if cfg.LightScalar {
-				add(fmt.Sprintf("cse#%d", i), false, func(f *ir.Func, res *Result) {
-					res.Scalar.Add(opt.ScalarStats{CSE: opt.CSE(f)})
+				add(fmt.Sprintf("cse#%d", i), false, func(f *ir.Func, res *Result) int {
+					n := opt.CSE(f)
+					res.Scalar.Add(opt.ScalarStats{CSE: n})
+					return n
 				})
 			} else {
-				add(fmt.Sprintf("boundelim#%d", i), false, func(f *ir.Func, res *Result) {
-					res.BoundChecksRemoved += opt.BoundCheckElim(f)
+				add(fmt.Sprintf("boundelim#%d", i), false, func(f *ir.Func, res *Result) int {
+					n := opt.BoundCheckElim(f)
+					res.BoundChecksRemoved += n
+					return n
 				})
-				add(fmt.Sprintf("scalar#%d", i), false, func(f *ir.Func, res *Result) {
-					res.Scalar.Add(opt.ScalarReplace(f, &scalarModel))
+				add(fmt.Sprintf("scalar#%d", i), false, func(f *ir.Func, res *Result) int {
+					st := opt.ScalarReplace(f, &scalarModel)
+					res.Scalar.Add(st)
+					return st.CSE + st.Hoisted + st.Promoted + st.Speculated
 				})
 			}
-			add(fmt.Sprintf("dce#%d", i), false, func(f *ir.Func, res *Result) {
-				opt.DCE(f)
+			add(fmt.Sprintf("dce#%d", i), false, func(f *ir.Func, res *Result) int {
+				return opt.DCE(f)
 			})
 		}
 	}
+	round = 0
 
 	switch {
 	case cfg.Phase2:
-		add("phase2", true, func(f *ir.Func, res *Result) {
+		add("phase2", true, func(f *ir.Func, res *Result) int {
 			if cfg.InjectUnsafeSubstitution {
-				res.Checks.Add(nullcheck.Phase2UnsafeSubst(f, trapModel))
-			} else {
-				res.Checks.Add(nullcheck.Phase2(f, trapModel))
+				return addChecks(res, nullcheck.Phase2UnsafeSubst(f, trapModel))
 			}
+			return addChecks(res, nullcheck.Phase2(f, trapModel))
 		})
 	case cfg.TrapConvert:
-		add("trapconvert", true, func(f *ir.Func, res *Result) {
+		add("trapconvert", true, func(f *ir.Func, res *Result) int {
+			convert := nullcheck.ConvertToTraps
 			if cfg.InjectUnsafeSubstitution {
-				res.Checks.Implicit += nullcheck.ConvertToTrapsAnyPath(f, trapModel)
-			} else {
-				res.Checks.Implicit += nullcheck.ConvertToTraps(f, trapModel)
+				convert = nullcheck.ConvertToTrapsAnyPath
 			}
+			return addChecks(res, nullcheck.Stats{Implicit: convert(f, trapModel)})
 		})
 	case cfg.TrapFold:
-		add("trapfold", true, func(f *ir.Func, res *Result) {
-			res.Checks.Implicit += nullcheck.FoldAdjacentTraps(f, trapModel)
+		add("trapfold", true, func(f *ir.Func, res *Result) int {
+			return addChecks(res, nullcheck.Stats{Implicit: nullcheck.FoldAdjacentTraps(f, trapModel)})
 		})
 	}
 
-	add("cleanup", false, func(f *ir.Func, res *Result) {
-		opt.CopyProp(f)
-		opt.ConstFold(f)
-		opt.DCE(f)
-		opt.SimplifyCFG(f)
+	add("cleanup", false, func(f *ir.Func, res *Result) int {
+		return opt.CopyProp(f) + opt.ConstFold(f) + opt.DCE(f) + opt.SimplifyCFG(f)
 	})
 	return ps
 }
 
-// runPass executes one pass of method's body f with full containment: a
-// panic inside the pass — or a fault opts.PassFault injects for (method,
-// pass) — becomes a *PassError carrying the pass name, function, IR dump and
-// stack instead of unwinding the caller, and — when verify is set — the
-// structural verifier runs on the result so a silently-corrupting pass is
-// caught at the boundary it crossed. opts.AfterPass, if any, sees the
-// function after the pass (and after verification, so it only ever sees
-// verified IR). When opts.Observer carries a trace, the pass is wrapped in a
-// span recording its wall time, IR size before/after, and — when the
-// verifier ran — the verification time.
-func runPass(p pass, method string, f *ir.Func, res *Result, verify bool, opts CompileOptions) (err error) {
+// addChecks accumulates a null-check pass's statistics into res and returns
+// its change count. ExplicitRemaining is a census of the surviving checks,
+// not a change: it is non-zero even when the pass did nothing.
+func addChecks(res *Result, st nullcheck.Stats) int {
+	res.Checks.Add(st)
+	return st.Eliminated + st.Inserted + st.Implicit
+}
+
+// runPass executes one pass of method's body f and returns its change count:
+// what the pass reports plus the blocks it created (phase 1 and phase 2 split
+// critical edges without counting them). It runs the pass with full
+// containment: a panic inside the pass — or a fault opts.PassFault injects
+// for (method, pass) — becomes a *PassError carrying the pass name,
+// function, IR dump and stack instead of unwinding the caller, and — when
+// verify is set — the structural verifier runs on the result so a
+// silently-corrupting pass is caught at the boundary it crossed.
+// opts.AfterPass, if any, sees the function after the pass (and after
+// verification, so it only ever sees verified IR). When opts.Observer
+// carries a trace, the pass is wrapped in a span recording its wall time, IR
+// size before/after, and — when the verifier ran — the verification time.
+func runPass(p pass, method string, f *ir.Func, res *Result, verify bool, opts CompileOptions) (changes int, err error) {
 	start := time.Now()
 	ob := opts.Observer
 	tracing := ob.tracing()
@@ -190,10 +215,11 @@ func runPass(p pass, method string, f *ir.Func, res *Result, verify bool, opts C
 				panic(msg)
 			}
 		}
-		p.run(f, res)
+		blocks := f.MaxBlockID()
+		changes = p.run(f, res) + max(f.MaxBlockID()-blocks, 0)
 	}()
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	var verifyTime time.Duration
@@ -202,7 +228,7 @@ func runPass(p pass, method string, f *ir.Func, res *Result, verify bool, opts C
 		verr := irverify.Func(f)
 		verifyTime = time.Since(v0)
 		if verr != nil {
-			return &PassError{Pass: p.name, Func: f.Name, IRDump: safeDump(f), Err: verr, Elapsed: time.Since(start)}
+			return 0, &PassError{Pass: p.name, Func: f.Name, IRDump: safeDump(f), Err: verr, Elapsed: time.Since(start)}
 		}
 	}
 	if tracing {
@@ -214,10 +240,10 @@ func runPass(p pass, method string, f *ir.Func, res *Result, verify bool, opts C
 	}
 	if opts.AfterPass != nil {
 		if oerr := opts.AfterPass(p.name, f, time.Since(start)); oerr != nil {
-			return fmt.Errorf("after %s: %w", p.name, oerr)
+			return 0, fmt.Errorf("after %s: %w", p.name, oerr)
 		}
 	}
-	return nil
+	return changes, nil
 }
 
 // safeDump renders the function, tolerating IR so corrupt that printing

@@ -8,6 +8,7 @@ import (
 
 	"trapnull/internal/arch"
 	"trapnull/internal/ir"
+	"trapnull/internal/workloads"
 )
 
 func pipelineTestFunc() *ir.Func {
@@ -25,9 +26,9 @@ func pipelineTestFunc() *ir.Func {
 func TestRunPassContainsPanic(t *testing.T) {
 	f := pipelineTestFunc()
 	res := &Result{}
-	p := pass{name: "exploding", run: func(*ir.Func, *Result) { panic("kaboom") }}
+	p := pass{name: "exploding", run: func(*ir.Func, *Result) int { panic("kaboom") }}
 
-	err := runPass(p, "victim", f, res, false, CompileOptions{})
+	_, err := runPass(p, "victim", f, res, false, CompileOptions{})
 	var pe *PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %T (%v), want *PassError", err, err)
@@ -57,18 +58,19 @@ func TestRunPassContainsPanic(t *testing.T) {
 func TestRunPassVerifierCatchesCorruption(t *testing.T) {
 	f := pipelineTestFunc()
 	res := &Result{}
-	corrupt := pass{name: "corrupting", run: func(f *ir.Func, _ *Result) {
+	corrupt := pass{name: "corrupting", run: func(f *ir.Func, _ *Result) int {
 		// Drop the terminator: structurally invalid IR, but no panic.
 		e := f.Entry
 		e.Instrs = e.Instrs[:len(e.Instrs)-1]
+		return 1
 	}}
 
-	if err := runPass(corrupt, "victim", f, res, false, CompileOptions{}); err != nil {
+	if _, err := runPass(corrupt, "victim", f, res, false, CompileOptions{}); err != nil {
 		t.Fatalf("unverified pipeline should not notice: %v", err)
 	}
 
 	f2 := pipelineTestFunc()
-	err := runPass(corrupt, "victim", f2, res, true, CompileOptions{})
+	_, err := runPass(corrupt, "victim", f2, res, true, CompileOptions{})
 	var pe *PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %T (%v), want *PassError", err, err)
@@ -99,30 +101,85 @@ func benchCompile(b *testing.B, verify bool) {
 func BenchmarkCompileNoVerify(b *testing.B) { benchCompile(b, false) }
 func BenchmarkCompileVerify(b *testing.B)   { benchCompile(b, true) }
 
-// TestObserverSeesEveryPass: AfterPass reports the same pass names the
-// pipeline declares, in order, for every compiled function.
+// TestObserverSeesEveryPass: AfterPass reports, in order, the pass names
+// the pipeline declares minus exactly the rounds after the first quiescent
+// one — the first round that leaves the function as it found it, judged here
+// from the fully unrolled compile's IR. A function that changes in every
+// round sees every declared pass.
 func TestObserverSeesEveryPass(t *testing.T) {
 	cfg := ConfigPhase1Phase2()
-	var fromPipeline []string
 	model := arch.IA32Win()
-	for _, p := range pipeline(cfg, model) {
-		fromPipeline = append(fromPipeline, p.name)
+	declared := pipeline(cfg, model)
+	roundOf := map[string]int{}
+	for _, p := range declared {
+		roundOf[p.name] = p.round
 	}
-	prog, fn := sample()
-	var observed []string
-	_, err := CompileProgramWith(prog, cfg, model, CompileOptions{
-		AfterPass: func(pass string, f *ir.Func, _ time.Duration) error {
-			if f == fn {
-				observed = append(observed, pass)
+	sift := func() (*ir.Program, *ir.Func) {
+		w, err := workloads.ByName("NumericSort")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := w.Build()
+		return p, p.MethodByName("sift").Fn
+	}
+	for _, tc := range []struct {
+		name       string
+		build      func() (*ir.Program, *ir.Func)
+		everyRound bool
+	}{
+		{"sample", sample, false},
+		{"NumericSort.sift", sift, true},
+	} {
+		// after[r] is the function's IR at the end of round r of the
+		// unrolled compile; after[0] is its IR on entry to round 1.
+		prog, fn := tc.build()
+		after := make([]string, cfg.Iterations+1)
+		_, err := compileUnrolled(prog, cfg, model, CompileOptions{
+			AfterPass: func(pass string, f *ir.Func, _ time.Duration) error {
+				if f == fn && (roundOf[pass] > 0 || after[1] == "") {
+					after[roundOf[pass]] = f.String()
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		quiescent := cfg.Iterations
+		for r := 1; r <= cfg.Iterations; r++ {
+			if after[r] == after[r-1] {
+				quiescent = r
+				break
 			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(observed, ",") != strings.Join(fromPipeline, ",") {
-		t.Errorf("observed passes %v, pipeline declares %v", observed, fromPipeline)
+		}
+		var want []string
+		for _, p := range declared {
+			if p.round <= quiescent {
+				want = append(want, p.name)
+			}
+		}
+
+		prog, fn = tc.build()
+		var observed []string
+		_, err = CompileProgramWith(prog, cfg, model, CompileOptions{
+			AfterPass: func(pass string, f *ir.Func, _ time.Duration) error {
+				if f == fn {
+					observed = append(observed, pass)
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(observed, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: observed passes %v, want %v (declared minus the rounds after round %d)",
+				tc.name, observed, want, quiescent)
+		}
+		if everySeen := len(observed) == len(declared); everySeen != tc.everyRound {
+			t.Errorf("%s: saw every declared pass = %v, want %v (quiescent at round %d)",
+				tc.name, everySeen, tc.everyRound, quiescent)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"trapnull/internal/arch"
+	"trapnull/internal/bitset"
 	"trapnull/internal/cfg"
 	"trapnull/internal/ir"
 )
@@ -20,8 +21,10 @@ import (
 // tested against this checker.
 func CheckGuards(f *ir.Func, m *arch.Model) error {
 	res := nonNullAnalysis(f, nil)
+	defer res.Release()
+	cur := bitset.New(f.NumLocals())
 	for _, b := range cfg.ReversePostorderWithHandlers(f) {
-		cur := res.In(b).Copy()
+		cur.CopyFrom(res.In(b))
 		for _, in := range b.Instrs {
 			if sa, ok := in.SlotAccessInfo(); ok {
 				switch {

@@ -36,16 +36,14 @@ func ConvertToTrapsAnyPath(f *ir.Func, m *arch.Model) int {
 func convertToTraps(f *ir.Func, m *arch.Model, meet dataflow.Meet) int {
 	size := f.NumLocals()
 	scratch := bitset.New(size)
-	genC, killC := dataflow.GenKill(func(b *ir.Block) (*bitset.Set, *bitset.Set) {
-		scratch.Clear()
-		return scanConvert(b, size, m, scratch)
-	})
 	res := dataflow.Solve(f, &dataflow.Problem{
-		Dir:          dataflow.Backward,
-		Meet:         meet,
-		Size:         size,
-		Gen:          genC,
-		Kill:         killC,
+		Dir:  dataflow.Backward,
+		Meet: meet,
+		Size: size,
+		Scan: func(b *ir.Block, gen, kill *bitset.Set) {
+			scratch.Clear()
+			scanConvert(b, m, gen, kill, scratch)
+		},
 		EdgeSubtract: tryEdgeSubtract(size),
 	})
 
@@ -92,15 +90,16 @@ func convertToTraps(f *ir.Func, m *arch.Model, meet dataflow.Meet) int {
 			}
 		}
 	}
+	res.Release()
 	return removed
 }
 
 // scanConvert computes block summaries for ConvertToTraps: Gen holds
 // variables whose first in-block event, with no earlier barrier, is an
 // explicit check or a guaranteed-trapping dereference; Kill matches the
-// motion Kill of §4.2.1.
-func scanConvert(b *ir.Block, size int, m *arch.Model, decided *bitset.Set) (gen, kill *bitset.Set) {
-	gen, kill = bitset.NewPair(size)
+// motion Kill of §4.2.1. gen and kill arrive empty; decided is
+// caller-provided scratch, cleared on entry.
+func scanConvert(b *ir.Block, m *arch.Model, gen, kill, decided *bitset.Set) {
 	inTry := b.Try != ir.NoTry
 	barrierAbove := false
 	for _, in := range b.Instrs {
@@ -132,5 +131,4 @@ func scanConvert(b *ir.Block, size int, m *arch.Model, decided *bitset.Set) (gen
 			kill.Add(int(v))
 		}
 	}
-	return gen, kill
 }

@@ -13,11 +13,6 @@ import (
 // checks before they physically exist.
 func nonNullAnalysis(f *ir.Func, extraEdge map[*ir.Block]*bitset.Set) *dataflow.Result {
 	size := f.NumLocals()
-	genN, killN := dataflow.GenKill(func(b *ir.Block) (*bitset.Set, *bitset.Set) {
-		gen, kill := bitset.NewPair(size)
-		scanNonNull(b, gen, kill)
-		return gen, kill
-	})
 	// The solver never retains the returned set, so one scratch serves
 	// every edge evaluation without allocating.
 	edgeScratch := bitset.New(size)
@@ -25,8 +20,7 @@ func nonNullAnalysis(f *ir.Func, extraEdge map[*ir.Block]*bitset.Set) *dataflow.
 		Dir:  dataflow.Forward,
 		Meet: dataflow.Intersect,
 		Size: size,
-		Gen:  genN,
-		Kill: killN,
+		Scan: scanNonNull,
 		EdgeAdd: func(from, to *ir.Block) *bitset.Set {
 			add := edgeScratch
 			add.Clear()
@@ -148,5 +142,6 @@ func eliminateKnownNonNull(f *ir.Func, res, plain *dataflow.Result) int {
 func Whaley(f *ir.Func) Stats {
 	res := nonNullAnalysis(f, nil)
 	n := eliminateKnownNonNull(f, res, nil)
+	res.Release()
 	return Stats{Eliminated: n, ExplicitRemaining: f.CountOp(ir.OpNullCheck)}
 }

@@ -26,16 +26,14 @@ func Phase1(f *ir.Func) Stats {
 
 	// --- §4.1.1: backward movable-area analysis -------------------------
 	scratch := bitset.New(size)
-	genB, killB := dataflow.GenKill(func(b *ir.Block) (*bitset.Set, *bitset.Set) {
-		scratch.Clear()
-		return scanBackwardMotion(b, size, scratch)
-	})
 	bwd := dataflow.Solve(f, &dataflow.Problem{
-		Dir:          dataflow.Backward,
-		Meet:         dataflow.Intersect,
-		Size:         size,
-		Gen:          genB,
-		Kill:         killB,
+		Dir:  dataflow.Backward,
+		Meet: dataflow.Intersect,
+		Size: size,
+		Scan: func(b *ir.Block, gen, kill *bitset.Set) {
+			scratch.Clear()
+			scanBackwardMotion(b, gen, kill, scratch)
+		},
 		EdgeSubtract: tryEdgeSubtract(size),
 		// Boundary at exits: nothing is anticipated after a return.
 	})
@@ -58,6 +56,7 @@ func Phase1(f *ir.Func) Stats {
 		e.Intersect(rv)
 		earliest[b] = e
 	}
+	bwd.Release()
 
 	// --- §4.1.2: forward non-null analysis assuming the insertions ------
 	fwd := nonNullAnalysis(f, earliest)
@@ -72,6 +71,9 @@ func Phase1(f *ir.Func) Stats {
 
 	st := Stats{}
 	st.Eliminated = eliminateKnownNonNull(f, fwd, plain)
+	if plain != nil {
+		plain.Release()
+	}
 
 	// --- Prune and materialize insertion points -------------------------
 	// Earliest(n) = Earliest(n) − Out_fwd(n): an insertion is useless where
@@ -91,6 +93,7 @@ func Phase1(f *ir.Func) Stats {
 			st.Inserted++
 		})
 	}
+	fwd.Release()
 	st.ExplicitRemaining = f.CountOp(ir.OpNullCheck)
 	return st
 }
@@ -102,9 +105,9 @@ func Phase1(f *ir.Func) Stats {
 //
 // Kill_bwd: checks that cannot move up through b — the whole universe when
 // the block contains a side-effect barrier, plus every overwritten variable.
-// blockedAbove is caller-provided scratch, cleared on entry.
-func scanBackwardMotion(b *ir.Block, size int, blockedAbove *bitset.Set) (gen, kill *bitset.Set) {
-	gen, kill = bitset.NewPair(size)
+// gen and kill arrive empty; blockedAbove is caller-provided scratch, cleared
+// on entry.
+func scanBackwardMotion(b *ir.Block, gen, kill, blockedAbove *bitset.Set) {
 	inTry := b.Try != ir.NoTry
 	barrierAbove := false
 	for _, in := range b.Instrs {
@@ -124,5 +127,4 @@ func scanBackwardMotion(b *ir.Block, size int, blockedAbove *bitset.Set) (gen, k
 			kill.Add(int(v))
 		}
 	}
-	return gen, kill
 }

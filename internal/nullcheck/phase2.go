@@ -39,16 +39,14 @@ func phase2(f *ir.Func, m *arch.Model, unsafeAnyPath bool) Stats {
 	size := f.NumLocals()
 
 	scratch := bitset.New(size)
-	genF, killF := dataflow.GenKill(func(b *ir.Block) (*bitset.Set, *bitset.Set) {
-		scratch.Clear()
-		return scanForwardMotion(b, size, scratch)
-	})
 	res := dataflow.Solve(f, &dataflow.Problem{
-		Dir:          dataflow.Forward,
-		Meet:         dataflow.Intersect,
-		Size:         size,
-		Gen:          genF,
-		Kill:         killF,
+		Dir:  dataflow.Forward,
+		Meet: dataflow.Intersect,
+		Size: size,
+		Scan: func(b *ir.Block, gen, kill *bitset.Set) {
+			scratch.Clear()
+			scanForwardMotion(b, gen, kill, scratch)
+		},
 		EdgeSubtract: tryEdgeSubtract(size),
 		// Boundary at entry: no checks arrive from outside the function.
 	})
@@ -57,6 +55,7 @@ func phase2(f *ir.Func, m *arch.Model, unsafeAnyPath bool) Stats {
 	for _, b := range f.Blocks {
 		rewriteBlock(b, f.Alloc(), m, res, &st, unsafeAnyPath, f.Track)
 	}
+	res.Release()
 
 	st.Eliminated += peepholeImplicit(f, m)
 	// §4.2.2, the substitutable elimination: a surviving explicit check
@@ -81,9 +80,9 @@ func phase2(f *ir.Func, m *arch.Model, unsafeAnyPath bool) Stats {
 //
 // Kill: checks that cannot move down through b — everything when a barrier
 // is present, plus overwritten variables, plus variables whose slot is
-// dereferenced (the dereference consumes the moving check).
-func scanForwardMotion(b *ir.Block, size int, blockedBelow *bitset.Set) (gen, kill *bitset.Set) {
-	gen, kill = bitset.NewPair(size)
+// dereferenced (the dereference consumes the moving check). gen and kill
+// arrive empty; blockedBelow is caller-provided scratch, cleared on entry.
+func scanForwardMotion(b *ir.Block, gen, kill, blockedBelow *bitset.Set) {
 	inTry := b.Try != ir.NoTry
 	barrierBelow := false
 	for i := len(b.Instrs) - 1; i >= 0; i-- {
@@ -108,7 +107,6 @@ func scanForwardMotion(b *ir.Block, size int, blockedBelow *bitset.Set) (gen, ki
 			kill.Add(int(v))
 		}
 	}
-	return gen, kill
 }
 
 // rewriteBlock applies the in-block insertion-point algorithm of §4.2.1:

@@ -67,8 +67,7 @@ func BoundCheckElim(f *ir.Func) int {
 		}
 	}
 	kid := bitset.New(size)
-	scan := func(b *ir.Block) (gen, kill *bitset.Set) {
-		gen, kill = bitset.NewPair(size)
+	scan := func(b *ir.Block, gen, kill *bitset.Set) {
 		for _, in := range b.Instrs {
 			if k, ok := boundKey(in); ok {
 				gen.Add(index[k])
@@ -80,16 +79,13 @@ func BoundCheckElim(f *ir.Func) int {
 				kill.Union(kid)
 			}
 		}
-		return gen, kill
 	}
 
-	genB, killB := dataflow.GenKill(scan)
 	res := dataflow.Solve(f, &dataflow.Problem{
 		Dir:  dataflow.Forward,
 		Meet: dataflow.Intersect,
 		Size: size,
-		Gen:  genB,
-		Kill: killB,
+		Scan: scan,
 	})
 
 	removed := 0
@@ -115,5 +111,6 @@ func BoundCheckElim(f *ir.Func) int {
 		}
 		b.Instrs = kept
 	}
+	res.Release()
 	return removed
 }

@@ -16,12 +16,13 @@ import (
 func DCE(f *ir.Func) int {
 	removed := removeUnreachable(f)
 	live := liveness(f)
+	cur := bitset.New(f.NumLocals())
 	for _, b := range f.Blocks {
 		if b.Try != ir.NoTry {
 			// A handler may observe any local at any faulting point.
 			continue
 		}
-		cur := live.Out(b).Copy()
+		cur.CopyFrom(live.Out(b))
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			if removableWhenDead(in) && !cur.Has(int(in.Dst)) {
@@ -40,6 +41,7 @@ func DCE(f *ir.Func) int {
 			}
 		}
 	}
+	live.Release()
 	return removed
 }
 
@@ -108,15 +110,14 @@ func markFrom(b *ir.Block, reach map[*ir.Block]bool) {
 // liveness solves backward may-liveness of locals.
 func liveness(f *ir.Func) *dataflow.Result {
 	size := f.NumLocals()
-	scan := func(b *ir.Block) (use, def *bitset.Set) {
-		use, def = bitset.NewPair(size)
+	scan := func(b *ir.Block, use, def *bitset.Set) {
 		if b.Try != ir.NoTry {
 			// A handler can observe any local after any faulting point, and
 			// handlers are not connected by CFG edges; treat everything as
 			// used inside try regions so liveness flows out to their
 			// predecessors.
 			use.Fill()
-			return use, def
+			return
 		}
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -128,14 +129,11 @@ func liveness(f *ir.Func) *dataflow.Result {
 				def.Add(int(in.Dst))
 			}
 		}
-		return use, def
 	}
-	use, def := dataflow.GenKill(scan)
 	return dataflow.Solve(f, &dataflow.Problem{
 		Dir:  dataflow.Backward,
 		Meet: dataflow.Union,
 		Size: size,
-		Gen:  use,
-		Kill: def,
+		Scan: scan,
 	})
 }

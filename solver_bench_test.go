@@ -37,21 +37,16 @@ func solveBenchFunc(b *testing.B) *ir.Func {
 // useDefScan is a liveness-shaped block summary (gen = upward-exposed uses,
 // kill = definitions); it exercises the solver identically in every
 // direction/meet combination.
-func useDefScan(size int) func(b *ir.Block) (*bitset.Set, *bitset.Set) {
-	return func(blk *ir.Block) (*bitset.Set, *bitset.Set) {
-		use := bitset.New(size)
-		def := bitset.New(size)
-		for _, in := range blk.Instrs {
-			for _, a := range in.Args {
-				if a.IsVar() && !def.Has(int(a.Var)) {
-					use.Add(int(a.Var))
-				}
-			}
-			if in.HasDst() && !use.Has(int(in.Dst)) {
-				def.Add(int(in.Dst))
+func useDefScan(blk *ir.Block, use, def *bitset.Set) {
+	for _, in := range blk.Instrs {
+		for _, a := range in.Args {
+			if a.IsVar() && !def.Has(int(a.Var)) {
+				use.Add(int(a.Var))
 			}
 		}
-		return use, def
+		if in.HasDst() && !use.Has(int(in.Dst)) {
+			def.Add(int(in.Dst))
+		}
 	}
 }
 
@@ -73,14 +68,12 @@ func BenchmarkSolve(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				gen, kill := dataflow.GenKill(useDefScan(size))
 				dataflow.Solve(fn, &dataflow.Problem{
 					Dir:  tc.dir,
 					Meet: tc.meet,
 					Size: size,
-					Gen:  gen,
-					Kill: kill,
-				})
+					Scan: useDefScan,
+				}).Release()
 			}
 		})
 	}
