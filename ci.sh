@@ -42,8 +42,10 @@ go test -run FuzzDifferential ./internal/randprog
 # Engine equivalence gate: the whole differential surface again with the
 # reference switch interpreter as the default engine, so a regression in
 # either engine (or in the closure/switch accounting contract) fails CI
-# regardless of which engine the suite above happened to exercise.
-TRAPNULL_ENGINE=switch go test ./internal/machine ./internal/bench ./internal/randprog
+# regardless of which engine the suite above happened to exercise. The
+# example outputs (simulated cycles included) and the jasm engine-fuzz seeds
+# run here too, so both engines must print and agree on the same numbers.
+TRAPNULL_ENGINE=switch go test ./internal/machine ./internal/bench ./internal/randprog ./examples/... ./internal/jasm
 # Benchmark smoke: one iteration of every Exec micro-benchmark (both
 # engines, checksum-verified) so the bench harness itself cannot rot.
 go test -bench=Exec -benchtime=1x -run '^$' .

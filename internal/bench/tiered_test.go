@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -395,5 +396,34 @@ func BenchmarkTierHookOn(b *testing.B)  { benchTierHook(b, true) }
 func benchTierHook(b *testing.B, tiered bool) {
 	for i := 0; i < b.N; i++ {
 		tierTrial(b, tiered)
+	}
+}
+
+// TestLateNullStormDeoptStep pins the quick tier sweep's LateNullStorm deopt
+// at the reference step clock: the speculation guard fires as the 10816th
+// instruction of the first invocation, whatever the closure engine had
+// pre-charged for the rest of the guard's block.
+func TestLateNullStormDeoptStep(t *testing.T) {
+	tl := obs.NewTimeline()
+	if _, err := RunTieredAll(TierOptions{Quick: true, Timeline: tl}); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, c := range tl.Cells() {
+		if !strings.Contains(c.Name, "LateNullStorm") {
+			continue
+		}
+		for _, ev := range c.Events {
+			if ev.Kind != "deopt" {
+				continue
+			}
+			seen++
+			if ev.Invocation == 1 && ev.Step != 10816 {
+				t.Errorf("%s: first deopt logged at step %d, want 10816", c.Name, ev.Step)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no LateNullStorm deopt in the quick tier sweep")
 	}
 }

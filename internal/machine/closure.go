@@ -11,10 +11,13 @@ import (
 // This file implements the closure-compiled (subroutine-threaded) engine.
 // Instead of re-dispatching a switch on every dynamic instruction, each
 // instruction is compiled once per (Machine, Func) into a step closure
-// specialized on opcode and operand shape; hot adjacent pairs are fused into
-// superinstructions; and every block runs as charged stretches: one
-// steps/Instrs/Cycles update per stretch, with the unexecuted suffix rolled
-// back on the rare early exit (raise or simulation error).
+// specialized on opcode and operand shape; hot adjacent instructions are
+// fused into superinstructions; a block's jump, integer if or return (with
+// the instruction before it folded in, when foldable) is evaluated by the
+// block loop itself, with no closure call; and every block runs as charged
+// stretches: one steps/Instrs/Cycles update per stretch, with the
+// unexecuted suffix rolled back on the rare early exit (raise or
+// simulation error).
 //
 // The engine is required to be observationally identical to the reference
 // switch interpreter in machine.go: same Outcome, same ExecStats, same
@@ -22,9 +25,10 @@ import (
 // reference — steps++ and the limit check first (a step over the limit is
 // counted by `steps` but never reaches Instrs), then Instrs++, then the
 // ImplicitSites bump for ExcSite instructions, then the static cycle cost,
-// then the semantics. A stretch ends after every call and every terminator,
-// so whatever runs after a stretch entry (a callee, the next block) sees
-// exactly the reference's accounting; runSteps, the step-limit fallback,
+// then the semantics. A stretch ends after every call and at the block end
+// (a compiled block ends at its first terminator), so whatever runs after a
+// stretch entry (a callee, the next block) sees exactly the reference's
+// accounting; runSteps, the step-limit fallback,
 // applies the order one instruction at a time. Differential tests pin it.
 //
 // Closures capture the Machine and its Arch's costs, so a Machine's Arch
@@ -34,17 +38,16 @@ import (
 type status uint8
 
 const (
-	stNext   status = iota // fall through to the next instruction
-	stJump                 // transfer to block frame.next
-	stReturn               // function returns frame.out
-	stRaise                // exception in frame.pending; dispatch to handler
-	stErr                  // simulation error in frame.err
+	stNext  status = iota // fall through to the next instruction
+	stJump                // transfer to block frame.next
+	stRaise               // exception in frame.pending; dispatch to handler
+	stErr                 // simulation error in frame.err
+	stTerm                // runSteps accounted the inline terminator; evaluate it
 )
 
 // frame is the per-call activation record. Frames are pooled on the Machine.
 type frame struct {
 	locals  []int64
-	out     Outcome
 	pending *raise
 	err     error
 	next    int // target block ID set by stJump steps
@@ -67,14 +70,19 @@ type cStep struct {
 	imp  bool  // ExcSite: bump Stats.ImplicitSites
 }
 
-// cBlock is one compiled block: a sequence of charged stretches. Each
-// stretch ends after a call (a callee's step counting must observe the
-// caller's steps exactly as of the call, never a pre-charged suffix), after
-// a terminator (a mid-block terminator must not leave the rest of its block
-// charged) or at the block end. steps is the per-instruction form, run only
-// when the step limit could fire inside a stretch.
+// cBlock is one compiled block: a sequence of charged stretches and an
+// inline terminator. The first stretch is held in the block itself, so a
+// block without calls — the common case — is one charged run with no
+// pointer to follow. Each stretch ends after a call (a callee's step
+// counting must observe the caller's steps exactly as of the call, never a
+// pre-charged suffix) or at the block end. The compiled block ends at the
+// block's first terminator: nothing after it can run in either engine.
+// steps is the per-instruction form, run only when the step limit could
+// fire inside a stretch.
 type cBlock struct {
-	segs    []cSeg
+	seg     cSeg   // the first stretch
+	more    []cSeg // the stretches after each call
+	term    cTerm
 	steps   []cStep
 	handler int      // handler block ID, or -1 outside any try region
 	excVar  ir.VarID // handler's exception variable (NoVar when none)
@@ -83,14 +91,15 @@ type cBlock struct {
 
 // cSeg is one charged stretch: count/cycles/implicit are paid up front and
 // an entry that exits early via raise or error rolls back its unexecuted
-// suffix.
+// suffix. The last stretch's count also covers the block's inline
+// terminator and its folded pre-op, which have no charged entry.
 type cSeg struct {
 	charged  []stepFn
-	suffix   []suf // per charged entry: accounting of the entries after it
 	count    int64
 	cycles   int64
 	implicit int64
-	from     int // index into cb.steps of this stretch's first instruction
+	suffix   []suf // per charged entry: accounting of the entries after it
+	from     int   // index into cb.steps of this stretch's first instruction
 }
 
 // suf is the accounting a charged stretch pre-paid for the instructions
@@ -100,6 +109,47 @@ type suf struct {
 	count  int64
 	cycles int64
 	imp    int64
+}
+
+// termKind is how the block loop ends a block without a closure call.
+type termKind uint8
+
+const (
+	termClosure  termKind = iota // a step closure ends the block (or nothing does)
+	termJump                     // go to t0
+	termIfVK                     // locals[a] cond k ? t0 : t1
+	termIfVV                     // locals[a] cond locals[b] ? t0 : t1
+	termRetVar                   // return locals[a]
+	termRetConst                 // return k
+	termRetVoid                  // return no value
+)
+
+// preKind is the integer instruction folded into an inline terminator: the
+// one before it, run by the block loop right before the terminator when the
+// block's last stretch ran charged.
+type preKind uint8
+
+const (
+	preNone  preKind = iota
+	preAddVK         // locals[pd] = locals[px] + pk
+	preMovK          // locals[pd] = pk
+	preMovV          // locals[pd] = locals[px]
+	preCmpVV         // locals[pd] = locals[px] pcond locals[py]
+	preCmpVK         // locals[pd] = locals[px] pcond pk
+)
+
+// cTerm is a block's terminator decoded for inline evaluation: jump,
+// integer if (var/const or var/var) and return. throw, float compares and
+// const-first shapes stay step closures (kind termClosure).
+type cTerm struct {
+	kind       termKind
+	pre        preKind
+	cond       condMask // the if's condition
+	pcond      condMask // the folded compare's condition
+	a, b       int32
+	pd, px, py int32
+	t0, t1     int
+	k, pk      int64
 }
 
 // cFunc is one function compiled for the closure engine, dense by block ID.
@@ -157,35 +207,40 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 	if m.tier != nil {
 		mt = m.tier.stateOf(fn)
 	}
+	// hooks gates the per-block abort poll, tier countdown and profile
+	// count behind one test; it is recomputed whenever mt or prof changes.
+	hooks := m.Abort != nil || mt != nil || prof != nil
 
 	for {
-		if m.Abort != nil && m.Abort.Load() {
-			return Outcome{}, ErrAborted
-		}
-		if mt != nil && mt.tier == tierClosure {
-			mt.budget--
-			if mt.budget <= 0 {
-				if fn2, cf2 := m.tier.promoteT2(mt); cf2 != nil {
-					fn, cf = fn2, cf2
-					if m.Profile != nil {
-						prof = m.Profile.Counters(fn)
-					}
-				}
-				if mt.tier != tierClosure {
-					mt = nil
-				}
-				// Otherwise the profile was too thin to speculate and the
-				// controller re-armed the countdown; keep counting.
+		if hooks {
+			if m.Abort != nil && m.Abort.Load() {
+				return Outcome{}, ErrAborted
 			}
-		}
-		if prof != nil {
-			prof[blkID]++
+			if mt != nil && mt.tier == tierClosure {
+				mt.budget--
+				if mt.budget <= 0 {
+					if fn2, cf2 := m.tier.promoteT2(mt); cf2 != nil {
+						fn, cf = fn2, cf2
+						if m.Profile != nil {
+							prof = m.Profile.Counters(fn)
+						}
+					}
+					if mt.tier != tierClosure {
+						mt = nil
+					}
+					// Otherwise the profile was too thin to speculate and
+					// the controller re-armed the countdown; keep counting.
+					hooks = m.Abort != nil || mt != nil || prof != nil
+				}
+			}
+			if prof != nil {
+				prof[blkID]++
+			}
 		}
 		cb := &cf.blocks[blkID]
 		st := stNext
-	stretches:
-		for si := range cb.segs {
-			sg := &cb.segs[si]
+		sg := &cb.seg
+		for si := 0; ; si++ {
 			if m.steps+sg.count > m.MaxSteps {
 				// The step limit can fire inside this stretch: finish the
 				// block per-instruction accounted.
@@ -199,8 +254,11 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 			m.Stats.Instrs += sg.count
 			m.Stats.ImplicitSites += sg.implicit
 			m.Cycles += sg.cycles
-			for i, s := range sg.charged {
-				if st = s(fr); st != stNext {
+			// Many stretches hold only an inline terminator and its
+			// pre-op: they make no call at all.
+			if len(sg.charged) > 0 {
+				var i int
+				if st, i = runCharged(fr, sg.charged); st != stNext {
 					if st == stRaise || st == stErr {
 						sx := &sg.suffix[i]
 						m.steps -= sx.count
@@ -208,31 +266,83 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 						m.Stats.ImplicitSites -= sx.imp
 						m.Cycles -= sx.cycles
 					}
-					break stretches
+					break
 				}
 			}
+			if si == len(cb.more) {
+				break
+			}
+			sg = &cb.more[si]
 		}
 
+		t := &cb.term
 		switch st {
+		case stNext:
+			// Every charged closure fell through: the folded pre-op and the
+			// inline terminator were charged with the last stretch.
+			switch t.pre {
+			case preAddVK:
+				fr.locals[t.pd] = fr.locals[t.px] + t.pk
+			case preMovK:
+				fr.locals[t.pd] = t.pk
+			case preMovV:
+				fr.locals[t.pd] = fr.locals[t.px]
+			case preCmpVV:
+				fr.locals[t.pd] = b2i(t.pcond.holds(fr.locals[t.px], fr.locals[t.py]))
+			case preCmpVK:
+				fr.locals[t.pd] = b2i(t.pcond.holds(fr.locals[t.px], t.pk))
+			}
+			fallthrough
+		case stTerm:
+			switch t.kind {
+			case termJump:
+				blkID = t.t0
+			case termIfVK:
+				if t.cond.holds(fr.locals[t.a], t.k) {
+					blkID = t.t0
+				} else {
+					blkID = t.t1
+				}
+			case termIfVV:
+				if t.cond.holds(fr.locals[t.a], fr.locals[t.b]) {
+					blkID = t.t0
+				} else {
+					blkID = t.t1
+				}
+			case termRetVar:
+				return Outcome{Value: fr.locals[t.a]}, nil
+			case termRetConst:
+				return Outcome{Value: t.k}, nil
+			case termRetVoid:
+				return Outcome{}, nil
+			default:
+				// The block ran out of instructions without a terminator.
+				return Outcome{}, fmt.Errorf("machine: block %s of %s fell through", cb.b, fn.Name)
+			}
 		case stJump:
 			blkID = fr.next
-		case stReturn:
-			return fr.out, nil
 		case stRaise:
 			p := fr.pending
 			fr.pending = nil
+			if m.tier != nil {
+				// Adaptive decisions the raise triggered (a fired speculation
+				// guard, a governed trap) run here, after the rollback, so
+				// they see the reference's step count.
+				m.tier.settle(fn, fr)
+			}
 			if fr.deoptCf != nil {
-				// Trap-triggered deoptimization: the fired guard already
-				// demoted the method; this invocation transfers to the
-				// conservative artifact before the raise dispatches, so the
-				// handler (or the escape to the caller) and everything after
-				// run tier-0 semantics.
+				// Trap-triggered deoptimization: the fired guard demoted the
+				// method; this invocation transfers to the conservative
+				// artifact before the raise dispatches, so the handler (or
+				// the escape to the caller) and everything after run tier-0
+				// semantics.
 				fn, cf = fr.deoptFn, fr.deoptCf
 				fr.deoptFn, fr.deoptCf = nil, nil
 				if m.Profile != nil {
 					prof = m.Profile.Counters(fn)
 				}
 				mt = nil
+				hooks = m.Abort != nil || prof != nil
 				cb = &cf.blocks[blkID]
 			}
 			if cb.handler >= 0 {
@@ -243,17 +353,31 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 				continue
 			}
 			return Outcome{Exc: p.kind, ExcRef: p.ref}, nil
-		case stErr:
+		default: // stErr
 			return Outcome{}, fr.err
-		default:
-			// The block ran out of instructions without a terminator.
-			return Outcome{}, fmt.Errorf("machine: block %s of %s fell through", cb.b, fn.Name)
 		}
 	}
 }
 
+// runCharged calls a stretch's closures in order until one leaves the
+// straight line and returns its status and index. It is a function of its
+// own so that only its few locals, not all of runCf's, are saved and
+// restored around each closure call.
+//
+//go:noinline
+func runCharged(fr *frame, charged []stepFn) (status, int) {
+	for i, s := range charged {
+		if st := s(fr); st != stNext {
+			return st, i
+		}
+	}
+	return stNext, len(charged)
+}
+
 // runSteps executes unfused steps in order until one leaves the straight
-// line, applying the reference's per-instruction accounting to each.
+// line, applying the reference's per-instruction accounting to each. It
+// accounts an inline terminator (nil step) like any other instruction and
+// returns stTerm, leaving its evaluation to the block loop.
 func (m *Machine) runSteps(fr *frame, fn *ir.Func, steps []cStep) status {
 	for i := range steps {
 		s := &steps[i]
@@ -267,6 +391,10 @@ func (m *Machine) runSteps(fr *frame, fn *ir.Func, steps []cStep) status {
 			m.Stats.ImplicitSites++
 		}
 		m.Cycles += s.cost
+		if s.step == nil {
+			// The block's inline terminator: the block loop evaluates it.
+			return stTerm
+		}
 		if st := s.step(fr); st != stNext {
 			return st
 		}
@@ -276,13 +404,12 @@ func (m *Machine) runSteps(fr *frame, fn *ir.Func, steps []cStep) status {
 
 // finishLoad completes a memory read: a direct hit inside the live heap —
 // the overwhelmingly common case — bypasses the full trap classification.
-// The guard is exactly Classify's AccessOK arm: at or above HeapBase (so
-// non-negative), at or above the trap area (HeapBase can, in principle, sit
-// inside a huge custom trap area), and within the allocated words.
+// The guard is exactly Classify's AccessOK arm: at or above heapLo (HeapBase,
+// or the trap area's end when a huge custom trap area covers HeapBase) and
+// within the allocated words.
 func (m *Machine) finishLoad(fr *frame, in *ir.Instr, addr int64, d ir.VarID) status {
-	if addr >= rt.HeapBase && addr >= m.Arch.TrapAreaBytes &&
-		(addr-rt.HeapBase)/ir.WordBytes < int64(m.Heap.LiveWords()) {
-		fr.locals[d] = m.Heap.Load(addr)
+	if v, ok := m.Heap.TryLoad(addr, m.heapLo); ok {
+		fr.locals[d] = v
 		return stNext
 	}
 	v, r, err := m.load(in, addr)
@@ -300,9 +427,7 @@ func (m *Machine) finishLoad(fr *frame, in *ir.Instr, addr int64, d ir.VarID) st
 
 // finishStore completes a memory write; same fast path as finishLoad.
 func (m *Machine) finishStore(fr *frame, in *ir.Instr, addr, v int64) status {
-	if addr >= rt.HeapBase && addr >= m.Arch.TrapAreaBytes &&
-		(addr-rt.HeapBase)/ir.WordBytes < int64(m.Heap.LiveWords()) {
-		m.Heap.Store(addr, v)
+	if m.Heap.TryStore(addr, m.heapLo, v) {
 		return stNext
 	}
 	r, err := m.storeWord(in, addr, v)
@@ -328,7 +453,6 @@ func (m *Machine) frameGet(n int) *frame {
 			fr.locals = fr.locals[:n]
 			clear(fr.locals)
 		}
-		fr.out = Outcome{}
 		fr.pending = nil
 		fr.err = nil
 		fr.deoptFn, fr.deoptCf = nil, nil
@@ -355,22 +479,45 @@ func (m *Machine) compiled(fn *ir.Func) *cFunc {
 
 // compileFunc closure-compiles fn from its prepared table.
 func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
+	// Arch is fixed once a Machine runs (see the file comment), so the heap
+	// fast path's lower bound is too.
+	m.heapLo = max(rt.HeapBase, m.Arch.TrapAreaBytes)
 	cf := &cFunc{blocks: make([]cBlock, fn.MaxBlockID()+1), entry: fn.Entry.ID}
 	for _, b := range fn.Blocks {
 		pins := pf.blocks[b.ID]
+		// Nothing after a block's first terminator runs in either engine.
+		for i := range pins {
+			if pins[i].in.IsTerminator() {
+				pins = pins[:i+1]
+				break
+			}
+		}
 		cb := cBlock{b: b, handler: -1, excVar: ir.NoVar, steps: make([]cStep, len(pins))}
 		if b.Try != ir.NoTry {
 			r := fn.Regions[b.Try]
 			cb.handler = r.Handler.ID
 			cb.excVar = r.ExcVar
 		}
+		// tail counts the trailing instructions the block loop runs inline:
+		// the terminator and, when foldable, the instruction before it.
+		tail := 0
+		if n := len(pins); n > 0 && decodeTerm(&cb.term, &pins[n-1]) {
+			tail = 1
+			if n > 1 && decodePre(&cb.term, &pins[n-2]) {
+				tail = 2
+			}
+		}
 		for i := range pins {
-			step := m.compileStep(fn, &pins[i])
-			if c := pins[i].chk; c != nil && pins[i].in.ExcSite {
+			var step stepFn
+			if i < len(pins)-1 || tail == 0 {
+				step = m.compileStep(&pins[i])
+			}
+			if siteCounted(&pins[i]) {
 				// Governed site counter: mirror the interpreter's per-site
-				// Execs increment. Fusion refuses counter-bearing sites, so
-				// every execution flows through this wrapper.
-				inner := step
+				// Execs increment. Fusion and the inline terminator refuse
+				// counter-bearing sites, so every execution flows through
+				// this wrapper.
+				c, inner := pins[i].chk, step
 				step = func(fr *frame) status {
 					c.Execs++
 					return inner(fr)
@@ -378,20 +525,103 @@ func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
 			}
 			cb.steps[i] = cStep{step: step, cost: m.Arch.Cost(pins[i].in), imp: pins[i].in.ExcSite}
 		}
-		cb.segs = m.buildSegs(pins, cb.steps)
+		if segs := m.buildSegs(pins, cb.steps, tail); len(segs) > 0 {
+			cb.seg, cb.more = segs[0], segs[1:]
+		}
 		cf.blocks[b.ID] = cb
 	}
 	return cf
 }
 
-// buildSegs splits a block into charged stretches, each ending after a call,
-// after a terminator or at the block end, and fuses adjacent pairs within
-// each stretch. steps holds the block's unfused closures and accounting.
-func (m *Machine) buildSegs(pins []pInstr, steps []cStep) []cSeg {
+// siteCounted reports whether pin carries a governed or attribution site
+// counter, whose Execs increment lives in its wrapped closure (see
+// compileFunc): such an instruction never fuses or runs inline.
+func siteCounted(pin *pInstr) bool { return pin.chk != nil && pin.in.ExcSite }
+
+// decodeTerm decodes pin into t when the block loop can evaluate it inline.
+func decodeTerm(t *cTerm, pin *pInstr) bool {
+	in := pin.in
+	if siteCounted(pin) {
+		return false
+	}
+	switch in.Op {
+	case ir.OpJump:
+		t.kind, t.t0 = termJump, in.Targets[0].ID
+	case ir.OpReturn:
+		switch {
+		case len(pin.args) != 1:
+			t.kind = termRetVoid
+		case pin.args[0].varIdx >= 0:
+			t.kind, t.a = termRetVar, pin.args[0].varIdx
+		default:
+			t.kind, t.k = termRetConst, pin.args[0].i64
+		}
+	case ir.OpIf:
+		a, b := pin.args[0], pin.args[1]
+		if a.isFloat || b.isFloat || a.varIdx < 0 {
+			return false
+		}
+		t.cond, t.a, t.t0, t.t1 = maskOf(in.Cond), a.varIdx, in.Targets[0].ID, in.Targets[1].ID
+		if b.varIdx >= 0 {
+			t.kind, t.b = termIfVV, b.varIdx
+		} else {
+			t.kind, t.k = termIfVK, b.i64
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// decodePre folds pin, the instruction before an inline terminator, into t
+// when it is one of the integer pre-op shapes.
+func decodePre(t *cTerm, pin *pInstr) bool {
+	in := pin.in
+	if siteCounted(pin) {
+		return false
+	}
+	switch in.Op {
+	case ir.OpMove:
+		if a := pin.args[0]; a.varIdx >= 0 {
+			t.pre, t.px = preMovV, a.varIdx
+		} else {
+			t.pre, t.pk = preMovK, a.i64
+		}
+	case ir.OpAdd:
+		a, b := pin.args[0], pin.args[1]
+		if a.varIdx < 0 || b.varIdx >= 0 {
+			return false
+		}
+		t.pre, t.px, t.pk = preAddVK, a.varIdx, b.i64
+	case ir.OpCmp:
+		// Float compares stay closures: the reference compares as floats
+		// when either side is float-kinded.
+		a, b := pin.args[0], pin.args[1]
+		if a.isFloat || b.isFloat || a.varIdx < 0 {
+			return false
+		}
+		t.pcond, t.px = maskOf(in.Cond), a.varIdx
+		if b.varIdx >= 0 {
+			t.pre, t.py = preCmpVV, b.varIdx
+		} else {
+			t.pre, t.pk = preCmpVK, b.i64
+		}
+	default:
+		return false
+	}
+	t.pd = int32(in.Dst)
+	return true
+}
+
+// buildSegs splits a block into charged stretches, each ending after a call
+// or at the block end, and fuses adjacent pairs within each stretch. steps
+// holds the block's unfused closures and accounting; its last tail entries
+// run inline in the block loop and get no charged entry.
+func (m *Machine) buildSegs(pins []pInstr, steps []cStep, tail int) []cSeg {
 	var segs []cSeg
 	for start := 0; start < len(pins); {
 		end := start + 1
-		for end < len(pins) && !endsStretch(pins[end-1].in) {
+		for end < len(pins) && !isCall(pins[end-1].in) {
 			end++
 		}
 		sg := cSeg{from: start, count: int64(end - start)}
@@ -408,14 +638,16 @@ func (m *Machine) buildSegs(pins []pInstr, steps []cStep) []cSeg {
 			}
 		}
 		sg.cycles, sg.implicit = acc.cycles, acc.imp
-		for i := start; i < end; {
-			if i+1 < end {
-				if s := m.fuseBare(&pins[i], &pins[i+1]); s != nil {
-					sg.charged = append(sg.charged, s)
-					sg.suffix = append(sg.suffix, sufAt[i+1-start])
-					i += 2
-					continue
-				}
+		last := end
+		if end == len(pins) {
+			last -= tail
+		}
+		for i := start; i < last; {
+			if s, w := m.fuse(pins[i:last]); w > 0 {
+				sg.charged = append(sg.charged, s)
+				sg.suffix = append(sg.suffix, sufAt[i+w-1-start])
+				i += w
+				continue
 			}
 			sg.charged = append(sg.charged, steps[i].step)
 			sg.suffix = append(sg.suffix, sufAt[i-start])
@@ -427,15 +659,10 @@ func (m *Machine) buildSegs(pins []pInstr, steps []cStep) []cSeg {
 	return segs
 }
 
-// endsStretch reports whether a charged stretch must end after in: calls,
-// so the callee reads the caller's step count exactly as of the call, and
-// terminators, so no pre-charged suffix is left behind.
-func endsStretch(in *ir.Instr) bool {
-	switch in.Op {
-	case ir.OpCallStatic, ir.OpCallVirtual:
-		return true
-	}
-	return in.IsTerminator()
+// isCall reports whether in is a call, after which a charged stretch ends
+// so the callee reads the caller's step count exactly as of the call.
+func isCall(in *ir.Instr) bool {
+	return in.Op == ir.OpCallStatic || in.Op == ir.OpCallVirtual
 }
 
 // Operand access helpers over the pre-decoded pOp shapes.
@@ -454,22 +681,46 @@ func pfv(fr *frame, p *pOp) float64 {
 	return p.f64
 }
 
-func intCmpFn(c ir.Cond) func(a, b int64) bool {
+// fl reads local i as a float.
+func fl(fr *frame, i int32) float64 { return math.Float64frombits(uint64(fr.locals[i])) }
+
+// condMask is an integer Cond as the set of orderings under which it holds:
+// bit 0 for a < b, bit 1 for a == b, bit 2 for a > b. Testing it takes no
+// branch on the condition, which matters at the block loop's inline if: one
+// site serves every condition, so a switch on the condition there would
+// mispredict as the conditions vary.
+type condMask uint8
+
+// maskOf returns c's ordering set.
+func maskOf(c ir.Cond) condMask {
 	switch c {
 	case ir.CondEQ:
-		return func(a, b int64) bool { return a == b }
+		return 0b010
 	case ir.CondNE:
-		return func(a, b int64) bool { return a != b }
+		return 0b101
 	case ir.CondLT:
-		return func(a, b int64) bool { return a < b }
+		return 0b001
 	case ir.CondLE:
-		return func(a, b int64) bool { return a <= b }
+		return 0b011
 	case ir.CondGT:
-		return func(a, b int64) bool { return a > b }
+		return 0b100
 	case ir.CondGE:
-		return func(a, b int64) bool { return a >= b }
+		return 0b110
 	}
-	return func(a, b int64) bool { return false }
+	return 0
+}
+
+// holds reports whether a and b are in one of k's orderings.
+func (k condMask) holds(a, b int64) bool {
+	return k>>uint8(b2i(a >= b)+b2i(a > b))&1 != 0
+}
+
+// b2i is the 0/1 word a compare writes (a SETcc, not a branch).
+func b2i(v bool) int64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 func floatCmpFn(c ir.Cond) func(a, b float64) bool {
@@ -490,26 +741,21 @@ func floatCmpFn(c ir.Cond) func(a, b float64) bool {
 	return func(a, b float64) bool { return false }
 }
 
-// binI compiles a two-operand integer op across the four operand shapes
-// (var/var, var/const, const/var, const/const — the last folds at compile
-// time). Hot ops (Move, Add, Sub, If, Cmp) get hand-inlined shapes instead.
+// binI compiles the const-first shapes of a two-operand integer op
+// (const/var, and const/const, which folds at compile time). compileStep
+// hand-writes the var/var and var/const shapes of every integer op, so the
+// hot shapes make no call through op.
 func binI(d ir.VarID, a, b pOp, op func(x, y int64) int64) stepFn {
-	switch {
-	case a.varIdx >= 0 && b.varIdx >= 0:
-		ai, bi := a.varIdx, b.varIdx
-		return func(fr *frame) status { fr.locals[d] = op(fr.locals[ai], fr.locals[bi]); return stNext }
-	case a.varIdx >= 0:
-		ai, k := a.varIdx, b.i64
-		return func(fr *frame) status { fr.locals[d] = op(fr.locals[ai], k); return stNext }
-	case b.varIdx >= 0:
+	if b.varIdx >= 0 {
 		k, bi := a.i64, b.varIdx
 		return func(fr *frame) status { fr.locals[d] = op(k, fr.locals[bi]); return stNext }
-	default:
-		v := op(a.i64, b.i64)
-		return func(fr *frame) status { fr.locals[d] = v; return stNext }
 	}
+	v := op(a.i64, b.i64)
+	return func(fr *frame) status { fr.locals[d] = v; return stNext }
 }
 
+// binF compiles the shapes of a float op with a constant operand;
+// compileStep hand-writes the var/var shape.
 func binF(d ir.VarID, a, b pOp, op func(x, y float64) float64) stepFn {
 	return func(fr *frame) status { fr.locals[d] = fbits(op(pfv(fr, &a), pfv(fr, &b))); return stNext }
 }
@@ -525,7 +771,7 @@ func unI(d ir.VarID, a pOp, op func(x int64) int64) stepFn {
 
 // compileStep compiles one instruction into its bare step closure: pure
 // semantics, no accounting (runSteps or the stretch charge supplies it).
-func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
+func (m *Machine) compileStep(pin *pInstr) stepFn {
 	in := pin.in
 	d := in.Dst
 	switch in.Op {
@@ -546,16 +792,10 @@ func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
 			ai, bi := a.varIdx, b.varIdx
 			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] + fr.locals[bi]; return stNext }
 		case a.varIdx >= 0:
-			// add-const superinstruction.
 			ai, k := a.varIdx, b.i64
 			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] + k; return stNext }
-		case b.varIdx >= 0:
-			k, bi := a.i64, b.varIdx
-			return func(fr *frame) status { fr.locals[d] = k + fr.locals[bi]; return stNext }
-		default:
-			v := a.i64 + b.i64
-			return func(fr *frame) status { fr.locals[d] = v; return stNext }
 		}
+		return binI(d, a, b, func(x, y int64) int64 { return x + y })
 	case ir.OpSub:
 		a, b := pin.args[0], pin.args[1]
 		switch {
@@ -565,26 +805,75 @@ func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
 		case a.varIdx >= 0:
 			ai, k := a.varIdx, b.i64
 			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] - k; return stNext }
-		case b.varIdx >= 0:
-			k, bi := a.i64, b.varIdx
-			return func(fr *frame) status { fr.locals[d] = k - fr.locals[bi]; return stNext }
-		default:
-			v := a.i64 - b.i64
-			return func(fr *frame) status { fr.locals[d] = v; return stNext }
 		}
+		return binI(d, a, b, func(x, y int64) int64 { return x - y })
 	case ir.OpMul:
-		return binI(d, pin.args[0], pin.args[1], func(x, y int64) int64 { return x * y })
+		a, b := pin.args[0], pin.args[1]
+		switch {
+		case a.varIdx >= 0 && b.varIdx >= 0:
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] * fr.locals[bi]; return stNext }
+		case a.varIdx >= 0:
+			ai, k := a.varIdx, b.i64
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] * k; return stNext }
+		}
+		return binI(d, a, b, func(x, y int64) int64 { return x * y })
 	case ir.OpAnd:
-		return binI(d, pin.args[0], pin.args[1], func(x, y int64) int64 { return x & y })
+		a, b := pin.args[0], pin.args[1]
+		switch {
+		case a.varIdx >= 0 && b.varIdx >= 0:
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] & fr.locals[bi]; return stNext }
+		case a.varIdx >= 0:
+			ai, k := a.varIdx, b.i64
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] & k; return stNext }
+		}
+		return binI(d, a, b, func(x, y int64) int64 { return x & y })
 	case ir.OpOr:
-		return binI(d, pin.args[0], pin.args[1], func(x, y int64) int64 { return x | y })
+		a, b := pin.args[0], pin.args[1]
+		switch {
+		case a.varIdx >= 0 && b.varIdx >= 0:
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] | fr.locals[bi]; return stNext }
+		case a.varIdx >= 0:
+			ai, k := a.varIdx, b.i64
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] | k; return stNext }
+		}
+		return binI(d, a, b, func(x, y int64) int64 { return x | y })
 	case ir.OpXor:
-		return binI(d, pin.args[0], pin.args[1], func(x, y int64) int64 { return x ^ y })
+		a, b := pin.args[0], pin.args[1]
+		switch {
+		case a.varIdx >= 0 && b.varIdx >= 0:
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] ^ fr.locals[bi]; return stNext }
+		case a.varIdx >= 0:
+			ai, k := a.varIdx, b.i64
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] ^ k; return stNext }
+		}
+		return binI(d, a, b, func(x, y int64) int64 { return x ^ y })
 	case ir.OpShl:
 		// Shift counts are masked to 6 bits, as in the reference.
-		return binI(d, pin.args[0], pin.args[1], func(x, y int64) int64 { return x << (uint64(y) & 63) })
+		a, b := pin.args[0], pin.args[1]
+		switch {
+		case a.varIdx >= 0 && b.varIdx >= 0:
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] << (uint64(fr.locals[bi]) & 63); return stNext }
+		case a.varIdx >= 0:
+			ai, k := a.varIdx, uint64(b.i64)&63
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] << k; return stNext }
+		}
+		return binI(d, a, b, func(x, y int64) int64 { return x << (uint64(y) & 63) })
 	case ir.OpShr:
-		return binI(d, pin.args[0], pin.args[1], func(x, y int64) int64 { return x >> (uint64(y) & 63) })
+		a, b := pin.args[0], pin.args[1]
+		switch {
+		case a.varIdx >= 0 && b.varIdx >= 0:
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] >> (uint64(fr.locals[bi]) & 63); return stNext }
+		case a.varIdx >= 0:
+			ai, k := a.varIdx, uint64(b.i64)&63
+			return func(fr *frame) status { fr.locals[d] = fr.locals[ai] >> k; return stNext }
+		}
+		return binI(d, a, b, func(x, y int64) int64 { return x >> (uint64(y) & 63) })
 
 	case ir.OpDiv, ir.OpRem:
 		a, b := pin.args[0], pin.args[1]
@@ -616,13 +905,33 @@ func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
 		return unI(d, pin.args[0], func(x int64) int64 { return ^x })
 
 	case ir.OpFAdd:
-		return binF(d, pin.args[0], pin.args[1], func(x, y float64) float64 { return x + y })
+		a, b := pin.args[0], pin.args[1]
+		if a.varIdx >= 0 && b.varIdx >= 0 {
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fbits(fl(fr, ai) + fl(fr, bi)); return stNext }
+		}
+		return binF(d, a, b, func(x, y float64) float64 { return x + y })
 	case ir.OpFSub:
-		return binF(d, pin.args[0], pin.args[1], func(x, y float64) float64 { return x - y })
+		a, b := pin.args[0], pin.args[1]
+		if a.varIdx >= 0 && b.varIdx >= 0 {
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fbits(fl(fr, ai) - fl(fr, bi)); return stNext }
+		}
+		return binF(d, a, b, func(x, y float64) float64 { return x - y })
 	case ir.OpFMul:
-		return binF(d, pin.args[0], pin.args[1], func(x, y float64) float64 { return x * y })
+		a, b := pin.args[0], pin.args[1]
+		if a.varIdx >= 0 && b.varIdx >= 0 {
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fbits(fl(fr, ai) * fl(fr, bi)); return stNext }
+		}
+		return binF(d, a, b, func(x, y float64) float64 { return x * y })
 	case ir.OpFDiv:
-		return binF(d, pin.args[0], pin.args[1], func(x, y float64) float64 { return x / y })
+		a, b := pin.args[0], pin.args[1]
+		if a.varIdx >= 0 && b.varIdx >= 0 {
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = fbits(fl(fr, ai) / fl(fr, bi)); return stNext }
+		}
+		return binF(d, a, b, func(x, y float64) float64 { return x / y })
 	case ir.OpFNeg:
 		a := pin.args[0]
 		return func(fr *frame) status { fr.locals[d] = fbits(-pfv(fr, &a)); return stNext }
@@ -651,26 +960,16 @@ func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
 				return stNext
 			}
 		}
-		ci := intCmpFn(in.Cond)
-		if a.varIdx >= 0 && b.varIdx < 0 {
+		c := maskOf(in.Cond)
+		switch {
+		case a.varIdx >= 0 && b.varIdx >= 0:
+			ai, bi := a.varIdx, b.varIdx
+			return func(fr *frame) status { fr.locals[d] = b2i(c.holds(fr.locals[ai], fr.locals[bi])); return stNext }
+		case a.varIdx >= 0:
 			ai, k := a.varIdx, b.i64
-			return func(fr *frame) status {
-				if ci(fr.locals[ai], k) {
-					fr.locals[d] = 1
-				} else {
-					fr.locals[d] = 0
-				}
-				return stNext
-			}
+			return func(fr *frame) status { fr.locals[d] = b2i(c.holds(fr.locals[ai], k)); return stNext }
 		}
-		return func(fr *frame) status {
-			if ci(pv(fr, &a), pv(fr, &b)) {
-				fr.locals[d] = 1
-			} else {
-				fr.locals[d] = 0
-			}
-			return stNext
-		}
+		return func(fr *frame) status { fr.locals[d] = b2i(c.holds(pv(fr, &a), pv(fr, &b))); return stNext }
 
 	case ir.OpMath:
 		a := pin.args[0]
@@ -703,7 +1002,7 @@ func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
 				}
 				fr.pending = m.trap()
 				if m.tier != nil {
-					m.tier.deopted(fn, in, fr)
+					m.tier.guard = in // deoptimized by settle
 				}
 				return stRaise
 			}
@@ -865,22 +1164,9 @@ func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
 	case ir.OpCallStatic, ir.OpCallVirtual:
 		return m.compileCall(pin)
 
-	case ir.OpJump:
-		t := in.Targets[0].ID
-		return func(fr *frame) status { fr.next = t; return stJump }
 	case ir.OpIf:
+		// Integer var-first shapes run inline in the block loop (cTerm).
 		return compileIf(pin)
-	case ir.OpReturn:
-		if len(pin.args) == 1 {
-			a := pin.args[0]
-			if a.varIdx >= 0 {
-				ai := a.varIdx
-				return func(fr *frame) status { fr.out = Outcome{Value: fr.locals[ai]}; return stReturn }
-			}
-			v := a.i64
-			return func(fr *frame) status { fr.out = Outcome{Value: v}; return stReturn }
-		}
-		return func(fr *frame) status { fr.out = Outcome{}; return stReturn }
 	case ir.OpThrow:
 		a := pin.args[0]
 		return func(fr *frame) status {
@@ -898,8 +1184,8 @@ func (m *Machine) compileStep(fn *ir.Func, pin *pInstr) stepFn {
 	}
 }
 
-// compileIf compiles a conditional branch, specializing the hot integer
-// var/const and var/var shapes.
+// compileIf compiles the conditional branches the block loop does not run
+// inline: float compares and const-first integer shapes.
 func compileIf(pin *pInstr) stepFn {
 	in := pin.in
 	t0, t1 := in.Targets[0].ID, in.Targets[1].ID
@@ -915,31 +1201,9 @@ func compileIf(pin *pInstr) stepFn {
 			return stJump
 		}
 	}
-	ci := intCmpFn(in.Cond)
-	switch {
-	case a.varIdx >= 0 && b.varIdx < 0:
-		ai, k := a.varIdx, b.i64
-		return func(fr *frame) status {
-			if ci(fr.locals[ai], k) {
-				fr.next = t0
-			} else {
-				fr.next = t1
-			}
-			return stJump
-		}
-	case a.varIdx >= 0 && b.varIdx >= 0:
-		ai, bi := a.varIdx, b.varIdx
-		return func(fr *frame) status {
-			if ci(fr.locals[ai], fr.locals[bi]) {
-				fr.next = t0
-			} else {
-				fr.next = t1
-			}
-			return stJump
-		}
-	}
+	c := maskOf(in.Cond)
 	return func(fr *frame) status {
-		if ci(pv(fr, &a), pv(fr, &b)) {
+		if c.holds(pv(fr, &a), pv(fr, &b)) {
 			fr.next = t0
 		} else {
 			fr.next = t1
@@ -971,15 +1235,19 @@ func (m *Machine) compileCall(pin *pInstr) stepFn {
 		m.Stats.Calls++
 		if virtual {
 			// Dispatch reads the header slot: the trap point.
+			// A live-heap receiver takes finishLoad's fast path.
 			m.Stats.Loads++
-			_, r, err := m.load(in, pv(fr, &args[0]))
-			if err != nil {
-				fr.err = err
-				return stErr
-			}
-			if r != nil {
-				fr.pending = r
-				return stRaise
+			addr := pv(fr, &args[0])
+			if _, ok := m.Heap.TryLoad(addr, m.heapLo); !ok {
+				_, r, err := m.load(in, addr)
+				if err != nil {
+					fr.err = err
+					return stErr
+				}
+				if r != nil {
+					fr.pending = r
+					return stRaise
+				}
 			}
 		}
 		callee := cal.Fn
@@ -1032,38 +1300,21 @@ func (m *Machine) compileCall(pin *pInstr) stepFn {
 
 // Superinstruction fusion.
 
-// fuseableCmpIf reports whether p;q is an integer cmp feeding an integer
-// if-vs-const on the cmp's destination — the canonical compare-and-branch
-// pair. Float shapes are excluded: the reference would compare the 0/1
-// result as float bits if the destination local were float-kinded.
-func fuseableCmpIf(p, q *pInstr) bool {
-	if p.in.Op != ir.OpCmp || q.in.Op != ir.OpIf {
-		return false
+// fuse tries to fuse the instructions at the head of pins into one
+// superinstruction and returns it with the number of instructions it
+// covers (0 when no rule applies). It is the one implementation of every
+// fusion rule; fused steps only run inside charged stretches (the
+// step-limit fallback runs the parts unfused). A fused step whose early
+// part exits the block must itself un-charge its unexecuted later parts
+// (the runner's suffix for the step only covers what follows it);
+// uncharge() does that.
+func (m *Machine) fuse(pins []pInstr) (stepFn, int) {
+	if len(pins) < 2 {
+		return nil, 0
 	}
-	if p.args[0].isFloat || p.args[1].isFloat {
-		return false
-	}
-	fa0, fa1 := &q.args[0], &q.args[1]
-	if fa0.isFloat || fa1.isFloat {
-		return false
-	}
-	return fa0.varIdx >= 0 && ir.VarID(fa0.varIdx) == p.in.Dst && fa1.varIdx < 0
-}
-
-// fuseBare tries to fuse p;q into a superinstruction, the one
-// implementation of every fusion rule; fused steps only run inside charged
-// stretches (the step-limit fallback runs the halves unfused).
-// A fused step whose FIRST half exits the block early must itself un-charge
-// its unexecuted second half (the runner's suffix for the pair only covers
-// what follows the pair); uncharge() does that.
-func (m *Machine) fuseBare(p, q *pInstr) stepFn {
-	if fuseableCmpIf(p, q) {
-		return m.bareCmpIf(p, q)
-	}
-	// Governed site counters never fuse: the per-site Execs increment lives
-	// in the wrapped bare closure (see compileFunc), which fusion would bypass.
-	if q.chk != nil && q.in.ExcSite {
-		return nil
+	p, q := &pins[0], &pins[1]
+	if siteCounted(p) || siteCounted(q) {
+		return nil, 0
 	}
 	// Speculation guards never fuse: the guard traps instead of throwing and
 	// must not count as an explicit check, which the fused shapes do.
@@ -1071,16 +1322,101 @@ func (m *Machine) fuseBare(p, q *pInstr) stepFn {
 		switch q.in.Op {
 		case ir.OpGetField, ir.OpPutField, ir.OpArrayLength:
 			if q.args[0].varIdx == p.args[0].varIdx {
-				return m.bareNullDeref(p, q)
+				return m.bareNullDeref(p, q), 2
 			}
 		}
 	}
-	if p.in.Op == ir.OpBoundCheck && p.args[0].varIdx >= 0 && p.args[1].varIdx >= 0 {
-		switch q.in.Op {
-		case ir.OpArrayLoad, ir.OpArrayStore:
-			if q.args[0].varIdx >= 0 && q.args[1].varIdx == p.args[0].varIdx {
-				return m.bareBoundArray(p, q)
+	if boundArray(p, q) {
+		return m.bareBoundArray(nil, p, q), 2
+	}
+	// arraylength n, a; boundcheck i, n; access a[i]: the checked array
+	// access the bound check's length comes from.
+	if p.in.Op == ir.OpArrayLength && p.args[0].varIdx >= 0 && len(pins) > 2 {
+		r := &pins[2]
+		if !siteCounted(r) && boundArray(q, r) && q.args[1].varIdx == int32(p.in.Dst) &&
+			r.args[0].varIdx == p.args[0].varIdx {
+			return m.bareBoundArray(p, q, r), 3
+		}
+	}
+	if s := m.bareMulAdd(p, q); s != nil {
+		return s, 2
+	}
+	return nil, 0
+}
+
+// boundArray reports whether p;q is a bound check and the array access it
+// guards (the access indexes by the checked variable).
+func boundArray(p, q *pInstr) bool {
+	if p.in.Op != ir.OpBoundCheck || p.args[0].varIdx < 0 || p.args[1].varIdx < 0 {
+		return false
+	}
+	switch q.in.Op {
+	case ir.OpArrayLoad, ir.OpArrayStore:
+		return q.args[0].varIdx >= 0 && q.args[1].varIdx == p.args[0].varIdx
+	}
+	return false
+}
+
+// mulAddShape reports whether p;q is a multiply feeding an add through p's
+// destination, p's first operand a variable, and returns the index of q's
+// other operand.
+func mulAddShape(p, q *pInstr, mul, add ir.Op) (other int, ok bool) {
+	if p.in.Op != mul || q.in.Op != add || p.args[0].varIdx < 0 {
+		return 0, false
+	}
+	t := int32(p.in.Dst)
+	switch {
+	case q.args[0].varIdx == t:
+		return 1, true
+	case q.args[1].varIdx == t:
+		return 0, true
+	}
+	return 0, false
+}
+
+// bareMulAdd fuses a multiply with the add that consumes its result, in
+// integers (mul by a constant, the scaled-index shape) and in floats (the
+// dot-product shape). The product is still written: later code may read
+// it. The float pair rounds twice, like the reference: the explicit
+// float64 conversion forbids fused multiply-add contraction.
+func (m *Machine) bareMulAdd(p, q *pInstr) stepFn {
+	t, d := p.in.Dst, q.in.Dst
+	if o, ok := mulAddShape(p, q, ir.OpMul, ir.OpAdd); ok && p.args[1].varIdx < 0 {
+		x, k := p.args[0].varIdx, p.args[1].i64
+		if y := q.args[o]; y.varIdx >= 0 {
+			yi := y.varIdx
+			return func(fr *frame) status {
+				v := fr.locals[x] * k
+				fr.locals[t] = v
+				fr.locals[d] = v + fr.locals[yi]
+				return stNext
 			}
+		}
+		c := q.args[o].i64
+		return func(fr *frame) status {
+			v := fr.locals[x] * k
+			fr.locals[t] = v
+			fr.locals[d] = v + c
+			return stNext
+		}
+	}
+	if o, ok := mulAddShape(p, q, ir.OpFMul, ir.OpFAdd); ok && p.args[1].varIdx >= 0 && q.args[o].varIdx >= 0 {
+		// The add keeps the reference's operand order: with two NaN
+		// operands the result's payload depends on it.
+		x, y, z := p.args[0].varIdx, p.args[1].varIdx, q.args[o].varIdx
+		if o == 1 {
+			return func(fr *frame) status {
+				prod := fl(fr, x) * fl(fr, y)
+				fr.locals[t] = fbits(prod)
+				fr.locals[d] = fbits(float64(prod) + fl(fr, z))
+				return stNext
+			}
+		}
+		return func(fr *frame) status {
+			prod := fl(fr, x) * fl(fr, y)
+			fr.locals[t] = fbits(prod)
+			fr.locals[d] = fbits(fl(fr, z) + float64(prod))
+			return stNext
 		}
 	}
 	return nil
@@ -1168,65 +1504,82 @@ func (m *Machine) bareNullDeref(p, q *pInstr) stepFn {
 
 // bareBoundArray fuses a bound check with the array access it guards (the
 // access indexes by the checked variable): the index local is read once and
-// the bound test feeds straight into the address computation.
-func (m *Machine) bareBoundArray(p, q *pInstr) stepFn {
+// the bound test feeds straight into the address computation. With l
+// non-nil the step first runs the arraylength the check's length comes
+// from.
+func (m *Machine) bareBoundArray(l, p, q *pInstr) stepFn {
 	ii, ni := p.args[0].varIdx, p.args[1].varIdx
 	bi := q.args[0].varIdx
 	in := q.in
+	costB, impB := m.Arch.Cost(p.in), p.in.ExcSite
 	costD, impD := m.Arch.Cost(in), in.ExcSite
-
 	if in.Op == ir.OpArrayLoad {
 		d := in.Dst
+		if l == nil {
+			return func(fr *frame) status {
+				m.Stats.BoundChecks++
+				idx := fr.locals[ii]
+				if idx < 0 || idx >= fr.locals[ni] {
+					return m.outOfBounds(fr, costD, impD)
+				}
+				m.Stats.Loads++
+				return m.finishLoad(fr, in, fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, d)
+			}
+		}
+		lin, li := l.in, l.args[0].varIdx
+		return func(fr *frame) status {
+			m.Stats.Loads++
+			if st := m.finishLoad(fr, lin, fr.locals[li], ir.VarID(ni)); st != stNext {
+				// The arraylength left the block: un-charge the check and
+				// the access.
+				m.uncharge(costB, impB)
+				m.uncharge(costD, impD)
+				return st
+			}
+			m.Stats.BoundChecks++
+			idx := fr.locals[ii]
+			if idx < 0 || idx >= fr.locals[ni] {
+				return m.outOfBounds(fr, costD, impD)
+			}
+			m.Stats.Loads++
+			return m.finishLoad(fr, in, fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, d)
+		}
+	}
+	c := q.args[2]
+	if l == nil {
 		return func(fr *frame) status {
 			m.Stats.BoundChecks++
 			idx := fr.locals[ii]
 			if idx < 0 || idx >= fr.locals[ni] {
-				m.Stats.ThrownSoftware++
-				fr.pending = m.throw(rt.ExcArrayIndexOutOfBounds)
-				m.uncharge(costD, impD)
-				return stRaise
+				return m.outOfBounds(fr, costD, impD)
 			}
-			m.Stats.Loads++
-			return m.finishLoad(fr, in,
-				fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, d)
+			m.Stats.Stores++
+			return m.finishStore(fr, in, fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, pv(fr, &c))
 		}
 	}
-	c := q.args[2]
+	lin, li := l.in, l.args[0].varIdx
 	return func(fr *frame) status {
+		m.Stats.Loads++
+		if st := m.finishLoad(fr, lin, fr.locals[li], ir.VarID(ni)); st != stNext {
+			m.uncharge(costB, impB)
+			m.uncharge(costD, impD)
+			return st
+		}
 		m.Stats.BoundChecks++
 		idx := fr.locals[ii]
 		if idx < 0 || idx >= fr.locals[ni] {
-			m.Stats.ThrownSoftware++
-			fr.pending = m.throw(rt.ExcArrayIndexOutOfBounds)
-			m.uncharge(costD, impD)
-			return stRaise
+			return m.outOfBounds(fr, costD, impD)
 		}
 		m.Stats.Stores++
-		return m.finishStore(fr, in,
-			fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, pv(fr, &c))
+		return m.finishStore(fr, in, fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, pv(fr, &c))
 	}
 }
 
-// bareCmpIf builds the cmp→if superinstruction.
-// The cmp's destination is still written: later blocks may read it.
-func (m *Machine) bareCmpIf(p, q *pInstr) stepFn {
-	ccmp := intCmpFn(p.in.Cond)
-	icmp := intCmpFn(q.in.Cond)
-	d := p.in.Dst
-	a, b := p.args[0], p.args[1]
-	k := q.args[1].i64
-	t0, t1 := q.in.Targets[0].ID, q.in.Targets[1].ID
-	return func(fr *frame) status {
-		var v int64
-		if ccmp(pv(fr, &a), pv(fr, &b)) {
-			v = 1
-		}
-		fr.locals[d] = v
-		if icmp(v, k) {
-			fr.next = t0
-		} else {
-			fr.next = t1
-		}
-		return stJump
-	}
+// outOfBounds raises a fused bound check's exception and un-charges the
+// access it guarded.
+func (m *Machine) outOfBounds(fr *frame, cost int64, imp bool) status {
+	m.Stats.ThrownSoftware++
+	fr.pending = m.throw(rt.ExcArrayIndexOutOfBounds)
+	m.uncharge(cost, imp)
+	return stRaise
 }

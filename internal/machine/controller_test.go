@@ -7,6 +7,8 @@ import (
 	"trapnull/internal/arch"
 	"trapnull/internal/ir"
 	"trapnull/internal/jit"
+	"trapnull/internal/obs"
+	"trapnull/internal/rt"
 	"trapnull/internal/workloads"
 )
 
@@ -236,4 +238,83 @@ func TestResetPreparedKeepsGovernorDropsSpeculation(t *testing.T) {
 		}
 		invoke(t, m, w, fn, 1)
 	})
+}
+
+// decisionFn builds f(a) for the decision-step test: lead adds, then the
+// decision point on a (a speculation guard, or an implicit getfield marked
+// as trap site 1), then tail adds, then return. The decision point is the
+// (lead+1)-th instruction the call executes.
+func decisionFn(c *ir.Class, guard bool, lead, tail int) *ir.Func {
+	b := ir.NewFunc("f", false)
+	a := b.Param("a", ir.KindRef)
+	b.Result(ir.KindInt)
+	b.Block("entry")
+	x := b.Temp(ir.KindInt)
+	adds := func(n int) {
+		for k := 0; k < n; k++ {
+			b.Binop(ir.OpAdd, x, ir.Var(x), ir.ConstInt(1))
+		}
+	}
+	adds(lead)
+	if guard {
+		b.NullCheck(a, ir.ReasonField).SpecGuard = 1
+	} else {
+		b.Emit(&ir.Instr{Op: ir.OpGetField, Dst: b.Temp(ir.KindInt), Field: c.FieldByName("f"),
+			Args: []ir.Operand{ir.Var(a)}, ExcSite: true, ExcVar: a, TrapSite: 1})
+	}
+	adds(tail)
+	b.Return(ir.Var(x))
+	return b.Finish()
+}
+
+// TestDecisionStepIsReferenceCount pins the flight recorder's step clock at
+// the reference count: a fired speculation guard's deopt and a governed
+// trap's demotion are logged at the step of the instruction that fired,
+// however many instructions follow it in its block (the closure engine
+// pre-charges them with the stretch) and on either engine.
+func TestDecisionStepIsReferenceCount(t *testing.T) {
+	const lead = 2
+	for _, tail := range []int{0, 1, 5} {
+		for _, guard := range []bool{true, false} {
+			for _, rung := range []tierLevel{tierInterp, tierClosureFinal} {
+				if guard && rung == tierInterp {
+					continue // the interpreter never runs speculative bodies
+				}
+				p, c := prog()
+				body := func() *ir.Func { return decisionFn(c, guard, lead, tail) }
+				mth := p.AddMethod(nil, "f", body(), false)
+				m := New(arch.IA32Win(), p)
+				m.Recorder = obs.NewRecorder(0)
+				kind := "deopt"
+				if guard {
+					m.EnableTiering(TierPolicy{}, nil)
+					mt := m.tier.stateOf(mth.Fn)
+					spec := body()
+					mt.tier, mt.fn2, mt.cf2 = tierSpec, spec, m.compiled(spec)
+					m.tier.byFn[spec] = mt
+				} else {
+					kind = "demote"
+					m.EnableGovernor(GovernorPolicy{RecompileBudget: 2}, func(map[string][]int) (*ir.Program, error) {
+						q, _ := prog()
+						q.AddMethod(nil, "f", body(), false)
+						return q, nil
+					})
+					m.tier.stateOf(mth.Fn).tier = rung
+				}
+				out, err := m.Call(mth.Fn, 0)
+				if err != nil || out.Exc != rt.ExcNullPointer {
+					t.Fatalf("tail %d guard %v: out=%+v err=%v, want an NPE", tail, guard, out, err)
+				}
+				var got []int64
+				for _, ev := range m.Recorder.Events() {
+					if ev.Kind == kind {
+						got = append(got, ev.Step)
+					}
+				}
+				if len(got) != 1 || got[0] != lead+1 {
+					t.Errorf("tail %d guard %v rung %d: %s logged at steps %v, want [%d]", tail, guard, rung, kind, got, lead+1)
+				}
+			}
+		}
+	}
 }

@@ -196,8 +196,9 @@ func (t *tierController) bindSite(fn *ir.Func, pin *pInstr) {
 }
 
 // siteTrapped is the trap-path notification: a hardware trap fired at a
-// marked exception site. It charges the site's null counter and evaluates
-// the demotion trigger. Runs only on traps, never on the fast path.
+// marked exception site. It charges the site's null counter and holds the
+// demotion trigger for settle, which both engines call when they dispatch
+// the trap's raise. Runs only on traps, never on the fast path.
 func (t *tierController) siteTrapped(in *ir.Instr) {
 	if t.gov == nil {
 		return
@@ -207,7 +208,7 @@ func (t *tierController) siteTrapped(in *ir.Instr) {
 		return
 	}
 	site.cell.Nulls++
-	t.trigger(site)
+	t.site, t.siteFired = site, true
 }
 
 // trigger decides whether the trap that just fired demotes its site. The

@@ -86,6 +86,9 @@ type Machine struct {
 	fns *fnCache[*fnEntry]
 	// frames is the closure engine's activation-record pool.
 	frames []*frame
+	// heapLo is max(rt.HeapBase, Arch.TrapAreaBytes): the closure engine's
+	// heap fast path takes addresses at or above it (see finishLoad).
+	heapLo int64
 }
 
 // New returns a machine for the given model and program.
@@ -460,6 +463,9 @@ func (m *Machine) exec(fn *ir.Func, args []int64, depth int) (Outcome, error) {
 		}
 
 		if pending != nil {
+			if m.tier != nil {
+				m.tier.settle(fn, nil)
+			}
 			// Exception dispatch: the innermost try region of the faulting
 			// block, else propagate to the caller.
 			if blk.Try != ir.NoTry {

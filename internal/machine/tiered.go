@@ -190,6 +190,28 @@ type tierController struct {
 	// per-site trap-rate monitoring with implicit→explicit demotion. A
 	// governed controller never speculates. See governor.go.
 	gov *governor
+
+	// guard and site hold a decision a raise triggered until the engine
+	// dispatches that raise (settle). The closure engine pre-charges whole
+	// stretches, so only after its rollback does m.steps read the
+	// reference's count that the flight recorder logs.
+	guard     *ir.Instr // a fired speculation guard in closure code
+	site      govSite   // a governed trap site that just trapped...
+	siteFired bool      // ...when set
+}
+
+// settle runs the decisions held since the raise now being dispatched: the
+// fired guard's deoptimization (fr, when non-nil, is the closure frame to
+// transfer) and the governed site's demotion trigger.
+func (t *tierController) settle(fn *ir.Func, fr *frame) {
+	if in := t.guard; in != nil {
+		t.guard = nil
+		t.deopted(fn, in, fr)
+	}
+	if t.siteFired {
+		t.siteFired = false
+		t.trigger(t.site)
+	}
 }
 
 // EnableTiering switches the machine to tiered adaptive execution. compile

@@ -205,5 +205,26 @@ func (h *Heap) Store(addr, v int64) {
 	h.words[(addr-HeapBase)/ir.WordBytes] = v
 }
 
+// TryLoad reads the word at addr when addr is at or above lo and inside the
+// live heap. lo must be at least HeapBase; with lo = max(HeapBase, trapArea)
+// the test is exactly Classify(addr, trapArea)'s AccessOK arm, done once
+// (the index compare also bounds the read).
+func (h *Heap) TryLoad(addr, lo int64) (int64, bool) {
+	if i := uint64(addr-HeapBase) / ir.WordBytes; addr >= lo && i < uint64(len(h.words)) {
+		return h.words[i], true
+	}
+	return 0, false
+}
+
+// TryStore is TryLoad's write: it stores v and reports true under the same
+// test, and leaves the heap untouched otherwise.
+func (h *Heap) TryStore(addr, lo, v int64) bool {
+	if i := uint64(addr-HeapBase) / ir.WordBytes; addr >= lo && i < uint64(len(h.words)) {
+		h.words[i] = v
+		return true
+	}
+	return false
+}
+
 // LiveWords returns the number of allocated words (for stats).
 func (h *Heap) LiveWords() int { return len(h.words) }

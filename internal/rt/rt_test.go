@@ -143,3 +143,37 @@ func TestQuickAllocationAlwaysInHeapRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTryLoadStoreMatchClassify pins the closure engine's heap fast path:
+// with lo = max(HeapBase, trapArea), TryLoad and TryStore succeed exactly
+// where Classify reports AccessOK — including a custom trap area reaching
+// past HeapBase into the live heap — and touch the word Load would.
+func TestTryLoadStoreMatchClassify(t *testing.T) {
+	h := NewHeap(0)
+	h.AllocArray(6)
+	end := HeapBase + int64(h.LiveWords())*ir.WordBytes
+	addrs := []int64{-1 << 40, -8, -1, 0, 7, 4095, 4096, HeapBase - 8, HeapBase - 1,
+		HeapBase, HeapBase + 1, HeapBase + 20, HeapBase + 24, end - 8, end - 1, end, end + 8}
+	for _, trapArea := range []int64{0, 4096, 512 << 10, HeapBase, HeapBase + 24, end + 64} {
+		lo := max(HeapBase, trapArea)
+		for _, addr := range addrs {
+			ok := h.Classify(addr, trapArea) == AccessOK
+			v, got := h.TryLoad(addr, lo)
+			if got != ok {
+				t.Fatalf("trapArea %d addr %#x: TryLoad ok=%v, Classify AccessOK=%v", trapArea, addr, got, ok)
+			}
+			if !ok {
+				if h.TryStore(addr, lo, 1) {
+					t.Fatalf("trapArea %d addr %#x: TryStore stored outside AccessOK", trapArea, addr)
+				}
+				continue
+			}
+			if v != h.Load(addr) {
+				t.Fatalf("addr %#x: TryLoad read %d, Load %d", addr, v, h.Load(addr))
+			}
+			if !h.TryStore(addr, lo, addr) || h.Load(addr) != addr {
+				t.Fatalf("addr %#x: TryStore did not write the word Load reads", addr)
+			}
+		}
+	}
+}
