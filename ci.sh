@@ -46,6 +46,11 @@ go test -run FuzzDifferential ./internal/randprog
 # example outputs (simulated cycles included) and the jasm engine-fuzz seeds
 # run here too, so both engines must print and agree on the same numbers.
 TRAPNULL_ENGINE=switch go test ./internal/machine ./internal/bench ./internal/randprog ./examples/... ./internal/jasm
+# Bounded native fuzz smoke: arbitrary jasm programs through both engines.
+# Its 5000-step limit ends every looping program, so the closure engine's
+# hand-off to the interpreter at a stretch the limit could fire in meets
+# shapes no hand-written test has.
+go test -run '^$' -fuzz '^FuzzJasmEngines$' -fuzztime 20s ./internal/jasm
 # Benchmark smoke: one iteration of every Exec micro-benchmark (both
 # engines, checksum-verified) so the bench harness itself cannot rot.
 go test -bench=Exec -benchtime=1x -run '^$' .

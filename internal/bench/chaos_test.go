@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"trapnull/internal/machine"
@@ -47,7 +48,10 @@ func TestChaosDeterministicAcrossEngines(t *testing.T) {
 }
 
 // TestChaosActuallyInjects: a chaos run that never arms a fault is testing
-// nothing — the default rates must perturb a sweep this size.
+// nothing — the default rates must perturb a sweep this size. An armed step
+// fault must also fire: a cell that fails with the injected step fault is
+// what drives the engines' step-limit path, and a fault armed past the end
+// of its cell's run would leave that path untested.
 func TestChaosActuallyInjects(t *testing.T) {
 	rep, err := RunChaos(3, ChaosOptions{Parallelism: 2})
 	if err != nil {
@@ -58,5 +62,12 @@ func TestChaosActuallyInjects(t *testing.T) {
 	}
 	if len(rep.Lines) == 0 {
 		t.Fatal("chaos run measured no cells")
+	}
+	fired := false
+	for _, l := range rep.Lines {
+		fired = fired || strings.Contains(l, "injected step fault")
+	}
+	if !fired {
+		t.Fatalf("no cell failed with an injected step fault:\n%s", rep.Render())
 	}
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +101,74 @@ func TestTieredDifferentialAllWorkloads(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTieredStepLimit runs tiered machines into their step limit. With a
+// promotion-only policy a method moves from the interpreter to the closure
+// engine mid-invocation, and a closure-engine stretch the limit could fire
+// in hands the invocation back to the reference interpreter, so the limit
+// lands on either rung and across both hand-offs. At 16 limits spread over
+// each workload's untiered step count, on both arch models, the tiered run
+// must match an untiered switch-interpreter machine under the same limit on
+// Outcome, error text, ExecStats and Cycles.
+func TestTieredStepLimit(t *testing.T) {
+	sweeps := []struct {
+		name  string
+		model func() *arch.Model
+		cfg   jit.Config
+	}{
+		{"win", arch.IA32Win, jit.ConfigPhase1Phase2()},
+		{"aix", arch.PPCAIX, jit.ConfigAIXSpeculation()},
+	}
+	const limits = 16
+	pol := machine.TierPolicy{T1Blocks: 32}
+	promotedAtLimit := 0
+	for _, sw := range sweeps {
+		cache := jit.NewCache(0)
+		for _, w := range append(workloads.All(), workloads.Extensions()...) {
+			model := sw.model()
+			prog, err := tierCompiler(w, sw.cfg, model, cache)(nil)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", sw.name, w.Name, err)
+			}
+			_, entryM := w.Build()
+			fn := prog.MethodByName(entryM.QualifiedName()).Fn
+			oracle := func(limit int64) *machine.Machine {
+				m := machine.New(model, prog)
+				m.Engine = machine.EngineSwitch
+				if limit > 0 {
+					m.MaxSteps = limit
+				}
+				return m
+			}
+			full := oracle(0)
+			if _, err := full.Call(fn, w.TestN); err != nil {
+				t.Fatalf("%s/%s: untiered run: %v", sw.name, w.Name, err)
+			}
+			for k := int64(1); k <= limits; k++ {
+				limit := max(1, full.Steps()*k/limits)
+				id := fmt.Sprintf("%s/%s limit %d of %d", sw.name, w.Name, limit, full.Steps())
+				ref := oracle(limit)
+				wantOut, wantErr := ref.Call(fn, w.TestN)
+				mach, tfn := newTieredMachine(t, w, sw.cfg, model, pol, cache)
+				mach.MaxSteps = limit
+				out, err := mach.Call(tfn, w.TestN)
+				if out != wantOut || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Errorf("%s: tiered out=%+v err=%v, switch out=%+v err=%v", id, out, err, wantOut, wantErr)
+				}
+				if mach.Stats != ref.Stats || mach.Cycles != ref.Cycles {
+					t.Errorf("%s: tiered stats=%+v cycles=%d, switch stats=%+v cycles=%d",
+						id, mach.Stats, mach.Cycles, ref.Stats, ref.Cycles)
+				}
+				if errors.Is(err, machine.ErrStepLimit) && mach.TierReport().OSREntries > 0 {
+					promotedAtLimit++
+				}
+			}
+		}
+	}
+	if promotedAtLimit == 0 {
+		t.Fatal("no run hit its step limit after a promotion: the closure rung's hand-off went untested")
 	}
 }
 

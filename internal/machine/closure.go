@@ -28,8 +28,10 @@ import (
 // then the semantics. A stretch ends after every call and at the block end
 // (a compiled block ends at its first terminator), so whatever runs after a
 // stretch entry (a callee, the next block) sees exactly the reference's
-// accounting; runSteps, the step-limit fallback,
-// applies the order one instruction at a time. Differential tests pin it.
+// accounting. A stretch the step limit could fire in is not run here: the
+// reference interpreter takes over the invocation at that stretch's first
+// instruction (interp) and applies the order one instruction at a time.
+// Differential tests pin it.
 //
 // Closures capture the Machine and its Arch's costs, so a Machine's Arch
 // must not be swapped after the first Call (nothing in the repository does).
@@ -42,7 +44,6 @@ const (
 	stJump                // transfer to block frame.next
 	stRaise               // exception in frame.pending; dispatch to handler
 	stErr                 // simulation error in frame.err
-	stTerm                // runSteps accounted the inline terminator; evaluate it
 )
 
 // frame is the per-call activation record. Frames are pooled on the Machine.
@@ -52,23 +53,10 @@ type frame struct {
 	err     error
 	next    int // target block ID set by stJump steps
 	depth   int
-	// deoptFn/deoptCf, set by a fired speculation guard, transfer this
-	// invocation to the conservative artifact at the raise dispatch (the two
-	// artifacts are block-for-block aligned, so the swap is exact).
-	deoptFn *ir.Func
-	deoptCf *cFunc
 }
 
 // stepFn executes one instruction (or one fused superinstruction).
 type stepFn func(fr *frame) status
-
-// cStep is one unfused instruction of the step-limit fallback: the bare
-// closure plus the static accounting runSteps applies before invoking it.
-type cStep struct {
-	step stepFn
-	cost int64 // static cycle cost (m.Arch.Cost)
-	imp  bool  // ExcSite: bump Stats.ImplicitSites
-}
 
 // cBlock is one compiled block: a sequence of charged stretches and an
 // inline terminator. The first stretch is held in the block itself, so a
@@ -77,13 +65,10 @@ type cStep struct {
 // counting must observe the caller's steps exactly as of the call, never a
 // pre-charged suffix) or at the block end. The compiled block ends at the
 // block's first terminator: nothing after it can run in either engine.
-// steps is the per-instruction form, run only when the step limit could
-// fire inside a stretch.
 type cBlock struct {
 	seg     cSeg   // the first stretch
 	more    []cSeg // the stretches after each call
 	term    cTerm
-	steps   []cStep
 	handler int      // handler block ID, or -1 outside any try region
 	excVar  ir.VarID // handler's exception variable (NoVar when none)
 	b       *ir.Block
@@ -99,7 +84,7 @@ type cSeg struct {
 	cycles   int64
 	implicit int64
 	suffix   []suf // per charged entry: accounting of the entries after it
-	from     int   // index into cb.steps of this stretch's first instruction
+	from     int   // index of this stretch's first instruction in the block
 }
 
 // suf is the accounting a charged stretch pre-paid for the instructions
@@ -134,22 +119,19 @@ const (
 	preAddVK         // locals[pd] = locals[px] + pk
 	preMovK          // locals[pd] = pk
 	preMovV          // locals[pd] = locals[px]
-	preCmpVV         // locals[pd] = locals[px] pcond locals[py]
-	preCmpVK         // locals[pd] = locals[px] pcond pk
 )
 
 // cTerm is a block's terminator decoded for inline evaluation: jump,
 // integer if (var/const or var/var) and return. throw, float compares and
 // const-first shapes stay step closures (kind termClosure).
 type cTerm struct {
-	kind       termKind
-	pre        preKind
-	cond       condMask // the if's condition
-	pcond      condMask // the folded compare's condition
-	a, b       int32
-	pd, px, py int32
-	t0, t1     int
-	k, pk      int64
+	kind   termKind
+	pre    preKind
+	cond   condMask // the if's condition
+	a, b   int32
+	pd, px int32
+	t0, t1 int
+	k, pk  int64
 }
 
 // cFunc is one function compiled for the closure engine, dense by block ID.
@@ -242,10 +224,11 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 		sg := &cb.seg
 		for si := 0; ; si++ {
 			if m.steps+sg.count > m.MaxSteps {
-				// The step limit can fire inside this stretch: finish the
-				// block per-instruction accounted.
-				st = m.runSteps(fr, fn, cb.steps[sg.from:])
-				break
+				// The step limit can fire inside this stretch, so the budget
+				// left is smaller than it: the reference interpreter runs
+				// the rest of the invocation from the stretch's first
+				// instruction, accounting each instruction.
+				return m.interp(fn, fr.locals, cb.b, sg.from, fr.depth)
 			}
 			// Charge the stretch up front and run the bare closures; a
 			// raising entry rolls back its unexecuted suffix, restoring
@@ -287,13 +270,7 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 				fr.locals[t.pd] = t.pk
 			case preMovV:
 				fr.locals[t.pd] = fr.locals[t.px]
-			case preCmpVV:
-				fr.locals[t.pd] = b2i(t.pcond.holds(fr.locals[t.px], fr.locals[t.py]))
-			case preCmpVK:
-				fr.locals[t.pd] = b2i(t.pcond.holds(fr.locals[t.px], t.pk))
 			}
-			fallthrough
-		case stTerm:
 			switch t.kind {
 			case termJump:
 				blkID = t.t0
@@ -324,20 +301,16 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 		case stRaise:
 			p := fr.pending
 			fr.pending = nil
-			if m.tier != nil {
-				// Adaptive decisions the raise triggered (a fired speculation
-				// guard, a governed trap) run here, after the rollback, so
-				// they see the reference's step count.
-				m.tier.settle(fn, fr)
-			}
-			if fr.deoptCf != nil {
+			// Adaptive decisions the raise triggered (a fired speculation
+			// guard, a governed trap) run here, after the rollback, so they
+			// see the reference's step count.
+			if fn0 := m.tier.settle(fn); fn0 != nil {
 				// Trap-triggered deoptimization: the fired guard demoted the
 				// method; this invocation transfers to the conservative
-				// artifact before the raise dispatches, so the handler (or
-				// the escape to the caller) and everything after run tier-0
-				// semantics.
-				fn, cf = fr.deoptFn, fr.deoptCf
-				fr.deoptFn, fr.deoptCf = nil, nil
+				// artifact (block-for-block aligned with fn) before the raise
+				// dispatches, so the handler (or the escape to the caller)
+				// and everything after run tier-0 semantics.
+				fn, cf = fn0, m.compiled(fn0)
 				if m.Profile != nil {
 					prof = m.Profile.Counters(fn)
 				}
@@ -372,34 +345,6 @@ func runCharged(fr *frame, charged []stepFn) (status, int) {
 		}
 	}
 	return stNext, len(charged)
-}
-
-// runSteps executes unfused steps in order until one leaves the straight
-// line, applying the reference's per-instruction accounting to each. It
-// accounts an inline terminator (nil step) like any other instruction and
-// returns stTerm, leaving its evaluation to the block loop.
-func (m *Machine) runSteps(fr *frame, fn *ir.Func, steps []cStep) status {
-	for i := range steps {
-		s := &steps[i]
-		m.steps++
-		if m.steps > m.MaxSteps {
-			fr.err = m.stepLimitErr(fn)
-			return stErr
-		}
-		m.Stats.Instrs++
-		if s.imp {
-			m.Stats.ImplicitSites++
-		}
-		m.Cycles += s.cost
-		if s.step == nil {
-			// The block's inline terminator: the block loop evaluates it.
-			return stTerm
-		}
-		if st := s.step(fr); st != stNext {
-			return st
-		}
-	}
-	return stNext
 }
 
 // finishLoad completes a memory read: a direct hit inside the live heap —
@@ -455,7 +400,6 @@ func (m *Machine) frameGet(n int) *frame {
 		}
 		fr.pending = nil
 		fr.err = nil
-		fr.deoptFn, fr.deoptCf = nil, nil
 		return fr
 	}
 	return &frame{locals: make([]int64, n)}
@@ -492,7 +436,7 @@ func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
 				break
 			}
 		}
-		cb := cBlock{b: b, handler: -1, excVar: ir.NoVar, steps: make([]cStep, len(pins))}
+		cb := cBlock{b: b, handler: -1, excVar: ir.NoVar}
 		if b.Try != ir.NoTry {
 			r := fn.Regions[b.Try]
 			cb.handler = r.Handler.ID
@@ -507,25 +451,7 @@ func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
 				tail = 2
 			}
 		}
-		for i := range pins {
-			var step stepFn
-			if i < len(pins)-1 || tail == 0 {
-				step = m.compileStep(&pins[i])
-			}
-			if siteCounted(&pins[i]) {
-				// Governed site counter: mirror the interpreter's per-site
-				// Execs increment. Fusion and the inline terminator refuse
-				// counter-bearing sites, so every execution flows through
-				// this wrapper.
-				c, inner := pins[i].chk, step
-				step = func(fr *frame) status {
-					c.Execs++
-					return inner(fr)
-				}
-			}
-			cb.steps[i] = cStep{step: step, cost: m.Arch.Cost(pins[i].in), imp: pins[i].in.ExcSite}
-		}
-		if segs := m.buildSegs(pins, cb.steps, tail); len(segs) > 0 {
+		if segs := m.buildSegs(pins, tail); len(segs) > 0 {
 			cb.seg, cb.more = segs[0], segs[1:]
 		}
 		cf.blocks[b.ID] = cb
@@ -535,7 +461,7 @@ func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
 
 // siteCounted reports whether pin carries a governed or attribution site
 // counter, whose Execs increment lives in its wrapped closure (see
-// compileFunc): such an instruction never fuses or runs inline.
+// compileCharged): such an instruction never fuses or runs inline.
 func siteCounted(pin *pInstr) bool { return pin.chk != nil && pin.in.ExcSite }
 
 // decodeTerm decodes pin into t when the block loop can evaluate it inline.
@@ -593,19 +519,6 @@ func decodePre(t *cTerm, pin *pInstr) bool {
 			return false
 		}
 		t.pre, t.px, t.pk = preAddVK, a.varIdx, b.i64
-	case ir.OpCmp:
-		// Float compares stay closures: the reference compares as floats
-		// when either side is float-kinded.
-		a, b := pin.args[0], pin.args[1]
-		if a.isFloat || b.isFloat || a.varIdx < 0 {
-			return false
-		}
-		t.pcond, t.px = maskOf(in.Cond), a.varIdx
-		if b.varIdx >= 0 {
-			t.pre, t.py = preCmpVV, b.varIdx
-		} else {
-			t.pre, t.pk = preCmpVK, b.i64
-		}
 	default:
 		return false
 	}
@@ -614,10 +527,10 @@ func decodePre(t *cTerm, pin *pInstr) bool {
 }
 
 // buildSegs splits a block into charged stretches, each ending after a call
-// or at the block end, and fuses adjacent pairs within each stretch. steps
-// holds the block's unfused closures and accounting; its last tail entries
-// run inline in the block loop and get no charged entry.
-func (m *Machine) buildSegs(pins []pInstr, steps []cStep, tail int) []cSeg {
+// or at the block end, and fuses adjacent pairs within each stretch. The
+// block's last tail instructions run inline in the block loop and get no
+// charged entry.
+func (m *Machine) buildSegs(pins []pInstr, tail int) []cSeg {
 	var segs []cSeg
 	for start := 0; start < len(pins); {
 		end := start + 1
@@ -625,15 +538,15 @@ func (m *Machine) buildSegs(pins []pInstr, steps []cStep, tail int) []cSeg {
 			end++
 		}
 		sg := cSeg{from: start, count: int64(end - start)}
-		// sufAt[i] covers steps[i+1:end], the part of this stretch a raise at
-		// steps[i] must roll back.
+		// sufAt[i] covers pins[i+1:end], the part of this stretch a raise at
+		// pins[i] must roll back.
 		sufAt := make([]suf, end-start)
 		var acc suf
 		for i := end - 1; i >= start; i-- {
 			sufAt[i-start] = acc
 			acc.count++
-			acc.cycles += steps[i].cost
-			if steps[i].imp {
+			acc.cycles += m.Arch.Cost(pins[i].in)
+			if pins[i].in.ExcSite {
 				acc.imp++
 			}
 		}
@@ -649,7 +562,7 @@ func (m *Machine) buildSegs(pins []pInstr, steps []cStep, tail int) []cSeg {
 				i += w
 				continue
 			}
-			sg.charged = append(sg.charged, steps[i].step)
+			sg.charged = append(sg.charged, m.compileCharged(&pins[i]))
 			sg.suffix = append(sg.suffix, sufAt[i-start])
 			i++
 		}
@@ -657,6 +570,22 @@ func (m *Machine) buildSegs(pins []pInstr, steps []cStep, tail int) []cSeg {
 		start = end
 	}
 	return segs
+}
+
+// compileCharged compiles one unfused charged entry. A governed or
+// attribution site counter is bumped by a wrapper, mirroring the
+// interpreter's per-site Execs increment: fusion and the inline terminator
+// refuse counter-bearing sites, so every execution flows through it.
+func (m *Machine) compileCharged(pin *pInstr) stepFn {
+	step := m.compileStep(pin)
+	if !siteCounted(pin) {
+		return step
+	}
+	c := pin.chk
+	return func(fr *frame) status {
+		c.Execs++
+		return step(fr)
+	}
 }
 
 // isCall reports whether in is a call, after which a charged stretch ends
@@ -770,7 +699,7 @@ func unI(d ir.VarID, a pOp, op func(x int64) int64) stepFn {
 }
 
 // compileStep compiles one instruction into its bare step closure: pure
-// semantics, no accounting (runSteps or the stretch charge supplies it).
+// semantics, no accounting (the stretch charge supplies it).
 func (m *Machine) compileStep(pin *pInstr) stepFn {
 	in := pin.in
 	d := in.Dst
@@ -1303,9 +1232,8 @@ func (m *Machine) compileCall(pin *pInstr) stepFn {
 // fuse tries to fuse the instructions at the head of pins into one
 // superinstruction and returns it with the number of instructions it
 // covers (0 when no rule applies). It is the one implementation of every
-// fusion rule; fused steps only run inside charged stretches (the
-// step-limit fallback runs the parts unfused). A fused step whose early
-// part exits the block must itself un-charge its unexecuted later parts
+// fusion rule. A fused step whose early part exits the block must itself
+// un-charge its unexecuted later parts
 // (the runner's suffix for the step only covers what follows it);
 // uncharge() does that.
 func (m *Machine) fuse(pins []pInstr) (stepFn, int) {

@@ -271,48 +271,55 @@ func decisionFn(c *ir.Class, guard bool, lead, tail int) *ir.Func {
 // the reference count: a fired speculation guard's deopt and a governed
 // trap's demotion are logged at the step of the instruction that fired,
 // however many instructions follow it in its block (the closure engine
-// pre-charges them with the stretch) and on either engine.
+// pre-charges them with the stretch) and on either engine. With the step
+// limit at the firing instruction, the closure engine hands the block to the
+// interpreter, which then runs the speculative body and deoptimizes itself.
 func TestDecisionStepIsReferenceCount(t *testing.T) {
 	const lead = 2
 	for _, tail := range []int{0, 1, 5} {
 		for _, guard := range []bool{true, false} {
 			for _, rung := range []tierLevel{tierInterp, tierClosureFinal} {
 				if guard && rung == tierInterp {
-					continue // the interpreter never runs speculative bodies
+					continue // speculative bodies are dispatched to the closure engine
 				}
-				p, c := prog()
-				body := func() *ir.Func { return decisionFn(c, guard, lead, tail) }
-				mth := p.AddMethod(nil, "f", body(), false)
-				m := New(arch.IA32Win(), p)
-				m.Recorder = obs.NewRecorder(0)
-				kind := "deopt"
-				if guard {
-					m.EnableTiering(TierPolicy{}, nil)
-					mt := m.tier.stateOf(mth.Fn)
-					spec := body()
-					mt.tier, mt.fn2, mt.cf2 = tierSpec, spec, m.compiled(spec)
-					m.tier.byFn[spec] = mt
-				} else {
-					kind = "demote"
-					m.EnableGovernor(GovernorPolicy{RecompileBudget: 2}, func(map[string][]int) (*ir.Program, error) {
-						q, _ := prog()
-						q.AddMethod(nil, "f", body(), false)
-						return q, nil
-					})
-					m.tier.stateOf(mth.Fn).tier = rung
-				}
-				out, err := m.Call(mth.Fn, 0)
-				if err != nil || out.Exc != rt.ExcNullPointer {
-					t.Fatalf("tail %d guard %v: out=%+v err=%v, want an NPE", tail, guard, out, err)
-				}
-				var got []int64
-				for _, ev := range m.Recorder.Events() {
-					if ev.Kind == kind {
-						got = append(got, ev.Step)
+				for _, limit := range []int64{0, lead + 1} {
+					p, c := prog()
+					body := func() *ir.Func { return decisionFn(c, guard, lead, tail) }
+					mth := p.AddMethod(nil, "f", body(), false)
+					m := New(arch.IA32Win(), p)
+					m.Recorder = obs.NewRecorder(0)
+					if limit > 0 {
+						m.MaxSteps = limit
 					}
-				}
-				if len(got) != 1 || got[0] != lead+1 {
-					t.Errorf("tail %d guard %v rung %d: %s logged at steps %v, want [%d]", tail, guard, rung, kind, got, lead+1)
+					kind := "deopt"
+					if guard {
+						m.EnableTiering(TierPolicy{}, nil)
+						mt := m.tier.stateOf(mth.Fn)
+						spec := body()
+						mt.tier, mt.fn2, mt.cf2 = tierSpec, spec, m.compiled(spec)
+						m.tier.byFn[spec] = mt
+					} else {
+						kind = "demote"
+						m.EnableGovernor(GovernorPolicy{RecompileBudget: 2}, func(map[string][]int) (*ir.Program, error) {
+							q, _ := prog()
+							q.AddMethod(nil, "f", body(), false)
+							return q, nil
+						})
+						m.tier.stateOf(mth.Fn).tier = rung
+					}
+					out, err := m.Call(mth.Fn, 0)
+					if err != nil || out.Exc != rt.ExcNullPointer {
+						t.Fatalf("tail %d guard %v: out=%+v err=%v, want an NPE", tail, guard, out, err)
+					}
+					var got []int64
+					for _, ev := range m.Recorder.Events() {
+						if ev.Kind == kind {
+							got = append(got, ev.Step)
+						}
+					}
+					if len(got) != 1 || got[0] != lead+1 {
+						t.Errorf("tail %d guard %v rung %d limit %d: %s logged at steps %v, want [%d]", tail, guard, rung, limit, kind, got, lead+1)
+					}
 				}
 			}
 		}

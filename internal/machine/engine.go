@@ -21,7 +21,8 @@ const (
 	// opcode and operand shape, hot adjacent pairs are fused into
 	// superinstructions, and every block runs as charged stretches ending at
 	// calls and terminators, with the unexecuted suffix rolled back when an
-	// instruction raises. The default.
+	// instruction raises. A stretch the step limit could fire in runs in the
+	// switch interpreter instead. The default.
 	EngineClosure Engine = iota
 	// EngineSwitch is the original per-instruction switch interpreter, kept
 	// as the reference implementation the closure engine is differentially

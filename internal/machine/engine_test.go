@@ -51,7 +51,8 @@ func assertEnginesAgree(t *testing.T, a *arch.Model, p *ir.Program, fn *ir.Func,
 
 // spinFn builds an infinite counting loop whose loop block is one charged
 // stretch (add; add; if), so the step limit must be enforced by the
-// stretch guard's per-instruction fallback, not just the stretch charge.
+// interpreter the stretch guard hands the block to, not just the stretch
+// charge.
 func spinFn() *ir.Func {
 	b := ir.NewFunc("spin", false)
 	b.Result(ir.KindInt)
@@ -133,8 +134,8 @@ func TestEngineStepLimitBoundary(t *testing.T) {
 }
 
 // TestEngineStepLimitInsideBatchableBlock places the limit in the middle of
-// a batchable block: the closure engine must fall back to per-instruction
-// accounting and stop mid-block exactly where the reference does, with
+// a batchable block: the closure engine must hand the block to the
+// interpreter and stop mid-block exactly where the reference does, with
 // Stats.Instrs reflecting only the instructions that actually ran.
 func TestEngineStepLimitInsideBatchableBlock(t *testing.T) {
 	p, _ := prog()

@@ -90,11 +90,9 @@ func fusionFn(t *testing.T, p *ir.Program, c *ir.Class, fc fusionCase, placement
 }
 
 // fusedPairs counts the superinstructions the closure engine built for fn:
-// the instructions each fused closure runs beyond its first, plus each
-// compare folded into its block's inline terminator (the compare→branch
-// pair). Inline terminators and their move/add folds, which a stretch's
-// count covers without a charged closure, are not pairs; inlineShape
-// counts them.
+// the instructions each fused closure runs beyond its first. Inline
+// terminators and their move/add folds, which a stretch's count covers
+// without a charged closure, are not pairs; inlineShape counts them.
 func fusedPairs(m *Machine, fn *ir.Func) int {
 	n := 0
 	for _, cb := range m.compiled(fn).blocks {
@@ -103,9 +101,6 @@ func fusedPairs(m *Machine, fn *ir.Func) int {
 		}
 		terms, folds := inlineShape(&cb.term)
 		n -= terms + folds
-		if cb.term.pre == preCmpVV || cb.term.pre == preCmpVK {
-			n++
-		}
 	}
 	return n
 }
@@ -252,9 +247,10 @@ func TestEngineBoundCheckFusion(t *testing.T) {
 	})
 }
 
-// TestEngineCmpIfFusion drives the cmp→if superinstruction down both edges,
-// with var/var and var/const compares, and reads the cmp result after the
-// branch: fusion must still write it for later blocks.
+// TestEngineCmpIfFusion drives a compare feeding an inline if down both
+// edges, with var/var and var/const compares, and reads the compare's result
+// after the branch. Nothing fuses: the compare runs as its own charged
+// closure and the if inline.
 func TestEngineCmpIfFusion(t *testing.T) {
 	cmpIf := func(y func(j ir.VarID) ir.Operand) func(b *ir.Builder, _ *ir.Class, _, i, j ir.VarID) ir.Operand {
 		return func(b *ir.Builder, _ *ir.Class, _, i, j ir.VarID) ir.Operand {
@@ -285,8 +281,8 @@ func TestEngineCmpIfFusion(t *testing.T) {
 		{"eq", args(2, 2), rt.ExcNone, 0},
 	}
 	runFusionCases(t, []fusionCase{
-		{"cmpif-var", 1, cmpIf(func(j ir.VarID) ir.Operand { return ir.Var(j) }), inputs},
-		{"cmpif-const", 1, cmpIf(func(ir.VarID) ir.Operand { return ir.ConstInt(2) }), inputs},
+		{"cmpif-var", 0, cmpIf(func(j ir.VarID) ir.Operand { return ir.Var(j) }), inputs},
+		{"cmpif-const", 0, cmpIf(func(ir.VarID) ir.Operand { return ir.ConstInt(2) }), inputs},
 	})
 }
 
@@ -528,11 +524,12 @@ func TestEngineReturnShapes(t *testing.T) {
 }
 
 // TestEngineTerminatorFolds covers each pre-op folded into an inline
-// terminator: add var+const ahead of a return and an if, move const (the
-// else arms), move var, and compares var/var and var/const.
+// terminator — add var+const ahead of a return and an if, move const (the
+// else arms) and move var — and compares var/var and var/const ahead of a
+// jump, which do not fold.
 func TestEngineTerminatorFolds(t *testing.T) {
-	// cmpJump folds a compare ahead of a jump; TestEngineCmpIfFusion
-	// covers the compare ahead of an if.
+	// cmpJump puts a compare ahead of a jump; TestEngineCmpIfFusion covers
+	// the compare ahead of an if.
 	cmpJump := func(y func(j ir.VarID) ir.Operand) func(b *ir.Builder, _ *ir.Class, _, i, j ir.VarID) ir.Operand {
 		return func(b *ir.Builder, _ *ir.Class, _, i, j ir.VarID) ir.Operand {
 			c := b.Local("c", ir.KindInt)
@@ -572,8 +569,8 @@ func TestEngineTerminatorFolds(t *testing.T) {
 			b.SetBlock(next)
 			return ir.Var(r)
 		}, []fusionInput{{"i4", intArgs(4, 2), rt.ExcNone, 4}}}, 2, 1},
-		{fusionCase{"cmp-vv-jump", 1, cmpJump(jv), geInputs}, 2, 1},
-		{fusionCase{"cmp-vk-jump", 1, cmpJump(k2), geInputs}, 2, 1},
+		{fusionCase{"cmp-vv-jump", 0, cmpJump(jv), geInputs}, 2, 0},
+		{fusionCase{"cmp-vk-jump", 0, cmpJump(k2), geInputs}, 2, 0},
 	})
 }
 

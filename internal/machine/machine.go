@@ -174,6 +174,17 @@ func (m *Machine) exec(fn *ir.Func, args []int64, depth int) (Outcome, error) {
 	}
 	locals := make([]int64, fn.NumLocals())
 	copy(locals, args)
+	return m.interp(fn, locals, fn.Entry, -1, depth)
+}
+
+// interp is the reference interpreter loop, entered at instruction from of
+// blk. from < 0 enters blk from the top, running its block-entry hooks
+// (abort poll, tier countdown, profile count); from >= 0 resumes blk
+// mid-block with those hooks skipped, because the closure engine already
+// ran them before it handed the invocation over (runCf, at a stretch the
+// step limit could fire in). This loop holds the machine's only
+// per-instruction accounting.
+func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth int) (Outcome, error) {
 	pf := m.prepare(fn).pf
 
 	// Operands were pre-classified by prepare(); these helpers are the whole
@@ -205,25 +216,28 @@ func (m *Machine) exec(fn *ir.Func, args []int64, depth int) (Outcome, error) {
 		mt = m.tier.stateOf(fn)
 	}
 
-	blk := fn.Entry
-	for {
-		if m.Abort != nil && m.Abort.Load() {
-			return Outcome{}, ErrAborted
-		}
-		if mt != nil && mt.tier == tierInterp {
-			mt.budget--
-			if mt.budget <= 0 {
-				if cf := m.tier.promoteT1(mt); cf != nil {
-					return m.execCfFrom(fn, cf, locals, blk.ID, depth)
+	hooks := from < 0
+	from = max(from, 0)
+	for ; ; hooks, from = true, 0 {
+		if hooks {
+			if m.Abort != nil && m.Abort.Load() {
+				return Outcome{}, ErrAborted
+			}
+			if mt != nil && mt.tier == tierInterp {
+				mt.budget--
+				if mt.budget <= 0 {
+					if cf := m.tier.promoteT1(mt); cf != nil {
+						return m.execCfFrom(fn, cf, locals, blk.ID, depth)
+					}
+					mt = nil
 				}
-				mt = nil
+			}
+			if prof != nil {
+				prof[blk.ID]++
 			}
 		}
-		if prof != nil {
-			prof[blk.ID]++
-		}
 		var pending *raise
-		pins := pf.blocks[blk.ID]
+		pins := pf.blocks[blk.ID][from:]
 	instrLoop:
 		for pi := range pins {
 			pin := &pins[pi]
@@ -316,7 +330,7 @@ func (m *Machine) exec(fn *ir.Func, args []int64, depth int) (Outcome, error) {
 					if val(&pin.args[0]) == 0 {
 						pending = m.trap()
 						if m.tier != nil {
-							m.tier.deopted(fn, in, nil)
+							m.tier.guard = in // deoptimized by settle
 						}
 						break instrLoop
 					}
@@ -463,8 +477,14 @@ func (m *Machine) exec(fn *ir.Func, args []int64, depth int) (Outcome, error) {
 		}
 
 		if pending != nil {
-			if m.tier != nil {
-				m.tier.settle(fn, nil)
+			if fn0 := m.tier.settle(fn); fn0 != nil {
+				// A fired speculation guard deoptimized the method: the
+				// invocation continues in the conservative artifact, whose
+				// blocks and try regions align with fn's.
+				fn, pf = fn0, m.prepare(fn0).pf
+				if prof != nil {
+					prof = m.Profile.Counters(fn)
+				}
 			}
 			// Exception dispatch: the innermost try region of the faulting
 			// block, else propagate to the caller.

@@ -195,23 +195,30 @@ type tierController struct {
 	// dispatches that raise (settle). The closure engine pre-charges whole
 	// stretches, so only after its rollback does m.steps read the
 	// reference's count that the flight recorder logs.
-	guard     *ir.Instr // a fired speculation guard in closure code
+	guard     *ir.Instr // a fired speculation guard
 	site      govSite   // a governed trap site that just trapped...
 	siteFired bool      // ...when set
 }
 
 // settle runs the decisions held since the raise now being dispatched: the
-// fired guard's deoptimization (fr, when non-nil, is the closure frame to
-// transfer) and the governed site's demotion trigger.
-func (t *tierController) settle(fn *ir.Func, fr *frame) {
+// fired guard's deoptimization and the governed site's demotion trigger. It
+// returns the conservative artifact the faulting invocation transfers to
+// before the raise dispatches, or nil when no guard fired (or the machine is
+// untiered: t is nil).
+func (t *tierController) settle(fn *ir.Func) *ir.Func {
+	if t == nil {
+		return nil
+	}
+	var fn0 *ir.Func
 	if in := t.guard; in != nil {
 		t.guard = nil
-		t.deopted(fn, in, fr)
+		fn0 = t.deopted(fn, in)
 	}
 	if t.siteFired {
 		t.siteFired = false
 		t.trigger(t.site)
 	}
+	return fn0
 }
 
 // EnableTiering switches the machine to tiered adaptive execution. compile
@@ -497,15 +504,15 @@ func (t *tierController) adopt(prog *ir.Program, promoting *methodTier) *ir.Func
 
 // deopted handles a fired speculation guard: blacklist the (method, check)
 // pair, demote the method to the conservative tier-1 artifact, push a
-// conservative recompile through the compile cache, and transfer the
-// faulting invocation (fr non-nil when the closure engine trapped) to the
-// conservative artifact at the raise dispatch. Re-promotion goes back
+// conservative recompile through the compile cache, and return that
+// artifact, to which the faulting invocation transfers at the raise
+// dispatch (nil for a body outside the program). Re-promotion goes back
 // through the countdown with the shrunken mask — a distinct cache key, so
 // the recompile is a miss the first time and a hit on replay.
-func (t *tierController) deopted(fn *ir.Func, in *ir.Instr, fr *frame) {
+func (t *tierController) deopted(fn *ir.Func, in *ir.Instr) *ir.Func {
 	mt := t.byFn[fn]
 	if mt == nil {
-		return
+		return nil
 	}
 	ord := int(in.SpecGuard) - 1
 	mt.black.add(ord)
@@ -519,12 +526,9 @@ func (t *tierController) deopted(fn *ir.Func, in *ir.Instr, fr *frame) {
 	if t.compile != nil {
 		_, _ = t.recompile(nil) // conservative recompile through the cache
 	}
-	if fr != nil {
-		fr.deoptFn = mt.fn0
-		fr.deoptCf = t.m.compiled(mt.fn0)
-	}
 	t.note(TierEvent{Method: mt.name, Kind: "deopt", Check: ord},
 		fmt.Sprintf("guard %d fired: blacklisted, backoff %d blocks", ord, mt.budget))
+	return mt.fn0
 }
 
 // Blacklisted returns the blacklisted check ordinals per method, sorted —
