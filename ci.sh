@@ -33,8 +33,11 @@ go test -race -cpu 1,4 -run 'TestCacheSingleFlight|TestParallelCompile' ./intern
 go test -race -cpu 1,4 -run 'TestRegistryConcurrentPublish|TestTimeline' ./internal/obs
 # Same suite with the structural IR verifier enabled after every pass —
 # catches pass-boundary corruption the differential tests would only see as
-# a downstream mystery.
-TRAPNULL_VERIFY=1 go test ./...
+# a downstream mystery. TRAPNULL_VERIFY and TRAPNULL_ENGINE are read while
+# the packages initialize, before go test starts recording which variables a
+# test reads, so the test cache would serve these runs from an earlier run
+# without the variable: every run that sets one passes -count=1.
+TRAPNULL_VERIFY=1 go test -count=1 ./...
 # Pin the -short deep-fuzz path (reduced smoke sweep, not a skip) and the
 # native fuzz seed corpus; the full 3000-seed sweep already ran above.
 go test -short -run TestDeepFuzz ./internal/randprog
@@ -45,7 +48,7 @@ go test -run FuzzDifferential ./internal/randprog
 # regardless of which engine the suite above happened to exercise. The
 # example outputs (simulated cycles included) and the jasm engine-fuzz seeds
 # run here too, so both engines must print and agree on the same numbers.
-TRAPNULL_ENGINE=switch go test ./internal/machine ./internal/bench ./internal/randprog ./examples/... ./internal/jasm
+TRAPNULL_ENGINE=switch go test -count=1 ./internal/machine ./internal/bench ./internal/randprog ./examples/... ./internal/jasm
 # Bounded native fuzz smoke: arbitrary jasm programs through both engines.
 # Its 5000-step limit ends every looping program, so the closure engine's
 # hand-off to the interpreter at a stretch the limit could fire in meets
@@ -54,6 +57,10 @@ go test -run '^$' -fuzz '^FuzzJasmEngines$' -fuzztime 20s ./internal/jasm
 # Benchmark smoke: one iteration of every Exec micro-benchmark (both
 # engines, checksum-verified) so the bench harness itself cannot rot.
 go test -bench=Exec -benchtime=1x -run '^$' .
+# Compile-side smoke: one iteration of the compile, phase and solver
+# micro-benchmarks, which build their IR through the builder and the passes
+# and are run by no test.
+go test -run '^$' -bench 'Compile|Whaley|Phase|Solve' -benchtime=1x ./internal/jit ./internal/nullcheck .
 # Observability smoke: compile-and-run a sample program with tracing and
 # remarks on, then validate the emitted Chrome trace parses and the fate
 # ledger conserves (nulljit exits non-zero when it does not). The
@@ -64,7 +71,7 @@ trap 'rm -f "$obs_trace"' EXIT
 go run ./cmd/nulljit -workload Assignment -config full -remarks -profile -trace "$obs_trace" > /dev/null
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); evs=d['traceEvents']; assert evs and all(e.get('ph')=='X' for e in evs), 'bad trace events'" "$obs_trace"
 go test -run 'TestObsEquivalence|TestFateConservation' ./internal/bench
-TRAPNULL_ENGINE=switch go test -run TestObsEquivalence ./internal/bench
+TRAPNULL_ENGINE=switch go test -count=1 -run TestObsEquivalence ./internal/bench
 # Compile-cache differential gate: the bench suite again with the
 # content-addressed compile cache forced off (internal/bench is the only
 # reader of TRAPNULL_COMPILE_CACHE), so the cached fast path (the default) and
@@ -78,7 +85,7 @@ go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCompile' .
 # race detector and again with the reference switch interpreter as the
 # untiered default, so the tiering layer can never drift from either engine.
 go test -race -run 'TestTiered|TestTierHook' ./internal/bench
-TRAPNULL_ENGINE=switch go test -run 'TestTiered' ./internal/bench ./internal/jit
+TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTiered' ./internal/bench ./internal/jit
 go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/jit
 # The adaptive controller both policies share: counters stay aliased across
 # tier-2 and governed adopts, ResetPrepared keeps governor state and drops
@@ -105,7 +112,7 @@ esac
 # requires governed steady state to beat all-implicit (and stay within 5%
 # of all-explicit) on both arch models.
 go test -race -run 'TestChaos|TestGovernor|TestDegradation|TestCellTimeout|TestSpecBudget' ./internal/bench
-TRAPNULL_ENGINE=switch go test -run 'TestChaos|TestGovernor|TestDegradation' ./internal/bench
+TRAPNULL_ENGINE=switch go test -count=1 -run 'TestChaos|TestGovernor|TestDegradation' ./internal/bench
 go test -run 'TestDemote|TestTrapSite|TestApplyDemotion|TestKeyDemote|TestCacheSingleFlight' ./internal/jit
 go test ./internal/faultinject
 # Robustness bench smoke: the degradation table and one seeded chaos sweep
@@ -130,7 +137,7 @@ cmp "$tdir/mx1.txt" "$tdir/mx2.txt"
 go run ./cmd/benchtab -tier -quick -trace "$tdir/tier-trace.json" -timeline "$tdir/tier-tl.txt" > /dev/null
 python3 -c "import json,sys; evs=json.load(open(sys.argv[1]))['traceEvents']; inst=[e for e in evs if e.get('ph')=='i']; assert inst, 'tier trace carries no instant (adaptive-decision) events'" "$tdir/tier-trace.json"
 grep -q 'promote-t1' "$tdir/tier-tl.txt"
-TRAPNULL_ENGINE=switch go test -run 'TestTelemetry|TestTieredTelemetry|TestAttributionConservation|TestExecProfileTieredAgree' ./internal/bench
+TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTelemetry|TestTieredTelemetry|TestAttributionConservation|TestExecProfileTieredAgree' ./internal/bench
 # Benchdiff regression gate: the current tree's quick sweep must not regress
 # the checked-in baseline (cycles are deterministic, so the tolerance only
 # admits intentional cost-model changes — regenerate BENCH_baseline.json when

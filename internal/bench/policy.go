@@ -144,14 +144,10 @@ type PolicyReport struct {
 
 // The tiered and degradation sweeps' names for the policy-sweep types.
 type (
-	TierCell           = PolicyCell
 	TierOptions        = PolicyOptions
 	TierMatrix         = PolicyMatrix
-	TieredReport       = PolicyReport
-	DegradationCell    = PolicyCell
 	DegradationOptions = PolicyOptions
 	DegradationMatrix  = PolicyMatrix
-	DegradationReport  = PolicyReport
 )
 
 // policyKind is one family of policy sweeps: the policies it compares, its

@@ -293,7 +293,7 @@ func EnsurePreheaders(f *ir.Func, loops []*Loop) int {
 		}
 		pre := f.NewBlock("pre_" + l.Header.Name)
 		pre.Try = l.Header.Try
-		pre.Instrs = []*ir.Instr{f.Alloc().NewInstr(ir.Instr{Op: ir.OpJump, Dst: ir.NoVar, Targets: []*ir.Block{l.Header}})}
+		pre.Instrs = []*ir.Instr{{Op: ir.OpJump, Dst: ir.NoVar, Targets: []*ir.Block{l.Header}}}
 		for _, p := range outside {
 			t := p.Terminator()
 			for i, tgt := range t.Targets {

@@ -15,25 +15,8 @@ type Builder struct {
 // NewFunc starts a function. Parameters are declared first, in order; if
 // instance is true the first parameter is the receiver ("this").
 func NewFunc(name string, instance bool) *Builder {
-	f := &Func{Name: name, IsInstance: instance}
-	f.Alloc() // builder-made functions are arena-backed from the start
-	return &Builder{F: f}
+	return &Builder{F: &Func{Name: name, IsInstance: instance}}
 }
-
-// NewFuncIn is NewFunc with an explicit (possibly shared, possibly recycled)
-// arena. randprog's GenerateIn uses it to back a whole program generation
-// with one resettable allocator.
-func NewFuncIn(name string, instance bool, a *Arena) *Builder {
-	f := &Func{Name: name, IsInstance: instance}
-	f.SetArena(a)
-	return &Builder{F: f}
-}
-
-// emit allocates tmpl from the function's arena and appends it.
-func (b *Builder) emit(tmpl Instr) *Instr { return b.Emit(b.F.arena.NewInstr(tmpl)) }
-
-// ops copies the operands into the function's arena.
-func (b *Builder) ops(operands ...Operand) []Operand { return b.F.arena.Operands(operands...) }
 
 // Param declares the next parameter.
 func (b *Builder) Param(name string, k Kind) VarID {
@@ -97,65 +80,65 @@ func (b *Builder) Emit(in *Instr) *Instr {
 
 // Move emits dst = src.
 func (b *Builder) Move(dst VarID, src Operand) *Instr {
-	return b.emit(Instr{Op: OpMove, Dst: dst, Args: b.ops(src)})
+	return b.Emit(&Instr{Op: OpMove, Dst: dst, Args: []Operand{src}})
 }
 
 // Binop emits dst = op(x, y).
 func (b *Builder) Binop(op Op, dst VarID, x, y Operand) *Instr {
-	return b.emit(Instr{Op: op, Dst: dst, Args: b.ops(x, y)})
+	return b.Emit(&Instr{Op: op, Dst: dst, Args: []Operand{x, y}})
 }
 
 // Unop emits dst = op(x).
 func (b *Builder) Unop(op Op, dst VarID, x Operand) *Instr {
-	return b.emit(Instr{Op: op, Dst: dst, Args: b.ops(x)})
+	return b.Emit(&Instr{Op: op, Dst: dst, Args: []Operand{x}})
 }
 
 // Cmp emits dst = (x cond y) as 0/1.
 func (b *Builder) Cmp(dst VarID, cond Cond, x, y Operand) *Instr {
-	return b.emit(Instr{Op: OpCmp, Dst: dst, Cond: cond, Args: b.ops(x, y)})
+	return b.Emit(&Instr{Op: OpCmp, Dst: dst, Cond: cond, Args: []Operand{x, y}})
 }
 
 // Math emits dst = fn(x).
 func (b *Builder) Math(fn MathFn, dst VarID, x Operand) *Instr {
-	return b.emit(Instr{Op: OpMath, Dst: dst, Fn: fn, Args: b.ops(x)})
+	return b.Emit(&Instr{Op: OpMath, Dst: dst, Fn: fn, Args: []Operand{x}})
 }
 
 // InstanceOf emits dst = (v instanceof c).
 func (b *Builder) InstanceOf(dst, v VarID, c *Class) *Instr {
-	return b.emit(Instr{Op: OpInstanceOf, Dst: dst, Class: c, Args: b.ops(Var(v))})
+	return b.Emit(&Instr{Op: OpInstanceOf, Dst: dst, Class: c, Args: []Operand{Var(v)}})
 }
 
 // NullCheck emits an explicit nullcheck of v.
 func (b *Builder) NullCheck(v VarID, reason CheckReason) *Instr {
-	return b.emit(Instr{Op: OpNullCheck, Dst: NoVar, Args: b.ops(Var(v)), Reason: reason, Explicit: true})
+	return b.Emit(&Instr{Op: OpNullCheck, Dst: NoVar, Args: []Operand{Var(v)}, Reason: reason, Explicit: true})
 }
 
 // New emits dst = new c.
 func (b *Builder) New(dst VarID, c *Class) *Instr {
-	return b.emit(Instr{Op: OpNew, Dst: dst, Class: c})
+	return b.Emit(&Instr{Op: OpNew, Dst: dst, Class: c})
 }
 
 // NewArray emits dst = new [n]word.
 func (b *Builder) NewArray(dst VarID, n Operand) *Instr {
-	return b.emit(Instr{Op: OpNewArray, Dst: dst, Args: b.ops(n)})
+	return b.Emit(&Instr{Op: OpNewArray, Dst: dst, Args: []Operand{n}})
 }
 
 // GetField emits nullcheck obj; dst = obj.f.
 func (b *Builder) GetField(dst, obj VarID, f *Field) *Instr {
 	b.NullCheck(obj, ReasonField)
-	return b.emit(Instr{Op: OpGetField, Dst: dst, Field: f, Args: b.ops(Var(obj))})
+	return b.Emit(&Instr{Op: OpGetField, Dst: dst, Field: f, Args: []Operand{Var(obj)}})
 }
 
 // PutField emits nullcheck obj; obj.f = src.
 func (b *Builder) PutField(obj VarID, f *Field, src Operand) *Instr {
 	b.NullCheck(obj, ReasonField)
-	return b.emit(Instr{Op: OpPutField, Dst: NoVar, Field: f, Args: b.ops(Var(obj), src)})
+	return b.Emit(&Instr{Op: OpPutField, Dst: NoVar, Field: f, Args: []Operand{Var(obj), src}})
 }
 
 // ArrayLength emits nullcheck arr; dst = arr.length.
 func (b *Builder) ArrayLength(dst, arr VarID) *Instr {
 	b.NullCheck(arr, ReasonArray)
-	return b.emit(Instr{Op: OpArrayLength, Dst: dst, Args: b.ops(Var(arr))})
+	return b.Emit(&Instr{Op: OpArrayLength, Dst: dst, Args: []Operand{Var(arr)}})
 }
 
 // ArrayLoad emits the full checked sequence:
@@ -164,53 +147,53 @@ func (b *Builder) ArrayLength(dst, arr VarID) *Instr {
 func (b *Builder) ArrayLoad(dst, arr VarID, idx Operand) *Instr {
 	ln := b.Temp(KindInt)
 	b.ArrayLength(ln, arr)
-	b.emit(Instr{Op: OpBoundCheck, Dst: NoVar, Args: b.ops(idx, Var(ln))})
-	return b.emit(Instr{Op: OpArrayLoad, Dst: dst, Args: b.ops(Var(arr), idx)})
+	b.Emit(&Instr{Op: OpBoundCheck, Dst: NoVar, Args: []Operand{idx, Var(ln)}})
+	return b.Emit(&Instr{Op: OpArrayLoad, Dst: dst, Args: []Operand{Var(arr), idx}})
 }
 
 // ArrayStore emits the full checked sequence for arr[idx] = src.
 func (b *Builder) ArrayStore(arr VarID, idx, src Operand) *Instr {
 	ln := b.Temp(KindInt)
 	b.ArrayLength(ln, arr)
-	b.emit(Instr{Op: OpBoundCheck, Dst: NoVar, Args: b.ops(idx, Var(ln))})
-	return b.emit(Instr{Op: OpArrayStore, Dst: NoVar, Args: b.ops(Var(arr), idx, src)})
+	b.Emit(&Instr{Op: OpBoundCheck, Dst: NoVar, Args: []Operand{idx, Var(ln)}})
+	return b.Emit(&Instr{Op: OpArrayStore, Dst: NoVar, Args: []Operand{Var(arr), idx, src}})
 }
 
 // CallVirtual emits nullcheck recv; dst = recv.m(args...).
 func (b *Builder) CallVirtual(dst VarID, m *Method, recv VarID, args ...Operand) *Instr {
 	b.NullCheck(recv, ReasonCall)
 	all := append([]Operand{Var(recv)}, args...)
-	return b.emit(Instr{Op: OpCallVirtual, Dst: dst, Callee: m, Args: all})
+	return b.Emit(&Instr{Op: OpCallVirtual, Dst: dst, Callee: m, Args: all})
 }
 
 // CallStatic emits dst = m(args...).
 func (b *Builder) CallStatic(dst VarID, m *Method, args ...Operand) *Instr {
-	return b.emit(Instr{Op: OpCallStatic, Dst: dst, Callee: m, Args: args})
+	return b.Emit(&Instr{Op: OpCallStatic, Dst: dst, Callee: m, Args: args})
 }
 
 // Jump terminates the current block with an unconditional jump.
 func (b *Builder) Jump(t *Block) *Instr {
-	return b.emit(Instr{Op: OpJump, Dst: NoVar, Targets: []*Block{t}})
+	return b.Emit(&Instr{Op: OpJump, Dst: NoVar, Targets: []*Block{t}})
 }
 
 // If terminates the current block with a conditional branch.
 func (b *Builder) If(cond Cond, x, y Operand, then, els *Block) *Instr {
-	return b.emit(Instr{Op: OpIf, Dst: NoVar, Cond: cond, Args: b.ops(x, y), Targets: []*Block{then, els}})
+	return b.Emit(&Instr{Op: OpIf, Dst: NoVar, Cond: cond, Args: []Operand{x, y}, Targets: []*Block{then, els}})
 }
 
 // Return terminates with a value return.
 func (b *Builder) Return(v Operand) *Instr {
-	return b.emit(Instr{Op: OpReturn, Dst: NoVar, Args: b.ops(v)})
+	return b.Emit(&Instr{Op: OpReturn, Dst: NoVar, Args: []Operand{v}})
 }
 
 // ReturnVoid terminates with no value.
 func (b *Builder) ReturnVoid() *Instr {
-	return b.emit(Instr{Op: OpReturn, Dst: NoVar})
+	return b.Emit(&Instr{Op: OpReturn, Dst: NoVar})
 }
 
 // Throw terminates by throwing the exception object in v.
 func (b *Builder) Throw(v VarID) *Instr {
-	return b.emit(Instr{Op: OpThrow, Dst: NoVar, Args: b.ops(Var(v))})
+	return b.Emit(&Instr{Op: OpThrow, Dst: NoVar, Args: []Operand{Var(v)}})
 }
 
 // Finish recomputes edges, validates, and returns the function.

@@ -92,27 +92,8 @@ type Func struct {
 	// triage machinery must not double-report events.
 	Track CheckTracker
 
-	// arena backs Instr/Block/operand allocation for this function. Lazily
-	// created by Alloc; may be shared with the other Funcs of one Program
-	// generation (randprog). Never copied by Clone — clones have independent
-	// lifetimes and must survive a Reset of the original's arena.
-	arena *Arena
-
 	nextBlockID int
 }
-
-// Alloc returns the function's arena, creating one on first use. Every
-// optimization pass allocates replacement instructions through it.
-func (f *Func) Alloc() *Arena {
-	if f.arena == nil {
-		f.arena = NewArena()
-	}
-	return f.arena
-}
-
-// SetArena attaches a (possibly shared) arena. Used by randprog's GenerateIn
-// so one recycled arena backs a whole generated program.
-func (f *Func) SetArena(a *Arena) { f.arena = a }
 
 // NewLocal appends a local variable and returns its ID.
 func (f *Func) NewLocal(name string, k Kind) VarID {
@@ -126,7 +107,7 @@ func (f *Func) NumLocals() int { return len(f.Locals) }
 
 // NewBlock appends an empty block.
 func (f *Func) NewBlock(name string) *Block {
-	b := f.arena.NewBlock(Block{ID: f.nextBlockID, Name: name, Try: NoTry})
+	b := &Block{ID: f.nextBlockID, Name: name, Try: NoTry}
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)
 	if f.Entry == nil {
@@ -210,7 +191,7 @@ func (f *Func) SplitCriticalEdges() int {
 		} else {
 			mid.Try = e.from.Try
 		}
-		mid.Instrs = []*Instr{f.arena.NewInstr(Instr{Op: OpJump, Dst: NoVar, Targets: []*Block{dst}})}
+		mid.Instrs = []*Instr{{Op: OpJump, Dst: NoVar, Targets: []*Block{dst}}}
 		t.Targets[e.idx] = mid
 		split++
 	}

@@ -452,12 +452,3 @@ func (in *Instr) Clone() *Instr {
 	cp.Targets = append([]*Block(nil), in.Targets...)
 	return &cp
 }
-
-// CloneInto is Clone with the copy (and its operand slice) allocated from
-// the given arena. A nil arena degrades to Clone.
-func (in *Instr) CloneInto(a *Arena) *Instr {
-	cp := a.NewInstr(*in)
-	cp.Args = a.CopyOperands(in.Args)
-	cp.Targets = append([]*Block(nil), in.Targets...)
-	return cp
-}

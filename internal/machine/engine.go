@@ -56,11 +56,14 @@ func EngineByName(name string) (Engine, error) {
 // (cmd/benchtab -engine does).
 var DefaultEngine = engineFromEnv()
 
+// engineFromEnv parses TRAPNULL_ENGINE and stops the process on a value
+// EngineByName rejects: a misspelt engine name must not quietly run the
+// other engine.
 func engineFromEnv() Engine {
 	e, err := EngineByName(os.Getenv("TRAPNULL_ENGINE"))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v; using the closure engine\n", err)
-		return EngineClosure
+		fmt.Fprintf(os.Stderr, "TRAPNULL_ENGINE: %v\n", err)
+		os.Exit(2)
 	}
 	return e
 }

@@ -3,6 +3,9 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"trapnull/internal/arch"
@@ -355,6 +358,7 @@ func TestEngineByName(t *testing.T) {
 		{"", EngineClosure, true},
 		{"closure", EngineClosure, true},
 		{"switch", EngineSwitch, true},
+		{"Switch", EngineClosure, false},
 		{"bogus", EngineClosure, false},
 	} {
 		e, err := EngineByName(tc.name)
@@ -364,5 +368,25 @@ func TestEngineByName(t *testing.T) {
 	}
 	if EngineClosure.String() != "closure" || EngineSwitch.String() != "switch" {
 		t.Fatal("Engine.String mismatch")
+	}
+}
+
+// TestEngineFromEnvRejectsUnknown: a TRAPNULL_ENGINE value EngineByName
+// rejects stops the process at start-up with that error instead of falling
+// back to the closure engine. The test binary is re-run with a misspelt
+// value; it must exit non-zero before running any test.
+func TestEngineFromEnvRejectsUnknown(t *testing.T) {
+	for _, val := range []string{"Switch", "bogus"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), "TRAPNULL_ENGINE="+val)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("TRAPNULL_ENGINE=%s: err=%v, want exit status 2\n%s", val, err, out)
+		}
+		_, want := EngineByName(val)
+		if !strings.Contains(string(out), want.Error()) {
+			t.Fatalf("TRAPNULL_ENGINE=%s: output %q lacks %q", val, out, want)
+		}
 	}
 }

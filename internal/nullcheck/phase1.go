@@ -78,18 +78,17 @@ func Phase1(f *ir.Func) Stats {
 	// --- Prune and materialize insertion points -------------------------
 	// Earliest(n) = Earliest(n) − Out_fwd(n): an insertion is useless where
 	// the variable is already non-null at the block exit.
-	arena := f.Alloc()
 	for _, b := range f.Blocks {
 		e := earliest[b]
 		e.Subtract(fwd.Out(b))
 		e.ForEach(func(v int) {
-			b.InsertBeforeTerminator(arena.NewInstr(ir.Instr{
+			b.InsertBeforeTerminator(&ir.Instr{
 				Op:       ir.OpNullCheck,
 				Dst:      ir.NoVar,
-				Args:     arena.Operands(ir.Var(ir.VarID(v))),
+				Args:     []ir.Operand{ir.Var(ir.VarID(v))},
 				Reason:   ir.ReasonMoved,
 				Explicit: true,
-			}))
+			})
 			st.Inserted++
 		})
 	}

@@ -53,7 +53,7 @@ func phase2(f *ir.Func, m *arch.Model, unsafeAnyPath bool) Stats {
 
 	st := Stats{}
 	for _, b := range f.Blocks {
-		rewriteBlock(b, f.Alloc(), m, res, &st, unsafeAnyPath, f.Track)
+		rewriteBlock(b, m, res, &st, unsafeAnyPath, f.Track)
 	}
 	res.Release()
 
@@ -118,7 +118,7 @@ func scanForwardMotion(b *ir.Block, gen, kill, blockedBelow *bitset.Set) {
 // unsafeAnyPath weakens the block-exit safety test from "every successor
 // expects the moving check" to "some successor expects it" — the planted
 // Phase2UnsafeSubst miscompile.
-func rewriteBlock(b *ir.Block, arena *ir.Arena, m *arch.Model, res *dataflow.Result, st *Stats, unsafeAnyPath bool, track ir.CheckTracker) {
+func rewriteBlock(b *ir.Block, m *arch.Model, res *dataflow.Result, st *Stats, unsafeAnyPath bool, track ir.CheckTracker) {
 	size := res.In(b).Len()
 	inner := res.In(b).Copy()
 	inTry := b.Try != ir.NoTry
@@ -143,13 +143,13 @@ func rewriteBlock(b *ir.Block, arena *ir.Arena, m *arch.Model, res *dataflow.Res
 
 	out := make([]*ir.Instr, 0, len(b.Instrs))
 	emitExplicit := func(v int) {
-		out = append(out, arena.NewInstr(ir.Instr{
+		out = append(out, &ir.Instr{
 			Op:       ir.OpNullCheck,
 			Dst:      ir.NoVar,
-			Args:     arena.Operands(ir.Var(ir.VarID(v))),
+			Args:     []ir.Operand{ir.Var(ir.VarID(v))},
 			Reason:   ir.ReasonMoved,
 			Explicit: true,
-		}))
+		})
 		st.Inserted++
 	}
 

@@ -127,7 +127,6 @@ func inlinable(m *ir.Method, caller *ir.Func, budget int) bool {
 func inlineAt(f *ir.Func, b *ir.Block, idx int, m *ir.Method) {
 	call := b.Instrs[idx]
 	callee := m.Fn
-	arena := f.Alloc()
 
 	// Parameters the callee never writes alias the argument variable
 	// directly instead of being copied into a fresh local. This keeps the
@@ -152,7 +151,7 @@ func inlineAt(f *ir.Func, b *ir.Block, idx int, m *ir.Method) {
 			}
 			nv := f.NewLocal("in_"+l.Name, l.Kind)
 			mapping[li] = nv
-			argMoves = append(argMoves, arena.NewInstr(ir.Instr{Op: ir.OpMove, Dst: nv, Args: arena.Operands(a)}))
+			argMoves = append(argMoves, &ir.Instr{Op: ir.OpMove, Dst: nv, Args: []ir.Operand{a}})
 			continue
 		}
 		mapping[li] = f.NewLocal("in_"+l.Name, l.Kind)
@@ -174,12 +173,12 @@ func inlineAt(f *ir.Func, b *ir.Block, idx int, m *ir.Method) {
 			head[idx-1].Args[0].Var == call.Args[0].Var {
 			head[idx-1].Reason = ir.ReasonInlined
 		} else {
-			head = append(head, arena.NewInstr(ir.Instr{
+			head = append(head, &ir.Instr{
 				Op: ir.OpNullCheck, Dst: ir.NoVar,
-				Args:     arena.Operands(call.Args[0]),
+				Args:     []ir.Operand{call.Args[0]},
 				Reason:   ir.ReasonInlined,
 				Explicit: true,
-			}))
+			})
 		}
 	}
 	head = append(head, argMoves...)
@@ -194,7 +193,7 @@ func inlineAt(f *ir.Func, b *ir.Block, idx int, m *ir.Method) {
 	for _, cb := range callee.Blocks {
 		nb := bmap[cb]
 		for _, in := range cb.Instrs {
-			ci := in.CloneInto(arena)
+			ci := in.Clone()
 			if ci.HasDst() {
 				ci.Dst = remap(ci.Dst)
 			}
@@ -213,20 +212,20 @@ func inlineAt(f *ir.Func, b *ir.Block, idx int, m *ir.Method) {
 			}
 			if ci.Op == ir.OpReturn {
 				if call.HasDst() && len(ci.Args) == 1 {
-					nb.Instrs = append(nb.Instrs, arena.NewInstr(ir.Instr{
-						Op: ir.OpMove, Dst: call.Dst, Args: arena.Operands(ci.Args[0]),
-					}))
+					nb.Instrs = append(nb.Instrs, &ir.Instr{
+						Op: ir.OpMove, Dst: call.Dst, Args: []ir.Operand{ci.Args[0]},
+					})
 				}
-				nb.Instrs = append(nb.Instrs, arena.NewInstr(ir.Instr{
+				nb.Instrs = append(nb.Instrs, &ir.Instr{
 					Op: ir.OpJump, Dst: ir.NoVar, Targets: []*ir.Block{cont},
-				}))
+				})
 				continue
 			}
 			nb.Instrs = append(nb.Instrs, ci)
 		}
 	}
 
-	b.Instrs = append(head, arena.NewInstr(ir.Instr{
+	b.Instrs = append(head, &ir.Instr{
 		Op: ir.OpJump, Dst: ir.NoVar, Targets: []*ir.Block{bmap[callee.Entry]},
-	}))
+	})
 }

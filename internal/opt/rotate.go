@@ -79,9 +79,8 @@ func rotateOne(f *ir.Func, l *cfg.Loop) bool {
 	// Clone the header as the guard block.
 	g := f.NewBlock("rot_" + h.Name)
 	g.Try = h.Try
-	arena := f.Alloc()
 	for _, in := range h.Instrs {
-		g.Instrs = append(g.Instrs, in.CloneInto(arena))
+		g.Instrs = append(g.Instrs, in.Clone())
 	}
 
 	// Retarget every out-of-loop entry edge from H to G.

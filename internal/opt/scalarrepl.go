@@ -451,8 +451,7 @@ func promoteLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, nonNull map[*ir.Block]*
 			continue
 		}
 		tmp := f.NewLocal("prom_"+field.Name, field.Kind)
-		arena := f.Alloc()
-		init := arena.NewInstr(ir.Instr{Op: ir.OpGetField, Dst: tmp, Field: field, Args: arena.Operands(ir.Var(a.base))})
+		init := &ir.Instr{Op: ir.OpGetField, Dst: tmp, Field: field, Args: []ir.Operand{ir.Var(a.base)}}
 		if spec {
 			init.Speculated = true
 			speculated++
@@ -469,7 +468,7 @@ func promoteLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, nonNull map[*ir.Block]*
 				case in.Op == ir.OpPutField && in.Field == field:
 					// tmp = src; base.f = tmp
 					src := in.Args[1]
-					b.InsertBefore(i, arena.NewInstr(ir.Instr{Op: ir.OpMove, Dst: tmp, Args: arena.Operands(src)}))
+					b.InsertBefore(i, &ir.Instr{Op: ir.OpMove, Dst: tmp, Args: []ir.Operand{src}})
 					i++
 					in.Args[1] = ir.Var(tmp)
 				}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"trapnull/internal/arch"
-	"trapnull/internal/ir"
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
 	"trapnull/internal/rt"
@@ -34,13 +33,8 @@ func TestDeepFuzz(t *testing.T) {
 		}
 		return cfg
 	}
-	// One arena serves the whole fuzz run: each generated program is tested
-	// and discarded before the next Reset, so its IR slabs are recycled
-	// instead of re-grown for every (seed, config) pair.
-	arena := ir.NewArena()
 	for seed := first; seed < last; seed++ {
-		arena.Reset()
-		base, fnBase := GenerateIn(variant(seed), arena)
+		base, fnBase := Generate(variant(seed))
 		mb := machine.New(model, base)
 		outB, err := mb.Call(fnBase, 5)
 		if err != nil {
@@ -56,10 +50,7 @@ func TestDeepFuzz(t *testing.T) {
 			{aix, jit.ConfigAIXSpeculation()},
 			{aix, jit.ConfigAIXWriteImplicit()},
 		} {
-			// The baseline program is dead by now (only outB survives), so
-			// the arena can be recycled for the optimized copy.
-			arena.Reset()
-			p, fn := GenerateIn(variant(seed), arena)
+			p, fn := Generate(variant(seed))
 			if _, err := jit.CompileProgram(p, pc.cfg, pc.m); err != nil {
 				t.Fatalf("seed %d [%s/%s]: compile: %v", seed, pc.m.Name, pc.cfg.Name, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"trapnull/internal/arch"
-	"trapnull/internal/ir"
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
 )
@@ -49,9 +48,6 @@ func TestEngineDifferentialRandprog(t *testing.T) {
 	}
 
 	models := []*arch.Model{arch.IA32Win(), arch.PPCAIX()}
-	// Each seed's program is executed and abandoned before the next
-	// generation, so one Reset-recycled arena backs the whole corpus.
-	arena := ir.NewArena()
 	for seed := first; seed < last; seed++ {
 		// Cycle through all four (model, compiled?) combinations: even seeds
 		// run the raw generated program, odd seeds run it through the full
@@ -59,8 +55,7 @@ func TestEngineDifferentialRandprog(t *testing.T) {
 		// model), so both optimized and unoptimized IR shapes hit both
 		// engines on both models.
 		model := models[(seed>>1)%2]
-		arena.Reset()
-		p, fn := GenerateIn(variant(seed), arena)
+		p, fn := Generate(variant(seed))
 		if seed%2 == 1 {
 			cfg := jit.ConfigPhase1Phase2()
 			if model.Name == "ppc-aix" {

@@ -47,7 +47,6 @@ func DefaultConfig(seed int64) Config {
 type gen struct {
 	cfg   Config
 	rng   *rand.Rand
-	arena *ir.Arena // nil = every function gets its own
 	b     *ir.Builder
 	cls   *ir.Class
 	ints  []ir.VarID
@@ -72,17 +71,6 @@ type gen struct {
 // Generate builds a random program: one class with three int fields and a
 // function `int main(int n)` returning a checksum of its integer state.
 func Generate(cfg Config) (*ir.Program, *ir.Func) {
-	return GenerateIn(cfg, nil)
-}
-
-// GenerateIn is Generate with every function body allocated from a
-// caller-owned arena (nil behaves like Generate). Fuzz and delta-debug
-// loops that build, test, and discard thousands of programs pair it with
-// Arena.Reset between iterations so IR slabs are recycled instead of
-// re-grown — the caller must not touch the previous program after the
-// reset. Determinism is untouched: the arena changes where instructions
-// live, never what they say.
-func GenerateIn(cfg Config, a *ir.Arena) (*ir.Program, *ir.Func) {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 2
 	}
@@ -99,12 +87,11 @@ func GenerateIn(cfg Config, a *ir.Arena) (*ir.Program, *ir.Func) {
 	g := &gen{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		arena:  a,
 		cls:    cls,
 		curTry: ir.NoTry,
 	}
 	g.buildHelpers(p)
-	b := g.newFunc("main", false)
+	b := ir.NewFunc("main", false)
 	g.b = b
 	n := b.Param("n", ir.KindInt)
 	b.Result(ir.KindInt)
@@ -150,22 +137,13 @@ func GenerateIn(cfg Config, a *ir.Arena) (*ir.Program, *ir.Func) {
 	return p, fn
 }
 
-// newFunc starts a function in the generator's arena, or a private one when
-// no arena was supplied.
-func (g *gen) newFunc(name string, instance bool) *ir.Builder {
-	if g.arena == nil {
-		return ir.NewFunc(name, instance)
-	}
-	return ir.NewFuncIn(name, instance, g.arena)
-}
-
 // buildHelpers creates the three fixed callee shapes main's random sites
 // invoke: a virtual accessor (inliner fodder), a Figure 1 guarded accessor
 // (the conditional-dereference shape phase 2 exists for), and a static
 // divider (a call that can throw ArithmeticException).
 func (g *gen) buildHelpers(p *ir.Program) {
 	// virtual getf0(this): return this.f0
-	gb := g.newFunc("getf0", true)
+	gb := ir.NewFunc("getf0", true)
 	gThis := gb.Param("this", ir.KindRef)
 	gb.Result(ir.KindInt)
 	gb.Block("entry")
@@ -175,7 +153,7 @@ func (g *gen) buildHelpers(p *ir.Program) {
 	g.getter = p.AddMethod(g.cls, "getf0", gb.Finish(), true)
 
 	// virtual clamped(this, i): if i < 0 { return i } return this.f1
-	cb := g.newFunc("clamped", true)
+	cb := ir.NewFunc("clamped", true)
 	cThis := cb.Param("this", ir.KindRef)
 	cArg := cb.Param("i", ir.KindInt)
 	cb.Result(ir.KindInt)
@@ -192,7 +170,7 @@ func (g *gen) buildHelpers(p *ir.Program) {
 	g.clamped = p.AddMethod(g.cls, "clamped", cb.Finish(), true)
 
 	// static divide(a, b): return a / b   (throws on b == 0)
-	db := g.newFunc("divide", false)
+	db := ir.NewFunc("divide", false)
 	dA := db.Param("a", ir.KindInt)
 	dB := db.Param("b", ir.KindInt)
 	db.Result(ir.KindInt)

@@ -1,7 +1,6 @@
 package randprog
 
 import (
-	"strings"
 	"testing"
 
 	"trapnull/internal/arch"
@@ -152,33 +151,6 @@ func TestDeterministicGeneration(t *testing.T) {
 		_, f2 := Generate(DefaultConfig(seed))
 		if f1.String() != f2.String() {
 			t.Fatalf("seed %d: generation not deterministic", seed)
-		}
-	}
-}
-
-// TestGenerateInMatchesGenerate: arena-backed generation emits structurally
-// identical programs — including across Arena.Reset — so fuzz loops can
-// recycle slabs without perturbing any seed's program.
-func TestGenerateInMatchesGenerate(t *testing.T) {
-	render := func(p *ir.Program) string {
-		var sb strings.Builder
-		for _, m := range p.Methods {
-			if m.Fn != nil {
-				sb.WriteString(m.QualifiedName())
-				sb.WriteString("\n")
-				sb.WriteString(m.Fn.String())
-			}
-		}
-		return sb.String()
-	}
-	arena := ir.NewArena()
-	for seed := int64(0); seed < 20; seed++ {
-		plain, _ := Generate(DefaultConfig(seed))
-		want := render(plain)
-		arena.Reset()
-		arenaProg, _ := GenerateIn(DefaultConfig(seed), arena)
-		if got := render(arenaProg); got != want {
-			t.Fatalf("seed %d: arena-backed generation differs:\n--- plain ---\n%s\n--- arena ---\n%s", seed, want, got)
 		}
 	}
 }
