@@ -59,8 +59,9 @@ go test -run '^$' -fuzz '^FuzzJasmEngines$' -fuzztime 20s ./internal/jasm
 go test -bench=Exec -benchtime=1x -run '^$' .
 # Compile-side smoke: one iteration of the compile, phase and solver
 # micro-benchmarks, which build their IR through the builder and the passes
-# and are run by no test.
-go test -run '^$' -bench 'Compile|Whaley|Phase|Solve' -benchtime=1x ./internal/jit ./internal/nullcheck .
+# and are run by no test, and of the one-shot machine benchmark (New plus
+# one Call on each engine).
+go test -run '^$' -bench 'Compile|Whaley|Phase|Solve|OneShotRun' -benchtime=1x ./internal/jit ./internal/nullcheck ./internal/machine .
 # Observability smoke: compile-and-run a sample program with tracing and
 # remarks on, then validate the emitted Chrome trace parses and the fate
 # ledger conserves (nulljit exits non-zero when it does not). The

@@ -98,17 +98,18 @@ func (n *Numbering) visit(b *ir.Block) {
 	n.Order = append(n.Order, b)
 }
 
-// Reachable returns the set of blocks reachable from entry.
-func Reachable(f *ir.Func) map[*ir.Block]bool {
-	seen := make(map[*ir.Block]bool, len(f.Blocks))
+// Reachable returns which blocks are reachable from entry, indexed densely
+// by Block.ID.
+func Reachable(f *ir.Func) []bool {
+	seen := make([]bool, f.MaxBlockID()+1)
 	work := []*ir.Block{f.Entry}
-	seen[f.Entry] = true
+	seen[f.Entry.ID] = true
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, s := range b.Succs {
-			if !seen[s] {
-				seen[s] = true
+			if !seen[s.ID] {
+				seen[s.ID] = true
 				work = append(work, s)
 			}
 		}

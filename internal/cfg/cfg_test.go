@@ -56,7 +56,7 @@ func TestReversePostorderSkipsUnreachable(t *testing.T) {
 	if got := len(ReversePostorder(f)); got != 4 {
 		t.Fatalf("rpo has %d blocks, want 4 (dead excluded)", got)
 	}
-	if Reachable(f)[dead] {
+	if Reachable(f)[dead.ID] {
 		t.Fatal("dead block reported reachable")
 	}
 }

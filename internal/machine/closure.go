@@ -545,7 +545,7 @@ func (m *Machine) buildSegs(pins []pInstr, tail int) []cSeg {
 		for i := end - 1; i >= start; i-- {
 			sufAt[i-start] = acc
 			acc.count++
-			acc.cycles += m.Arch.Cost(pins[i].in)
+			acc.cycles += pins[i].cost
 			if pins[i].in.ExcSite {
 				acc.imp++
 			}
@@ -1368,7 +1368,7 @@ func (m *Machine) bareNullDeref(p, q *pInstr) stepFn {
 	ai := p.args[0].varIdx
 	chk := p.chk
 	in := q.in
-	costD, impD := m.Arch.Cost(in), in.ExcSite
+	costD, impD := q.cost, in.ExcSite
 
 	// countCheck mirrors the unfused check's accounting, including the
 	// per-check profile counters the tier controller speculates from.
@@ -1439,8 +1439,8 @@ func (m *Machine) bareBoundArray(l, p, q *pInstr) stepFn {
 	ii, ni := p.args[0].varIdx, p.args[1].varIdx
 	bi := q.args[0].varIdx
 	in := q.in
-	costB, impB := m.Arch.Cost(p.in), p.in.ExcSite
-	costD, impD := m.Arch.Cost(in), in.ExcSite
+	costB, impB := p.cost, p.in.ExcSite
+	costD, impD := q.cost, in.ExcSite
 	if in.Op == ir.OpArrayLoad {
 		d := in.Dst
 		if l == nil {

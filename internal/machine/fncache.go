@@ -14,6 +14,10 @@ import "trapnull/internal/ir"
 // unreferenced slot the hand finds is the victim. Everything is driven by
 // insertion and access order alone — no clocks, no randomness — so eviction
 // is reproducible run to run, which the sweep determinism tests rely on.
+//
+// The index map and the ring grow with the functions a machine actually
+// runs, up to the bound: most machines run a handful of functions once, so
+// nothing is sized for the bound up front.
 type fnCache[V any] struct {
 	cap  int
 	idx  map[*ir.Func]int // key -> ring slot
@@ -27,7 +31,7 @@ func newFnCache[V any](capacity int) *fnCache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &fnCache[V]{cap: capacity, idx: make(map[*ir.Func]int, capacity)}
+	return &fnCache[V]{cap: capacity, idx: make(map[*ir.Func]int)}
 }
 
 // get returns the cached value and marks the entry recently used.

@@ -95,7 +95,7 @@ type Machine struct {
 func New(m *arch.Model, prog *ir.Program) *Machine {
 	return &Machine{
 		Arch:     m,
-		Heap:     rt.NewHeap(0),
+		Heap:     rt.NewHeap(),
 		Prog:     prog,
 		MaxSteps: 2_000_000_000,
 		Engine:   DefaultEngine,
@@ -187,21 +187,6 @@ func (m *Machine) exec(fn *ir.Func, args []int64, depth int) (Outcome, error) {
 func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth int) (Outcome, error) {
 	pf := m.prepare(fn).pf
 
-	// Operands were pre-classified by prepare(); these helpers are the whole
-	// residue of the old per-step `switch o.Kind` decode.
-	val := func(p *pOp) int64 {
-		if p.varIdx >= 0 {
-			return locals[p.varIdx]
-		}
-		return p.i64
-	}
-	fval := func(p *pOp) float64 {
-		if p.varIdx >= 0 {
-			return math.Float64frombits(uint64(locals[p.varIdx]))
-		}
-		return p.f64
-	}
-
 	var prof []int64
 	if m.Profile != nil {
 		prof = m.Profile.Counters(fn)
@@ -255,67 +240,67 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 					pin.chk.Execs++
 				}
 			}
-			m.Cycles += m.Arch.Cost(in)
+			m.Cycles += pin.cost
 
 			switch in.Op {
 			case ir.OpMove:
-				locals[in.Dst] = val(&pin.args[0])
+				locals[in.Dst] = val(locals, &pin.args[0])
 			case ir.OpAdd:
-				locals[in.Dst] = val(&pin.args[0]) + val(&pin.args[1])
+				locals[in.Dst] = val(locals, &pin.args[0]) + val(locals, &pin.args[1])
 			case ir.OpSub:
-				locals[in.Dst] = val(&pin.args[0]) - val(&pin.args[1])
+				locals[in.Dst] = val(locals, &pin.args[0]) - val(locals, &pin.args[1])
 			case ir.OpMul:
-				locals[in.Dst] = val(&pin.args[0]) * val(&pin.args[1])
+				locals[in.Dst] = val(locals, &pin.args[0]) * val(locals, &pin.args[1])
 			case ir.OpDiv, ir.OpRem:
-				d := val(&pin.args[1])
+				d := val(locals, &pin.args[1])
 				if d == 0 {
 					pending = m.throw(rt.ExcArithmetic)
 					break instrLoop
 				}
 				if in.Op == ir.OpDiv {
-					locals[in.Dst] = val(&pin.args[0]) / d
+					locals[in.Dst] = val(locals, &pin.args[0]) / d
 				} else {
-					locals[in.Dst] = val(&pin.args[0]) % d
+					locals[in.Dst] = val(locals, &pin.args[0]) % d
 				}
 			case ir.OpAnd:
-				locals[in.Dst] = val(&pin.args[0]) & val(&pin.args[1])
+				locals[in.Dst] = val(locals, &pin.args[0]) & val(locals, &pin.args[1])
 			case ir.OpOr:
-				locals[in.Dst] = val(&pin.args[0]) | val(&pin.args[1])
+				locals[in.Dst] = val(locals, &pin.args[0]) | val(locals, &pin.args[1])
 			case ir.OpXor:
-				locals[in.Dst] = val(&pin.args[0]) ^ val(&pin.args[1])
+				locals[in.Dst] = val(locals, &pin.args[0]) ^ val(locals, &pin.args[1])
 			case ir.OpShl:
-				locals[in.Dst] = val(&pin.args[0]) << (uint64(val(&pin.args[1])) & 63)
+				locals[in.Dst] = val(locals, &pin.args[0]) << (uint64(val(locals, &pin.args[1])) & 63)
 			case ir.OpShr:
-				locals[in.Dst] = val(&pin.args[0]) >> (uint64(val(&pin.args[1])) & 63)
+				locals[in.Dst] = val(locals, &pin.args[0]) >> (uint64(val(locals, &pin.args[1])) & 63)
 			case ir.OpNeg:
-				locals[in.Dst] = -val(&pin.args[0])
+				locals[in.Dst] = -val(locals, &pin.args[0])
 			case ir.OpNot:
-				locals[in.Dst] = ^val(&pin.args[0])
+				locals[in.Dst] = ^val(locals, &pin.args[0])
 			case ir.OpFAdd:
-				locals[in.Dst] = fbits(fval(&pin.args[0]) + fval(&pin.args[1]))
+				locals[in.Dst] = fbits(fval(locals, &pin.args[0]) + fval(locals, &pin.args[1]))
 			case ir.OpFSub:
-				locals[in.Dst] = fbits(fval(&pin.args[0]) - fval(&pin.args[1]))
+				locals[in.Dst] = fbits(fval(locals, &pin.args[0]) - fval(locals, &pin.args[1]))
 			case ir.OpFMul:
-				locals[in.Dst] = fbits(fval(&pin.args[0]) * fval(&pin.args[1]))
+				locals[in.Dst] = fbits(fval(locals, &pin.args[0]) * fval(locals, &pin.args[1]))
 			case ir.OpFDiv:
-				locals[in.Dst] = fbits(fval(&pin.args[0]) / fval(&pin.args[1]))
+				locals[in.Dst] = fbits(fval(locals, &pin.args[0]) / fval(locals, &pin.args[1]))
 			case ir.OpFNeg:
-				locals[in.Dst] = fbits(-fval(&pin.args[0]))
+				locals[in.Dst] = fbits(-fval(locals, &pin.args[0]))
 			case ir.OpIntToFloat:
-				locals[in.Dst] = fbits(float64(val(&pin.args[0])))
+				locals[in.Dst] = fbits(float64(val(locals, &pin.args[0])))
 			case ir.OpFloatToInt:
-				locals[in.Dst] = int64(fval(&pin.args[0]))
+				locals[in.Dst] = int64(fval(locals, &pin.args[0]))
 			case ir.OpCmp:
-				if compareCond(pin, val, fval) {
+				if compareCond(pin, locals) {
 					locals[in.Dst] = 1
 				} else {
 					locals[in.Dst] = 0
 				}
 			case ir.OpMath:
-				locals[in.Dst] = fbits(mathFn(in.Fn, fval(&pin.args[0])))
+				locals[in.Dst] = fbits(mathFn(in.Fn, fval(locals, &pin.args[0])))
 			case ir.OpInstanceOf:
 				// instanceof never faults: null is simply not an instance.
-				ref := val(&pin.args[0])
+				ref := val(locals, &pin.args[0])
 				locals[in.Dst] = 0
 				if ref != 0 && m.Heap.ClassIDOf(ref) == int64(in.Class.ID) {
 					locals[in.Dst] = 1
@@ -327,7 +312,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 					// explicit check. A null fires it as a hardware trap —
 					// the same NPE at the same program point the explicit
 					// check would have raised — and deoptimizes.
-					if val(&pin.args[0]) == 0 {
+					if val(locals, &pin.args[0]) == 0 {
 						pending = m.trap()
 						if m.tier != nil {
 							m.tier.guard = in // deoptimized by settle
@@ -340,7 +325,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				if pin.chk != nil {
 					pin.chk.Execs++
 				}
-				if val(&pin.args[0]) == 0 {
+				if val(locals, &pin.args[0]) == 0 {
 					if pin.chk != nil {
 						pin.chk.Nulls++
 					}
@@ -352,7 +337,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 			case ir.OpNew:
 				locals[in.Dst] = m.Heap.AllocObject(in.Class)
 			case ir.OpNewArray:
-				n := val(&pin.args[0])
+				n := val(locals, &pin.args[0])
 				if n < 0 {
 					pending = m.throw(rt.ExcNegativeArraySize)
 					break instrLoop
@@ -362,7 +347,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 
 			case ir.OpGetField:
 				m.Stats.Loads++
-				v, r, err := m.load(in, val(&pin.args[0])+int64(in.Field.Offset))
+				v, r, err := m.load(in, val(locals, &pin.args[0])+int64(in.Field.Offset))
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -373,7 +358,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				locals[in.Dst] = v
 			case ir.OpPutField:
 				m.Stats.Stores++
-				r, err := m.storeWord(in, val(&pin.args[0])+int64(in.Field.Offset), val(&pin.args[1]))
+				r, err := m.storeWord(in, val(locals, &pin.args[0])+int64(in.Field.Offset), val(locals, &pin.args[1]))
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -383,7 +368,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				}
 			case ir.OpArrayLength:
 				m.Stats.Loads++
-				v, r, err := m.load(in, val(&pin.args[0]))
+				v, r, err := m.load(in, val(locals, &pin.args[0]))
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -394,7 +379,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				locals[in.Dst] = v
 			case ir.OpBoundCheck:
 				m.Stats.BoundChecks++
-				idx, n := val(&pin.args[0]), val(&pin.args[1])
+				idx, n := val(locals, &pin.args[0]), val(locals, &pin.args[1])
 				if idx < 0 || idx >= n {
 					m.Stats.ThrownSoftware++
 					pending = m.throw(rt.ExcArrayIndexOutOfBounds)
@@ -402,7 +387,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				}
 			case ir.OpArrayLoad:
 				m.Stats.Loads++
-				addr := val(&pin.args[0]) + ir.ArrayHeaderBytes + val(&pin.args[1])*ir.WordBytes
+				addr := val(locals, &pin.args[0]) + ir.ArrayHeaderBytes + val(locals, &pin.args[1])*ir.WordBytes
 				v, r, err := m.load(in, addr)
 				if err != nil {
 					return Outcome{}, err
@@ -414,8 +399,8 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				locals[in.Dst] = v
 			case ir.OpArrayStore:
 				m.Stats.Stores++
-				addr := val(&pin.args[0]) + ir.ArrayHeaderBytes + val(&pin.args[1])*ir.WordBytes
-				r, err := m.storeWord(in, addr, val(&pin.args[2]))
+				addr := val(locals, &pin.args[0]) + ir.ArrayHeaderBytes + val(locals, &pin.args[1])*ir.WordBytes
+				r, err := m.storeWord(in, addr, val(locals, &pin.args[2]))
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -429,7 +414,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				if in.Op == ir.OpCallVirtual {
 					// Dispatch reads the header slot: the trap point.
 					m.Stats.Loads++
-					_, r, err := m.load(in, val(&pin.args[0]))
+					_, r, err := m.load(in, val(locals, &pin.args[0]))
 					if err != nil {
 						return Outcome{}, err
 					}
@@ -438,7 +423,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 						break instrLoop
 					}
 				}
-				out, err := m.callTarget(pin, depth, val, fval)
+				out, err := m.callTarget(pin, locals, depth)
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -454,7 +439,7 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				blk = in.Targets[0]
 				goto nextBlock
 			case ir.OpIf:
-				if compareCond(pin, val, fval) {
+				if compareCond(pin, locals) {
 					blk = in.Targets[0]
 				} else {
 					blk = in.Targets[1]
@@ -462,11 +447,11 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 				goto nextBlock
 			case ir.OpReturn:
 				if len(in.Args) == 1 {
-					return Outcome{Value: val(&pin.args[0])}, nil
+					return Outcome{Value: val(locals, &pin.args[0])}, nil
 				}
 				return Outcome{}, nil
 			case ir.OpThrow:
-				ref := val(&pin.args[0])
+				ref := val(locals, &pin.args[0])
 				m.Stats.ThrownSoftware++
 				pending = &raise{kind: m.Heap.ExcKindOf(ref), ref: ref}
 				break instrLoop
@@ -584,8 +569,7 @@ func (m *Machine) storeWord(in *ir.Instr, addr, v int64) (*raise, error) {
 }
 
 // callTarget invokes the callee of a call instruction.
-func (m *Machine) callTarget(pin *pInstr, depth int,
-	val func(*pOp) int64, fval func(*pOp) float64) (Outcome, error) {
+func (m *Machine) callTarget(pin *pInstr, locals []int64, depth int) (Outcome, error) {
 	in := pin.in
 	cal := in.Callee
 	if cal.Fn == nil {
@@ -596,13 +580,13 @@ func (m *Machine) callTarget(pin *pInstr, depth int,
 			if len(pin.args) == 0 {
 				return Outcome{}, fmt.Errorf("machine: intrinsic %s without args", cal.QualifiedName())
 			}
-			return Outcome{Value: fbits(mathFn(cal.Intrinsic, fval(&pin.args[len(pin.args)-1])))}, nil
+			return Outcome{Value: fbits(mathFn(cal.Intrinsic, fval(locals, &pin.args[len(pin.args)-1])))}, nil
 		}
 		return Outcome{}, fmt.Errorf("machine: call to bodyless method %s", cal.QualifiedName())
 	}
 	args := make([]int64, len(pin.args))
 	for i := range pin.args {
-		args[i] = val(&pin.args[i])
+		args[i] = val(locals, &pin.args[i])
 	}
 	if m.tier != nil {
 		// Callees dispatch through the tier table: a hot callee may already
@@ -614,11 +598,11 @@ func (m *Machine) callTarget(pin *pInstr, depth int,
 
 // compareCond evaluates a Cond over two operands, using float comparison
 // when either side is float-kinded (pre-decoded into pOp.isFloat).
-func compareCond(pin *pInstr, val func(*pOp) int64, fval func(*pOp) float64) bool {
+func compareCond(pin *pInstr, locals []int64) bool {
 	in := pin.in
 	a0, a1 := &pin.args[0], &pin.args[1]
 	if a0.isFloat || a1.isFloat {
-		a, b := fval(a0), fval(a1)
+		a, b := fval(locals, a0), fval(locals, a1)
 		switch in.Cond {
 		case ir.CondEQ:
 			return a == b
@@ -634,7 +618,7 @@ func compareCond(pin *pInstr, val func(*pOp) int64, fval func(*pOp) float64) boo
 			return a >= b
 		}
 	}
-	a, b := val(&pin.args[0]), val(&pin.args[1])
+	a, b := val(locals, a0), val(locals, a1)
 	switch in.Cond {
 	case ir.CondEQ:
 		return a == b

@@ -27,19 +27,38 @@ type pOp struct {
 	f64     float64
 }
 
-// pInstr pairs an instruction with its pre-decoded operands. chk is the
-// per-check profile cell, bound once at prepare time for OpNullCheck when a
-// profile is attached, so the hot path pays plain field increments and never
-// a map lookup.
+// pInstr pairs an instruction with its pre-decoded operands and its static
+// cycle cost under the machine's model (Arch.Cost, bound once like the
+// closures' costs). chk is the per-check profile cell, bound once at prepare
+// time for OpNullCheck when a profile is attached, so the hot path pays plain
+// field increments and never a map lookup.
 type pInstr struct {
 	in   *ir.Instr
 	args []pOp
 	chk  *obs.CheckCounts
+	cost int64
 }
 
 // pFunc holds one function's prepared blocks, dense by Block.ID.
 type pFunc struct {
 	blocks [][]pInstr
+}
+
+// val reads an operand's integer word: operands were pre-classified by
+// prepare, so this is the whole residue of a per-step `switch o.Kind` decode.
+func val(locals []int64, p *pOp) int64 {
+	if p.varIdx >= 0 {
+		return locals[p.varIdx]
+	}
+	return p.i64
+}
+
+// fval reads an operand's float view.
+func fval(locals []int64, p *pOp) float64 {
+	if p.varIdx >= 0 {
+		return math.Float64frombits(uint64(locals[p.varIdx]))
+	}
+	return p.f64
 }
 
 func decodeOperand(fn *ir.Func, o ir.Operand) pOp {
@@ -104,7 +123,7 @@ func (m *Machine) prepare(fn *ir.Func) *fnEntry {
 			for j, o := range in.Args {
 				args[j] = decodeOperand(fn, o)
 			}
-			pins[i] = pInstr{in: in, args: args}
+			pins[i] = pInstr{in: in, args: args, cost: m.Arch.Cost(in)}
 			if in.Op == ir.OpNullCheck && m.Profile != nil {
 				pins[i].chk = m.Profile.CheckCounter(in)
 			}

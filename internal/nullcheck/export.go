@@ -10,11 +10,14 @@ import (
 // read may be hoisted to a loop preheader without crossing its own null
 // check — the interplay the paper illustrates in Figure 4: phase 1 hoists
 // the check, which is what makes the load hoistable at all.
-func NonNullOut(f *ir.Func) map[*ir.Block]*bitset.Set {
+//
+// The sets live in the solver's pooled workspace: they stay valid until the
+// caller calls release, which hands the workspace back for the next solve.
+func NonNullOut(f *ir.Func) (out map[*ir.Block]*bitset.Set, release func()) {
 	res := nonNullAnalysis(f, nil)
-	out := make(map[*ir.Block]*bitset.Set, len(f.Blocks))
+	out = make(map[*ir.Block]*bitset.Set, len(f.Blocks))
 	for _, b := range f.Blocks {
 		out[b] = res.Out(b)
 	}
-	return out
+	return out, res.Release
 }

@@ -76,7 +76,7 @@ func removeUnreachable(f *ir.Func) int {
 	kept := f.Blocks[:0]
 	removed := 0
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach[b.ID] {
 			kept = append(kept, b)
 		} else {
 			removed += len(b.Instrs)
@@ -97,11 +97,11 @@ func removeUnreachable(f *ir.Func) int {
 	return removed
 }
 
-func markFrom(b *ir.Block, reach map[*ir.Block]bool) {
-	if reach[b] {
+func markFrom(b *ir.Block, reach []bool) {
+	if reach[b.ID] {
 		return
 	}
-	reach[b] = true
+	reach[b.ID] = true
 	for _, s := range b.Succs {
 		markFrom(s, reach)
 	}

@@ -51,7 +51,8 @@ func ScalarReplace(f *ir.Func, m *arch.Model) ScalarStats {
 	}
 	cfg.EnsurePreheaders(f, loops)
 	f.RecomputeEdges()
-	nonNull := nullcheck.NonNullOut(f)
+	nonNull, release := nullcheck.NonNullOut(f)
+	defer release()
 
 	defCount := countDefs(f)
 	for _, l := range loops {

@@ -12,7 +12,7 @@ import (
 // protected area is a trap candidate, the first byte past it is silent
 // garbage, and addresses just below HeapBase never trap (Figure 5(1)).
 func TestClassifyBoundaries(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	obj := h.AllocArray(2)
 
 	models := []*arch.Model{arch.IA32Win(), arch.PPCAIX()}
@@ -44,7 +44,7 @@ func TestClassifyBoundaries(t *testing.T) {
 // mechanism only protects [0, trapArea), so phase 2 cannot rely on traps for
 // such accesses and Classify must agree.
 func TestClassifyNegativeAddresses(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	for _, addr := range []int64{-1, -8, -4096, -HeapBase, int64(-1) << 40} {
 		if got := h.Classify(addr, 4096); got != AccessGarbage {
 			t.Errorf("Classify(%d) = %v, want AccessGarbage", addr, got)
@@ -58,7 +58,7 @@ func TestClassifyNegativeAddresses(t *testing.T) {
 // only writes trap (§4.2.1). A trap *candidate* only becomes a guaranteed
 // trap when the model says so.
 func TestTrapGuaranteeMatchesModel(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	ia32, aix := arch.IA32Win(), arch.PPCAIX()
 
 	inArea := ia32.TrapAreaBytes - ir.WordBytes

@@ -64,12 +64,10 @@ type Heap struct {
 	next  int64   // bump pointer (address)
 }
 
-// NewHeap returns an empty heap with the given initial capacity in words.
-func NewHeap(capWords int) *Heap {
-	if capWords < 1024 {
-		capWords = 1024
-	}
-	return &Heap{words: make([]int64, 0, capWords), next: HeapBase}
+// NewHeap returns an empty heap. Its words grow with the run's allocations
+// (AllocWords doubles them); addresses never depend on capacity.
+func NewHeap() *Heap {
+	return &Heap{next: HeapBase}
 }
 
 // Reset discards all allocations.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAllocObjectLayout(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	cls := &ir.Class{Name: "C", ID: 7, SizeBytes: 24}
 	addr := h.AllocObject(cls)
 	if addr != HeapBase {
@@ -24,7 +24,7 @@ func TestAllocObjectLayout(t *testing.T) {
 }
 
 func TestAllocArrayLengthSlot(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	arr := h.AllocArray(5)
 	if v, ok := h.Peek(arr); !ok || v != 5 {
 		t.Fatalf("length slot = %d ok=%v, want 5", v, ok)
@@ -36,7 +36,7 @@ func TestAllocArrayLengthSlot(t *testing.T) {
 }
 
 func TestAllocationsDoNotOverlap(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	a := h.AllocArray(4) // 5 words
 	b := h.AllocArray(4)
 	if b < a+5*ir.WordBytes {
@@ -50,7 +50,7 @@ func TestAllocationsDoNotOverlap(t *testing.T) {
 }
 
 func TestClassifyRegions(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	addr := h.AllocArray(2)
 	const trapArea = 4096
 	cases := []struct {
@@ -74,7 +74,7 @@ func TestClassifyRegions(t *testing.T) {
 }
 
 func TestExceptionObjects(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	for _, k := range []ExcKind{ExcNullPointer, ExcArrayIndexOutOfBounds, ExcArithmetic, ExcNegativeArraySize} {
 		ref := h.AllocException(k)
 		if got := h.ExcKindOf(ref); got != k {
@@ -93,7 +93,7 @@ func TestExceptionObjects(t *testing.T) {
 }
 
 func TestResetClearsHeap(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	h.AllocArray(10)
 	h.Reset()
 	if h.LiveWords() != 0 {
@@ -114,7 +114,7 @@ func TestExcKindStrings(t *testing.T) {
 }
 
 func TestQuickLoadStoreRoundTrip(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	arr := h.AllocArray(64)
 	f := func(idx uint8, v int64) bool {
 		i := int64(idx % 64)
@@ -129,7 +129,7 @@ func TestQuickLoadStoreRoundTrip(t *testing.T) {
 
 func TestQuickAllocationAlwaysInHeapRegion(t *testing.T) {
 	f := func(sizes []uint8) bool {
-		h := NewHeap(0)
+		h := NewHeap()
 		const trapArea = 4096
 		for _, s := range sizes {
 			addr := h.AllocWords(int64(s%32) + 1)
@@ -149,7 +149,7 @@ func TestQuickAllocationAlwaysInHeapRegion(t *testing.T) {
 // where Classify reports AccessOK — including a custom trap area reaching
 // past HeapBase into the live heap — and touch the word Load would.
 func TestTryLoadStoreMatchClassify(t *testing.T) {
-	h := NewHeap(0)
+	h := NewHeap()
 	h.AllocArray(6)
 	end := HeapBase + int64(h.LiveWords())*ir.WordBytes
 	addrs := []int64{-1 << 40, -8, -1, 0, 7, 4095, 4096, HeapBase - 8, HeapBase - 1,
@@ -175,5 +175,52 @@ func TestTryLoadStoreMatchClassify(t *testing.T) {
 				t.Fatalf("addr %#x: TryStore did not write the word Load reads", addr)
 			}
 		}
+	}
+}
+
+// TestHeapGrowsFromEmpty: a new heap holds no words; the first allocation
+// sizes it exactly, later ones double its capacity, and Reset keeps the
+// capacity but re-zeroes every stale word it hands out again. Addresses
+// depend on allocation order alone, never on capacity.
+func TestHeapGrowsFromEmpty(t *testing.T) {
+	h := NewHeap()
+	if cap(h.words) != 0 || h.LiveWords() != 0 {
+		t.Fatalf("new heap holds %d words (cap %d), want none", h.LiveWords(), cap(h.words))
+	}
+	a := h.AllocArray(3) // 4 words
+	if a != HeapBase || cap(h.words) != 4 {
+		t.Fatalf("first allocation at %#x with cap %d, want %#x with cap 4", a, cap(h.words), HeapBase)
+	}
+	b := h.AllocArray(1) // 2 words: needs 6, doubles to 8
+	if b != HeapBase+4*ir.WordBytes || cap(h.words) != 8 {
+		t.Fatalf("second allocation at %#x with cap %d, want %#x with cap 8", b, cap(h.words), HeapBase+4*ir.WordBytes)
+	}
+	for i := int64(0); i < 3; i++ {
+		h.Store(a+ir.ArrayHeaderBytes+i*ir.WordBytes, 100+i)
+	}
+	h.Store(b+ir.ArrayHeaderBytes, 7)
+
+	h.Reset()
+	if h.LiveWords() != 0 || cap(h.words) != 8 {
+		t.Fatalf("after Reset: %d live words, cap %d; want 0 live, cap 8 kept", h.LiveWords(), cap(h.words))
+	}
+	// Re-extension within the kept capacity: same addresses, zeroed cells.
+	a2 := h.AllocWords(6)
+	if a2 != a {
+		t.Fatalf("post-Reset allocation at %#x, want %#x", a2, a)
+	}
+	for i := int64(0); i < 6; i++ {
+		if v, ok := h.Peek(a2 + i*ir.WordBytes); !ok || v != 0 {
+			t.Fatalf("word %d after Reset = %d ok=%v, want a re-zeroed 0", i, v, ok)
+		}
+	}
+	// Past the kept capacity the heap doubles again and keeps the contents.
+	h.Store(a2, 42)
+	c := h.AllocWords(5)
+	if c != HeapBase+6*ir.WordBytes || cap(h.words) != 16 {
+		t.Fatalf("growth past Reset capacity at %#x with cap %d, want %#x with cap 16", c, cap(h.words), HeapBase+6*ir.WordBytes)
+	}
+	if v, _ := h.Peek(a2); v != 42 {
+		t.Fatalf("growth lost a live word: got %d, want 42", v)
 	}
 }
