@@ -73,12 +73,10 @@ go run ./cmd/nulljit -workload Assignment -config full -remarks -profile -trace 
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); evs=d['traceEvents']; assert evs and all(e.get('ph')=='X' for e in evs), 'bad trace events'" "$obs_trace"
 go test -run 'TestObsEquivalence|TestFateConservation' ./internal/bench
 TRAPNULL_ENGINE=switch go test -count=1 -run TestObsEquivalence ./internal/bench
-# Compile-cache differential gate: the bench suite again with the
-# content-addressed compile cache forced off (internal/bench is the only
-# reader of TRAPNULL_COMPILE_CACHE), so the cached fast path (the default) and
-# the always-recompile path cannot drift apart — the cache equivalence tests
-# themselves compare the two directly.
-TRAPNULL_COMPILE_CACHE=off go test ./internal/bench
+# Compile-cache gate. The bench sweeps compile every cell directly (a
+# sweep's compilations are all distinct); the content-addressed cache serves
+# triage's replays, where identical programs recur. Its keying, single
+# flight, bound and shared-entry immutability run here on their own.
 go test -run 'TestCompileCache' ./internal/bench
 go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCompile' ./internal/jit
 # Tiered differential gate: the full ladder — promotion, speculation,

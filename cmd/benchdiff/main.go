@@ -5,10 +5,10 @@
 // Usage:
 //
 //	benchdiff old.json new.json
-//	benchdiff -cycles-tol 2 -hit-rate-drop 0 -strict-fates old.json new.json
+//	benchdiff -cycles-tol 2 -strict-fates old.json new.json
 //
-// Gated quantities are simulated and deterministic (cycles, fate histograms,
-// cache hit rates); host compile timings are reported but only gated when
+// Gated quantities are simulated and deterministic (cycles, fate
+// histograms); host compile timings are reported but only gated when
 // -compile-tol is set. Exit codes: 0 = no regression, 1 = regression,
 // 2 = usage or I/O error.
 package main
@@ -24,7 +24,6 @@ import (
 func main() {
 	var (
 		cyclesTol   = flag.Float64("cycles-tol", 2.0, "max % increase in a cell's simulated cycles before gating")
-		hitRateDrop = flag.Float64("hit-rate-drop", 0.0, "max percentage-point drop in a matrix's cache hit rate before gating")
 		compileTol  = flag.Float64("compile-tol", 0.0, "max % increase in per-cell host compile time before gating (0 = report only)")
 		strictFates = flag.Bool("strict-fates", false, "gate on any check-fate histogram change")
 		quiet       = flag.Bool("quiet", false, "print only notes and regressions, not the per-cell table")
@@ -48,7 +47,6 @@ func main() {
 
 	d, err := bench.DiffReports(oldData, newData, bench.DiffOptions{
 		CyclesTolerancePct:  *cyclesTol,
-		HitRateDropPct:      *hitRateDrop,
 		CompileTolerancePct: *compileTol,
 		StrictFates:         *strictFates,
 	})

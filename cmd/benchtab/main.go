@@ -8,8 +8,6 @@
 //	benchtab -figure 8            # just Figure 8
 //	benchtab -quick               # small problem sizes (fast smoke run)
 //	benchtab -parallel 8          # sweep cells on 8 workers (0 = GOMAXPROCS)
-//	benchtab -compile-cache=off   # disable the content-addressed compile cache
-//	benchtab -engine switch       # run on the reference switch interpreter
 //	benchtab -tier                # tiered-execution tables (policies, not configs)
 //	benchtab -tier-reps 6         # invocations per tiered cell (last = steady state)
 //	benchtab -degradation         # trap-storm governor degradation tables
@@ -22,6 +20,10 @@
 //	benchtab -remarks             # per-config null check fate histograms
 //	benchtab -profile             # hot-block execution profile per cell
 //	benchtab -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// Every mode runs on the process's default engine, which TRAPNULL_ENGINE
+// selects (closure, the default, or switch for the reference interpreter);
+// the simulated numbers are identical on both.
 package main
 
 import (
@@ -32,7 +34,6 @@ import (
 	"runtime/pprof"
 
 	"trapnull/internal/bench"
-	"trapnull/internal/machine"
 	"trapnull/internal/obs"
 )
 
@@ -43,8 +44,6 @@ func main() {
 		figure     = flag.Int("figure", 0, "render one figure (8-15)")
 		quick      = flag.Bool("quick", false, "use small problem sizes")
 		parallel   = flag.Int("parallel", 0, "concurrent sweep cells (0 = GOMAXPROCS, 1 = serial)")
-		ccache     = flag.String("compile-cache", "auto", "content-addressed compile cache: auto (TRAPNULL_COMPILE_CACHE), on, off")
-		engine     = flag.String("engine", "", "execution engine: closure (default) or switch; both report identical numbers")
 		ablations  = flag.Bool("ablations", false, "run the ablation experiments instead")
 		tier       = flag.Bool("tier", false, "run the tiered-execution sweep instead (steady-state cycles and compile-time-to-peak per policy)")
 		tierReps   = flag.Int("tier-reps", 0, "invocations per tiered cell (default 4, at least 3; the last is the steady-state measurement)")
@@ -64,19 +63,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	// The simulated measurements are engine-independent by construction; the
-	// flag only picks which engine's host speed the sweep runs at (and lets
-	// the CI gate re-run tables on the reference interpreter). An empty flag
-	// leaves the TRAPNULL_ENGINE-derived default alone.
-	if *engine != "" {
-		e, err := machine.EngineByName(*engine)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(2)
-		}
-		machine.DefaultEngine = e
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -194,20 +180,7 @@ func main() {
 	// A failing cell does not abort the sweep: RunAll always returns the
 	// full (possibly partial) report. Render it — failed cells appear as
 	// ERROR(<reason>) entries — then report the failures and exit non-zero.
-	var cacheSetting bench.CacheSetting
-	switch *ccache {
-	case "auto":
-		cacheSetting = bench.CacheAuto
-	case "on":
-		cacheSetting = bench.CacheOn
-	case "off":
-		cacheSetting = bench.CacheOff
-	default:
-		fmt.Fprintf(os.Stderr, "benchtab: -compile-cache must be auto, on or off (got %q)\n", *ccache)
-		os.Exit(2)
-	}
-
-	opts := bench.Options{Quick: *quick, Parallelism: *parallel, CompileCache: cacheSetting,
+	opts := bench.Options{Quick: *quick, Parallelism: *parallel,
 		Remarks: *remarks, Profile: *profile, CellTimeout: *cellTO,
 		Timeline: timeline, Trace: tr, Metrics: metrics}
 	rep, sweepErr := bench.RunAll(opts)

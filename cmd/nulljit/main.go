@@ -283,9 +283,9 @@ func main() {
 }
 
 // runTiered executes one workload on a tiered machine — full ladder, with a
-// speculative recompiler wired through a compile cache — and prints the
-// per-invocation cycle deltas, the promotion/deopt event log, and the
-// speculation blacklist. The checksum is verified on every invocation; a
+// speculative recompiler that rebuilds and recompiles the workload — and
+// prints the per-invocation cycle deltas, the promotion/deopt event log, and
+// the speculation blacklist. The checksum is verified on every invocation; a
 // failed one exits non-zero after the full output.
 func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps int, timeline bool) {
 	w, err := workloads.ByName(wname)
@@ -298,23 +298,17 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 		reps = 1
 	}
 
-	cache := jit.NewCache(0)
 	compile := func(mask map[string][]int) (*ir.Program, error) {
 		p, _ := w.Build()
-		entry, _, err := cache.Compile(p, cfg, model, jit.CompileOptions{Spec: mask})
-		if err != nil {
+		if _, err := jit.CompileProgramWith(p, cfg, model, jit.CompileOptions{Spec: mask}); err != nil {
 			return nil, err
 		}
-		return entry.Program, nil
+		return p, nil
 	}
 
-	prog, err := compile(nil)
+	prog, entryM := w.Build()
+	_, err = jit.CompileProgram(prog, cfg, model)
 	fail(err)
-	_, entryM := w.Build()
-	em := prog.MethodByName(entryM.QualifiedName())
-	if em == nil || em.Fn == nil {
-		fail(fmt.Errorf("compiled program lacks entry method %s", entryM.QualifiedName()))
-	}
 
 	m := machine.New(model, prog)
 	var rec *obs.Recorder
@@ -330,7 +324,7 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 	var verdict error
 	for rep := 0; rep < reps; rep++ {
 		before := m.Cycles
-		out, err := m.Call(em.Fn, size)
+		out, err := m.Call(entryM.Fn, size)
 		fail(err)
 		status := "OK"
 		if out.Exc != rt.ExcNone {
@@ -345,8 +339,8 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 	}
 
 	rep := m.TierReport()
-	fmt.Printf("tier        deopts=%d spec-live=%d compile-host=%v cache: %+v\n",
-		rep.Deopts, rep.SpecLive, rep.CompileHost, cache.Stats())
+	fmt.Printf("tier        deopts=%d spec-live=%d compile-host=%v\n",
+		rep.Deopts, rep.SpecLive, rep.CompileHost)
 	for _, ev := range rep.Events {
 		switch ev.Kind {
 		case "deopt":

@@ -8,7 +8,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -80,9 +79,6 @@ type Matrix struct {
 	Quick     bool
 	// Cells is indexed [config name][workload name].
 	Cells map[string]map[string]*Cell
-	// CompileCache holds the sweep-scoped compilation cache's traffic
-	// counters; nil when the cache was disabled for this sweep.
-	CompileCache *jit.CacheStats
 }
 
 // Cell returns the measurement for (config, workload).
@@ -104,18 +100,14 @@ type Options struct {
 	// accounting (Tables 3–5) stays valid.
 	Parallelism int
 
-	// CompileCache controls the sweep-scoped content-addressed compilation
-	// cache (internal/jit cache.go). The zero value CacheAuto enables it
-	// unless the TRAPNULL_COMPILE_CACHE environment variable says otherwise.
-	// A cached Result replays the timings of the compile that filled the
-	// entry; every timing-free artifact is byte-identical either way (the
-	// compiled IR is deterministic, cache or no cache).
+	// CompileCache is ignored: every cell compiles its own freshly built
+	// program once, and a sweep's compilations are all distinct. The field
+	// and CacheOn remain so existing callers still compile.
 	CompileCache CacheSetting
 
 	// Trace, when non-nil, collects Chrome trace-event spans: one lane per
 	// cell, a cell span wrapping the measured compile and run, pass and
-	// function spans nested inside (benchtab -trace). Cache-enabled cells
-	// additionally get a compile_cache span recording hit or miss.
+	// function spans nested inside (benchtab -trace).
 	Trace *obs.Trace
 	// Remarks attaches a fate ledger to every cell's final compilation and
 	// fills Cell.Fates (benchtab -remarks; JSON check_fates).
@@ -131,8 +123,8 @@ type Options struct {
 	// on the cell's trace lane.
 	Timeline *obs.Timeline
 	// Metrics, when non-nil, receives the sweep's counters after assembly
-	// (benchtab -metrics): engine, static-check, attribution and cache
-	// totals, published in fixed registration order so the deterministic
+	// (benchtab -metrics): engine, static-check and attribution totals,
+	// published in fixed registration order so the deterministic
 	// snapshot of the same sweep is byte-identical at any parallelism.
 	Metrics *obs.Registry
 
@@ -143,39 +135,18 @@ type Options struct {
 	// of hanging the sweep.
 	CellTimeout time.Duration
 	// Inject attaches a deterministic fault-injection schedule to the sweep
-	// (benchtab -chaos): seeded compile-pass panics, engine step faults and
-	// compile-cache slot faults, all keyed on semantic coordinates so the
-	// same seed reproduces the same faults byte-for-byte at any parallelism.
+	// (benchtab -chaos): seeded compile-pass panics and engine step faults,
+	// both keyed on semantic coordinates so the same seed reproduces the
+	// same faults byte-for-byte at any parallelism.
 	Inject *faultinject.Injector
 }
 
-// CacheSetting is the tri-state compile-cache switch.
+// CacheSetting is the type of the ignored Options.CompileCache field.
 type CacheSetting uint8
 
-const (
-	// CacheAuto defers to TRAPNULL_COMPILE_CACHE: "off"/"0"/"false" disables
-	// the cache, anything else (including unset) enables it.
-	CacheAuto CacheSetting = iota
-	// CacheOn forces the cache regardless of the environment.
-	CacheOn
-	// CacheOff disables it regardless of the environment.
-	CacheOff
-)
-
-// cacheEnabled resolves the tri-state against the environment.
-func (o Options) cacheEnabled() bool {
-	switch o.CompileCache {
-	case CacheOn:
-		return true
-	case CacheOff:
-		return false
-	}
-	switch strings.ToLower(os.Getenv("TRAPNULL_COMPILE_CACHE")) {
-	case "off", "0", "false":
-		return false
-	}
-	return true
-}
+// CacheOn is the one remaining CacheSetting value; like the field, it has no
+// effect.
+const CacheOn CacheSetting = 1
 
 // observed reports whether a cell's compile needs an observer.
 func (o Options) observed() bool { return o.Trace != nil || o.Remarks }
@@ -218,32 +189,14 @@ func Run(model *arch.Model, configs []jit.Config, ws []*workloads.Workload, opts
 		Cells:     make(map[string]map[string]*Cell),
 	}
 
-	// One content-addressed compile cache per sweep: concurrent cells that
-	// need the same (program, projection, model) compilation coalesce onto a
-	// single compile, and triage-style replays of the same sweep would hit.
-	var cache *jit.Cache
-	if opts.cacheEnabled() {
-		cache = jit.NewCache(0)
-		if opts.Inject != nil {
-			cf := opts.Inject.CacheFaults()
-			cache.SetFaultPolicy(&jit.CacheFaultPolicy{Evict: cf.Evict, Corrupt: cf.Corrupt})
-		}
-	}
-
 	var specs []cellSpec
 	for _, cfg := range configs {
 		m.Cells[cfg.Name] = make(map[string]*Cell, len(ws))
 		for _, w := range ws {
-			specs = append(specs, cellSpec{model: model, cfg: cfg, w: w, name: cfg.Name + "/" + w.Name, reps: 1, cache: cache})
+			specs = append(specs, cellSpec{model: model, cfg: cfg, w: w, name: cfg.Name + "/" + w.Name, reps: 1})
 		}
 	}
 	measured, err := sweep(specs, opts)
-	if cache != nil {
-		st := cache.Stats()
-		m.CompileCache = &st
-		cacheMetrics.publish(opts.Metrics, st)
-		noteCacheEvents(opts.Timeline, model.Name, cache)
-	}
 	for i, s := range specs {
 		c := newCell(s, measured[i])
 		m.Cells[s.cfg.Name][s.w.Name] = c
@@ -261,15 +214,15 @@ func newCell(s cellSpec, ms *measurement) *Cell {
 	st := ms.stats
 	c.Cycles = ms.cycles
 	c.SimSeconds = float64(c.Cycles) / float64(s.model.ClockHz)
-	res := ms.entry.Result
+	res := ms.res
 	c.CompileNull, c.CompileOther = res.Times.NullCheckOpt, res.Times.Other
 	c.Exec, c.Static, c.Attr = st, *res, ms.attr
-	if rem := ms.entry.Remarks; rem != nil {
+	if rem := ms.remarks; rem != nil {
 		fc := rem.Totals()
 		c.Fates, c.remarks = &fc, rem
 	}
 	if ms.prof != nil {
-		c.Profile = ms.prof.Summary(hotBlockTopN, ms.entry.Remarks, st.TrapsTaken, st.ExplicitChecks, st.ImplicitSites)
+		c.Profile = ms.prof.Summary(hotBlockTopN, ms.remarks, st.TrapsTaken, st.ExplicitChecks, st.ImplicitSites)
 	}
 	return c
 }
@@ -298,17 +251,28 @@ type cellSpec struct {
 	// timeline section (after the model name) and its failure-list entry.
 	name string
 	reps int
-	// cache serves the cell's compile and recompiles; nil compiles afresh.
-	cache *jit.Cache
+}
+
+// recompile is the cell's policy recompiler: it builds the workload afresh
+// and compiles it under the speculation or demote set co carries.
+func (s cellSpec) recompile(co jit.CompileOptions) (*ir.Program, error) {
+	p, _ := s.w.Build()
+	if _, err := jit.CompileProgramWith(p, s.cfg, s.model, co); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // measurement is what measureCell observed of one cell. Each sweep projects
 // it into its own cell type; a failed measurement carries only err.
 type measurement struct {
-	err   string
-	entry *jit.CacheEntry // the compiled program that ran, with its result and fate ledger
-	prof  *obs.ExecProfile
-	attr  *obs.Attribution
+	err string
+	// res and remarks are the compile result and fate ledger (nil unless
+	// Options.Remarks) of the program that ran.
+	res     *jit.Result
+	remarks *obs.Remarks
+	prof    *obs.ExecProfile
+	attr    *obs.Attribution
 	// The machine's totals and adaptive reports; the machine itself is
 	// dropped with the cell.
 	cycles int64
@@ -361,9 +325,9 @@ func sweep(specs []cellSpec, opts Options) ([]*measurement, error) {
 // runCell wraps measureCell with the optional wall-clock deadline. The cell
 // runs on its own goroutine; on timeout the machine's abort flag is raised
 // and the wrapper waits for the cooperative cancel (block-entry polls) so the
-// cell has stopped touching shared state — the compile cache above all —
-// before the deterministic ERROR(timeout) entry replaces whatever it was
-// measuring.
+// cell has stopped touching shared state — the timeline and metrics above
+// all — before the deterministic ERROR(timeout) entry replaces whatever it
+// was measuring.
 func runCell(s cellSpec, opts Options) *measurement {
 	if opts.CellTimeout <= 0 {
 		return measureCell(s, opts, nil)
@@ -410,48 +374,33 @@ func measureCell(s cellSpec, opts Options, abort *atomic.Bool) (ms *measurement)
 		cellStart = time.Now()
 	}
 
-	// Compile once; that compile's program runs, so remarks and trace spans
-	// describe exactly the program the measurements come from. Cells
-	// re-derive their statistics from the (possibly shared, immutable) cache
-	// entry and never accumulate into it. Policy cells compile unobserved:
-	// their compile-to-peak column is host time that pass spans would
-	// inflate.
+	// Compile the freshly built program once, in place; that program runs,
+	// so remarks and trace spans describe exactly the program the
+	// measurements come from. Policy cells compile unobserved: their
+	// compile-to-peak column is host time that pass spans would inflate.
 	observe := opts.observed() && s.policy == ""
 	p, entryM := s.w.Build()
 	var co jit.CompileOptions
 	// Injected pass faults key on the compilation's content identity, not
-	// the cell: under single-flight coalescing WHICH cell compiles depends
-	// on worker interleaving, but what is compiled does not.
+	// the cell, so the schedule names what was compiled.
 	if opts.Inject != nil {
 		co.PassFault = opts.Inject.PassFault(jit.Key(p, s.cfg, s.model).ID())
 	}
 	if observe {
 		co.Observer = &jit.Observer{Trace: opts.Trace, TID: tid}
 		if opts.Remarks {
-			co.Observer.Remarks = obs.NewRemarks()
+			ms.remarks = obs.NewRemarks()
+			co.Observer.Remarks = ms.remarks
 		}
 	}
 	start := time.Now()
-	entry, hit, err := s.cache.Compile(p, s.cfg, s.model, co)
+	res, err := jit.CompileProgramWith(p, s.cfg, s.model, co)
 	ms.toPeak = time.Since(start)
-	if observe && s.cache != nil && opts.Trace != nil {
-		opts.Trace.Span(tid, "compile_cache", s.name, cellStart, time.Since(cellStart),
-			map[string]any{"hit": hit})
-	}
 	if err != nil {
 		return fail(failReason(err))
 	}
-	ms.entry = entry
-
-	// On a cache hit the entry's program is NOT the one this cell built;
-	// resolve the entry method into it by qualified name. The compiled IR is
-	// shared between cells and execution never mutates it (machines decode
-	// into their own tables).
-	em := ms.entry.Program.MethodByName(entryM.QualifiedName())
-	if em == nil || em.Fn == nil {
-		return fail("compiled program lacks entry method " + entryM.QualifiedName())
-	}
-	mach := machine.New(s.model, ms.entry.Program)
+	ms.res = res
+	mach := machine.New(s.model, p)
 	mach.Abort = abort
 	if opts.Profile {
 		ms.prof = obs.NewExecProfile()
@@ -464,14 +413,7 @@ func measureCell(s cellSpec, opts Options, abort *atomic.Bool) (ms *measurement)
 			rec.Record(0, "chaos", "step-fault-arm", s.name, fmt.Sprintf("fires at step %d", step))
 		}
 	}
-	ms.toPeak += setupPolicy(s.policy, mach, opts.Quick, func(co jit.CompileOptions) (*ir.Program, error) {
-		p, _ := s.w.Build()
-		entry, _, err := s.cache.Compile(p, s.cfg, s.model, co)
-		if err != nil {
-			return nil, err
-		}
-		return entry.Program, nil
-	})
+	ms.toPeak += setupPolicy(s.policy, mach, opts.Quick, s.recompile)
 
 	want := s.w.Ref(n)
 	var wins []repWindow
@@ -480,7 +422,7 @@ func measureCell(s cellSpec, opts Options, abort *atomic.Bool) (ms *measurement)
 		st := mach.Stats
 		before, steps := mach.Cycles, mach.Steps()
 		start := time.Now()
-		out, err := mach.Call(em.Fn, n)
+		out, err := mach.Call(entryM.Fn, n)
 		d := mach.Cycles - before
 		if opts.Trace != nil {
 			dur := time.Since(start)

@@ -15,13 +15,11 @@ import (
 // Chaos harness: the bench mode behind benchtab -chaos. One seed drives a
 // deterministic fault-injection schedule (internal/faultinject) over a
 // compact sweep of both models: compile passes panic, engines fault
-// mid-execution, compile-cache slots are evicted or corrupted, and the
-// seeded-burst workload bakes adversarial null bursts into its kernel. The
-// contract under all of that:
+// mid-execution, and the seeded-burst workload bakes adversarial null bursts
+// into its kernel. The contract under all of that:
 //
 //   - the sweep always completes — every injected fault degrades to a
-//     deterministic ERROR(...) cell or a transparently recovered outcome,
-//     never a hang or a partial sweep;
+//     deterministic ERROR(...) cell, never a hang or a partial sweep;
 //   - the report is byte-for-byte reproducible from the seed, at any worker
 //     count and on either execution engine (the schedule keys on semantic
 //     coordinates, not timing — see the faultinject package doc).
@@ -40,8 +38,8 @@ type ChaosOptions struct {
 	// timeout firing means a genuine hang (and fails the run).
 	CellTimeout time.Duration
 	// Timeline / Metrics are forwarded to the underlying sweeps: the
-	// timeline collects every cell's chaos arm/fire events (and the cache
-	// fault log as notes), the registry totals the sweep counters.
+	// timeline collects every cell's chaos arm/fire events, the registry
+	// totals the sweep counters.
 	Timeline *obs.Timeline
 	Metrics  *obs.Registry
 }
@@ -121,18 +119,16 @@ func RunChaos(seed int64, opts ChaosOptions) (*ChaosReport, error) {
 	rep := &ChaosReport{Seed: seed}
 
 	for _, sw := range chaosSweeps(seed) {
-		// Quick sizes, compile cache forced on (cache faults need a cache to
-		// perturb), per-cell deadline as the hang backstop. Run's own
+		// Quick sizes, per-cell deadline as the hang backstop. Run's own
 		// aggregate error restates the per-cell Err fields, which the loop
 		// below classifies line by line — so it is deliberately dropped.
 		m, _ := Run(sw.model, sw.configs, sw.ws, Options{
-			Quick:        true,
-			Parallelism:  opts.Parallelism,
-			CompileCache: CacheOn,
-			CellTimeout:  opts.cellTimeout(),
-			Inject:       inj,
-			Timeline:     opts.Timeline,
-			Metrics:      opts.Metrics,
+			Quick:       true,
+			Parallelism: opts.Parallelism,
+			CellTimeout: opts.cellTimeout(),
+			Inject:      inj,
+			Timeline:    opts.Timeline,
+			Metrics:     opts.Metrics,
 		})
 		for _, cfg := range sw.configs {
 			for _, w := range sw.ws {

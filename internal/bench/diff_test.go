@@ -11,9 +11,6 @@ func diffFixture(t *testing.T) []byte {
 	t.Helper()
 	rep := jsonReport{
 		GeneratedBy: "trapnull benchtab",
-		CompileCache: []jsonCacheStats{
-			{Matrix: "windows_jbytemark", Lookups: 100, Hits: 80, Misses: 20},
-		},
 		Matrices: map[string][]jsonCell{
 			"windows_jbytemark": {
 				{Workload: "Assignment", Config: "Base", Cycles: 100000, TrapsTaken: 0, ExplicitChecks: 50},
@@ -145,21 +142,26 @@ func TestDiffErrorTransitions(t *testing.T) {
 	}
 }
 
-// TestDiffHitRateGate pins the cache column: a hit-rate drop beyond the
-// tolerance gates; within it, only the comparison line is emitted.
-func TestDiffHitRateGate(t *testing.T) {
-	base := diffFixture(t)
-	worse := mutate(t, base, func(rep *jsonReport) {
-		rep.CompileCache[0].Hits = 60
-		rep.CompileCache[0].Misses = 40
-	})
-	d, _ := DiffReports(base, worse, DiffOptions{HitRateDropPct: 5})
-	if d.Ok() {
-		t.Error("20pp hit-rate drop passed a 5pp gate")
+// TestDiffIgnoresCompileCacheBlock: baselines written while the sweep ran a
+// compile cache carry a top-level compile_cache block; the gate decodes past
+// it and compares the cells alone.
+func TestDiffIgnoresCompileCacheBlock(t *testing.T) {
+	cur := diffFixture(t)
+	old := strings.Replace(string(cur), `"matrices":`,
+		`"compile_cache": [{"matrix": "windows_jbytemark", "lookups": 3, "hits": 0, "misses": 3, "evictions": 0}],
+  "matrices":`, 1)
+	if old == string(cur) {
+		t.Fatal("fixture has no matrices key to splice the block before")
 	}
-	d, _ = DiffReports(base, worse, DiffOptions{HitRateDropPct: 25})
+	d, err := DiffReports([]byte(old), cur, DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !d.Ok() {
-		t.Errorf("20pp hit-rate drop gated under a 25pp tolerance: %v", d.Regressions)
+		t.Errorf("a baseline's compile_cache block gated: %v", d.Regressions)
+	}
+	if r := d.Render(); strings.Contains(r, "cache") {
+		t.Errorf("diff still reports on the compile cache:\n%s", r)
 	}
 }
 

@@ -41,27 +41,10 @@ type jsonCell struct {
 	Error string `json:"error,omitempty"`
 }
 
-// jsonCacheStats is the export shape of one matrix's compile-cache traffic.
-// Fixed field order keeps marshals of the same report byte-identical.
-type jsonCacheStats struct {
-	Matrix    string `json:"matrix"`
-	Lookups   int64  `json:"lookups"`
-	Hits      int64  `json:"hits"`
-	Misses    int64  `json:"misses"`
-	Evictions int64  `json:"evictions"`
-	// InjectedFaults counts chaos cache faults repaired by recompiling;
-	// omitted when zero so fault-free JSON keeps its pre-chaos shape.
-	InjectedFaults int64 `json:"injected_faults,omitempty"`
-}
-
 // jsonReport is the export shape of a full run.
 type jsonReport struct {
-	GeneratedBy string `json:"generated_by"`
-	// CompileCache lists per-matrix cache traffic in matrix order; omitted
-	// entirely when the cache is off, so cache-off JSON is byte-identical to
-	// the pre-cache shape.
-	CompileCache []jsonCacheStats      `json:"compile_cache,omitempty"`
-	Matrices     map[string][]jsonCell `json:"matrices"`
+	GeneratedBy string                `json:"generated_by"`
+	Matrices    map[string][]jsonCell `json:"matrices"`
 }
 
 // JSON renders the whole report as machine-readable JSON, for plotting or
@@ -72,17 +55,6 @@ func (r *Report) JSON() ([]byte, error) {
 		Matrices:    map[string][]jsonCell{},
 	}
 	add := func(name string, m *Matrix) {
-		if m.CompileCache != nil {
-			st := *m.CompileCache
-			out.CompileCache = append(out.CompileCache, jsonCacheStats{
-				Matrix:         name,
-				Lookups:        st.Lookups,
-				Hits:           st.Hits,
-				Misses:         st.Misses,
-				Evictions:      st.Evictions,
-				InjectedFaults: st.InjectedFaults,
-			})
-		}
 		var cells []jsonCell
 		for _, cfg := range m.Configs {
 			for _, w := range m.Workloads {

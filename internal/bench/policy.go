@@ -69,7 +69,8 @@ type PolicyCell struct {
 	SteadyTraps  int64
 	SteadyChecks int64
 	// CompileToPeak is host time: initial jit compile + up-front closure
-	// compiles (eager) + tier promotions and deopt recompiles (tiered).
+	// compiles (eager) + tier promotions and speculative recompiles
+	// (tiered).
 	CompileToPeak time.Duration
 	// PromotionsT1 / PromotionsT2 count the tier controller's promotions.
 	PromotionsT1 int
@@ -105,7 +106,7 @@ type PolicyOptions struct {
 	// additionally carry trap-cost attribution. Trace, when non-nil, gives
 	// each cell a lane of compile and per-invocation spans with the
 	// recorded events as instant markers. Metrics, when non-nil, receives
-	// the tier or governor counters and the cache traffic of each cell.
+	// the tier or governor counters of each cell.
 	Timeline *obs.Timeline
 	Trace    *obs.Trace
 	Metrics  *obs.Registry
@@ -296,9 +297,8 @@ func adaptive(policy string) bool {
 
 // setupPolicy configures a cell's freshly built machine for policy and
 // returns the host time it spent compiling up front. recompile compiles the
-// cell's workload with the given speculation or demote set through the
-// cell's compile cache. The static policies ("" and implicit, explicit) run
-// the machine as built.
+// cell's workload with the given speculation or demote set. The static
+// policies ("" and implicit, explicit) run the machine as built.
 func setupPolicy(policy string, m *machine.Machine, quick bool, recompile func(jit.CompileOptions) (*ir.Program, error)) time.Duration {
 	switch policy {
 	case "interp":
@@ -384,7 +384,6 @@ func runPolicyReport(k *policyKind, opts PolicyOptions) (*PolicyReport, error) {
 // workload-major, policy-minor order.
 func runPolicies(k *policyKind, model *arch.Model, cfg jit.Config, ws []*workloads.Workload, opts PolicyOptions) (*PolicyMatrix, error) {
 	k.metrics.register(opts.Metrics)
-	cacheMetrics.register(opts.Metrics)
 	m := &PolicyMatrix{
 		Model:     model,
 		Config:    cfg,
@@ -408,13 +407,8 @@ func runPolicies(k *policyKind, model *arch.Model, cfg jit.Config, ws []*workloa
 			if pol == "explicit" {
 				c = ExplicitConfig()
 			}
-			// One compile cache per cell keeps the compile-to-peak column
-			// honest — every policy pays its own initial compile — while
-			// recompiles still replay: a deopt's conservative recompile hits
-			// the entry the initial compile stored, and a converged demote
-			// set hits its generation.
 			specs = append(specs, cellSpec{model: model, cfg: c, w: w, policy: pol,
-				name: pol + "/" + w.Name, reps: m.Reps, cache: jit.NewCache(0)})
+				name: pol + "/" + w.Name, reps: m.Reps})
 		}
 	}
 	// One worker and no deadline: compile-to-peak is host time, which
@@ -426,8 +420,6 @@ func runPolicies(k *policyKind, model *arch.Model, cfg jit.Config, ws []*workloa
 		m.Cells[s.policy][s.w.Name] = c
 		if !c.Failed() {
 			k.metrics.publish(opts.Metrics, c)
-			cacheMetrics.publish(opts.Metrics, s.cache.Stats())
-			noteCacheEvents(opts.Timeline, model.Name+"/"+s.name, s.cache)
 		}
 	}
 	return m, err

@@ -388,35 +388,6 @@ func (r *Report) Figure15() string {
 		[]string{"Speculation", "NoSpeculation", "IllegalImplicit(NoSpec)"})
 }
 
-// CompileCacheTable renders the per-matrix compile-cache traffic counters.
-// Not a paper artifact (and not timing-free in spirit — the counters depend
-// on whether the cache ran at all), it documents how much compilation the
-// sweep actually performed versus replayed.
-func (r *Report) CompileCacheTable() string {
-	header := []string{"matrix", "lookups", "hits", "misses", "evictions"}
-	var rows [][]string
-	for _, mx := range []struct {
-		name string
-		m    *Matrix
-	}{
-		{"windows_jbytemark", r.WinJB},
-		{"windows_specjvm98", r.WinSpec},
-		{"aix_jbytemark", r.AIXJB},
-		{"aix_specjvm98", r.AIXSpec},
-	} {
-		st := mx.m.CompileCache
-		if st == nil {
-			rows = append(rows, []string{mx.name, "-", "-", "-", "-"})
-			continue
-		}
-		rows = append(rows, []string{mx.name,
-			fmt.Sprint(st.Lookups), fmt.Sprint(st.Hits),
-			fmt.Sprint(st.Misses), fmt.Sprint(st.Evictions)})
-	}
-	return renderGrid("Compile cache. Content-addressed compilation reuse per sweep", header, rows,
-		"misses = distinct (program, config projection, model) compilations; '-' = cache off")
-}
-
 // Artifacts maps table/figure identifiers to their renderers.
 func (r *Report) Artifacts() map[string]func() string {
 	return map[string]func() string{
@@ -426,19 +397,14 @@ func (r *Report) Artifacts() map[string]func() string {
 		"figure8": r.Figure8, "figure9": r.Figure9, "figure10": r.Figure10,
 		"figure11": r.Figure11, "figure12": r.Figure12, "figure13": r.Figure13,
 		"figure14": r.Figure14, "figure15": r.Figure15,
-		"compile_cache": r.CompileCacheTable,
 	}
 }
 
-// ArtifactNames returns the identifiers in render order. compile_cache is
-// deliberately NOT in timingFreeArtifacts (parallel_test.go): its counters
-// describe the harness run, not the simulated measurement, and a cache-off
-// sweep renders it differently by design.
+// ArtifactNames returns the identifiers in render order.
 func ArtifactNames() []string {
 	return []string{
 		"table1", "figure8", "table2", "figure9", "figure10", "figure11",
 		"table3", "figure12", "table4", "figure13", "table5",
 		"table6", "figure14", "table7", "figure15",
-		"compile_cache",
 	}
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
-	"trapnull/internal/jit"
 	"trapnull/internal/machine"
 	"trapnull/internal/nullcheck"
 	"trapnull/internal/obs"
@@ -111,7 +109,6 @@ func registerSweepMetrics(reg *obs.Registry) {
 	reg.Histogram("bench.cell_cycles", "simulated cycles per cell",
 		[]int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000})
 	publishRun(reg, nil, true)
-	cacheMetrics.register(reg)
 }
 
 // counterRow declares one counter once: its name and help, whether it is
@@ -150,16 +147,6 @@ func (rows counterSet[S]) publish(reg *obs.Registry, src S) {
 	}
 }
 
-// cacheMetrics is one sweep's compile-cache traffic.
-var cacheMetrics = counterSet[jit.CacheStats]{
-	{"cache.lookups", "compile cache lookups", false, func(s jit.CacheStats) int64 { return s.Lookups }},
-	{"cache.hits", "compile cache hits", false, func(s jit.CacheStats) int64 { return s.Hits }},
-	{"cache.misses", "compile cache misses", false, func(s jit.CacheStats) int64 { return s.Misses }},
-	{"cache.evictions", "compile cache capacity evictions", false, func(s jit.CacheStats) int64 { return s.Evictions }},
-	{"cache.injected_fault_repairs", "injected cache faults repaired by recompiling", false, func(s jit.CacheStats) int64 { return s.InjectedFaults }},
-	{"cache.single_flight_waits", "lookups that blocked on an in-flight compile (interleaving-dependent)", true, func(s jit.CacheStats) int64 { return s.SingleFlightWaits }},
-}
-
 // tierMetrics is one tiered cell's controller report.
 var tierMetrics = counterSet[*PolicyCell]{
 	{"tier.promotions_t1", "interpreter -> closure promotions", false, func(c *PolicyCell) int64 { return int64(c.PromotionsT1) }},
@@ -194,18 +181,6 @@ func publishCellMetrics(reg *obs.Registry, c *Cell) {
 	}
 	reg.Histogram("bench.cell_cycles", "", nil).Observe(c.Cycles)
 	publishRun(reg, &RunCounters{Exec: c.Exec, Checks: c.Static.Checks, Profile: c.Profile, Attr: c.Attr}, true)
-}
-
-// noteCacheEvents appends one sweep's aggregated cache lifecycle events
-// (evictions, chaos faults) to the timeline as notes. EventLog is sorted by
-// (key, kind), so the notes are deterministic.
-func noteCacheEvents(tl *obs.Timeline, label string, cache *jit.Cache) {
-	if tl == nil || cache == nil {
-		return
-	}
-	for _, ev := range cache.EventLog() {
-		tl.Note(fmt.Sprintf("cache[%s] %s %s x%d", label, ev.Kind, ev.Key, ev.Count))
-	}
 }
 
 // attachRecorder wires a flight recorder (and, for untiered machines,

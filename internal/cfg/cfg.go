@@ -44,15 +44,6 @@ func (n *Numbering) Reaches(b *ir.Block) bool {
 	return b.ID < len(n.Pos) && n.Pos[b.ID] >= 0
 }
 
-// NumberReversePostorder numbers the blocks reachable from entry, rooting the
-// traversal additionally at every try-region handler when withHandlers is
-// set (the variant every analysis feeding a transformation wants).
-func NumberReversePostorder(f *ir.Func, withHandlers bool) *Numbering {
-	n := new(Numbering)
-	n.Renumber(f, withHandlers)
-	return n
-}
-
 // Renumber recomputes n for f in place, reusing n's storage: a pooled
 // Numbering renumbers without allocating once it has seen a function as
 // large.

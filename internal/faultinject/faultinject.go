@@ -6,23 +6,17 @@
 // sweep scheduling. The coordinates are chosen so the decision set itself is
 // schedule-independent:
 //
-//   - compile-pass faults key on (cache key ID, method, pass): under
-//     single-flight coalescing WHICH cell performs a compilation depends on
-//     worker interleaving, but WHAT is compiled does not, so keying on the
-//     compilation identity (not the cell) makes the same compile draw the
-//     same fault on every run at any worker count;
+//   - compile-pass faults key on (cache key ID, method, pass): the
+//     compilation's content identity, so the same compile draws the same
+//     fault on every run at any worker count;
 //   - engine step faults key on the cell identity (model, config, workload)
 //     and fire at a seed-derived dynamic step count, through the machines'
 //     shared step-limit choke point — both engines report the identical
-//     fault at the identical count;
-//   - cache-slot faults key on the cache key ID; the cache arms them once
-//     per key and repairs them transparently (see jit.CacheFaultPolicy).
+//     fault at the identical count.
 //
 // The injector records every armed decision; Schedule() renders them sorted,
 // so two runs with the same seed produce byte-identical schedules regardless
-// of parallelism. Fired-fault counts are deliberately NOT part of the
-// schedule: how often a cache fault is tripped depends on lookup order, while
-// what was armed does not.
+// of parallelism.
 package faultinject
 
 import (
@@ -44,10 +38,6 @@ type Injector struct {
 	// StepFaultEvery arms an engine step fault in roughly 1/N of cells; the
 	// firing step is drawn from the same hash.
 	StepFaultEvery uint64
-	// EvictEvery / CorruptEvery arm a cache-slot fault on roughly 1/N of
-	// completed cache entries.
-	EvictEvery   uint64
-	CorruptEvery uint64
 	// MaxFaultStep bounds the drawn firing step (exclusive); the default
 	// covers a quick-size cell's dynamic step range.
 	MaxFaultStep int64
@@ -57,15 +47,12 @@ type Injector struct {
 }
 
 // New returns an injector with the default rates: pass faults rare enough
-// that most compilations survive, step faults in a third of cells, cache
-// faults (which are outcome-transparent) common.
+// that most compilations survive, step faults in a third of cells.
 func New(seed int64) *Injector {
 	return &Injector{
 		Seed:           seed,
 		PassFaultEvery: 300,
 		StepFaultEvery: 3,
-		EvictEvery:     2,
-		CorruptEvery:   3,
 		MaxFaultStep:   150_000,
 		armed:          make(map[string]bool),
 	}
@@ -125,33 +112,6 @@ func (j *Injector) StepFault(cellID string) (step int64, ok bool) {
 	step = int64(j.hash("step-at", cellID)%uint64(max)) + 1
 	j.record(fmt.Sprintf("step-fault  cell=%s step=%d", cellID, step))
 	return step, true
-}
-
-// CacheFaults returns the deterministic cache fault policy for this seed.
-func (j *Injector) CacheFaults() *CacheFaults {
-	return &CacheFaults{
-		Evict: func(keyID string) bool {
-			if j.EvictEvery == 0 || j.hash("cache-evict", keyID)%j.EvictEvery != 0 {
-				return false
-			}
-			j.record(fmt.Sprintf("cache-evict key=%s", keyID))
-			return true
-		},
-		Corrupt: func(keyID string) bool {
-			if j.CorruptEvery == 0 || j.hash("cache-corrupt", keyID)%j.CorruptEvery != 0 {
-				return false
-			}
-			j.record(fmt.Sprintf("cache-corrupt key=%s", keyID))
-			return true
-		},
-	}
-}
-
-// CacheFaults mirrors jit.CacheFaultPolicy without importing jit (this
-// package sits below every layer it perturbs).
-type CacheFaults struct {
-	Evict   func(keyID string) bool
-	Corrupt func(keyID string) bool
 }
 
 // BurstWindows derives nb adversarial null-burst windows over [0, n) for the

@@ -435,16 +435,6 @@ func (in *Instr) SlotAccessInfo() (SlotAccess, bool) {
 	return SlotAccess{}, false
 }
 
-// UsesVar reports whether the instruction reads variable v.
-func (in *Instr) UsesVar(v VarID) bool {
-	for _, a := range in.Args {
-		if a.IsVar() && a.Var == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns a deep copy of the instruction with the same targets.
 func (in *Instr) Clone() *Instr {
 	cp := *in

@@ -1,14 +1,12 @@
 // Content-addressed compilation cache.
 //
 // A triage session compiles the same (program, configuration, model) triple
-// over and over: every bisection replay, every delta-debug oracle call
-// re-runs the whole pass pipeline on an identical input, and an adaptive
-// sweep cell (bench.Run) recompiles for site sets it may have seen before.
-// Compilation is deterministic — same
-// input program, same effective configuration, same models, same output IR —
-// so the triple is a perfect cache key. The cache stores the compiled
+// over and over: every bisection replay and every delta-debug oracle call
+// re-runs the whole pass pipeline on an identical input. Compilation is
+// deterministic — same input program, same effective configuration, same
+// models, same output IR — so the triple is a perfect cache key. The cache stores the compiled
 // program together with its immutable *Result (and fate ledger, when the
-// compile was observed); callers re-attribute per-cell statistics from the
+// compile was observed); callers re-attribute per-replay statistics from the
 // shared entry instead of recompiling.
 //
 // Key construction (see DESIGN.md §10 for the full projection rules):
@@ -32,7 +30,6 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"sort"
 	"sync"
 
 	"trapnull/internal/arch"
@@ -138,8 +135,8 @@ type CacheKey struct {
 
 // ID renders the key as a deterministic, human-readable string that names
 // the model rather than printing its fields. The fault-injection harness keys
-// its schedule decisions on it, so the same compilation draws the same faults
-// regardless of which sweep cell reaches it first.
+// its pass-fault decisions on it, so the same compilation draws the same
+// faults in every sweep cell that performs it.
 func (k CacheKey) ID() string {
 	return fmt.Sprintf("%x|%s|%+v|spec=%s|demote=%s",
 		k.Program[:8], k.Model.Name, k.Proj, k.Spec, k.Demote)
@@ -305,20 +302,20 @@ func (e *hashEnc) instr(in *ir.Instr) {
 }
 
 // CacheEntry is one cached compilation. Entries are shared between every
-// cell that hits the key, so ALL fields are immutable after insertion:
+// caller that hits the key, so ALL fields are immutable after insertion:
 // callers must not mutate the program's IR (execution never does — machines
 // keep their own decoded tables) and must treat Result and Remarks as
-// read-only. The bench tests deep-freeze an entry and verify a sweep leaves
-// it untouched.
+// read-only. TestCompileCacheEntryImmutable deep-freezes an entry and
+// verifies two consumers leave it untouched.
 type CacheEntry struct {
 	// Program is the COMPILED program (bodies optimized under the key's
 	// projection).
 	Program *ir.Program
-	// Result is the compile result; per-cell statistics are re-derived from
-	// it, never accumulated into it.
+	// Result is the compile result; per-replay statistics are re-derived
+	// from it, never accumulated into it.
 	Result *Result
 	// Remarks is the fate ledger of the observed compile, or nil when the
-	// compile ran unobserved. Cells re-attribute fates from it so a cached
+	// compile ran unobserved. Callers re-attribute fates from it so a cached
 	// compile reports the same histogram as a fresh one.
 	Remarks *obs.Remarks
 }
@@ -331,50 +328,12 @@ type CacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// InjectedFaults counts cache-slot faults (evictions/corruptions) fired
-	// by an attached FaultPolicy. Every fired fault is repaired transparently
-	// by recompiling, so it perturbs traffic counters but never outcomes.
-	InjectedFaults int64
-	// SingleFlightWaits counts lookups that blocked on another caller's
-	// in-flight compile. Unlike the hit/miss split (deterministic under
-	// single-flight), this depends on worker interleaving — it feeds the
-	// VOLATILE metrics only, never a deterministic artifact.
-	SingleFlightWaits int64
 }
 
-// CacheEvent is one aggregated cache lifecycle event for the telemetry
-// timeline: how many times Kind happened to Key. Kinds: "evict" (capacity
-// eviction), "fault-evict" and "fault-corrupt" (armed chaos faults firing).
-type CacheEvent struct {
-	Key   string `json:"key"`
-	Kind  string `json:"kind"`
-	Count int64  `json:"count"`
-}
-
-// CacheFaultPolicy injects deterministic cache-slot faults for chaos testing.
-// Decisions must be pure functions of the key ID (CacheKey.ID): the policy is
-// consulted when an entry completes, arming at most one fault per key for the
-// cache's lifetime. An armed fault fires on the next lookup that would have
-// hit the entry: an eviction silently drops the slot, a corruption models a
-// poisoned artifact that integrity-checking detects and discards. Both repair
-// the same way — the victim recompiles — so a faulted run reaches the exact
-// outcomes of a clean one; only CacheStats traffic differs.
-type CacheFaultPolicy struct {
-	Evict   func(keyID string) bool
-	Corrupt func(keyID string) bool
-}
-
-// SetFaultPolicy attaches (or clears, with nil) the fault policy.
-func (c *Cache) SetFaultPolicy(p *CacheFaultPolicy) {
-	c.mu.Lock()
-	c.fault = p
-	c.mu.Unlock()
-}
-
-// DefaultCacheCapacity bounds a sweep-scoped cache. A full quick sweep
-// produces at most configs × workloads distinct keys per matrix (≤ 42), so
-// the default never evicts in practice; the bound is a safety valve for
-// open-ended callers (fuzz loops feeding one cache forever).
+// DefaultCacheCapacity bounds a cache. A triage session touches a handful
+// of distinct keys, so the default never evicts in practice; the bound is a
+// safety valve for open-ended callers (fuzz loops feeding one cache
+// forever).
 const DefaultCacheCapacity = 256
 
 // Cache is a bounded, concurrency-safe, single-flight compilation cache.
@@ -391,55 +350,12 @@ type Cache struct {
 	ref  []bool
 	hand int
 	st   CacheStats
-	// Chaos testing: fault is the active policy (usually nil); faulted
-	// remembers keys whose armed fault already fired, enforcing
-	// at-most-once per key.
-	fault   *CacheFaultPolicy
-	faulted map[CacheKey]bool
-	// evlog aggregates lifecycle events (evictions, fired faults) per
-	// (key ID, kind) for EventLog. Bounded by distinct keys × kinds.
-	evlog map[CacheEvent]int64
-}
-
-// noteEvent aggregates one lifecycle event. Caller holds c.mu.
-func (c *Cache) noteEvent(key CacheKey, kind string) {
-	if c.evlog == nil {
-		c.evlog = make(map[CacheEvent]int64)
-	}
-	c.evlog[CacheEvent{Key: key.ID(), Kind: kind}]++
-}
-
-// EventLog returns the aggregated lifecycle events sorted by (key, kind) —
-// a deterministic digest for the telemetry timeline: which entries were
-// evicted or chaos-faulted, and how often.
-func (c *Cache) EventLog() []CacheEvent {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	out := make([]CacheEvent, 0, len(c.evlog))
-	for ev, n := range c.evlog {
-		ev.Count = n
-		out = append(out, ev)
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
 }
 
 type cacheSlot struct {
 	ready chan struct{} // closed when entry/err are set
 	entry *CacheEntry
 	err   error
-	// armedFault is non-zero when the fault policy armed an injected fault
-	// on this completed slot (1 = evict, 2 = corrupt). It fires on the next
-	// lookup that would hit the slot.
-	armedFault uint8
 }
 
 // NewCache returns a cache bounded to capacity entries (0 → default).
@@ -482,48 +398,26 @@ func (c *Cache) GetOrCompile(key CacheKey, needRemarks bool, compile func() (*Ca
 	c.mu.Lock()
 	c.st.Lookups++
 	if s, ok := c.slots[key]; ok {
-		select {
-		case <-s.ready:
-		default:
-			// Another caller's compile is in flight; we are about to block on
-			// it. Interleaving-dependent, so this feeds volatile metrics only.
-			c.st.SingleFlightWaits++
-		}
 		c.mu.Unlock()
 		<-s.ready
 		c.mu.Lock()
 		if s.err != nil {
 			// The flight failed; we coalesced onto it, so we share its error
-			// rather than recompiling (bench error cells stay deterministic
-			// under any worker count).
+			// rather than recompiling (every waiter sees the same error under
+			// any worker count).
 			c.st.Hits++
 			c.mu.Unlock()
 			return nil, false, s.err
 		}
-		if s.armedFault != 0 {
-			// An armed injected fault fires (at most once per key): the slot
-			// is dropped — an eviction loses it outright, a corruption is a
-			// poisoned artifact detected and discarded — and this lookup
-			// repairs it by recompiling below. Outcomes are unaffected.
-			c.st.InjectedFaults++
-			if s.armedFault == 1 {
-				c.noteEvent(key, "fault-evict")
-			} else {
-				c.noteEvent(key, "fault-corrupt")
-			}
-			if c.faulted == nil {
-				c.faulted = make(map[CacheKey]bool)
-			}
-			c.faulted[key] = true
-		} else if !needRemarks || s.entry.Remarks != nil {
+		if !needRemarks || s.entry.Remarks != nil {
 			c.st.Hits++
 			c.touch(key)
 			c.mu.Unlock()
 			return s.entry, true, nil
 		}
-		// Entry predates an observed sweep sharing this cache (or its armed
-		// fault just fired). Fall through (mutex held) and replace it by
-		// recompiling; the replacement serves every caller from then on.
+		// The entry predates an observed caller sharing this cache. Fall
+		// through (mutex held) and replace it by recompiling; the replacement
+		// serves every caller from then on.
 	}
 
 	// Mutex held on both paths (not found, or found-but-needs-upgrade).
@@ -545,7 +439,6 @@ func (c *Cache) GetOrCompile(key CacheKey, needRemarks bool, compile func() (*Ca
 		}
 	} else {
 		c.insert(key)
-		c.armFault(key, s)
 	}
 	c.mu.Unlock()
 	close(s.ready)
@@ -574,21 +467,6 @@ func (c *Cache) Compile(prog *ir.Program, cfg Config, execModel *arch.Model, opt
 		return e, false, err
 	}
 	return c.GetOrCompile(KeyDemote(prog, cfg, execModel, opts.Spec, opts.Demote), rem != nil, compile)
-}
-
-// armFault consults the fault policy for a freshly completed entry, arming
-// at most one injected fault per key per cache lifetime. Caller holds c.mu.
-func (c *Cache) armFault(key CacheKey, s *cacheSlot) {
-	if c.fault == nil || c.faulted[key] {
-		return
-	}
-	id := key.ID()
-	switch {
-	case c.fault.Evict != nil && c.fault.Evict(id):
-		s.armedFault = 1
-	case c.fault.Corrupt != nil && c.fault.Corrupt(id):
-		s.armedFault = 2
-	}
 }
 
 // touch marks key recently used. Caller holds c.mu.
@@ -629,7 +507,6 @@ func (c *Cache) insert(key CacheKey) {
 		}
 	}
 	c.st.Evictions++
-	c.noteEvent(victim, "evict")
 	c.ring[c.hand] = key
 	c.ref[c.hand] = false
 	c.hand = (c.hand + 1) % c.cap

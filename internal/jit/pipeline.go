@@ -20,8 +20,7 @@ import (
 var envVerify = verifySetting(os.Getenv("TRAPNULL_VERIFY"))
 
 // verifySetting parses a TRAPNULL_VERIFY value: unset, "off", "0" and
-// "false" (any case, the spellings TRAPNULL_COMPILE_CACHE accepts for off)
-// leave the verifier off; anything else turns it on.
+// "false" (any case) leave the verifier off; anything else turns it on.
 func verifySetting(v string) bool {
 	switch strings.ToLower(v) {
 	case "", "off", "0", "false":

@@ -184,7 +184,7 @@ func TestObserverSeesEveryPass(t *testing.T) {
 }
 
 // TestVerifySetting: TRAPNULL_VERIFY turns the verifier on for any value
-// except unset and the off spellings TRAPNULL_COMPILE_CACHE accepts.
+// except unset and the off spellings "0", "off" and "false" (any case).
 func TestVerifySetting(t *testing.T) {
 	for v, want := range map[string]bool{
 		"": false, "0": false, "off": false, "OFF": false, "false": false, "False": false,

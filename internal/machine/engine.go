@@ -52,8 +52,8 @@ func EngineByName(name string) (Engine, error) {
 // DefaultEngine is the engine New installs on fresh machines. It is
 // initialized from the TRAPNULL_ENGINE environment variable — so
 // `TRAPNULL_ENGINE=switch go test ./...` runs the entire suite on the
-// reference interpreter — and can be overridden programmatically
-// (cmd/benchtab -engine does).
+// reference interpreter. Tests override it programmatically; the commands
+// take it from the environment alone.
 var DefaultEngine = engineFromEnv()
 
 // engineFromEnv parses TRAPNULL_ENGINE and stops the process on a value

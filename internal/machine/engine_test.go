@@ -347,8 +347,7 @@ func TestResetPrepared(t *testing.T) {
 	}
 }
 
-// TestEngineByName pins the selection surface used by TRAPNULL_ENGINE and
-// benchtab -engine.
+// TestEngineByName pins the selection surface TRAPNULL_ENGINE uses.
 func TestEngineByName(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -21,12 +21,12 @@ import (
 // explicit check would have raised at the same program point, and triggers
 // deoptimization: the speculation is blacklisted, the method falls back to
 // the conservative artifact (observationally identical to tier 0 by the
-// engine-equivalence invariant), the faulting invocation transfers to that
-// artifact at the raise dispatch, and a conservative recompile is pushed
-// through the compile cache. Because the guard sits at the original check's
-// program point — before any side effect the check was protecting — no heap
-// or local state needs rolling back, and the final Outcome is identical to
-// the untiered engines by construction, even when the profile lies.
+// engine-equivalence invariant), and the faulting invocation transfers to
+// that artifact at the raise dispatch. Because the guard sits at the
+// original check's program point — before any side effect the check was
+// protecting — no heap or local state needs rolling back, and the final
+// Outcome is identical to the untiered engines by construction, even when
+// the profile lies.
 //
 // Promotion thresholds count block entries, the same facts
 // obs.ExecProfile records; each method keeps the threshold in decremented
@@ -84,12 +84,11 @@ func DefaultTierPolicy() TierPolicy {
 
 // Recompiler compiles the machine's source program under a set of per-check
 // overrides — method qualified name → ordinals — and returns the compiled
-// program; nil or empty is the unmodified compilation. The tier controller
-// passes speculation masks (ordinals in ir.Func.NullChecks order), the
-// governor demote sets (trap-site ordinals forced back to explicit checks).
-// The bench harness supplies a closure over the workload builder and
-// jit.Cache.Compile, whose key covers both sets, so every artifact
-// generation has its own cache entry.
+// program. The controller calls it only to build a new generation, so the
+// set is never empty: the tier controller passes speculation masks
+// (ordinals in ir.Func.NullChecks order), the governor demote sets
+// (trap-site ordinals forced back to explicit checks). The bench harness
+// supplies a closure that rebuilds the workload and compiles it afresh.
 type Recompiler func(set map[string][]int) (*ir.Program, error)
 
 // tierLevel is a method's current rung.
@@ -503,12 +502,11 @@ func (t *tierController) adopt(prog *ir.Program, promoting *methodTier) *ir.Func
 }
 
 // deopted handles a fired speculation guard: blacklist the (method, check)
-// pair, demote the method to the conservative tier-1 artifact, push a
-// conservative recompile through the compile cache, and return that
-// artifact, to which the faulting invocation transfers at the raise
-// dispatch (nil for a body outside the program). Re-promotion goes back
-// through the countdown with the shrunken mask — a distinct cache key, so
-// the recompile is a miss the first time and a hit on replay.
+// pair, demote the method to the conservative tier-1 artifact it still holds
+// (mt.fn0), and return that artifact, to which the faulting invocation
+// transfers at the raise dispatch (nil for a body outside the program).
+// Nothing is recompiled here; re-promotion goes back through the countdown
+// with the shrunken mask.
 func (t *tierController) deopted(fn *ir.Func, in *ir.Instr) *ir.Func {
 	mt := t.byFn[fn]
 	if mt == nil {
@@ -523,9 +521,6 @@ func (t *tierController) deopted(fn *ir.Func, in *ir.Instr) *ir.Func {
 	mt.budget = backoff(t.policy.T2Blocks, mt.specAttempts)
 	mt.fn2, mt.cf2 = nil, nil
 	mt.spec = nil
-	if t.compile != nil {
-		_, _ = t.recompile(nil) // conservative recompile through the cache
-	}
 	t.note(TierEvent{Method: mt.name, Kind: "deopt", Check: ord},
 		fmt.Sprintf("guard %d fired: blacklisted, backoff %d blocks", ord, mt.budget))
 	return mt.fn0

@@ -44,16 +44,3 @@ func CheckGuards(f *ir.Func, m *arch.Model) error {
 	}
 	return nil
 }
-
-// CheckProgram runs CheckGuards over every method body of a program.
-func CheckProgram(p *ir.Program, m *arch.Model) error {
-	for _, method := range p.Methods {
-		if method.Fn == nil {
-			continue
-		}
-		if err := CheckGuards(method.Fn, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}

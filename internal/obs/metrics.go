@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -56,9 +55,6 @@ type Metric struct {
 	bounds  []int64 // histogram upper bounds, strictly increasing
 	buckets []atomic.Int64
 }
-
-// Name returns the metric's registered name.
-func (m *Metric) Name() string { return m.name }
 
 // Add increments a counter by n. Nil-safe.
 func (m *Metric) Add(n int64) {
@@ -197,14 +193,4 @@ func (r *Registry) RenderText(includeVolatile bool) string {
 		}
 	}
 	return b.String()
-}
-
-// JSON renders the snapshot as a deterministic JSON array (fixed-order
-// structs, registration-ordered).
-func (r *Registry) JSON(includeVolatile bool) ([]byte, error) {
-	snap := r.Snapshot(includeVolatile)
-	if snap == nil {
-		snap = []MetricSnapshot{}
-	}
-	return json.MarshalIndent(snap, "", "  ")
 }
