@@ -7,6 +7,36 @@ set -eux
 
 cd "$(dirname "$0")"
 
+# checked runs a go test command line given after it (env assignments go
+# through env). go test -run P passes silently when P matches no test, so a
+# renamed or deleted test would stay named here and quietly stop running.
+# checked first requires, with go test -list, that P lists a test in every
+# package on the line and that every |-separated alternative of P lists one.
+checked() {
+    pattern= pkgs= names= prev=
+    for arg; do
+        [ "$prev" = -run ] && pattern=$arg
+        case "$arg" in ./*) pkgs="$pkgs $arg" ;; esac
+        prev=$arg
+    done
+    for pkg in $pkgs; do
+        found="$(go test -list "$pattern" "$pkg" | grep -E '^(Test|Fuzz|Example|Benchmark)' || true)"
+        if [ -z "$found" ]; then
+            echo "ci.sh: -run '$pattern' lists no test in $pkg" >&2
+            exit 1
+        fi
+        names="$names
+$found"
+    done
+    for alt in $(printf '%s\n' "$pattern" | tr '|' ' '); do
+        if ! printf '%s\n' "$names" | grep -Eq -- "$alt"; then
+            echo "ci.sh: -run alternative '$alt' lists no test in$pkgs" >&2
+            exit 1
+        fi
+    done
+    "$@"
+}
+
 go vet ./...
 # The robustness layer gates every other package's failures, so it may not
 # even carry a warning: vet it explicitly (and fail loudly if it vanishes).
@@ -25,12 +55,12 @@ go build ./...
 go test -race ./...
 # Real interleavings: the container may have one CPU, where the race run
 # above schedules goroutines one at a time. Re-run the worker-pool,
-# single-flight and timeline tests at GOMAXPROCS 1 and 4 so the sweep
+# concurrent-lookup and timeline tests at GOMAXPROCS 1 and 4 so the sweep
 # workers, concurrent cache lookups and concurrent metric publishes
 # actually interleave.
-go test -race -cpu 1,4 -run 'TestParallel|TestChaosDeterministicAcrossWorkers|TestTelemetryDeterminism' ./internal/bench
-go test -race -cpu 1,4 -run 'TestCacheSingleFlight|TestParallelCompile' ./internal/jit
-go test -race -cpu 1,4 -run 'TestRegistryConcurrentPublish|TestTimeline' ./internal/obs
+checked go test -race -cpu 1,4 -run 'TestParallel|TestChaosDeterministicAcrossWorkers|TestTelemetryDeterminism' ./internal/bench
+checked go test -race -cpu 1,4 -run 'TestCacheConcurrentLookups|TestParallelCompile' ./internal/jit
+checked go test -race -cpu 1,4 -run 'TestRegistryConcurrentPublish|TestTimeline' ./internal/obs
 # Same suite with the structural IR verifier enabled after every pass —
 # catches pass-boundary corruption the differential tests would only see as
 # a downstream mystery. TRAPNULL_VERIFY and TRAPNULL_ENGINE are read while
@@ -40,8 +70,8 @@ go test -race -cpu 1,4 -run 'TestRegistryConcurrentPublish|TestTimeline' ./inter
 TRAPNULL_VERIFY=1 go test -count=1 ./...
 # Pin the -short deep-fuzz path (reduced smoke sweep, not a skip) and the
 # native fuzz seed corpus; the full 3000-seed sweep already ran above.
-go test -short -run TestDeepFuzz ./internal/randprog
-go test -run FuzzDifferential ./internal/randprog
+checked go test -short -run TestDeepFuzz ./internal/randprog
+checked go test -run FuzzDifferential ./internal/randprog
 # Engine equivalence gate: the whole differential surface again with the
 # reference switch interpreter as the default engine, so a regression in
 # either engine (or in the closure/switch accounting contract) fails CI
@@ -71,25 +101,25 @@ obs_trace="$(mktemp -t trapnull-trace.XXXXXX.json)"
 trap 'rm -f "$obs_trace"' EXIT
 go run ./cmd/nulljit -workload Assignment -config full -remarks -profile -trace "$obs_trace" > /dev/null
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); evs=d['traceEvents']; assert evs and all(e.get('ph')=='X' for e in evs), 'bad trace events'" "$obs_trace"
-go test -run 'TestObsEquivalence|TestFateConservation' ./internal/bench
-TRAPNULL_ENGINE=switch go test -count=1 -run TestObsEquivalence ./internal/bench
+checked go test -run 'TestObsEquivalence|TestFateConservation' ./internal/bench
+checked env TRAPNULL_ENGINE=switch go test -count=1 -run TestObsEquivalence ./internal/bench
 # Compile-cache gate. The bench sweeps compile every cell directly (a
 # sweep's compilations are all distinct); the content-addressed cache serves
-# triage's replays, where identical programs recur. Its keying, single
-# flight, bound and shared-entry immutability run here on their own.
-go test -run 'TestCompileCache' ./internal/bench
-go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCompile' ./internal/jit
+# triage's replays, where identical programs recur. Its keying, bound,
+# error handling and shared-entry immutability run here on their own.
+checked go test -run 'TestCompileCache' ./internal/bench
+checked go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCompile' ./internal/jit
 # Tiered differential gate: the full ladder — promotion, speculation,
 # trap-triggered deoptimization — against the untiered engines, under the
 # race detector and again with the reference switch interpreter as the
 # untiered default, so the tiering layer can never drift from either engine.
-go test -race -run 'TestTiered|TestTierHook' ./internal/bench
-TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTiered' ./internal/bench ./internal/jit
-go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/jit
+checked go test -race -run 'TestTiered|TestTierHook' ./internal/bench
+checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTiered' ./internal/bench
+checked go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/jit
 # The adaptive controller both policies share: counters stay aliased across
 # tier-2 and governed adopts, ResetPrepared keeps governor state and drops
 # speculation.
-go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps' ./internal/machine
+checked go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps' ./internal/machine
 # Tiered bench smoke: the -tier table end to end on quick sizes (checksums
 # verified per invocation), plus one tiered nulljit run that must deopt and
 # converge on the lying-profile workload: nulljit exits non-zero on any
@@ -110,9 +140,9 @@ esac
 # the untiered switch-engine oracle, and the degradation acceptance test
 # requires governed steady state to beat all-implicit (and stay within 5%
 # of all-explicit) on both arch models.
-go test -race -run 'TestChaos|TestGovernor|TestDegradation|TestCellTimeout|TestSpecBudget' ./internal/bench
-TRAPNULL_ENGINE=switch go test -count=1 -run 'TestChaos|TestGovernor|TestDegradation' ./internal/bench
-go test -run 'TestDemote|TestTrapSite|TestApplyDemotion|TestKeyDemote|TestCacheSingleFlight' ./internal/jit
+checked go test -race -run 'TestChaos|TestGovernor|TestDegradation|TestCellTimeout|TestSpecBudget' ./internal/bench
+checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestChaos|TestGovernor|TestDegradation' ./internal/bench
+checked go test -run 'TestDemote|TestTrapSite|TestApplyDemotion|TestKeyDemote|TestCacheConcurrentLookups' ./internal/jit
 go test ./internal/faultinject
 # Robustness bench smoke: the degradation table and one seeded chaos sweep
 # end to end on quick sizes (chaos exits non-zero only on a non-injected
@@ -136,7 +166,7 @@ cmp "$tdir/mx1.txt" "$tdir/mx2.txt"
 go run ./cmd/benchtab -tier -quick -trace "$tdir/tier-trace.json" -timeline "$tdir/tier-tl.txt" > /dev/null
 python3 -c "import json,sys; evs=json.load(open(sys.argv[1]))['traceEvents']; inst=[e for e in evs if e.get('ph')=='i']; assert inst, 'tier trace carries no instant (adaptive-decision) events'" "$tdir/tier-trace.json"
 grep -q 'promote-t1' "$tdir/tier-tl.txt"
-TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTelemetry|TestTieredTelemetry|TestAttributionConservation|TestExecProfileTieredAgree' ./internal/bench
+checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTelemetry|TestTieredTelemetry|TestAttributionConservation|TestExecProfileTieredAgree' ./internal/bench
 # Benchdiff regression gate: the current tree's quick sweep must not regress
 # the checked-in baseline (cycles are deterministic, so the tolerance only
 # admits intentional cost-model changes — regenerate BENCH_baseline.json when

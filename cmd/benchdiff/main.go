@@ -8,9 +8,8 @@
 //	benchdiff -cycles-tol 2 -strict-fates old.json new.json
 //
 // Gated quantities are simulated and deterministic (cycles, fate
-// histograms); host compile timings are reported but only gated when
-// -compile-tol is set. Exit codes: 0 = no regression, 1 = regression,
-// 2 = usage or I/O error.
+// histograms); host compile timings are never gated. Exit codes: 0 = no
+// regression, 1 = regression, 2 = usage or I/O error.
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 func main() {
 	var (
 		cyclesTol   = flag.Float64("cycles-tol", 2.0, "max % increase in a cell's simulated cycles before gating")
-		compileTol  = flag.Float64("compile-tol", 0.0, "max % increase in per-cell host compile time before gating (0 = report only)")
 		strictFates = flag.Bool("strict-fates", false, "gate on any check-fate histogram change")
 		quiet       = flag.Bool("quiet", false, "print only notes and regressions, not the per-cell table")
 	)
@@ -46,9 +44,8 @@ func main() {
 	}
 
 	d, err := bench.DiffReports(oldData, newData, bench.DiffOptions{
-		CyclesTolerancePct:  *cyclesTol,
-		CompileTolerancePct: *compileTol,
-		StrictFates:         *strictFates,
+		CyclesTolerancePct: *cyclesTol,
+		StrictFates:        *strictFates,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)

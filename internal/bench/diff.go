@@ -15,8 +15,8 @@ import (
 // The quantities it gates on are SIMULATED and deterministic — cycles, dynamic
 // counters, fate histograms — so a delta between two runs of
 // the same tree is a bug, and a delta across trees is a real behavioral
-// change. Host compile timings are reported but never gated by default: they
-// are the one noisy column in the JSON.
+// change. Host compile timings, the one noisy column in the JSON, are never
+// gated.
 
 // DiffOptions tunes the regression gate.
 type DiffOptions struct {
@@ -25,10 +25,6 @@ type DiffOptions struct {
 	// the tolerance exists to let intentional minor cost-model adjustments
 	// through, not to absorb noise; CI uses a small value.
 	CyclesTolerancePct float64
-	// CompileTolerancePct, when > 0, additionally gates on host compile
-	// time (per cell, nullcheck+other µs). Default 0: compile deltas are
-	// reported as notes only — host timing is noisy.
-	CompileTolerancePct float64
 	// StrictFates gates on any check-fate histogram change; otherwise fate
 	// changes are notes.
 	StrictFates bool
@@ -41,7 +37,7 @@ type Diff struct {
 	// Regressions lists the gating failures; empty means the gate passes.
 	Regressions []string
 	// Notes lists non-gating observations (improvements, fate changes,
-	// new cells, compile-time deltas).
+	// new cells).
 	Notes []string
 }
 
@@ -247,17 +243,6 @@ func (d *Diff) diffCell(full, id string, oc, nc *jsonCell, opts DiffOptions) {
 			d.Regressions = append(d.Regressions, msg)
 		} else {
 			d.Notes = append(d.Notes, msg)
-		}
-	}
-
-	// Host compile time: noisy, so a note unless a tolerance was asked for.
-	oldUS, newUS := oc.CompileNullUS+oc.CompileOtherUS, nc.CompileNullUS+nc.CompileOtherUS
-	if opts.CompileTolerancePct > 0 && oldUS > 0 {
-		cPct := (float64(newUS) - float64(oldUS)) / float64(oldUS) * 100
-		if cPct > opts.CompileTolerancePct {
-			d.Regressions = append(d.Regressions, fmt.Sprintf(
-				"%s: compile time %dus -> %dus (%+.2f%%, tolerance %.2f%%)",
-				full, oldUS, newUS, cPct, opts.CompileTolerancePct))
 		}
 	}
 }

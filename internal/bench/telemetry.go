@@ -14,9 +14,9 @@ import (
 //
 // Determinism contract: everything published here is derived from simulated
 // quantities (cycles, dynamic counters, logical clocks), never from host
-// timing — with two deliberate exceptions registered as VOLATILE metrics
-// (compile host time, single-flight waits), which obs.Registry.Snapshot
-// excludes unless explicitly asked for. The deterministic snapshot of the
+// timing — with one deliberate exception registered as VOLATILE metrics
+// (recompile host time), which obs.Registry.Snapshot excludes unless
+// explicitly asked for. The deterministic snapshot of the
 // same sweep is therefore byte-identical at any parallelism and on either
 // engine; the telemetry tests in telemetry_test.go pin that.
 
@@ -112,8 +112,7 @@ func registerSweepMetrics(reg *obs.Registry) {
 }
 
 // counterRow declares one counter once: its name and help, whether it is
-// volatile (host timing or interleaving, so kept out of the deterministic
-// snapshot), and what one source adds to it.
+// volatile (host timing, so kept out of the deterministic snapshot), and what one source adds to it.
 type counterRow[S any] struct {
 	name, help string
 	volatile   bool

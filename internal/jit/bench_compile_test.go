@@ -57,7 +57,7 @@ func BenchmarkCompileProgram(b *testing.B) {
 }
 
 // BenchmarkCompileCacheHit measures the cached replay of a compilation —
-// the cost a cached bench cell pays instead of compiling: hash the built
+// the cost a triage replay pays instead of compiling: hash the built
 // program, look the key up, hit. The checksum check runs on the cached
 // artifact itself.
 func BenchmarkCompileCacheHit(b *testing.B) {

@@ -320,42 +320,30 @@ type CacheEntry struct {
 	Remarks *obs.Remarks
 }
 
-// CacheStats counts cache traffic. With single-flight coalescing the split
-// is deterministic for a deterministic workload: misses = distinct keys
-// compiled, hits = everything else, regardless of worker interleaving.
+// CacheStats counts cache traffic; Hits+Misses == Lookups. A serial caller
+// of a deterministic workload sees the same split on every run.
 type CacheStats struct {
-	Lookups   int64
-	Hits      int64
-	Misses    int64
-	Evictions int64
+	Lookups int64
+	Hits    int64
+	Misses  int64
 }
 
-// DefaultCacheCapacity bounds a cache. A triage session touches a handful
-// of distinct keys, so the default never evicts in practice; the bound is a
-// safety valve for open-ended callers (fuzz loops feeding one cache
-// forever).
+// DefaultCacheCapacity bounds a cache. A triage session stays well below it
+// (seed 1643 with the planted bug stores 123 keys); the bound keeps
+// open-ended callers (fuzz loops feeding one cache forever) from growing it
+// without limit.
 const DefaultCacheCapacity = 256
 
-// Cache is a bounded, concurrency-safe, single-flight compilation cache.
-// Concurrent lookups of the same key coalesce: one caller compiles, the
-// rest wait and count as hits. Eviction is clock/second-chance over
-// completed entries (in-flight compilations are never evicted), driven
-// purely by insertion and access order.
+// Cache maps a compilation's key to its artifact. It is safe for concurrent
+// use: the mutex guards the map and the counters, never a compile, so two
+// callers that miss one key at once both compile it and, compilation being
+// deterministic, get equal artifacts. Once the map holds cap entries a miss
+// compiles without storing: stored keys keep hitting and nothing is evicted.
 type Cache struct {
-	mu    sync.Mutex
-	cap   int
-	slots map[CacheKey]*cacheSlot
-	// Eviction ring over completed keys.
-	ring []CacheKey
-	ref  []bool
-	hand int
-	st   CacheStats
-}
-
-type cacheSlot struct {
-	ready chan struct{} // closed when entry/err are set
-	entry *CacheEntry
-	err   error
+	mu      sync.Mutex
+	cap     int
+	entries map[CacheKey]*CacheEntry
+	st      CacheStats
 }
 
 // NewCache returns a cache bounded to capacity entries (0 → default).
@@ -363,151 +351,68 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Cache{cap: capacity, slots: make(map[CacheKey]*cacheSlot)}
+	return &Cache{cap: capacity, entries: make(map[CacheKey]*CacheEntry)}
 }
 
 // Stats returns a snapshot of the traffic counters.
 func (c *Cache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st
 }
 
-// Len returns the number of completed entries.
+// Len returns the number of stored entries.
 func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.ring)
+	return len(c.entries)
 }
 
-// GetOrCompile returns the entry for key, invoking compile exactly once per
-// distinct key (single flight) on the calling goroutine. The boolean
-// reports whether this call was served from cache (or by waiting on another
-// caller's in-flight compile — both avoid compiling here). needRemarks
-// demands an entry carrying a fate ledger: a hit whose entry lacks one is
-// upgraded by recompiling (counted as a miss). Errors are returned to every
-// coalesced waiter but never cached — the slot is removed so a later lookup
-// retries.
+// GetOrCompile returns the entry stored under key, or runs compile on the
+// calling goroutine and stores its entry while the bound allows. The
+// boolean reports whether this call was served from the cache. needRemarks
+// demands an entry carrying a fate ledger: a stored entry without one
+// counts as a miss, and the recompile replaces it. Errors are returned but
+// never stored, so a later lookup retries.
 func (c *Cache) GetOrCompile(key CacheKey, needRemarks bool, compile func() (*CacheEntry, error)) (*CacheEntry, bool, error) {
 	c.mu.Lock()
 	c.st.Lookups++
-	if s, ok := c.slots[key]; ok {
+	if e, ok := c.entries[key]; ok && (!needRemarks || e.Remarks != nil) {
+		c.st.Hits++
 		c.mu.Unlock()
-		<-s.ready
-		c.mu.Lock()
-		if s.err != nil {
-			// The flight failed; we coalesced onto it, so we share its error
-			// rather than recompiling (every waiter sees the same error under
-			// any worker count).
-			c.st.Hits++
-			c.mu.Unlock()
-			return nil, false, s.err
-		}
-		if !needRemarks || s.entry.Remarks != nil {
-			c.st.Hits++
-			c.touch(key)
-			c.mu.Unlock()
-			return s.entry, true, nil
-		}
-		// The entry predates an observed caller sharing this cache. Fall
-		// through (mutex held) and replace it by recompiling; the replacement
-		// serves every caller from then on.
+		return e, true, nil
 	}
-
-	// Mutex held on both paths (not found, or found-but-needs-upgrade).
-	// Replacing an upgraded key's slot is safe: the old slot's waiters hold
-	// their own channel and drain normally.
-	s := &cacheSlot{ready: make(chan struct{})}
-	c.slots[key] = s
 	c.st.Misses++
 	c.mu.Unlock()
 
 	entry, err := compile()
-	s.entry, s.err = entry, err
-	c.mu.Lock()
 	if err != nil {
-		// Never cache failures; only remove our own slot (an even newer
-		// flight may have replaced it already).
-		if c.slots[key] == s {
-			delete(c.slots, key)
-		}
-	} else {
-		c.insert(key)
+		return nil, false, err
+	}
+	c.mu.Lock()
+	// Replace only an entry without a ledger, so a concurrent unobserved
+	// miss never undoes an upgrade.
+	if old, ok := c.entries[key]; (ok && old.Remarks == nil) || (!ok && len(c.entries) < c.cap) {
+		c.entries[key] = entry
 	}
 	c.mu.Unlock()
-	close(s.ready)
-	return entry, false, err
+	return entry, false, nil
 }
 
 // Compile is the one cached compile path: it keys prog under (cfg,
 // execModel, opts.Spec, opts.Demote) with KeyDemote, compiles prog in place
 // on a miss, and returns the entry and whether it was a hit. A fate ledger is
-// demanded, and stored on a miss, when opts.Observer carries Remarks. A nil
-// cache compiles prog directly every time.
+// demanded, and stored on a miss, when opts.Observer carries Remarks.
 func (c *Cache) Compile(prog *ir.Program, cfg Config, execModel *arch.Model, opts CompileOptions) (*CacheEntry, bool, error) {
 	var rem *obs.Remarks
 	if opts.Observer != nil {
 		rem = opts.Observer.Remarks
 	}
-	compile := func() (*CacheEntry, error) {
+	return c.GetOrCompile(KeyDemote(prog, cfg, execModel, opts.Spec, opts.Demote), rem != nil, func() (*CacheEntry, error) {
 		res, err := CompileProgramWith(prog, cfg, execModel, opts)
 		if err != nil {
 			return nil, err
 		}
 		return &CacheEntry{Program: prog, Result: res, Remarks: rem}, nil
-	}
-	if c == nil {
-		e, err := compile()
-		return e, false, err
-	}
-	return c.GetOrCompile(KeyDemote(prog, cfg, execModel, opts.Spec, opts.Demote), rem != nil, compile)
-}
-
-// touch marks key recently used. Caller holds c.mu.
-func (c *Cache) touch(key CacheKey) {
-	for i, k := range c.ring {
-		if k == key {
-			c.ref[i] = true
-			return
-		}
-	}
-}
-
-// insert records a completed key in the eviction ring, evicting one cold
-// completed entry when the bound is reached. Caller holds c.mu.
-func (c *Cache) insert(key CacheKey) {
-	for _, k := range c.ring {
-		if k == key {
-			return // replacement of an existing completed entry
-		}
-	}
-	if len(c.ring) < c.cap {
-		c.ring = append(c.ring, key)
-		c.ref = append(c.ref, false)
-		return
-	}
-	for c.ref[c.hand] {
-		c.ref[c.hand] = false
-		c.hand = (c.hand + 1) % c.cap
-	}
-	victim := c.ring[c.hand]
-	// Evict only completed slots; an in-flight slot under the same key has
-	// already replaced the map entry and must not be dropped.
-	if s, ok := c.slots[victim]; ok {
-		select {
-		case <-s.ready:
-			delete(c.slots, victim)
-		default:
-		}
-	}
-	c.st.Evictions++
-	c.ring[c.hand] = key
-	c.ref[c.hand] = false
-	c.hand = (c.hand + 1) % c.cap
+	})
 }

@@ -169,42 +169,38 @@ func testKey(i int) CacheKey {
 	return k
 }
 
-// TestCacheSingleFlight: n concurrent lookups of one cold key run compile
-// exactly once; everyone else blocks on the flight and counts as a hit.
-func TestCacheSingleFlight(t *testing.T) {
+// TestCacheConcurrentLookups: n goroutines look up one cold key at once.
+// Each gets an entry and every lookup counts once, as a hit or a miss;
+// ci.sh runs it under -race at GOMAXPROCS 1 and 4.
+func TestCacheConcurrentLookups(t *testing.T) {
 	c := NewCache(0)
 	key := testKey(1)
-	var mu sync.Mutex
-	compiles := 0
-	var wg sync.WaitGroup
 	const n = 8
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := c.GetOrCompile(key, false, func() (*CacheEntry, error) {
-				mu.Lock()
-				compiles++
-				mu.Unlock()
+			e, _, err := c.GetOrCompile(key, false, func() (*CacheEntry, error) {
 				return &CacheEntry{}, nil
 			})
-			if err != nil {
-				t.Error(err)
+			if err != nil || e == nil {
+				t.Errorf("entry=%v err=%v", e, err)
 			}
 		}()
 	}
 	wg.Wait()
-	if compiles != 1 {
-		t.Fatalf("compile ran %d times, want 1", compiles)
-	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits != n-1 || st.Lookups != n {
-		t.Fatalf("stats = %+v, want 1 miss / %d hits / %d lookups", st, n-1, n)
+	if st.Lookups != n || st.Hits+st.Misses != n || st.Misses < 1 {
+		t.Fatalf("stats = %+v, want %d lookups split into hits and at least one miss", st, n)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("len = %d, want 1", c.Len())
 	}
 }
 
-// TestCacheErrorNotCached: a failed compile propagates to its waiters but
-// leaves no entry behind, so the next lookup retries.
+// TestCacheErrorNotCached: a failed compile returns its error but leaves no
+// entry behind, so the next lookup retries.
 func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache(0)
 	key := testKey(2)
@@ -228,46 +224,37 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionDeterministic pins second-chance eviction: at capacity,
-// inserting a new key evicts the cold entry (the one not touched since
-// insertion), and the choice is a pure function of the access history.
-func TestCacheEvictionDeterministic(t *testing.T) {
-	run := func() (hot, cold bool) {
-		c := NewCache(2)
-		fresh := func(k CacheKey) {
-			if _, hit, _ := c.GetOrCompile(k, false, func() (*CacheEntry, error) {
-				return &CacheEntry{}, nil
-			}); hit {
-				t.Fatal("unexpected hit")
-			}
+// TestCacheBound: at capacity a new key compiles on every lookup and is
+// never stored, while the stored keys keep hitting.
+func TestCacheBound(t *testing.T) {
+	c := NewCache(2)
+	lookup := func(k CacheKey) (compiled, hit bool) {
+		_, hit, err := c.GetOrCompile(k, false, func() (*CacheEntry, error) {
+			compiled = true
+			return &CacheEntry{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		lookup := func(k CacheKey) bool {
-			_, hit, _ := c.GetOrCompile(k, false, func() (*CacheEntry, error) {
-				return &CacheEntry{}, nil
-			})
-			return hit
-		}
-		fresh(testKey(1))
-		fresh(testKey(2))
-		if !lookup(testKey(1)) { // mark 1 hot
-			t.Fatal("warm entry missed")
-		}
-		fresh(testKey(3)) // forces one eviction
-		if c.Len() != 2 {
-			t.Fatalf("len = %d, want 2", c.Len())
-		}
-		if c.Stats().Evictions != 1 {
-			t.Fatalf("evictions = %d, want 1", c.Stats().Evictions)
-		}
-		return lookup(testKey(1)), lookup(testKey(2))
+		return compiled, hit
 	}
-	hot1, cold1 := run()
-	if !hot1 || cold1 {
-		t.Fatalf("second chance broken: hot survived=%v, cold survived=%v", hot1, cold1)
+	lookup(testKey(1))
+	lookup(testKey(2))
+	for i := 0; i < 3; i++ {
+		if compiled, hit := lookup(testKey(3)); !compiled || hit {
+			t.Fatalf("lookup %d of the key past the bound: compiled=%v hit=%v", i, compiled, hit)
+		}
 	}
-	hot2, cold2 := run()
-	if hot1 != hot2 || cold1 != cold2 {
-		t.Fatal("eviction not deterministic across runs")
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
+	}
+	for _, k := range []CacheKey{testKey(1), testKey(2)} {
+		if compiled, hit := lookup(k); compiled || !hit {
+			t.Fatalf("stored key: compiled=%v hit=%v, want a hit", compiled, hit)
+		}
+	}
+	if st := c.Stats(); st.Lookups != 7 || st.Misses != 5 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 7 lookups, 5 misses, 2 hits", st)
 	}
 }
 
@@ -321,7 +308,7 @@ func TestCacheKeyIsComparable(t *testing.T) {
 // TestCacheCompile pins the one cached compile path: the key covers the
 // speculation and demote sets of the options, a structurally identical
 // rebuild hits the stored entry, a fate ledger in the observer demands (and
-// is stored by) the compile, and a nil cache compiles every time.
+// is stored by) the compile.
 func TestCacheCompile(t *testing.T) {
 	model := arch.IA32Win()
 	cfg := ConfigPhase1Phase2()
@@ -355,13 +342,6 @@ func TestCacheCompile(t *testing.T) {
 	}
 	if st := c.Stats(); st.Lookups != 5 || st.Misses != 4 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 5 lookups, 4 misses, 1 hit", st)
-	}
-
-	var none *Cache
-	p, _ := sample()
-	e, hit, err := none.Compile(p, cfg, model, CompileOptions{})
-	if err != nil || hit || e.Program != p || e.Result == nil {
-		t.Fatalf("nil cache: hit=%v err=%v", hit, err)
 	}
 }
 

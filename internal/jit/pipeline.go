@@ -17,16 +17,31 @@ import (
 // envVerify force-enables per-pass IR verification for a whole process:
 // `TRAPNULL_VERIFY=1 go test ./...` is ci.sh's verifier-enabled gate. It is
 // read once at init, so concurrent compilations observe a constant.
-var envVerify = verifySetting(os.Getenv("TRAPNULL_VERIFY"))
+var envVerify = verifyFromEnv()
 
-// verifySetting parses a TRAPNULL_VERIFY value: unset, "off", "0" and
-// "false" (any case) leave the verifier off; anything else turns it on.
-func verifySetting(v string) bool {
-	switch strings.ToLower(v) {
-	case "", "off", "0", "false":
-		return false
+// verifyFromEnv parses TRAPNULL_VERIFY and stops the process on a value
+// verifySetting rejects, as machine.engineFromEnv does for TRAPNULL_ENGINE:
+// a misspelt setting must not quietly pick either state.
+func verifyFromEnv() bool {
+	on, err := verifySetting(os.Getenv("TRAPNULL_VERIFY"))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "TRAPNULL_VERIFY: %v\n", err)
+		os.Exit(2)
 	}
-	return true
+	return on
+}
+
+// verifySetting parses a TRAPNULL_VERIFY value, in any case: unset, "0",
+// "off" and "false" leave the verifier off; "1", "on" and "true" turn it on.
+// Anything else is an error.
+func verifySetting(v string) (bool, error) {
+	switch strings.ToLower(v) {
+	case "", "0", "off", "false":
+		return false, nil
+	case "1", "on", "true":
+		return true, nil
+	}
+	return false, fmt.Errorf("jit: unknown verify setting %q (want 1, on, true, 0, off or false)", v)
 }
 
 // pass is one named step of the compilation pipeline.

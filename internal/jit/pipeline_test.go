@@ -2,6 +2,8 @@ package jit
 
 import (
 	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -183,15 +185,32 @@ func TestObserverSeesEveryPass(t *testing.T) {
 	}
 }
 
-// TestVerifySetting: TRAPNULL_VERIFY turns the verifier on for any value
-// except unset and the off spellings "0", "off" and "false" (any case).
+// TestVerifySetting: TRAPNULL_VERIFY accepts "1", "on" and "true" and the
+// off spellings "", "0", "off" and "false", in any case. Any other value is
+// an error, and at start-up it stops the process with exit status 2 before
+// any test runs, as an unknown TRAPNULL_ENGINE does.
 func TestVerifySetting(t *testing.T) {
 	for v, want := range map[string]bool{
 		"": false, "0": false, "off": false, "OFF": false, "false": false, "False": false,
-		"1": true, "on": true, "true": true, "yes": true,
+		"1": true, "on": true, "On": true, "true": true, "TRUE": true,
 	} {
-		if got := verifySetting(v); got != want {
-			t.Errorf("verifySetting(%q) = %v, want %v", v, got, want)
+		if got, err := verifySetting(v); err != nil || got != want {
+			t.Errorf("verifySetting(%q) = %v, %v; want %v", v, got, err, want)
 		}
+	}
+	for _, v := range []string{"yes", "no", "2", "of", " 1"} {
+		if _, err := verifySetting(v); err == nil {
+			t.Errorf("verifySetting(%q) accepted", v)
+		}
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "TRAPNULL_VERIFY=no")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("TRAPNULL_VERIFY=no: err=%v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "TRAPNULL_VERIFY: ") {
+		t.Fatalf("TRAPNULL_VERIFY=no: output %q does not name the variable", out)
 	}
 }

@@ -20,10 +20,9 @@ import (
 //     and *Metric, so callers hold a possibly-nil registry and pay one nil
 //     test per publish point; the hot execution paths never touch metrics at
 //     all (subsystems publish their existing private tallies after the fact).
-//   - Volatile metrics are quarantined. Host timings and interleaving-
-//     dependent counts (compile µs, single-flight waits) register as
-//     volatile; Snapshot(false) excludes them, which is what the determinism
-//     contract — and the CI telemetry smoke — compares.
+//   - Volatile metrics are quarantined. Host timings (compile µs) register
+//     as volatile; Snapshot(false) excludes them, which is what the
+//     determinism contract — and the CI telemetry smoke — compares.
 type MetricKind uint8
 
 const (
@@ -118,9 +117,8 @@ func (r *Registry) Counter(name, help string) *Metric {
 	return r.get(name, help, KindCounter, false, nil)
 }
 
-// VolatileCounter registers a counter whose value depends on host timing or
-// goroutine interleaving (compile µs, single-flight waits). Volatile metrics
-// are excluded from deterministic snapshots.
+// VolatileCounter registers a counter whose value depends on host timing
+// (compile µs). Volatile metrics are excluded from deterministic snapshots.
 func (r *Registry) VolatileCounter(name, help string) *Metric {
 	return r.get(name, help, KindCounter, true, nil)
 }

@@ -179,7 +179,7 @@ func check(c Case, cache *jit.Cache) (*Divergence, error) {
 // into a cached copy, so that (unusual) shape compiles directly.
 func compileCached(cache *jit.Cache, c Case, prog *ir.Program, entry *ir.Func) (*ir.Program, *ir.Func, error) {
 	em := methodOf(prog, entry)
-	if cache == nil || em == nil {
+	if em == nil {
 		_, err := jit.CompileProgram(prog, c.Config, c.Model)
 		return prog, entry, err
 	}
