@@ -1,28 +1,48 @@
 #!/bin/sh
 # Repository gate: vet, build everything, and run the full test suite —
 # including the randprog differential fuzz loops — under the race detector.
-# The parallel bench harness and the per-Machine prepared-instruction cache
+# The parallel bench harness and the per-Machine prepared-instruction table
 # are only trustworthy if this stays clean.
 set -eux
 
 cd "$(dirname "$0")"
 
 # checked runs a go test command line given after it (env assignments go
-# through env). go test -run P passes silently when P matches no test, so a
-# renamed or deleted test would stay named here and quietly stop running.
-# checked first requires, with go test -list, that P lists a test in every
-# package on the line and that every |-separated alternative of P lists one.
+# through env). go test passes silently when a -run, -bench or -fuzz
+# pattern matches nothing, so a renamed or deleted test would stay named
+# here and quietly stop running. checked first requires, with go test
+# -list, that each pattern on the line lists a test of its kind in every
+# package on the line and that every |-separated alternative lists one.
+# -run '^$' (run no test) is not checked.
 checked() {
-    pattern= pkgs= names= prev=
+    pkgs= prev=
     for arg; do
-        [ "$prev" = -run ] && pattern=$arg
-        case "$arg" in ./*) pkgs="$pkgs $arg" ;; esac
+        case "$arg" in .|./*) pkgs="$pkgs $arg" ;; esac
+    done
+    for arg; do
+        case "$prev" in
+        -run) [ "$arg" = '^$' ] || listed 'Test|Fuzz|Example' -run "$arg" $pkgs ;;
+        -bench) listed Benchmark -bench "$arg" $pkgs ;;
+        -fuzz) listed Fuzz -fuzz "$arg" $pkgs ;;
+        esac
+        case "$arg" in
+        -bench=*) listed Benchmark -bench "${arg#-bench=}" $pkgs ;;
+        -fuzz=*) listed Fuzz -fuzz "${arg#-fuzz=}" $pkgs ;;
+        esac
         prev=$arg
     done
-    for pkg in $pkgs; do
-        found="$(go test -list "$pattern" "$pkg" | grep -E '^(Test|Fuzz|Example|Benchmark)' || true)"
+    "$@"
+}
+
+# listed KIND FLAG PATTERN PKG...: the check above for one pattern; KIND
+# is the name prefix FLAG selects (Benchmark for -bench).
+listed() {
+    kind=$1 flag=$2 pattern=$3 names=
+    shift 3
+    for pkg; do
+        found="$(go test -list "$pattern" "$pkg" | grep -E "^($kind)" || true)"
         if [ -z "$found" ]; then
-            echo "ci.sh: -run '$pattern' lists no test in $pkg" >&2
+            echo "ci.sh: $flag '$pattern' lists nothing in $pkg" >&2
             exit 1
         fi
         names="$names
@@ -30,11 +50,10 @@ $found"
     done
     for alt in $(printf '%s\n' "$pattern" | tr '|' ' '); do
         if ! printf '%s\n' "$names" | grep -Eq -- "$alt"; then
-            echo "ci.sh: -run alternative '$alt' lists no test in$pkgs" >&2
+            echo "ci.sh: $flag alternative '$alt' lists nothing in $*" >&2
             exit 1
         fi
     done
-    "$@"
 }
 
 go vet ./...
@@ -83,15 +102,15 @@ TRAPNULL_ENGINE=switch go test -count=1 ./internal/machine ./internal/bench ./in
 # Its 5000-step limit ends every looping program, so the closure engine's
 # hand-off to the interpreter at a stretch the limit could fire in meets
 # shapes no hand-written test has.
-go test -run '^$' -fuzz '^FuzzJasmEngines$' -fuzztime 20s ./internal/jasm
+checked go test -run '^$' -fuzz '^FuzzJasmEngines$' -fuzztime 20s ./internal/jasm
 # Benchmark smoke: one iteration of every Exec micro-benchmark (both
 # engines, checksum-verified) so the bench harness itself cannot rot.
-go test -bench=Exec -benchtime=1x -run '^$' .
+checked go test -bench=Exec -benchtime=1x -run '^$' .
 # Compile-side smoke: one iteration of the compile, phase and solver
 # micro-benchmarks, which build their IR through the builder and the passes
 # and are run by no test, and of the one-shot machine benchmark (New plus
 # one Call on each engine).
-go test -run '^$' -bench 'Compile|Whaley|Phase|Solve|OneShotRun' -benchtime=1x ./internal/jit ./internal/nullcheck ./internal/machine .
+checked go test -run '^$' -bench 'Compile|Whaley|Phase|Solve|OneShotRun' -benchtime=1x ./internal/jit ./internal/nullcheck ./internal/machine .
 # Observability smoke: compile-and-run a sample program with tracing and
 # remarks on, then validate the emitted Chrome trace parses and the fate
 # ledger conserves (nulljit exits non-zero when it does not). The

@@ -9,7 +9,6 @@
 //	benchtab -quick               # small problem sizes (fast smoke run)
 //	benchtab -parallel 8          # sweep cells on 8 workers (0 = GOMAXPROCS)
 //	benchtab -tier                # tiered-execution tables (policies, not configs)
-//	benchtab -tier-reps 6         # invocations per tiered cell (last = steady state)
 //	benchtab -degradation         # trap-storm governor degradation tables
 //	benchtab -chaos -chaos-seed 7 # deterministic seeded fault-injection sweep
 //	benchtab -cell-timeout 30s    # per-cell wall-clock deadline -> ERROR(timeout)
@@ -46,9 +45,7 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "concurrent sweep cells (0 = GOMAXPROCS, 1 = serial)")
 		ablations  = flag.Bool("ablations", false, "run the ablation experiments instead")
 		tier       = flag.Bool("tier", false, "run the tiered-execution sweep instead (steady-state cycles and compile-time-to-peak per policy)")
-		tierReps   = flag.Int("tier-reps", 0, "invocations per tiered cell (default 4, at least 3; the last is the steady-state measurement)")
 		degrade    = flag.Bool("degradation", false, "run the trap-storm degradation sweep instead (implicit vs explicit vs governed per model)")
-		degReps    = flag.Int("degradation-reps", 0, "invocations per degradation cell (default 3, at least 2; the last is the steady-state measurement)")
 		chaos      = flag.Bool("chaos", false, "run the seeded fault-injection sweep instead; fails only on non-injected errors")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed of the -chaos fault schedule (same seed = byte-identical report)")
 		cellTO     = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for the main sweep (0 = none; expired cells render ERROR(timeout))")
@@ -127,13 +124,12 @@ func main() {
 	}
 
 	if *tier || *degrade {
-		popts := bench.PolicyOptions{Quick: *quick, Reps: *tierReps,
-			Timeline: timeline, Trace: tr, Metrics: metrics}
 		run := bench.RunTieredAll
 		if !*tier {
-			run, popts.Reps = bench.RunDegradationAll, *degReps
+			run = bench.RunDegradationAll
 		}
-		prep, sweepErr := run(popts)
+		prep, sweepErr := run(bench.PolicyOptions{Quick: *quick,
+			Timeline: timeline, Trace: tr, Metrics: metrics})
 		writeTrace()
 		if *asJSON {
 			data, err := prep.JSON()

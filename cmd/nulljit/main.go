@@ -203,7 +203,7 @@ func main() {
 	}
 	var rec *obs.Recorder
 	if *timeline {
-		rec = obs.NewRecorder(0)
+		rec = obs.NewRecorder()
 		m.Recorder = rec
 		m.EnableAttribution()
 	}
@@ -313,7 +313,7 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 	m := machine.New(model, prog)
 	var rec *obs.Recorder
 	if timeline {
-		rec = obs.NewRecorder(0)
+		rec = obs.NewRecorder()
 		m.Recorder = rec
 	}
 	m.EnableTiering(machine.DefaultTierPolicy(), compile)

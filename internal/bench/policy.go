@@ -93,12 +93,6 @@ type PolicyOptions struct {
 	// Quick selects the small problem sizes (used by tests) and scales the
 	// tier and governor thresholds down so those sizes still cross them.
 	Quick bool
-	// Reps is invocations per cell; the last one is the steady-state
-	// measurement. A tiered sweep needs at least 3 (warm-up, promotions,
-	// steady) and defaults to 4; a degradation sweep needs at least 2
-	// (storm and demote, steady) and defaults to 3. Values below the floor
-	// select the default.
-	Reps int
 
 	// Timeline, when non-nil, attaches a flight recorder to every cell's
 	// machine and merges its promotion/deopt/demotion events into the
@@ -152,14 +146,14 @@ type (
 )
 
 // policyKind is one family of policy sweeps: the policies it compares, its
-// workloads and per-model configurations, its invocation count, and the
-// metrics, table columns and JSON cell shape it reports.
+// workloads and per-model configurations, its invocations per cell (the
+// last is the steady state), and the metrics, table columns and JSON cell
+// shape it reports.
 type policyKind struct {
 	policies    []string
 	workloads   func() []*workloads.Workload
 	win, aix    func() jit.Config
-	minReps     int
-	defaultReps int
+	reps        int
 	metrics     counterSet[*PolicyCell]
 	title       string
 	columns     []policyColumn
@@ -177,14 +171,13 @@ type policyColumn struct {
 // tierKind is the tiered sweep, run under each model's best static
 // configuration — the hardest baseline for tier 2 to beat.
 var tierKind = &policyKind{
-	policies:    []string{"interp", "eager", "tiered", "tiered-spec"},
-	workloads:   TieredWorkloads,
-	win:         jit.ConfigPhase1Phase2,
-	aix:         jit.ConfigAIXSpeculation,
-	minReps:     3,
-	defaultReps: 4,
-	metrics:     tierMetrics,
-	title:       "Tiered execution",
+	policies:  []string{"interp", "eager", "tiered", "tiered-spec"},
+	workloads: TieredWorkloads,
+	win:       jit.ConfigPhase1Phase2,
+	aix:       jit.ConfigAIXSpeculation,
+	reps:      4, // warm-up, promotions, steady
+	metrics:   tierMetrics,
+	title:     "Tiered execution",
 	columns: []policyColumn{
 		{"steady cycles", func(c *PolicyCell) int64 { return c.SteadyCycles }},
 		{"first cycles", func(c *PolicyCell) int64 { return c.FirstCycles }},
@@ -207,14 +200,13 @@ var tierKind = &policyKind{
 // degradationKind is the trap-storm degradation sweep, starting from each
 // model's implicit configuration.
 var degradationKind = &policyKind{
-	policies:    []string{"implicit", "explicit", "governed"},
-	workloads:   DegradationWorkloads,
-	win:         ImplicitConfigWin,
-	aix:         ImplicitConfigAIX,
-	minReps:     2,
-	defaultReps: 3,
-	metrics:     governorMetrics,
-	title:       "Trap-storm degradation",
+	policies:  []string{"implicit", "explicit", "governed"},
+	workloads: DegradationWorkloads,
+	win:       ImplicitConfigWin,
+	aix:       ImplicitConfigAIX,
+	reps:      3, // storm and demote, steady
+	metrics:   governorMetrics,
+	title:     "Trap-storm degradation",
 	columns: []policyColumn{
 		{"steady cycles", func(c *PolicyCell) int64 { return c.SteadyCycles }},
 		{"first cycles", func(c *PolicyCell) int64 { return c.FirstCycles }},
@@ -390,12 +382,9 @@ func runPolicies(k *policyKind, model *arch.Model, cfg jit.Config, ws []*workloa
 		Workloads: ws,
 		Policies:  k.policies,
 		Quick:     opts.Quick,
-		Reps:      k.defaultReps,
+		Reps:      k.reps,
 		Cells:     make(map[string]map[string]*PolicyCell),
 		kind:      k,
-	}
-	if opts.Reps >= k.minReps {
-		m.Reps = opts.Reps
 	}
 	for _, pol := range m.Policies {
 		m.Cells[pol] = make(map[string]*PolicyCell, len(ws))

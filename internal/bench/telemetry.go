@@ -189,7 +189,7 @@ func attachRecorder(tl *obs.Timeline, mach *machine.Machine, attribute bool) *ob
 	if tl == nil {
 		return nil
 	}
-	rec := obs.NewRecorder(0)
+	rec := obs.NewRecorder()
 	mach.Recorder = rec
 	if attribute {
 		mach.EnableAttribution()

@@ -229,7 +229,7 @@ func telemetryTrial(t *testing.T, observed bool) time.Duration {
 	m := machine.New(model, prog)
 	var rec *obs.Recorder
 	if observed {
-		rec = obs.NewRecorder(0)
+		rec = obs.NewRecorder()
 		m.Recorder = rec
 		m.EnableAttribution()
 	}

@@ -423,7 +423,7 @@ func TestTieredRecompilerSeesOnlyNonEmptySets(t *testing.T) {
 			}
 			for _, w := range pk.kind.workloads() {
 				id := model.Name + "/" + pk.policy + "/" + w.Name
-				s := cellSpec{model: model, cfg: cfg, w: w, policy: pk.policy, reps: pk.kind.defaultReps}
+				s := cellSpec{model: model, cfg: cfg, w: w, policy: pk.policy, reps: pk.kind.reps}
 				p, entryM := w.Build()
 				if _, err := jit.CompileProgram(p, cfg, model); err != nil {
 					t.Fatalf("%s: compile: %v", id, err)

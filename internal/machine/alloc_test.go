@@ -11,9 +11,9 @@ import (
 var sinkMachine *Machine
 
 // TestMachineNewAllocatesNothingUpFront: a fresh machine sizes nothing for
-// capacity it may never use — the heap starts empty and the function cache
-// grows with the functions actually run — so New costs a few hundred bytes,
-// not the tens of kilobytes a presized heap and cache would.
+// capacity it may never use — the heap starts empty and the per-function
+// table is made when the first function runs — so New costs a few hundred
+// bytes, not the tens of kilobytes a presized heap and cache would.
 func TestMachineNewAllocatesNothingUpFront(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")

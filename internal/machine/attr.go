@@ -27,7 +27,7 @@ import (
 func (m *Machine) Steps() int64 { return m.steps }
 
 // EnableAttribution turns on per-trap-site cycle attribution. Call it before
-// the first Call (it resets the prepared-instruction caches so sites rebind).
+// the first Call (it empties the per-function table so sites rebind).
 // Requires a Profile; installs one if absent.
 func (m *Machine) EnableAttribution() {
 	if m.Profile == nil {

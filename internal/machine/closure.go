@@ -412,7 +412,7 @@ func (m *Machine) framePut(fr *frame) {
 }
 
 // compiled returns fn's closure-compiled form, building it on first use
-// into fn's entry in the per-function cache.
+// into fn's entry in the per-function table.
 func (m *Machine) compiled(fn *ir.Func) *cFunc {
 	e := m.prepare(fn)
 	if e.cf == nil {

@@ -287,7 +287,7 @@ func TestDecisionStepIsReferenceCount(t *testing.T) {
 					body := func() *ir.Func { return decisionFn(c, guard, lead, tail) }
 					mth := p.AddMethod(nil, "f", body(), false)
 					m := New(arch.IA32Win(), p)
-					m.Recorder = obs.NewRecorder(0)
+					m.Recorder = obs.NewRecorder()
 					if limit > 0 {
 						m.MaxSteps = limit
 					}

@@ -304,28 +304,9 @@ func TestEngineRecursiveCallScratch(t *testing.T) {
 	}
 }
 
-// TestPreparedCacheBounded pushes more distinct Func values through one
-// Machine than the cache bound and asserts the per-function cache stays
-// bounded while execution stays correct.
-func TestPreparedCacheBounded(t *testing.T) {
-	p, _ := prog()
-	m := New(arch.IA32Win(), p)
-	base := boundedFn()
-	for i := 0; i < 3*maxPreparedFuncs+5; i++ {
-		fn := base.Clone()
-		out, err := m.Call(fn, 3)
-		if err != nil || out.Value != 3 {
-			t.Fatalf("iteration %d: out=%+v err=%v", i, out, err)
-		}
-		if m.fns.size() > maxPreparedFuncs {
-			t.Fatalf("cache unbounded: %d entries (max %d)", m.fns.size(), maxPreparedFuncs)
-		}
-	}
-}
-
-// TestResetPrepared drops the cache explicitly and proves execution
-// rebuilds it transparently. A closure-engine function takes one slot
-// holding both its prepared table and its compiled code.
+// TestResetPrepared empties the per-function table explicitly and proves the
+// next Call prepares the function again. A closure-engine function takes one
+// entry holding both its prepared table and its compiled code.
 func TestResetPrepared(t *testing.T) {
 	p, _ := prog()
 	m := New(arch.IA32Win(), p)
@@ -334,16 +315,21 @@ func TestResetPrepared(t *testing.T) {
 	if _, err := m.Call(fn, 5); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := m.fns.get(fn); m.fns.size() != 1 || !ok || e.pf == nil || e.cf == nil {
-		t.Fatalf("cache not populated: size=%d entry=%+v", m.fns.size(), e)
+	first := m.fns[fn]
+	if len(m.fns) != 1 || first == nil || first.pf == nil || first.cf == nil {
+		t.Fatalf("table not populated: len=%d entry=%+v", len(m.fns), first)
 	}
 	m.ResetPrepared()
-	if m.fns.size() != 0 {
-		t.Fatalf("cache not cleared: size=%d", m.fns.size())
+	if len(m.fns) != 0 {
+		t.Fatalf("table not emptied: len=%d", len(m.fns))
 	}
 	out, err := m.Call(fn, 5)
 	if err != nil || out.Value != 5 {
 		t.Fatalf("after reset: out=%+v err=%v", out, err)
+	}
+	again := m.fns[fn]
+	if len(m.fns) != 1 || again == nil || again == first || again.pf == first.pf || again.cf == nil {
+		t.Fatalf("Call after reset did not re-prepare: len=%d entry=%+v", len(m.fns), again)
 	}
 }
 

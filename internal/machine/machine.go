@@ -79,11 +79,10 @@ type Machine struct {
 	// recompile, and trap-triggered deoptimization. Untiered cost: one nil
 	// test per call and one per block entry.
 	tier *tierController
-	// fns caches per-function pre-decoded instruction tables and, for
-	// EngineClosure, closure-compiled code; entries are keyed (and
-	// invalidated) by *ir.Func identity. Bounded with second-chance
-	// eviction: see fncache.go and ResetPrepared.
-	fns *fnCache[*fnEntry]
+	// fns holds per-function pre-decoded instruction tables and, for
+	// EngineClosure, closure-compiled code, keyed by *ir.Func identity.
+	// Made on first use; an entry lives until ResetPrepared empties it.
+	fns map[*ir.Func]*fnEntry
 	// frames is the closure engine's activation-record pool.
 	frames []*frame
 	// heapLo is max(rt.HeapBase, Arch.TrapAreaBytes): the closure engine's
@@ -99,7 +98,6 @@ func New(m *arch.Model, prog *ir.Program) *Machine {
 		Prog:     prog,
 		MaxSteps: 2_000_000_000,
 		Engine:   DefaultEngine,
-		fns:      newFnCache[*fnEntry](maxPreparedFuncs),
 	}
 }
 

@@ -7,7 +7,7 @@ import "time"
 // strategy the tiered bench harness compares compile-time-to-peak against:
 // an untiered EngineClosure machine pays this cost before the first call
 // instead of spreading lazy compiles across the warm-up. Bodies already in
-// the compiled-function cache cost nothing.
+// the per-function table cost nothing.
 func (m *Machine) PrecompileClosures() time.Duration {
 	if m.Prog == nil {
 		return 0

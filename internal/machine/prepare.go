@@ -12,7 +12,7 @@ import (
 // to re-run on every dynamic instruction) is hoisted to a once-per-function
 // decode: each operand becomes a pOp that either names a local slot or
 // carries both integer and float views of its constant, and each block gets
-// a pInstr slice parallel to its Instrs. Tables are cached per *ir.Func and
+// a pInstr slice parallel to its Instrs. Tables are kept per *ir.Func and
 // invalidated by pointer identity — every compilation builds fresh Func
 // values, so a stale table cannot be observed as long as a function's IR is
 // not mutated between Calls on the same Machine (nothing in this repository
@@ -74,30 +74,21 @@ func decodeOperand(fn *ir.Func, o ir.Operand) pOp {
 	}
 }
 
-// fnEntry is one function's slot in the per-Machine cache: the prepared
+// fnEntry is one function's entry in the per-Machine table: the prepared
 // table and, once the closure engine has run the function, its compiled code.
 type fnEntry struct {
 	pf *pFunc
 	cf *cFunc
 }
 
-// maxPreparedFuncs bounds the per-function cache. It is keyed by *ir.Func
-// identity and every compilation builds fresh Func values, so long
-// triage/fuzz sessions that push thousands of distinct functions through one
-// Machine would otherwise grow it without limit. Hitting the bound evicts
-// one cold entry per insertion (second chance, see fncache.go).
-const maxPreparedFuncs = 512
-
-// ResetPrepared drops all cached per-function tables (prepared operands and
-// closure-compiled code). Callers that replay many distinct Func values on
-// one Machine — triage's bisection replays, long fuzz loops — call it
-// between replays to keep the cache from retaining dead functions. Tables
-// still referenced by an in-flight exec remain valid; only the cache entries
-// are dropped.
+// ResetPrepared empties the per-function table (prepared operands and
+// closure-compiled code); the next Call of each function prepares it again.
+// It is the invalidation hook for code that swaps Method.Fn between Calls —
+// triage's bisection replays — and for machine settings that prepare binds
+// (EnableGovernor, EnableAttribution). Tables still referenced by an
+// in-flight exec remain valid; only the entries are dropped.
 func (m *Machine) ResetPrepared() {
-	if m.fns != nil {
-		m.fns.reset()
-	}
+	clear(m.fns)
 	// Tier state indexes compiled artifacts by *ir.Func identity too; a replay
 	// that swaps Func values must not dispatch through a stale speculative
 	// closure, so the controller rebuilds from the current program.
@@ -106,14 +97,14 @@ func (m *Machine) ResetPrepared() {
 	}
 }
 
-// prepare returns fn's cache entry, building its prepared table on first
+// prepare returns fn's table entry, building its prepared table on first
 // use.
 func (m *Machine) prepare(fn *ir.Func) *fnEntry {
-	if m.fns == nil {
-		m.fns = newFnCache[*fnEntry](maxPreparedFuncs)
-	}
-	if e, ok := m.fns.get(fn); ok {
+	if e, ok := m.fns[fn]; ok {
 		return e
+	}
+	if m.fns == nil {
+		m.fns = make(map[*ir.Func]*fnEntry)
 	}
 	pf := &pFunc{blocks: make([][]pInstr, fn.MaxBlockID()+1)}
 	for _, b := range fn.Blocks {
@@ -143,6 +134,6 @@ func (m *Machine) prepare(fn *ir.Func) *fnEntry {
 		pf.blocks[b.ID] = pins
 	}
 	e := &fnEntry{pf: pf}
-	m.fns.put(fn, e)
+	m.fns[fn] = e
 	return e
 }

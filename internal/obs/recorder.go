@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// Flight recorder: a bounded, deterministic timeline of every adaptive
+// Flight recorder: a deterministic timeline of every adaptive
 // decision one machine makes — tier transitions, spec-guard blacklists,
 // deopt transfers, governor demotions/backoffs/pins, chaos arms/fires.
 // Events are stamped with LOGICAL clocks only (invocation index + dynamic
@@ -18,35 +18,27 @@ import (
 type RecEvent struct {
 	Invocation int    `json:"invocation"` // 1-based Machine.Call index
 	Step       int64  `json:"step"`       // dynamic instruction step within the run
-	Cat        string `json:"cat"`        // subsystem: tier, governor, cache, chaos
+	Cat        string `json:"cat"`        // subsystem: tier, governor, chaos
 	Kind       string `json:"kind"`       // decision: promote-t1, deopt, demote, ...
-	Subject    string `json:"subject"`    // method or cache key the decision is about
+	Subject    string `json:"subject"`    // method the decision is about
 	Detail     string `json:"detail,omitempty"`
 }
 
-// Recorder accumulates one machine's events. Bounded: past cap (default
-// 4096) events are dropped and counted, so a pathological storm cannot
-// balloon memory — the drop count itself is deterministic. Owned by one
-// Machine; not safe for concurrent use, matching the Machine itself.
-// Nil-safe: all methods no-op on a nil receiver.
+// Recorder accumulates one machine's events. Like the tier and governor
+// event logs it mirrors, it has no cap: the controllers' budgets bound the
+// decisions a machine makes per method (one promote-t1,
+// TierPolicy.SpecRecompileBudget promote-t2s and deopts,
+// GovernorPolicy.RecompileBudget demotes or pins, each with one
+// backoff-armed). Owned by one Machine; not safe for concurrent use,
+// matching the Machine itself. Nil-safe: all methods no-op on a nil
+// receiver.
 type Recorder struct {
-	cap        int
 	invocation int
 	events     []RecEvent
-	dropped    int64
 }
 
-// DefaultRecorderCap bounds a recorder's retained events.
-const DefaultRecorderCap = 4096
-
-// NewRecorder returns an empty recorder holding at most cap events
-// (cap <= 0 selects DefaultRecorderCap).
-func NewRecorder(cap int) *Recorder {
-	if cap <= 0 {
-		cap = DefaultRecorderCap
-	}
-	return &Recorder{cap: cap}
-}
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // BeginInvocation advances the logical invocation clock. The machine calls
 // it at the top of every Call, so events sort by (invocation, step).
@@ -59,10 +51,6 @@ func (r *Recorder) BeginInvocation() {
 // Record appends one event at the current invocation and the given step.
 func (r *Recorder) Record(step int64, cat, kind, subject, detail string) {
 	if r == nil {
-		return
-	}
-	if len(r.events) >= r.cap {
-		r.dropped++
 		return
 	}
 	r.events = append(r.events, RecEvent{
@@ -79,31 +67,21 @@ func (r *Recorder) Events() []RecEvent {
 	return append([]RecEvent(nil), r.events...)
 }
 
-// Dropped reports how many events the bound discarded.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
-
 // TimelineCell is one named strand (a bench cell, a nulljit run) of the
-// merged timeline: its recorded events, drop count, and — when attribution
-// was enabled — its trap-cost ledger.
+// merged timeline: its recorded events and — when attribution was enabled —
+// its trap-cost ledger.
 type TimelineCell struct {
-	Name    string       `json:"name"`
-	Events  []RecEvent   `json:"events"`
-	Dropped int64        `json:"dropped,omitempty"`
-	Attr    *Attribution `json:"attr,omitempty"`
+	Name   string       `json:"name"`
+	Events []RecEvent   `json:"events"`
+	Attr   *Attribution `json:"attr,omitempty"`
 }
 
 // Timeline merges the flight recorders of many cells into one deterministic
 // report (benchtab -timeline / nulljit -timeline). Cells render sorted by
-// name, notes in the order they were added; safe for concurrent Add.
+// name; safe for concurrent Add.
 type Timeline struct {
 	mu    sync.Mutex
 	cells []TimelineCell
-	notes []string
 }
 
 // NewTimeline returns an empty timeline.
@@ -115,20 +93,9 @@ func (t *Timeline) Add(name string, rec *Recorder, attr *Attribution) {
 	if t == nil {
 		return
 	}
-	c := TimelineCell{Name: name, Events: rec.Events(), Dropped: rec.Dropped(), Attr: attr}
+	c := TimelineCell{Name: name, Events: rec.Events(), Attr: attr}
 	t.mu.Lock()
 	t.cells = append(t.cells, c)
-	t.mu.Unlock()
-}
-
-// Note appends one free-form deterministic line (e.g. the cache event log)
-// rendered after the cells. Nil-safe.
-func (t *Timeline) Note(line string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.notes = append(t.notes, line)
 	t.mu.Unlock()
 }
 
@@ -146,7 +113,7 @@ func (t *Timeline) Cells() []TimelineCell {
 }
 
 // Render writes the deterministic text form: one section per cell (sorted by
-// name), one line per event ordered by logical clock, then the notes.
+// name), one line per event ordered by logical clock.
 func (t *Timeline) Render() string {
 	var b strings.Builder
 	b.WriteString("# adaptive-decision timeline (logical clocks: invocation/step)\n")
@@ -162,20 +129,8 @@ func (t *Timeline) Render() string {
 			}
 			b.WriteByte('\n')
 		}
-		if c.Dropped > 0 {
-			fmt.Fprintf(&b, "  ... %d events dropped at cap\n", c.Dropped)
-		}
 		if c.Attr != nil {
 			c.Attr.Render(&b, "  ")
-		}
-	}
-	t.mu.Lock()
-	notes := append([]string(nil), t.notes...)
-	t.mu.Unlock()
-	for _, n := range notes {
-		b.WriteString(n)
-		if !strings.HasSuffix(n, "\n") {
-			b.WriteByte('\n')
 		}
 	}
 	return b.String()
