@@ -58,6 +58,21 @@ L2:
 }
 `
 
+// aluShapes computes with var/const and var/var integer operations that are
+// not folded into a terminator, so the seed corpus calls their closures.
+const aluShapes = `func main(v0 int) int {
+L0:
+    var v1 int
+    var v2 int
+    v1 = add v0, 7
+    v2 = sub v1, 2
+    v1 = mul v2, v0
+    v2 = add v1, v2
+    v1 = xor v2, 5
+    return v1
+}
+`
+
 // fuzzMaxSteps bounds each fuzzed run, so looping inputs end in the step
 // limit error, which both engines must also report identically.
 const fuzzMaxSteps = 5000
@@ -66,7 +81,9 @@ const fuzzMaxSteps = 5000
 // closure engine and the reference switch interpreter agree — same
 // Outcome, ExecStats, Cycles and error text — on both arch models, on the
 // parsed program and on a fresh parse compiled under Phase1+2, and neither
-// panics. The corpus is the example programs, past parser crashers and
+// panics. The closure engine runs eager, with every body compiled before
+// the call (and it must enter the closure engine), and lazy, as a default
+// machine runs it. The corpus is the example programs, past parser crashers and
 // triage's emitted reproducers.
 func FuzzJasmEngines(f *testing.F) {
 	paths, err := filepath.Glob("../../examples/jasm/*.jasm")
@@ -82,6 +99,7 @@ func FuzzJasmEngines(f *testing.F) {
 	}
 	f.Add(afterTerminator)
 	f.Add(triageReproducer)
+	f.Add(aluShapes)
 	f.Fuzz(func(t *testing.T, src string) {
 		if _, fns, err := Parse(src); err != nil || fns["main"] == nil {
 			return
@@ -94,8 +112,8 @@ func FuzzJasmEngines(f *testing.F) {
 					stats  machine.ExecStats
 					cycles int64
 				}
-				var runs [2]run
-				for k, eng := range []machine.Engine{machine.EngineSwitch, machine.EngineClosure} {
+				var runs [3]run
+				for k, side := range []string{"switch", "eager", "lazy"} {
 					prog, fns, err := Parse(src)
 					if err != nil {
 						t.Fatalf("second parse failed: %v", err)
@@ -111,17 +129,26 @@ func FuzzJasmEngines(f *testing.F) {
 						args[i] = int64(3 + i)
 					}
 					m := machine.New(model, prog)
-					m.Engine = eng
+					m.Engine = machine.EngineClosure
+					switch side {
+					case "switch":
+						m.Engine = machine.EngineSwitch
+					case "eager":
+						m.PrecompileClosures()
+					}
 					m.MaxSteps = fuzzMaxSteps
 					out, err := m.Call(main, args...)
 					runs[k] = run{out: out, stats: m.Stats, cycles: m.Cycles}
 					if err != nil {
 						runs[k].err = err.Error()
 					}
+					if side == "eager" && m.ClosureRuns() == 0 {
+						t.Fatalf("%s optimize=%v: the eager side never entered the closure engine\n%s", model.Name, optimize, src)
+					}
 				}
-				if runs[0] != runs[1] {
-					t.Fatalf("%s optimize=%v: engines disagree\nswitch  %+v\nclosure %+v\n%s",
-						model.Name, optimize, runs[0], runs[1], src)
+				if runs[0] != runs[1] || runs[0] != runs[2] {
+					t.Fatalf("%s optimize=%v: engines disagree\nswitch %+v\neager  %+v\nlazy   %+v\n%s",
+						model.Name, optimize, runs[0], runs[1], runs[2], src)
 				}
 			}
 		}

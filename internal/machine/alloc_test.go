@@ -36,16 +36,23 @@ func TestMachineNewAllocatesNothingUpFront(t *testing.T) {
 
 // BenchmarkOneShotRun times what a compile-and-run-once cell pays on the
 // machine side: New plus a single Call of a generated program, on each
-// engine.
+// engine, and on the closure engine with every body compiled before the
+// call (eager), the cost a cold run avoids by interpreting until hot.
 func BenchmarkOneShotRun(b *testing.B) {
 	model := arch.IA32Win()
 	p, fn := randprog.Generate(randprog.DefaultConfig(1))
-	for _, e := range []Engine{EngineClosure, EngineSwitch} {
-		b.Run(e.String(), func(b *testing.B) {
+	for _, name := range []string{"closure", "eager", "switch"} {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
 				m := New(model, p)
-				m.Engine = e
+				m.Engine = EngineClosure
+				switch name {
+				case "switch":
+					m.Engine = EngineSwitch
+				case "eager":
+					m.PrecompileClosures()
+				}
 				if _, err := m.Call(fn, 5); err != nil {
 					b.Fatal(err)
 				}

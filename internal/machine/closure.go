@@ -53,6 +53,7 @@ type frame struct {
 	err     error
 	next    int // target block ID set by stJump steps
 	depth   int
+	link    *frame // the next frame in the machine's pool
 }
 
 // stepFn executes one instruction (or one fused superinstruction).
@@ -140,14 +141,9 @@ type cFunc struct {
 	entry  int
 }
 
-// execClosure is the closure engine's counterpart of exec.
-func (m *Machine) execClosure(fn *ir.Func, args []int64, depth int) (Outcome, error) {
-	return m.execCf(fn, m.compiled(fn), args, depth)
-}
-
 // execCf runs an already-compiled function. Call sites keep their own
-// (callee, cFunc) cache so the per-call map lookup in compiled() only
-// happens when the call target actually changes.
+// (callee, cFunc) cache, so the per-call table lookup only happens while
+// the callee has no code or when the call target changes.
 func (m *Machine) execCf(fn *ir.Func, cf *cFunc, args []int64, depth int) (Outcome, error) {
 	if depth > maxCallDepth {
 		return Outcome{}, fmt.Errorf("machine: call depth exceeded in %s", fn.Name)
@@ -156,6 +152,7 @@ func (m *Machine) execCf(fn *ir.Func, cf *cFunc, args []int64, depth int) (Outco
 	defer m.framePut(fr)
 	copy(fr.locals, args)
 	fr.depth = depth
+	m.closureRuns++
 	return m.runCf(fn, cf, fr, cf.entry)
 }
 
@@ -168,6 +165,7 @@ func (m *Machine) execCfFrom(fn *ir.Func, cf *cFunc, locals []int64, startBlk, d
 	defer m.framePut(fr)
 	copy(fr.locals, locals)
 	fr.depth = depth
+	m.closureRuns++
 	return m.runCf(fn, cf, fr, startBlk)
 }
 
@@ -228,7 +226,7 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 				// left is smaller than it: the reference interpreter runs
 				// the rest of the invocation from the stretch's first
 				// instruction, accounting each instruction.
-				return m.interp(fn, fr.locals, cb.b, sg.from, fr.depth)
+				return m.interp(fn, m.prepare(fn), fr.locals, cb.b, sg.from, fr.depth)
 			}
 			// Charge the stretch up front and run the bare closures; a
 			// raising entry rolls back its unexecuted suffix, restoring
@@ -389,9 +387,8 @@ func (m *Machine) finishStore(fr *frame, in *ir.Instr, addr, v int64) status {
 
 // frameGet pops a pooled frame with n zeroed locals.
 func (m *Machine) frameGet(n int) *frame {
-	if k := len(m.frames); k > 0 {
-		fr := m.frames[k-1]
-		m.frames = m.frames[:k-1]
+	if fr := m.frames; fr != nil {
+		m.frames = fr.link
 		if cap(fr.locals) < n {
 			fr.locals = make([]int64, n)
 		} else {
@@ -405,10 +402,11 @@ func (m *Machine) frameGet(n int) *frame {
 	return &frame{locals: make([]int64, n)}
 }
 
+// framePut pushes fr back on the pool. Every frame put was got first, so
+// the pool never holds more frames than were live at once.
 func (m *Machine) framePut(fr *frame) {
-	if len(m.frames) <= maxCallDepth {
-		m.frames = append(m.frames, fr)
-	}
+	fr.link = m.frames
+	m.frames = fr
 }
 
 // compiled returns fn's closure-compiled form, building it on first use
@@ -1155,9 +1153,11 @@ func (m *Machine) compileCall(pin *pInstr) stepFn {
 	// scratch is recursion-safe: execCf copies it into the callee frame
 	// before the callee body (and thus any reentry of this closure) runs.
 	scratch := make([]int64, len(args))
-	// Per-call-site compilation cache: valid as long as the target Func is
-	// unchanged. A stale-but-matching entry after ResetPrepared is harmless —
-	// recompiling the same Func yields observationally identical closures.
+	// Per-call-site compilation cache, filled once the callee has closure
+	// code (until then it is interpreted) and valid as long as the target
+	// Func is unchanged. A stale-but-matching entry after ResetPrepared is
+	// harmless — recompiling the same Func yields observationally identical
+	// closures.
 	var ccFn *ir.Func
 	var ccCf *cFunc
 	return func(fr *frame) status {
@@ -1205,12 +1205,13 @@ func (m *Machine) compileCall(pin *pInstr) stepFn {
 			// Tiered dispatch: the callee runs whatever artifact its own
 			// tier currently selects.
 			out, err = m.tierInvoke(callee, scratch, fr.depth+1)
-		} else {
-			if callee != ccFn {
-				ccCf = m.compiled(callee)
-				ccFn = callee
-			}
+		} else if callee == ccFn {
 			out, err = m.execCf(callee, ccCf, scratch, fr.depth+1)
+		} else if e := m.prepare(callee); e.cf != nil {
+			ccFn, ccCf = callee, e.cf
+			out, err = m.execCf(callee, ccCf, scratch, fr.depth+1)
+		} else {
+			out, err = m.exec(callee, e, scratch, fr.depth+1)
 		}
 		if err != nil {
 			fr.err = err

@@ -33,7 +33,7 @@ func TestAllMathFns(t *testing.T) {
 		f := b.Finish()
 
 		m := New(arch.IA32Win(), p)
-		out, err := m.Call(f, int64(math.Float64bits(tc.x)))
+		out, err := call(m, f, int64(math.Float64bits(tc.x)))
 		if err != nil {
 			t.Fatalf("%v: %v", tc.fn, err)
 		}
@@ -73,7 +73,7 @@ func TestAllIntConditions(t *testing.T) {
 		f := b.Finish()
 
 		m := New(arch.IA32Win(), p)
-		out, err := m.Call(f, tc.a, tc.b)
+		out, err := call(m, f, tc.a, tc.b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestAllFloatConditionsViaCmp(t *testing.T) {
 		f := b.Finish()
 
 		m := New(arch.IA32Win(), p)
-		out, err := m.Call(f, int64(math.Float64bits(tc.a)), int64(math.Float64bits(tc.b)))
+		out, err := call(m, f, int64(math.Float64bits(tc.a)), int64(math.Float64bits(tc.b)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,10 +124,10 @@ func TestCallArgCountMismatch(t *testing.T) {
 	p, c := prog()
 	f := makeGetF(c)
 	m := New(arch.IA32Win(), p)
-	if _, err := m.Call(f); err == nil {
+	if _, err := call(m, f); err == nil {
 		t.Fatal("expected arg-count error")
 	}
-	if _, err := m.Call(f, 1, 2); err == nil {
+	if _, err := call(m, f, 1, 2); err == nil {
 		t.Fatal("expected arg-count error")
 	}
 }
@@ -147,7 +147,7 @@ func TestIntrinsicCallWithoutBody(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.PPCAIX(), p) // stays a call on PPC; runtime implements it
-	out, err := m.Call(f, int64(math.Float64bits(1.0)))
+	out, err := call(m, f, int64(math.Float64bits(1.0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestBodylessNonIntrinsicCallErrors(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	if _, err := m.Call(f); err == nil {
+	if _, err := call(m, f); err == nil {
 		t.Fatal("expected bodyless-method error")
 	}
 }
@@ -186,7 +186,7 @@ func TestNullArrayStoreTrapsOnWriteArchs(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	if _, err := m.Call(f, 0); err == nil {
+	if _, err := call(m, f, 0); err == nil {
 		t.Fatal("unguarded null store should be a simulation error")
 	}
 
@@ -201,7 +201,7 @@ func TestNullArrayStoreTrapsOnWriteArchs(t *testing.T) {
 	b2.ReturnVoid()
 	f2 := b2.Finish()
 	m2 := New(arch.IA32Win(), p)
-	out, err := m2.Call(f2, 0)
+	out, err := call(m2, f2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestGarbageZoneWriteVanishes(t *testing.T) {
 	m := New(mArch, p)
 	obj := m.Heap.AllocObject(c)
 	before, _ := m.Heap.Peek(obj)
-	out, err := m.Call(f, 0)
+	out, err := call(m, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestInstanceOfSemantics(t *testing.T) {
 		ref  int64
 		want int64
 	}{{objC, 1}, {objO, 0}, {0, 0}} {
-		out, err := m.Call(f, tc.ref)
+		out, err := call(m, f, tc.ref)
 		if err != nil {
 			t.Fatal(err)
 		}

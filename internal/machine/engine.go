@@ -22,7 +22,9 @@ const (
 	// superinstructions, and every block runs as charged stretches ending at
 	// calls and terminators, with the unexecuted suffix rolled back when an
 	// instruction raises. A stretch the step limit could fire in runs in the
-	// switch interpreter instead. The default.
+	// switch interpreter instead. An untiered machine interprets each
+	// function until it turns hot and compiles it only then;
+	// PrecompileClosures compiles every body up front. The default.
 	EngineClosure Engine = iota
 	// EngineSwitch is the original per-instruction switch interpreter, kept
 	// as the reference implementation the closure engine is differentially

@@ -12,12 +12,45 @@ import (
 	"trapnull/internal/ir"
 )
 
-// runEngine executes fn on a fresh machine with the given engine and returns
-// everything observable: outcome, error, stats, cycles.
-func runEngine(e Engine, a *arch.Model, p *ir.Program, fn *ir.Func, maxSteps int64,
-	setup func(m *Machine) []int64) (Outcome, error, ExecStats, int64) {
+// side is one way the differential tests run a function.
+type side uint8
+
+const (
+	switchSide side = iota // the reference switch interpreter
+	eagerSide              // the closure engine, every body compiled before the call
+	lazySide               // the closure engine, compiling a body once it turns hot
+)
+
+func (s side) String() string { return [...]string{"switch", "eager", "lazy"}[s] }
+
+// observed is everything a run shows: outcome, error, stats, cycles.
+type observed struct {
+	out    Outcome
+	err    error
+	stats  ExecStats
+	cycles int64
+}
+
+func (o observed) String() string {
+	return fmt.Sprintf("out=%+v err=%v stats=%+v cycles=%d", o.out, o.err, o.stats, o.cycles)
+}
+
+// same reports whether two runs are indistinguishable (errors by text).
+func (o observed) same(p observed) bool {
+	return o.out == p.out && o.stats == p.stats && o.cycles == p.cycles &&
+		(o.err == nil) == (p.err == nil) && (o.err == nil || o.err.Error() == p.err.Error())
+}
+
+// runEngine executes fn on a fresh machine run the given way and returns
+// what it observed and the machine. setup (when non-nil) sees the machine
+// before anything is compiled and returns the call's arguments.
+func runEngine(s side, a *arch.Model, p *ir.Program, fn *ir.Func, maxSteps int64,
+	setup func(m *Machine) []int64) (observed, *Machine) {
 	m := New(a, p)
-	m.Engine = e
+	m.Engine = EngineClosure
+	if s == switchSide {
+		m.Engine = EngineSwitch
+	}
 	if maxSteps > 0 {
 		m.MaxSteps = maxSteps
 	}
@@ -25,31 +58,49 @@ func runEngine(e Engine, a *arch.Model, p *ir.Program, fn *ir.Func, maxSteps int
 	if setup != nil {
 		args = setup(m)
 	}
+	if s == eagerSide {
+		precompile(m, fn)
+	}
 	out, err := m.Call(fn, args...)
-	return out, err, m.Stats, m.Cycles
+	return observed{out, err, m.Stats, m.Cycles}, m
 }
 
-// assertEnginesAgree runs fn under both engines and fails unless every
-// observable — Outcome, error, ExecStats, Cycles — is identical. It returns
-// the (shared) outcome and error for further assertions.
+// precompile compiles every program method on m and fn, which may be a
+// bare body outside the program.
+func precompile(m *Machine, fn *ir.Func) {
+	m.PrecompileClosures()
+	m.compiled(fn)
+}
+
+// call is m.Call for the tests that run one machine on the process's
+// default engine (TRAPNULL_ENGINE): on an untiered closure-engine machine
+// it precompiles first, so their short calls run closure code rather than
+// only the interpreter a cold function starts in.
+func call(m *Machine, fn *ir.Func, args ...int64) (Outcome, error) {
+	if m.Engine == EngineClosure && m.tier == nil {
+		precompile(m, fn)
+	}
+	return m.Call(fn, args...)
+}
+
+// assertEnginesAgree runs fn on every side and fails unless every
+// observable — Outcome, error, ExecStats, Cycles — is identical, or unless
+// the eager side's call ran in the closure engine. It returns the (shared)
+// outcome and error for further assertions.
 func assertEnginesAgree(t *testing.T, a *arch.Model, p *ir.Program, fn *ir.Func, maxSteps int64,
 	setup func(m *Machine) []int64) (Outcome, error) {
 	t.Helper()
-	cOut, cErr, cStats, cCycles := runEngine(EngineClosure, a, p, fn, maxSteps, setup)
-	sOut, sErr, sStats, sCycles := runEngine(EngineSwitch, a, p, fn, maxSteps, setup)
-	if cOut != sOut {
-		t.Fatalf("outcome diverges: closure=%+v switch=%+v", cOut, sOut)
+	ref, _ := runEngine(switchSide, a, p, fn, maxSteps, setup)
+	for _, s := range []side{eagerSide, lazySide} {
+		got, m := runEngine(s, a, p, fn, maxSteps, setup)
+		if !got.same(ref) {
+			t.Fatalf("%v diverges from switch:\n%-6v %v\nswitch %v", s, s, got, ref)
+		}
+		if s == eagerSide && m.ClosureRuns() == 0 {
+			t.Fatal("eager side never entered the closure engine")
+		}
 	}
-	if (cErr == nil) != (sErr == nil) || (cErr != nil && cErr.Error() != sErr.Error()) {
-		t.Fatalf("error diverges: closure=%v switch=%v", cErr, sErr)
-	}
-	if cStats != sStats {
-		t.Fatalf("stats diverge:\nclosure %+v\nswitch  %+v", cStats, sStats)
-	}
-	if cCycles != sCycles {
-		t.Fatalf("cycles diverge: closure=%d switch=%d", cCycles, sCycles)
-	}
-	return cOut, cErr
+	return ref.out, ref.err
 }
 
 // spinFn builds an infinite counting loop whose loop block is one charged
@@ -305,15 +356,17 @@ func TestEngineRecursiveCallScratch(t *testing.T) {
 }
 
 // TestResetPrepared empties the per-function table explicitly and proves the
-// next Call prepares the function again. A closure-engine function takes one
-// entry holding both its prepared table and its compiled code.
+// next Call prepares the function again with its hot countdown restarted: a
+// function compiled by a hot call is interpreted again after the reset, and
+// one short call leaves it uncompiled with its countdown down by that
+// call's block entries only.
 func TestResetPrepared(t *testing.T) {
 	p, _ := prog()
 	m := New(arch.IA32Win(), p)
 	m.Engine = EngineClosure // compiled code is only built on the closure engine
 	fn := boundedFn()
-	if _, err := m.Call(fn, 5); err != nil {
-		t.Fatal(err)
+	if out, err := m.Call(fn, 3*hotBlockEntries); err != nil || out.Value != 3*hotBlockEntries {
+		t.Fatalf("hot call: out=%+v err=%v", out, err)
 	}
 	first := m.fns[fn]
 	if len(m.fns) != 1 || first == nil || first.pf == nil || first.cf == nil {
@@ -323,13 +376,19 @@ func TestResetPrepared(t *testing.T) {
 	if len(m.fns) != 0 {
 		t.Fatalf("table not emptied: len=%d", len(m.fns))
 	}
+	runs := m.ClosureRuns()
 	out, err := m.Call(fn, 5)
 	if err != nil || out.Value != 5 {
 		t.Fatalf("after reset: out=%+v err=%v", out, err)
 	}
 	again := m.fns[fn]
-	if len(m.fns) != 1 || again == nil || again == first || again.pf == first.pf || again.cf == nil {
+	if len(m.fns) != 1 || again == nil || again == first || again.pf == first.pf || again.cf != nil {
 		t.Fatalf("Call after reset did not re-prepare: len=%d entry=%+v", len(m.fns), again)
+	}
+	// entry + 5 loop entries + exit.
+	if want := int64(hotBlockEntries - 7); again.countdown != want || m.ClosureRuns() != runs {
+		t.Fatalf("countdown %d and %d new closure runs after reset, want %d and none",
+			again.countdown, m.ClosureRuns()-runs, want)
 	}
 }
 

@@ -132,11 +132,11 @@ func runFusionCases(t *testing.T, cases []fusionCase) {
 						case in.exc == rt.ExcNone && out.Value != in.want:
 							t.Fatalf("out=%+v, want value %d", out, in.want)
 						}
-						_, _, st, _ := runEngine(EngineSwitch, am, p, fn, 0, setup)
-						for limit := int64(1); limit <= st.Instrs; limit++ {
+						ref, _ := runEngine(switchSide, am, p, fn, 0, setup)
+						for limit := int64(1); limit <= ref.stats.Instrs; limit++ {
 							_, err := assertEnginesAgree(t, am, p, fn, limit, setup)
-							if limit < st.Instrs && !errors.Is(err, ErrStepLimit) {
-								t.Fatalf("limit=%d of %d: err=%v, want ErrStepLimit", limit, st.Instrs, err)
+							if limit < ref.stats.Instrs && !errors.Is(err, ErrStepLimit) {
+								t.Fatalf("limit=%d of %d: err=%v, want ErrStepLimit", limit, ref.stats.Instrs, err)
 							}
 						}
 					})
@@ -316,10 +316,10 @@ func TestEngineStepLimitAcrossCall(t *testing.T) {
 
 	setup := func(*Machine) []int64 { return []int64{5} }
 	for _, am := range []*arch.Model{arch.IA32Win(), arch.PPCAIX()} {
-		_, _, st, _ := runEngine(EngineSwitch, am, p, fn, 0, setup)
-		for limit := int64(1); limit <= st.Instrs+1; limit++ {
+		ref, _ := runEngine(switchSide, am, p, fn, 0, setup)
+		for limit := int64(1); limit <= ref.stats.Instrs+1; limit++ {
 			out, err := assertEnginesAgree(t, am, p, fn, limit, setup)
-			if limit < st.Instrs {
+			if limit < ref.stats.Instrs {
 				if !errors.Is(err, ErrStepLimit) {
 					t.Fatalf("%s limit=%d: err=%v, want ErrStepLimit", am.Name, limit, err)
 				}
@@ -509,9 +509,9 @@ func TestEngineReturnShapes(t *testing.T) {
 	for _, fn := range []*ir.Func{void, viaCall} {
 		setup := func(*Machine) []int64 { return []int64{3} }
 		for _, am := range []*arch.Model{arch.IA32Win(), arch.PPCAIX()} {
-			_, _, st, _ := runEngine(EngineSwitch, am, p, fn, 0, setup)
-			for limit := int64(1); limit <= st.Instrs; limit++ {
-				if _, err := assertEnginesAgree(t, am, p, fn, limit, setup); limit < st.Instrs && !errors.Is(err, ErrStepLimit) {
+			ref, _ := runEngine(switchSide, am, p, fn, 0, setup)
+			for limit := int64(1); limit <= ref.stats.Instrs; limit++ {
+				if _, err := assertEnginesAgree(t, am, p, fn, limit, setup); limit < ref.stats.Instrs && !errors.Is(err, ErrStepLimit) {
 					t.Fatalf("%s limit=%d: err=%v, want ErrStepLimit", fn.Name, limit, err)
 				}
 			}
@@ -699,8 +699,8 @@ func TestEngineCheckedArrayFusion(t *testing.T) {
 			for _, placement := range fusionPlacements {
 				p, c := prog()
 				fn := fusionFn(t, p, c, fc, placement)
-				_, _, st, _ := runEngine(EngineSwitch, am, p, fn, 0, null)
-				for limit := int64(1); limit < st.Instrs; limit++ {
+				ref, _ := runEngine(switchSide, am, p, fn, 0, null)
+				for limit := int64(1); limit < ref.stats.Instrs; limit++ {
 					if _, err := assertEnginesAgree(t, am, p, fn, limit, null); !errors.Is(err, ErrStepLimit) {
 						t.Fatalf("%s/%s/%s limit=%d: err=%v, want ErrStepLimit", am.Name, fc.name, placement, limit, err)
 					}

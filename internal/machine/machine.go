@@ -83,8 +83,13 @@ type Machine struct {
 	// EngineClosure, closure-compiled code, keyed by *ir.Func identity.
 	// Made on first use; an entry lives until ResetPrepared empties it.
 	fns map[*ir.Func]*fnEntry
-	// frames is the closure engine's activation-record pool.
-	frames []*frame
+	// frames is the activation-record pool both engines draw locals from,
+	// linked through frame.link.
+	frames *frame
+	// args is the interpreter's call-argument buffer (callTarget).
+	args []int64
+	// closureRuns counts closure-engine entries (ClosureRuns).
+	closureRuns int64
 	// heapLo is max(rt.HeapBase, Arch.TrapAreaBytes): the closure engine's
 	// heap fast path takes addresses at or above it (see finishLoad).
 	heapLo int64
@@ -100,6 +105,12 @@ func New(m *arch.Model, prog *ir.Program) *Machine {
 		Engine:   DefaultEngine,
 	}
 }
+
+// ClosureRuns returns how many invocations entered the closure engine on
+// this machine, counting each on-stack replacement from the interpreter as
+// one. Differential tests read it to prove their closure side ran compiled
+// code rather than the interpreter.
+func (m *Machine) ClosureRuns() int64 { return m.closureRuns }
 
 // ErrStepLimit reports that execution exceeded MaxSteps.
 var ErrStepLimit = errors.New("machine: step limit exceeded")
@@ -140,10 +151,19 @@ func (m *Machine) Call(fn *ir.Func, args ...int64) (Outcome, error) {
 	if m.tier != nil {
 		return m.tierInvoke(fn, args, 0)
 	}
-	if m.Engine == EngineSwitch {
-		return m.exec(fn, args, 0)
+	return m.invoke(fn, args, 0)
+}
+
+// invoke runs fn on an untiered machine: in the closure engine once fn has
+// closure code, otherwise in the interpreter. On the closure engine the
+// interpreter counts fn's block entries down and hands the invocation over
+// when fn turns hot (interp), so code that runs once is never compiled.
+func (m *Machine) invoke(fn *ir.Func, args []int64, depth int) (Outcome, error) {
+	e := m.prepare(fn)
+	if e.cf != nil && m.Engine == EngineClosure {
+		return m.execCf(fn, e.cf, args, depth)
 	}
-	return m.execClosure(fn, args, 0)
+	return m.exec(fn, e, args, depth)
 }
 
 // stepLimitErr is the shared step-limit error; both engines must produce the
@@ -166,24 +186,27 @@ type raise struct {
 
 const maxCallDepth = 256
 
-func (m *Machine) exec(fn *ir.Func, args []int64, depth int) (Outcome, error) {
+// exec interprets fn from its entry block; e is fn's table entry. Its
+// locals come from the machine's frame pool, as the closure engine's do.
+func (m *Machine) exec(fn *ir.Func, e *fnEntry, args []int64, depth int) (Outcome, error) {
 	if depth > maxCallDepth {
 		return Outcome{}, fmt.Errorf("machine: call depth exceeded in %s", fn.Name)
 	}
-	locals := make([]int64, fn.NumLocals())
-	copy(locals, args)
-	return m.interp(fn, locals, fn.Entry, -1, depth)
+	fr := m.frameGet(fn.NumLocals())
+	defer m.framePut(fr)
+	copy(fr.locals, args)
+	return m.interp(fn, e, fr.locals, fn.Entry, -1, depth)
 }
 
 // interp is the reference interpreter loop, entered at instruction from of
-// blk. from < 0 enters blk from the top, running its block-entry hooks
-// (abort poll, tier countdown, profile count); from >= 0 resumes blk
-// mid-block with those hooks skipped, because the closure engine already
-// ran them before it handed the invocation over (runCf, at a stretch the
-// step limit could fire in). This loop holds the machine's only
+// blk; e is fn's table entry. from < 0 enters blk from the top, running its
+// block-entry hooks (abort poll, hot countdown, profile count); from >= 0
+// resumes blk mid-block with those hooks skipped, because the closure
+// engine already ran them before it handed the invocation over (runCf, at a
+// stretch the step limit could fire in). This loop holds the machine's only
 // per-instruction accounting.
-func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth int) (Outcome, error) {
-	pf := m.prepare(fn).pf
+func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block, from, depth int) (Outcome, error) {
+	pf := e.pf
 
 	var prof []int64
 	if m.Profile != nil {
@@ -197,6 +220,15 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 	var mt *methodTier
 	if m.tier != nil {
 		mt = m.tier.stateOf(fn)
+	}
+	// An untiered closure-engine machine interprets a function until it
+	// turns hot: cold is fn's entry while fn has no closure code, and its
+	// countdown runs at the same point as the tier-0 one. A function the
+	// closure engine hands back at the step limit already has code, so its
+	// countdown neither runs nor restarts.
+	var cold *fnEntry
+	if m.tier == nil && m.Engine == EngineClosure && e.cf == nil {
+		cold = e
 	}
 
 	hooks := from < 0
@@ -213,6 +245,12 @@ func (m *Machine) interp(fn *ir.Func, locals []int64, blk *ir.Block, from, depth
 						return m.execCfFrom(fn, cf, locals, blk.ID, depth)
 					}
 					mt = nil
+				}
+			}
+			if cold != nil {
+				cold.countdown--
+				if cold.countdown <= 0 {
+					return m.execCfFrom(fn, m.compiled(fn), locals, blk.ID, depth)
 				}
 			}
 			if prof != nil {
@@ -582,7 +620,13 @@ func (m *Machine) callTarget(pin *pInstr, locals []int64, depth int) (Outcome, e
 		}
 		return Outcome{}, fmt.Errorf("machine: call to bodyless method %s", cal.QualifiedName())
 	}
-	args := make([]int64, len(pin.args))
+	// Every engine entry copies its arguments into the callee's frame
+	// before it runs anything, so one machine-wide buffer serves every
+	// depth.
+	if cap(m.args) < len(pin.args) {
+		m.args = make([]int64, len(pin.args))
+	}
+	args := m.args[:len(pin.args)]
 	for i := range pin.args {
 		args[i] = val(locals, &pin.args[i])
 	}
@@ -591,7 +635,7 @@ func (m *Machine) callTarget(pin *pInstr, locals []int64, depth int) (Outcome, e
 		// run compiled (or speculative) code while this caller interprets.
 		return m.tierInvoke(cal.Fn, args, depth+1)
 	}
-	return m.exec(cal.Fn, args, depth+1)
+	return m.invoke(cal.Fn, args, depth+1)
 }
 
 // compareCond evaluates a Cond over two operands, using float comparison

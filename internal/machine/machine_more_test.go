@@ -25,7 +25,7 @@ func TestShiftMasking(t *testing.T) {
 
 	m := New(arch.IA32Win(), p)
 	// Shift counts are masked to 6 bits like real hardware.
-	out, err := m.Call(f, 1, 65)
+	out, err := call(m, f, 1, 65)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestFloatIntConversions(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, 5)
+	out, err := call(m, f, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFloatCompareBranch(t *testing.T) {
 		x    float64
 		want int64
 	}{{1.0, 1}, {1.5, 0}, {2.0, 0}, {-3.0, 1}} {
-		out, err := m.Call(f, int64(math.Float64bits(tc.x)))
+		out, err := call(m, f, int64(math.Float64bits(tc.x)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestStepLimit(t *testing.T) {
 
 	m := New(arch.IA32Win(), p)
 	m.MaxSteps = 10_000
-	_, err := m.Call(f)
+	_, err := call(m, f)
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
 	}
@@ -129,7 +129,7 @@ func TestCallDepthLimit(t *testing.T) {
 	meth.Fn = f
 
 	m := New(arch.IA32Win(), p)
-	if _, err := m.Call(f, 1); err == nil {
+	if _, err := call(m, f, 1); err == nil {
 		t.Fatal("unbounded recursion did not error")
 	}
 }
@@ -167,7 +167,7 @@ func TestExceptionPropagatesThroughCallToCallerHandler(t *testing.T) {
 	}
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f)
+	out, err := call(m, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +190,14 @@ func TestNegativeArraySizeThrows(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, -4)
+	out, err := call(m, f, -4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Exc != rt.ExcNegativeArraySize {
 		t.Fatalf("exc = %v, want NegativeArraySizeException", out.Exc)
 	}
-	out, err = m.Call(f, 4)
+	out, err = call(m, f, 4)
 	if err != nil || out.Value != 4 {
 		t.Fatalf("length = %+v err=%v, want 4", out, err)
 	}
@@ -215,7 +215,7 @@ func TestThrowInstruction(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f)
+	out, err := call(m, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSpeculatedNullReadYieldsZeroOnAIX(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.PPCAIX(), p)
-	out, err := m.Call(f, 0)
+	out, err := call(m, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +251,11 @@ func TestCyclesAccumulateAcrossCalls(t *testing.T) {
 	f := makeGetF(c)
 	m := New(arch.IA32Win(), p)
 	obj := m.Heap.AllocObject(c)
-	if _, err := m.Call(f, obj); err != nil {
+	if _, err := call(m, f, obj); err != nil {
 		t.Fatal(err)
 	}
 	first := m.Cycles
-	if _, err := m.Call(f, obj); err != nil {
+	if _, err := call(m, f, obj); err != nil {
 		t.Fatal(err)
 	}
 	if m.Cycles != 2*first {

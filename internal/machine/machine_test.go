@@ -54,7 +54,7 @@ func TestArithmeticAndControlFlow(t *testing.T) {
 
 	p, _ := prog()
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, 10)
+	out, err := call(m, f, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFieldRoundTrip(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f)
+	out, err := call(m, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestArrayRoundTripAndBounds(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, 5, 3)
+	out, err := call(m, f, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestArrayRoundTripAndBounds(t *testing.T) {
 		t.Fatalf("a[3] = %d, want 7", out.Value)
 	}
 
-	out, err = m.Call(f, 5, 9)
+	out, err = call(m, f, 5, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Exc != rt.ExcArrayIndexOutOfBounds {
 		t.Fatalf("exc = %v, want AIOOBE", out.Exc)
 	}
-	out, err = m.Call(f, 5, -1)
+	out, err = call(m, f, 5, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestExplicitNullCheckThrowsNPE(t *testing.T) {
 	p, c := prog()
 	f := makeGetF(c)
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, 0) // null argument
+	out, err := call(m, f, 0) // null argument
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestImplicitNullCheckTrapsToNPE(t *testing.T) {
 		t.Fatalf("setup: phase 2 left explicit checks:\n%s", f)
 	}
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, 0)
+	out, err := call(m, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestUnexpectedTrapIsSimulationError(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	if _, err := m.Call(f, 0); err == nil {
+	if _, err := call(m, f, 0); err == nil {
 		t.Fatal("expected simulation error for unexpected trap")
 	}
 }
@@ -196,7 +196,7 @@ func TestAIXMissedNPEOnNullRead(t *testing.T) {
 	// spec-violating configuration.
 	nullcheck.Phase2(f, arch.IA32Win())
 	m := New(arch.PPCAIX(), p)
-	out, err := m.Call(f, 0)
+	out, err := call(m, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestAIXWriteTrapWorks(t *testing.T) {
 		t.Fatalf("setup: write not implicit on AIX:\n%s", f)
 	}
 	m := New(arch.PPCAIX(), p)
-	out, err := m.Call(f, 0)
+	out, err := call(m, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestBigOffsetNullReadHitsGarbageNotHeap(t *testing.T) {
 	m := New(mArch, p)
 	// Allocate something so the heap is non-empty.
 	m.Heap.AllocArray(16)
-	out, err := m.Call(f, 0)
+	out, err := call(m, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +273,14 @@ func TestDivByZeroThrows(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, 10, 0)
+	out, err := call(m, f, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Exc != rt.ExcArithmetic {
 		t.Fatalf("exc = %v, want ArithmeticException", out.Exc)
 	}
-	out, err = m.Call(f, 10, 3)
+	out, err = call(m, f, 10, 3)
 	if err != nil || out.Value != 3 {
 		t.Fatalf("10/3 = %+v, %v", out, err)
 	}
@@ -312,7 +312,7 @@ func TestTryCatchHandler(t *testing.T) {
 	}
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, 0)
+	out, err := call(m, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestVirtualCallDispatchAndInlineEquivalence(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f)
+	out, err := call(m, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestMathOps(t *testing.T) {
 	f := b.Finish()
 
 	m := New(arch.IA32Win(), p)
-	out, err := m.Call(f, fbits(9.0))
+	out, err := call(m, f, fbits(9.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestCheaperWithFewerChecks(t *testing.T) {
 	baseline := build()
 	mb := New(arch.IA32Win(), p)
 	ob := mkObj(mb)
-	outB, err := mb.Call(baseline, ob, 1000)
+	outB, err := call(mb, baseline, ob, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestCheaperWithFewerChecks(t *testing.T) {
 	nullcheck.Phase2(optimized, arch.IA32Win())
 	mo := New(arch.IA32Win(), p)
 	oo := mkObj(mo)
-	outO, err := mo.Call(optimized, oo, 1000)
+	outO, err := call(mo, optimized, oo, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

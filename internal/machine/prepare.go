@@ -75,14 +75,25 @@ func decodeOperand(fn *ir.Func, o ir.Operand) pOp {
 }
 
 // fnEntry is one function's entry in the per-Machine table: the prepared
-// table and, once the closure engine has run the function, its compiled code.
+// table and, once the function has turned hot on the closure engine (or
+// PrecompileClosures ran), its compiled code.
 type fnEntry struct {
 	pf *pFunc
 	cf *cFunc
+	// countdown is the number of block entries, across all calls, an
+	// untiered closure-engine machine interprets fn for before compiling it
+	// (see interp). It starts at hotBlockEntries.
+	countdown int64
 }
 
+// hotBlockEntries is how many block entries make a function hot: the
+// untiered closure engine compiles a function after that many interpreted
+// entries, and DefaultTierPolicy promotes to tier 1 after as many.
+const hotBlockEntries = 2048
+
 // ResetPrepared empties the per-function table (prepared operands and
-// closure-compiled code); the next Call of each function prepares it again.
+// closure-compiled code); the next Call of each function prepares it again
+// and, on an untiered closure-engine machine, restarts its hot countdown.
 // It is the invalidation hook for code that swaps Method.Fn between Calls —
 // triage's bisection replays — and for machine settings that prepare binds
 // (EnableGovernor, EnableAttribution). Tables still referenced by an
@@ -133,7 +144,7 @@ func (m *Machine) prepare(fn *ir.Func) *fnEntry {
 		}
 		pf.blocks[b.ID] = pins
 	}
-	e := &fnEntry{pf: pf}
+	e := &fnEntry{pf: pf, countdown: hotBlockEntries}
 	m.fns[fn] = e
 	return e
 }

@@ -31,19 +31,30 @@ func loopFunc() *ir.Func {
 	return b.Finish()
 }
 
-// profiledRun executes fn(arg) with a fresh profile attached and returns the
-// per-block counters.
-func profiledRun(t *testing.T, e Engine, fn *ir.Func, arg int64) []int64 {
+// profiledCall runs fn the given way, as runEngine does, with a profile
+// attached and before (when non-nil) shown the machine ahead of the call.
+// It returns what the run observed, fn's block-entry counters and the
+// machine.
+func profiledCall(s side, p *ir.Program, fn *ir.Func, limit int64, before func(*Machine), args ...int64) (observed, []int64, *Machine) {
+	o, m := runEngine(s, arch.IA32Win(), p, fn, limit, func(m *Machine) []int64 {
+		m.Profile = obs.NewExecProfile()
+		if before != nil {
+			before(m)
+		}
+		return args
+	})
+	return o, m.Profile.Counters(fn), m
+}
+
+// profiledRun executes fn(arg) run the given way with a fresh profile
+// attached and returns the per-block counters.
+func profiledRun(t *testing.T, s side, fn *ir.Func, arg int64) []int64 {
 	t.Helper()
-	p := ir.NewProgram("t")
-	m := New(arch.IA32Win(), p)
-	m.Engine = e
-	prof := obs.NewExecProfile()
-	m.Profile = prof
-	if _, err := m.Call(fn, arg); err != nil {
-		t.Fatalf("call: %v", err)
+	o, c, _ := profiledCall(s, ir.NewProgram("t"), fn, 0, nil, arg)
+	if o.err != nil {
+		t.Fatalf("call: %v", o.err)
 	}
-	return prof.Counters(fn)
+	return c
 }
 
 // TestExecProfileCounts pins the block-entry semantics: the loop body is
@@ -54,16 +65,16 @@ func TestExecProfileCounts(t *testing.T) {
 	for _, b := range fn.Blocks {
 		byName[b.Name] = b.ID
 	}
-	for _, e := range []Engine{EngineClosure, EngineSwitch} {
-		c := profiledRun(t, e, fn, 10)
+	for _, s := range []side{switchSide, eagerSide, lazySide} {
+		c := profiledRun(t, s, fn, 10)
 		if got := c[byName["entry"]]; got != 1 {
-			t.Errorf("engine %v: entry entered %d times, want 1", e, got)
+			t.Errorf("%v: entry entered %d times, want 1", s, got)
 		}
 		if got := c[byName["body"]]; got != 10 {
-			t.Errorf("engine %v: body entered %d times, want 10", e, got)
+			t.Errorf("%v: body entered %d times, want 10", s, got)
 		}
 		if got := c[byName["exit"]]; got != 1 {
-			t.Errorf("engine %v: exit entered %d times, want 1", e, got)
+			t.Errorf("%v: exit entered %d times, want 1", s, got)
 		}
 	}
 }
@@ -73,14 +84,16 @@ func TestExecProfileCounts(t *testing.T) {
 // produce identical counters for every block.
 func TestExecProfileEnginesAgree(t *testing.T) {
 	fn := loopFunc()
-	closure := profiledRun(t, EngineClosure, fn, 37)
-	swi := profiledRun(t, EngineSwitch, fn, 37)
-	if len(closure) != len(swi) {
-		t.Fatalf("counter lengths differ: closure %d, switch %d", len(closure), len(swi))
-	}
-	for id := range closure {
-		if closure[id] != swi[id] {
-			t.Errorf("block %d: closure counted %d, switch %d", id, closure[id], swi[id])
+	swi := profiledRun(t, switchSide, fn, 37)
+	for _, s := range []side{eagerSide, lazySide} {
+		closure := profiledRun(t, s, fn, 37)
+		if len(closure) != len(swi) {
+			t.Fatalf("counter lengths differ: %v %d, switch %d", s, len(closure), len(swi))
+		}
+		for id := range closure {
+			if closure[id] != swi[id] {
+				t.Errorf("block %d: %v counted %d, switch %d", id, s, closure[id], swi[id])
+			}
 		}
 	}
 }

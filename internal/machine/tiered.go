@@ -78,7 +78,7 @@ const DefaultSpecRecompileBudget = 8
 
 // DefaultTierPolicy returns the thresholds the bench harness uses.
 func DefaultTierPolicy() TierPolicy {
-	return TierPolicy{T1Blocks: 2048, T2Blocks: 8192, MinCheckExecs: 64,
+	return TierPolicy{T1Blocks: hotBlockEntries, T2Blocks: 8192, MinCheckExecs: 64,
 		SpecRecompileBudget: DefaultSpecRecompileBudget}
 }
 
@@ -307,11 +307,11 @@ func (t *tierController) stateOf(fn *ir.Func) *methodTier { return t.byFn[fn] }
 func (m *Machine) tierInvoke(fn *ir.Func, args []int64, depth int) (Outcome, error) {
 	mt := m.tier.byFn[fn]
 	if mt == nil {
-		return m.execClosure(fn, args, depth)
+		return m.execCf(fn, m.compiled(fn), args, depth)
 	}
 	switch mt.tier {
 	case tierInterp:
-		return m.exec(mt.fn0, args, depth)
+		return m.exec(mt.fn0, m.prepare(mt.fn0), args, depth)
 	case tierSpec:
 		return m.execCf(mt.fn2, mt.cf2, args, depth)
 	default: // tierClosure, tierClosureFinal

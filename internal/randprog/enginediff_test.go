@@ -12,12 +12,15 @@ import (
 // proof: the closure-compiled engine and the reference switch interpreter
 // must agree on Outcome, ExecStats, Cycles, AND errors over a large corpus
 // of generated programs — uncompiled and fully optimized, on both arch
-// models. Unlike the output-only deep fuzz, this compares the complete
-// accounting, because cycle counts and trap classification are the paper's
-// measurements. Each program also runs under step limits at k/9 of its
-// reference step count (k = 1..8), so the closure engine's hand-off to the
-// interpreter at a stretch the limit could fire in is compared on fused
-// stretches, calls and try regions too.
+// models. The closure engine runs twice: eager, with every body compiled
+// before the call (these small runs never turn a body hot, so this is the
+// side that tests closure code, and it must enter the closure engine), and
+// lazy, as a default machine runs them. Unlike the output-only deep fuzz,
+// this compares the complete accounting, because cycle counts and trap
+// classification are the paper's measurements. Each program also runs
+// under step limits at k/9 of its reference step count (k = 1..8), so the
+// closure engine's hand-off to the interpreter at a stretch the limit
+// could fire in is compared on fused stretches, calls and try regions too.
 func TestEngineDifferentialRandprog(t *testing.T) {
 	first, last := int64(7000), int64(8200) // 1200 seeds
 	if testing.Short() {
@@ -65,11 +68,18 @@ func TestEngineDifferentialRandprog(t *testing.T) {
 				t.Fatalf("seed %d: compile: %v", seed, err)
 			}
 		}
-		// run executes the program on a fresh machine; limit 0 keeps the
-		// default step limit.
-		run := func(e machine.Engine, limit int64) (result, int64) {
+		// run executes the program on a fresh machine, on the switch
+		// interpreter or on the closure engine eager or lazy; limit 0 keeps
+		// the default step limit.
+		run := func(side string, limit int64) (result, *machine.Machine) {
 			m := machine.New(model, p)
-			m.Engine = e
+			m.Engine = machine.EngineClosure
+			switch side {
+			case "switch":
+				m.Engine = machine.EngineSwitch
+			case "eager":
+				m.PrecompileClosures()
+			}
 			if limit > 0 {
 				m.MaxSteps = limit
 			}
@@ -78,7 +88,7 @@ func TestEngineDifferentialRandprog(t *testing.T) {
 			if err != nil {
 				r.err = err.Error()
 			}
-			return r, m.Steps()
+			return r, m
 		}
 		var steps int64 // the reference run's step count, from k = 0
 		for k := int64(0); k < limitSteps; k++ {
@@ -86,16 +96,21 @@ func TestEngineDifferentialRandprog(t *testing.T) {
 			if k > 0 {
 				limit = max(1, steps*k/limitSteps)
 			}
-			s, n := run(machine.EngineSwitch, limit)
+			s, sm := run("switch", limit)
 			if k == 0 {
-				steps = n
+				steps = sm.Steps()
 			}
-			c, _ := run(machine.EngineClosure, limit)
-			if c.out != s.out || c.err != s.err || c.stats != s.stats || c.cyc != s.cyc {
-				t.Fatalf("seed %d [%s] limit %d: engines diverge:\nclosure out=%+v err=%q stats=%+v cycles=%d\nswitch  out=%+v err=%q stats=%+v cycles=%d",
-					seed, model.Name, limit,
-					c.out, c.err, c.stats, c.cyc,
-					s.out, s.err, s.stats, s.cyc)
+			for _, side := range []string{"eager", "lazy"} {
+				c, cm := run(side, limit)
+				if c != s {
+					t.Fatalf("seed %d [%s] limit %d: engines diverge:\n%-7s out=%+v err=%q stats=%+v cycles=%d\nswitch  out=%+v err=%q stats=%+v cycles=%d",
+						seed, model.Name, limit,
+						side, c.out, c.err, c.stats, c.cyc,
+						s.out, s.err, s.stats, s.cyc)
+				}
+				if side == "eager" && cm.ClosureRuns() == 0 {
+					t.Fatalf("seed %d [%s] limit %d: the eager side never entered the closure engine", seed, model.Name, limit)
+				}
 			}
 		}
 	}

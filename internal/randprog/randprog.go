@@ -13,6 +13,7 @@ package randprog
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"trapnull/internal/ir"
 )
@@ -68,9 +69,22 @@ type gen struct {
 	refArr ir.VarID
 }
 
+// rngs pools the generators' random sources: a source is 4.9 KB, more
+// than most programs it generates.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Generate builds a random program: one class with three int fields and a
 // function `int main(int n)` returning a checksum of its integer state.
 func Generate(cfg Config) (*ir.Program, *ir.Func) {
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	// Reseeding yields the sequence of rand.New(rand.NewSource(cfg.Seed)).
+	rng.Seed(cfg.Seed)
+	return generate(cfg, rng)
+}
+
+// generate is Generate drawing from rng.
+func generate(cfg Config, rng *rand.Rand) (*ir.Program, *ir.Func) {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 2
 	}
@@ -86,7 +100,7 @@ func Generate(cfg Config) (*ir.Program, *ir.Func) {
 
 	g := &gen{
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    rng,
 		cls:    cls,
 		curTry: ir.NoTry,
 	}

@@ -1,10 +1,13 @@
 package randprog
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"trapnull/internal/arch"
 	"trapnull/internal/ir"
+	"trapnull/internal/jasm"
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
 	"trapnull/internal/rt"
@@ -151,6 +154,44 @@ func TestDeterministicGeneration(t *testing.T) {
 		_, f2 := Generate(DefaultConfig(seed))
 		if f1.String() != f2.String() {
 			t.Fatalf("seed %d: generation not deterministic", seed)
+		}
+	}
+}
+
+// TestPooledSourceMatchesFreshSource: Generate's reseeded pooled source
+// prints every program byte-identically to a fresh rand.NewSource(seed),
+// serially and from concurrent goroutines sharing the pool.
+func TestPooledSourceMatchesFreshSource(t *testing.T) {
+	want := make([]string, seeds+1)
+	for seed := int64(1); seed <= seeds; seed++ {
+		p, _ := generate(DefaultConfig(seed), rand.New(rand.NewSource(seed)))
+		want[seed] = jasm.Format(p)
+	}
+	check := func(seed int64) error {
+		if p, _ := Generate(DefaultConfig(seed)); jasm.Format(p) != want[seed] {
+			return fmt.Errorf("seed %d: pooled source prints differently from a fresh one", seed)
+		}
+		return nil
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		if err := check(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers = 8
+	errs := make(chan error, workers)
+	for w := range int64(workers) {
+		go func() {
+			var err error
+			for seed := 1 + w; seed <= seeds && err == nil; seed += workers {
+				err = check(seed)
+			}
+			errs <- err
+		}()
+	}
+	for range workers {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }
