@@ -74,11 +74,12 @@ go build ./...
 go test -race ./...
 # Real interleavings: the container may have one CPU, where the race run
 # above schedules goroutines one at a time. Re-run the worker-pool,
-# concurrent-lookup and timeline tests at GOMAXPROCS 1 and 4 so the sweep
-# workers, concurrent cache lookups and concurrent metric publishes
-# actually interleave.
+# concurrent-lookup, pooled-scratch and timeline tests at GOMAXPROCS 1 and 4
+# so the sweep workers, concurrent cache lookups, compiles sharing the
+# passes' workspace pools and concurrent metric publishes actually
+# interleave.
 checked go test -race -cpu 1,4 -run 'TestParallel|TestChaosDeterministicAcrossWorkers|TestTelemetryDeterminism' ./internal/bench
-checked go test -race -cpu 1,4 -run 'TestCacheConcurrentLookups|TestParallelCompile' ./internal/jit
+checked go test -race -cpu 1,4 -run 'TestCacheConcurrentLookups|TestParallelCompile|TestPooledScratchCarriesNoState' ./internal/jit
 checked go test -race -cpu 1,4 -run 'TestRegistryConcurrentPublish|TestTimeline' ./internal/obs
 # Same suite with the structural IR verifier enabled after every pass —
 # catches pass-boundary corruption the differential tests would only see as

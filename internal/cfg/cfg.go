@@ -5,29 +5,12 @@
 package cfg
 
 import (
+	"slices"
+	"sync"
+
+	"trapnull/internal/bitset"
 	"trapnull/internal/ir"
 )
-
-// ReversePostorder returns the blocks reachable from entry in reverse
-// postorder. Forward data-flow problems converge fastest in this order and
-// backward problems in its reverse.
-func ReversePostorder(f *ir.Func) []*ir.Block {
-	return rpo(f, false)
-}
-
-// ReversePostorderWithHandlers additionally roots the traversal at every
-// try-region handler. Handlers have no ordinary CFG predecessors (exception
-// dispatch is not an edge), but their code runs; any analysis that feeds a
-// transformation — liveness for DCE, the guard checker — must cover them.
-func ReversePostorderWithHandlers(f *ir.Func) []*ir.Block {
-	return rpo(f, true)
-}
-
-func rpo(f *ir.Func, withHandlers bool) []*ir.Block {
-	var n Numbering
-	n.Renumber(f, withHandlers)
-	return n.Order
-}
 
 // Numbering is a reverse-postorder numbering of the reachable blocks: Order
 // is the RPO sequence and Pos maps Block.ID (densely) to the block's position
@@ -89,42 +72,42 @@ func (n *Numbering) visit(b *ir.Block) {
 	n.Order = append(n.Order, b)
 }
 
-// Reachable returns which blocks are reachable from entry, indexed densely
-// by Block.ID.
-func Reachable(f *ir.Func) []bool {
-	seen := make([]bool, f.MaxBlockID()+1)
-	work := []*ir.Block{f.Entry}
-	seen[f.Entry.ID] = true
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range b.Succs {
-			if !seen[s.ID] {
-				seen[s.ID] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return seen
-}
-
 // Dominators computes the immediate dominator of every reachable block using
 // the Cooper–Harvey–Kennedy iterative algorithm. The entry block's idom is
 // itself.
+//
+// A Dominators and the loops FindLoops derives from it live in one pooled
+// workspace, the package's only state: sync.Pool makes it safe for concurrent
+// compiles, and each live Dominators owns its workspace exclusively. Release
+// hands it back for the next ComputeDominators to reuse; an unreleased one is
+// garbage-collected like any value.
 type Dominators struct {
-	idom  []*ir.Block // indexed by Block.ID; nil = unreachable
-	order []int       // RPO index by Block.ID
+	idom []*ir.Block // indexed by Block.ID; nil = unreachable
+	num  Numbering
+	live bool
+
+	// FindLoops' storage: the loops it found, the Loop values it reuses
+	// (pointer-stable across calls) and its predecessor worklist.
+	loops []*Loop
+	spare []*Loop
+	work  []*ir.Block
 }
+
+var workspaces = sync.Pool{New: func() any { return new(Dominators) }}
 
 // ComputeDominators builds the dominator tree for f.
 func ComputeDominators(f *ir.Func) *Dominators {
-	rpo := ReversePostorder(f)
+	d := workspaces.Get().(*Dominators)
+	d.live = true
+	num := &d.num
+	num.Renumber(f, false)
+	// The RPO positions order the intersection walk; every block it visits
+	// is reachable, so its position is set.
+	order := num.Pos
 	n := f.MaxBlockID() + 1
-	order := make([]int, n)
-	for i, b := range rpo {
-		order[b.ID] = i
-	}
-	idom := make([]*ir.Block, n)
+	idom := slices.Grow(d.idom[:0], n)[:n]
+	clear(idom)
+	d.idom = idom
 	idom[f.Entry.ID] = f.Entry
 
 	intersect := func(a, b *ir.Block) *ir.Block {
@@ -142,7 +125,7 @@ func ComputeDominators(f *ir.Func) *Dominators {
 	changed := true
 	for changed {
 		changed = false
-		for _, b := range rpo {
+		for _, b := range num.Order {
 			if b == f.Entry {
 				continue
 			}
@@ -163,7 +146,20 @@ func ComputeDominators(f *ir.Func) *Dominators {
 			}
 		}
 	}
-	return &Dominators{idom: idom, order: order}
+	return d
+}
+
+// Release hands the dominator tree and every loop FindLoops derived from it
+// back for the next ComputeDominators to reuse. All of them are invalid
+// afterwards: the next ComputeDominators may hand the same workspace out
+// again. A second Release before any other ComputeDominators is a no-op.
+func (d *Dominators) Release() {
+	if !d.live {
+		return
+	}
+	d.live = false
+	d.loops = d.loops[:0]
+	workspaces.Put(d)
 }
 
 // Idom returns the immediate dominator of b (entry dominates itself), or nil
@@ -192,17 +188,21 @@ func (d *Dominators) Dominates(a, b *ir.Block) bool {
 // Loop is a natural loop: a back edge tail->Header plus the body blocks.
 type Loop struct {
 	Header *ir.Block
-	// Blocks includes the header.
-	Blocks map[*ir.Block]bool
+	// Blocks is the loop body, header included, in f.Blocks order (which is
+	// Block.ID order).
+	Blocks []*ir.Block
 	// Preheader is the unique out-of-loop predecessor of the header,
 	// created by EnsurePreheaders when absent.
 	Preheader *ir.Block
 	// Parent is the innermost enclosing loop, if any.
 	Parent *Loop
+
+	body bitset.Set // Blocks, indexed by Block.ID
 }
 
-// Contains reports whether b is in the loop body.
-func (l *Loop) Contains(b *ir.Block) bool { return l.Blocks[b] }
+// Contains reports whether b is in the loop body. Blocks created after
+// FindLoops (a preheader, a rotated guard) are not.
+func (l *Loop) Contains(b *ir.Block) bool { return b.ID < l.body.Len() && l.body.Has(b.ID) }
 
 // Depth returns the nesting depth (outermost = 1).
 func (l *Loop) Depth() int {
@@ -215,35 +215,54 @@ func (l *Loop) Depth() int {
 
 // FindLoops detects natural loops from back edges (tail dominated by head).
 // Loops sharing a header are merged. Results are sorted innermost-first
-// (by body size ascending), the order LICM wants.
+// (by body size ascending), the order LICM wants. The loops live in dom's
+// workspace and are valid until dom is released or passed to FindLoops
+// again.
 func FindLoops(f *ir.Func, dom *Dominators) []*Loop {
 	f.RecomputeEdges()
-	byHeader := make(map[*ir.Block]*Loop)
-	var loops []*Loop
-	for _, b := range ReversePostorder(f) {
+	size := f.MaxBlockID() + 1
+	loops := dom.loops[:0]
+	num := &dom.num
+	num.Renumber(f, false)
+	for _, b := range num.Order {
 		for _, s := range b.Succs {
 			if !dom.Dominates(s, b) {
 				continue
 			}
 			// Back edge b -> s.
-			l := byHeader[s]
+			var l *Loop
+			for _, o := range loops {
+				if o.Header == s {
+					l = o
+					break
+				}
+			}
 			if l == nil {
-				l = &Loop{Header: s, Blocks: map[*ir.Block]bool{s: true}}
-				byHeader[s] = l
+				l = dom.loop(len(loops))
+				l.Header = s
+				l.body.Reset(size)
+				l.body.Add(s.ID)
 				loops = append(loops, l)
 			}
 			// Walk predecessors from the tail up to the header.
-			work := []*ir.Block{b}
+			work := append(dom.work[:0], b)
 			for len(work) > 0 {
 				n := work[len(work)-1]
 				work = work[:len(work)-1]
-				if l.Blocks[n] {
+				if l.body.Has(n.ID) {
 					continue
 				}
-				l.Blocks[n] = true
-				for _, p := range n.Preds {
-					work = append(work, p)
-				}
+				l.body.Add(n.ID)
+				work = append(work, n.Preds...)
+			}
+			dom.work = work
+		}
+	}
+	dom.loops = loops
+	for _, l := range loops {
+		for _, b := range f.Blocks {
+			if l.body.Has(b.ID) {
+				l.Blocks = append(l.Blocks, b)
 			}
 		}
 	}
@@ -258,7 +277,7 @@ func FindLoops(f *ir.Func, dom *Dominators) []*Loop {
 	// Link parents: the smallest other loop strictly containing the header.
 	for i, l := range loops {
 		for j := i + 1; j < len(loops); j++ {
-			if loops[j] != l && loops[j].Blocks[l.Header] && len(loops[j].Blocks) > len(l.Blocks) {
+			if loops[j] != l && loops[j].Contains(l.Header) && len(loops[j].Blocks) > len(l.Blocks) {
 				l.Parent = loops[j]
 				break
 			}
@@ -267,26 +286,42 @@ func FindLoops(f *ir.Func, dom *Dominators) []*Loop {
 	return loops
 }
 
+// loop returns the workspace's i-th Loop, empty, allocating it only the
+// first time the workspace holds that many loops.
+func (d *Dominators) loop(i int) *Loop {
+	if i == len(d.spare) {
+		d.spare = append(d.spare, new(Loop))
+	}
+	l := d.spare[i]
+	*l = Loop{Blocks: l.Blocks[:0], body: l.body}
+	return l
+}
+
 // EnsurePreheaders guarantees every loop has a dedicated preheader block:
 // a single edge into the header from outside the loop. Existing qualifying
 // predecessors are reused. Returns the number of blocks created.
 func EnsurePreheaders(f *ir.Func, loops []*Loop) int {
 	created := 0
 	for _, l := range loops {
-		var outside []*ir.Block
+		var outside *ir.Block
+		n := 0
 		for _, p := range l.Header.Preds {
-			if !l.Blocks[p] {
-				outside = append(outside, p)
+			if !l.Contains(p) {
+				outside = p
+				n++
 			}
 		}
-		if len(outside) == 1 && len(outside[0].Succs) == 1 {
-			l.Preheader = outside[0]
+		if n == 1 && len(outside.Succs) == 1 {
+			l.Preheader = outside
 			continue
 		}
 		pre := f.NewBlock("pre_" + l.Header.Name)
 		pre.Try = l.Header.Try
 		pre.Instrs = []*ir.Instr{{Op: ir.OpJump, Dst: ir.NoVar, Targets: []*ir.Block{l.Header}}}
-		for _, p := range outside {
+		for _, p := range l.Header.Preds {
+			if l.Contains(p) {
+				continue
+			}
 			t := p.Terminator()
 			for i, tgt := range t.Targets {
 				if tgt == l.Header {

@@ -36,7 +36,9 @@ func loopFunc() (*ir.Func, *ir.Block, *ir.Block, *ir.Block, *ir.Block) {
 
 func TestReversePostorder(t *testing.T) {
 	f, entry, header, _, _ := loopFunc()
-	rpo := ReversePostorder(f)
+	var n Numbering
+	n.Renumber(f, false)
+	rpo := n.Order
 	if len(rpo) != 4 {
 		t.Fatalf("rpo has %d blocks, want 4", len(rpo))
 	}
@@ -53,10 +55,12 @@ func TestReversePostorderSkipsUnreachable(t *testing.T) {
 	dead := f.NewBlock("dead")
 	dead.Instrs = []*ir.Instr{{Op: ir.OpReturn, Dst: ir.NoVar, Args: []ir.Operand{ir.ConstInt(0)}}}
 	f.RecomputeEdges()
-	if got := len(ReversePostorder(f)); got != 4 {
+	var n Numbering
+	n.Renumber(f, false)
+	if got := len(n.Order); got != 4 {
 		t.Fatalf("rpo has %d blocks, want 4 (dead excluded)", got)
 	}
-	if Reachable(f)[dead.ID] {
+	if n.Reaches(dead) {
 		t.Fatal("dead block reported reachable")
 	}
 }
@@ -181,8 +185,8 @@ func TestNestedLoopsDetected(t *testing.T) {
 	if inner.Depth() != 2 {
 		t.Fatalf("inner depth = %d, want 2", inner.Depth())
 	}
-	for blk := range inner.Blocks {
-		if !outer.Blocks[blk] {
+	for _, blk := range inner.Blocks {
+		if !outer.Contains(blk) {
 			t.Fatalf("inner block %s not inside outer loop", blk)
 		}
 	}
@@ -257,7 +261,7 @@ func TestEnsurePreheadersCreates(t *testing.T) {
 		}
 		// Header's only out-of-loop pred must be the preheader.
 		for _, p := range l.Header.Preds {
-			if !l.Blocks[p] && p != l.Preheader {
+			if !l.Contains(p) && p != l.Preheader {
 				t.Fatalf("header %s still has outside pred %s", l.Header, p)
 			}
 		}

@@ -11,10 +11,10 @@
 // the per-block state lives in dense slices indexed by Block.ID with all
 // meets performed in place. That state — the In/Out and gen/kill slabs, the
 // dense tables, the block numbering, the worklist and the scratch sets —
-// comes from a pooled workspace that Result.Release hands back, so the
-// solver allocates nothing per iteration and nothing per solve after the
-// first beyond the Result header. Compile time is itself a measured quantity
-// here (Tables 3–5).
+// and the Result itself — comes from a pooled workspace that Result.Release
+// hands back, so the solver allocates nothing per iteration and nothing at
+// all per solve once a workspace has served a function as large. Compile
+// time is itself a measured quantity here (Tables 3–5).
 package dataflow
 
 import (
@@ -64,7 +64,8 @@ type Problem struct {
 	EdgeAdd      func(from, to *ir.Block) *bitset.Set
 }
 
-// Result holds the fixpoint In/Out sets, indexed densely by Block.ID.
+// Result holds the fixpoint In/Out sets, indexed densely by Block.ID. It
+// lives in the workspace of the Solve that returned it.
 type Result struct {
 	in  []*bitset.Set
 	out []*bitset.Set
@@ -78,9 +79,10 @@ func (r *Result) In(b *ir.Block) *bitset.Set { return r.in[b.ID] }
 func (r *Result) Out(b *ir.Block) *bitset.Set { return r.out[b.ID] }
 
 // Release hands the result's memory back for the next Solve to reuse. The
-// result and every set it returned are invalid afterwards. Releasing is
-// optional — an unreleased result is garbage-collected like any value, which
-// is how callers whose sets outlive them use it — and a second Release is a
+// result and every set it returned are invalid afterwards: the next Solve may
+// hand the same Result out again. Releasing is optional — an unreleased
+// result is garbage-collected like any value, which is how callers whose sets
+// outlive them use it — and a second Release before any other Solve is a
 // no-op.
 func (r *Result) Release() {
 	if r.ws == nil {
@@ -95,6 +97,7 @@ func (r *Result) Release() {
 // package-level pool, the package's only state; sync.Pool makes it safe for
 // concurrent solves, and each live Result owns its workspace exclusively.
 type workspace struct {
+	res            Result
 	num            cfg.Numbering
 	state, summary bitset.Slab
 	in, out        []*bitset.Set
@@ -147,7 +150,8 @@ func Solve(f *ir.Func, p *Problem) *Result {
 
 	ids := f.MaxBlockID() + 1
 	ws.in, ws.out = dense(ws.in, ids), dense(ws.out, ids)
-	res := &Result{in: ws.in, out: ws.out, ws: ws}
+	res := &ws.res
+	*res = Result{in: ws.in, out: ws.out, ws: ws}
 	// Intersection problems start optimistic (full sets) so that loops reach
 	// the greatest fixpoint; union problems start empty for the least one.
 	// Unreachable blocks keep empty sets either way.

@@ -16,7 +16,7 @@ import (
 // of the pipeline through runPass: with every round tag cleared, no round is
 // ever skipped as quiescent.
 func compileUnrolled(prog *ir.Program, cfg Config, model *arch.Model, opts CompileOptions) (*Result, error) {
-	passes := pipeline(cfg, model)
+	passes := pipeline(cfg)
 	for i := range passes {
 		passes[i].round = 0
 	}

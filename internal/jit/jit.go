@@ -154,10 +154,10 @@ type CompileOptions struct {
 // for execution on execModel. Workload constructors build a fresh program
 // per compilation, so in-place rewriting is safe. Calls on distinct programs
 // are safe to run concurrently: all statistics accumulate into the per-call
-// Result, and the one package-level state the passes reach is the dataflow
-// solver's workspace pool, which is safe for concurrent use and hands each
-// solve memory no other live solve holds — the parallel bench harness
-// relies on this.
+// Result, and the only package-level state the passes reach is their
+// workspace pools (dataflow, cfg, nullcheck, opt), which are safe for
+// concurrent use and hand each pass memory no other live pass holds — the
+// parallel bench harness relies on this.
 func CompileProgram(prog *ir.Program, cfg Config, execModel *arch.Model) (*Result, error) {
 	return CompileProgramWith(prog, cfg, execModel, CompileOptions{})
 }
@@ -167,7 +167,7 @@ func CompileProgram(prog *ir.Program, cfg Config, execModel *arch.Model) (*Resul
 // callees' final (already optimized) bodies when they precede it and their
 // pristine bodies otherwise.
 func CompileProgramWith(prog *ir.Program, cfg Config, execModel *arch.Model, opts CompileOptions) (*Result, error) {
-	return compileProgram(prog, pipeline(cfg, execModel), cfg, execModel, opts)
+	return compileProgram(prog, pipeline(cfg), cfg, execModel, opts)
 }
 
 // compileProgram compiles every method of prog through passes, cfg's
@@ -255,7 +255,7 @@ func compileFunc(m *ir.Method, passes []pass, cfg Config, execModel *arch.Model,
 		if ledger != nil {
 			ledger.BeginPass(p.name)
 		}
-		n, err := runPass(p, name, f, res, verify, opts)
+		n, err := runPass(p, name, f, res, execModel, verify, opts)
 		if err != nil {
 			return err
 		}

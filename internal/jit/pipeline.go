@@ -53,38 +53,59 @@ type pass struct {
 	// round is the pass's Figure 2 round, counted from 1; 0 marks the passes
 	// before and after the iterated loop, which always run.
 	round int
-	// run applies the pass and returns how many changes it made; zero means
-	// it left f as it found it (runPass also counts blocks it created).
-	run func(f *ir.Func, res *Result) int
+	// run applies the pass for res.Config and the execution model m and
+	// returns how many changes it made; zero means it left f as it found it
+	// (runPass also counts blocks it created).
+	run func(f *ir.Func, res *Result, m *arch.Model) int
+}
+
+// namedRounds is how many of Figure 2's rounds have their pass names built
+// once, at package initialization.
+const namedRounds = 16
+
+// roundNames maps each iterated pass to its per-round names "<pass>#<i>".
+// Trace spans, remarks, bisect, AfterPass and PassFault all key on them.
+var roundNames = func() map[string][]string {
+	names := map[string][]string{}
+	for _, base := range []string{"whaley", "phase1", "copyprop", "constfold", "cse", "boundelim", "scalar", "dce"} {
+		for i := 0; i < namedRounds; i++ {
+			names[base] = append(names[base], fmt.Sprintf("%s#%d", base, i))
+		}
+	}
+	return names
+}()
+
+// roundName returns the name of base's pass in round i (counted from 0):
+// a static string for the first namedRounds rounds, formatted beyond them.
+func roundName(base string, i int) string {
+	if names := roundNames[base]; i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("%s#%d", base, i)
 }
 
 // pipeline assembles the ordered pass list for one configuration.
 // CompileProgramWith builds it once per program, and compileFunc runs it, so
 // the production pipeline and the observed/bisected one
-// (CompileOptions.AfterPass) can never drift apart.
-func pipeline(cfg Config, execModel *arch.Model) []pass {
-	trapModel := cfg.Phase2Model
-	if trapModel == nil {
-		trapModel = execModel
-	}
-	// Scalar replacement consults SpeculativeReads; the configuration
-	// decides whether that capability is used at all.
-	scalarModel := *execModel
-	scalarModel.SpeculativeReads = execModel.SpeculativeReads && cfg.Speculation
-
-	var ps []pass
+// (CompileOptions.AfterPass) can never drift apart. A pass reads its
+// parameters from res.Config and the model at run time, so no pass captures
+// anything and the list, presized, is the pipeline's one allocation.
+func pipeline(cfg Config) []pass {
+	iters := max(cfg.Iterations, 1)
+	// inline, rotate; per round at most six passes; lowering, cleanup.
+	ps := make([]pass, 0, 2+6*iters+2)
 	round := 0
-	add := func(name string, null bool, run func(*ir.Func, *Result) int) {
+	add := func(name string, null bool, run func(*ir.Func, *Result, *arch.Model) int) {
 		ps = append(ps, pass{name: name, null: null, round: round, run: run})
 	}
 
 	if cfg.Inline {
-		budget := cfg.InlineBudget
-		if budget == 0 {
-			budget = opt.InlineBudget
-		}
-		add("inline", false, func(f *ir.Func, res *Result) int {
-			st := opt.InlineWithBudget(f, execModel, budget)
+		add("inline", false, func(f *ir.Func, res *Result, m *arch.Model) int {
+			budget := res.Config.InlineBudget
+			if budget == 0 {
+				budget = opt.InlineBudget
+			}
+			st := opt.InlineWithBudget(f, m, budget)
 			res.Inline.Add(st)
 			return st.Devirtualized + st.Inlined + st.Intrinsified
 		})
@@ -92,55 +113,56 @@ func pipeline(cfg Config, execModel *arch.Model) []pass {
 	if cfg.OtherOpts {
 		// Rotate top-tested loops into the guarded do-while shape before
 		// any PRE runs: anticipability needs bodies on every path.
-		add("rotate", false, func(f *ir.Func, res *Result) int {
+		add("rotate", false, func(f *ir.Func, res *Result, m *arch.Model) int {
 			return opt.RotateLoops(f)
 		})
 	}
 
 	// Figure 2's loop. The change counts stop it early: compileFunc skips
 	// every round after the first one in which no pass changed anything.
-	iters := cfg.Iterations
-	if iters < 1 {
-		iters = 1
-	}
 	for i := 0; i < iters; i++ {
 		round = i + 1
 		switch cfg.Algo {
 		case AlgoWhaley:
-			add(fmt.Sprintf("whaley#%d", i), true, func(f *ir.Func, res *Result) int {
+			add(roundName("whaley", i), true, func(f *ir.Func, res *Result, m *arch.Model) int {
 				return addChecks(res, nullcheck.Whaley(f))
 			})
 		case AlgoNew:
-			add(fmt.Sprintf("phase1#%d", i), true, func(f *ir.Func, res *Result) int {
+			add(roundName("phase1", i), true, func(f *ir.Func, res *Result, m *arch.Model) int {
 				return addChecks(res, nullcheck.Phase1(f))
 			})
 		}
 		if cfg.OtherOpts {
-			add(fmt.Sprintf("copyprop#%d", i), false, func(f *ir.Func, res *Result) int {
+			add(roundName("copyprop", i), false, func(f *ir.Func, res *Result, m *arch.Model) int {
 				return opt.CopyProp(f)
 			})
-			add(fmt.Sprintf("constfold#%d", i), false, func(f *ir.Func, res *Result) int {
+			add(roundName("constfold", i), false, func(f *ir.Func, res *Result, m *arch.Model) int {
 				return opt.ConstFold(f)
 			})
 			if cfg.LightScalar {
-				add(fmt.Sprintf("cse#%d", i), false, func(f *ir.Func, res *Result) int {
+				add(roundName("cse", i), false, func(f *ir.Func, res *Result, m *arch.Model) int {
 					n := opt.CSE(f)
 					res.Scalar.Add(opt.ScalarStats{CSE: n})
 					return n
 				})
 			} else {
-				add(fmt.Sprintf("boundelim#%d", i), false, func(f *ir.Func, res *Result) int {
+				add(roundName("boundelim", i), false, func(f *ir.Func, res *Result, m *arch.Model) int {
 					n := opt.BoundCheckElim(f)
 					res.BoundChecksRemoved += n
 					return n
 				})
-				add(fmt.Sprintf("scalar#%d", i), false, func(f *ir.Func, res *Result) int {
+				add(roundName("scalar", i), false, func(f *ir.Func, res *Result, m *arch.Model) int {
+					// Scalar replacement consults SpeculativeReads; the
+					// configuration decides whether that capability is used
+					// at all.
+					scalarModel := *m
+					scalarModel.SpeculativeReads = m.SpeculativeReads && res.Config.Speculation
 					st := opt.ScalarReplace(f, &scalarModel)
 					res.Scalar.Add(st)
 					return st.CSE + st.Hoisted + st.Promoted + st.Speculated
 				})
 			}
-			add(fmt.Sprintf("dce#%d", i), false, func(f *ir.Func, res *Result) int {
+			add(roundName("dce", i), false, func(f *ir.Func, res *Result, m *arch.Model) int {
 				return opt.DCE(f)
 			})
 		}
@@ -149,30 +171,39 @@ func pipeline(cfg Config, execModel *arch.Model) []pass {
 
 	switch {
 	case cfg.Phase2:
-		add("phase2", true, func(f *ir.Func, res *Result) int {
-			if cfg.InjectUnsafeSubstitution {
-				return addChecks(res, nullcheck.Phase2UnsafeSubst(f, trapModel))
+		add("phase2", true, func(f *ir.Func, res *Result, m *arch.Model) int {
+			if res.Config.InjectUnsafeSubstitution {
+				return addChecks(res, nullcheck.Phase2UnsafeSubst(f, trapModel(res.Config, m)))
 			}
-			return addChecks(res, nullcheck.Phase2(f, trapModel))
+			return addChecks(res, nullcheck.Phase2(f, trapModel(res.Config, m)))
 		})
 	case cfg.TrapConvert:
-		add("trapconvert", true, func(f *ir.Func, res *Result) int {
+		add("trapconvert", true, func(f *ir.Func, res *Result, m *arch.Model) int {
 			convert := nullcheck.ConvertToTraps
-			if cfg.InjectUnsafeSubstitution {
+			if res.Config.InjectUnsafeSubstitution {
 				convert = nullcheck.ConvertToTrapsAnyPath
 			}
-			return addChecks(res, nullcheck.Stats{Implicit: convert(f, trapModel)})
+			return addChecks(res, nullcheck.Stats{Implicit: convert(f, trapModel(res.Config, m))})
 		})
 	case cfg.TrapFold:
-		add("trapfold", true, func(f *ir.Func, res *Result) int {
-			return addChecks(res, nullcheck.Stats{Implicit: nullcheck.FoldAdjacentTraps(f, trapModel)})
+		add("trapfold", true, func(f *ir.Func, res *Result, m *arch.Model) int {
+			return addChecks(res, nullcheck.Stats{Implicit: nullcheck.FoldAdjacentTraps(f, trapModel(res.Config, m))})
 		})
 	}
 
-	add("cleanup", false, func(f *ir.Func, res *Result) int {
+	add("cleanup", false, func(f *ir.Func, res *Result, m *arch.Model) int {
 		return opt.CopyProp(f) + opt.ConstFold(f) + opt.DCE(f) + opt.SimplifyCFG(f)
 	})
 	return ps
+}
+
+// trapModel is the model the trap-exploiting passes assume: cfg.Phase2Model
+// when set, the execution model otherwise.
+func trapModel(cfg Config, execModel *arch.Model) *arch.Model {
+	if cfg.Phase2Model != nil {
+		return cfg.Phase2Model
+	}
+	return execModel
 }
 
 // addChecks accumulates a null-check pass's statistics into res and returns
@@ -195,7 +226,7 @@ func addChecks(res *Result, st nullcheck.Stats) int {
 // verification, so it only ever sees verified IR). When opts.Observer
 // carries a trace, the pass is wrapped in a span recording its wall time, IR
 // size before/after, and — when the verifier ran — the verification time.
-func runPass(p pass, method string, f *ir.Func, res *Result, verify bool, opts CompileOptions) (changes int, err error) {
+func runPass(p pass, method string, f *ir.Func, res *Result, execModel *arch.Model, verify bool, opts CompileOptions) (changes int, err error) {
 	start := time.Now()
 	ob := opts.Observer
 	tracing := ob.tracing()
@@ -230,7 +261,7 @@ func runPass(p pass, method string, f *ir.Func, res *Result, verify bool, opts C
 			}
 		}
 		blocks := f.MaxBlockID()
-		changes = p.run(f, res) + max(f.MaxBlockID()-blocks, 0)
+		changes = p.run(f, res, execModel) + max(f.MaxBlockID()-blocks, 0)
 	}()
 	if err != nil {
 		return 0, err

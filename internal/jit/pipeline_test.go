@@ -2,6 +2,7 @@ package jit
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -28,9 +29,9 @@ func pipelineTestFunc() *ir.Func {
 func TestRunPassContainsPanic(t *testing.T) {
 	f := pipelineTestFunc()
 	res := &Result{}
-	p := pass{name: "exploding", run: func(*ir.Func, *Result) int { panic("kaboom") }}
+	p := pass{name: "exploding", run: func(*ir.Func, *Result, *arch.Model) int { panic("kaboom") }}
 
-	_, err := runPass(p, "victim", f, res, false, CompileOptions{})
+	_, err := runPass(p, "victim", f, res, arch.IA32Win(), false, CompileOptions{})
 	var pe *PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %T (%v), want *PassError", err, err)
@@ -60,19 +61,19 @@ func TestRunPassContainsPanic(t *testing.T) {
 func TestRunPassVerifierCatchesCorruption(t *testing.T) {
 	f := pipelineTestFunc()
 	res := &Result{}
-	corrupt := pass{name: "corrupting", run: func(f *ir.Func, _ *Result) int {
+	corrupt := pass{name: "corrupting", run: func(f *ir.Func, _ *Result, _ *arch.Model) int {
 		// Drop the terminator: structurally invalid IR, but no panic.
 		e := f.Entry
 		e.Instrs = e.Instrs[:len(e.Instrs)-1]
 		return 1
 	}}
 
-	if _, err := runPass(corrupt, "victim", f, res, false, CompileOptions{}); err != nil {
+	if _, err := runPass(corrupt, "victim", f, res, arch.IA32Win(), false, CompileOptions{}); err != nil {
 		t.Fatalf("unverified pipeline should not notice: %v", err)
 	}
 
 	f2 := pipelineTestFunc()
-	_, err := runPass(corrupt, "victim", f2, res, true, CompileOptions{})
+	_, err := runPass(corrupt, "victim", f2, res, arch.IA32Win(), true, CompileOptions{})
 	var pe *PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %T (%v), want *PassError", err, err)
@@ -100,6 +101,26 @@ func benchCompile(b *testing.B, verify bool) {
 	}
 }
 
+// TestRoundPassNames: trace spans, remarks, bisect, AfterPass and PassFault
+// key on "<pass>#<round>" names, so the static name table and the names
+// formatted beyond it must both keep that form.
+func TestRoundPassNames(t *testing.T) {
+	for _, cfg := range []Config{
+		{Algo: AlgoNew, OtherOpts: true, Iterations: namedRounds + 2},
+		{Algo: AlgoWhaley, OtherOpts: true, LightScalar: true, Iterations: namedRounds + 2},
+	} {
+		for _, p := range pipeline(cfg) {
+			if p.round == 0 {
+				continue
+			}
+			base, _, _ := strings.Cut(p.name, "#")
+			if want := fmt.Sprintf("%s#%d", base, p.round-1); p.name != want {
+				t.Errorf("round %d pass named %q, want %q", p.round, p.name, want)
+			}
+		}
+	}
+}
+
 func BenchmarkCompileNoVerify(b *testing.B) { benchCompile(b, false) }
 func BenchmarkCompileVerify(b *testing.B)   { benchCompile(b, true) }
 
@@ -111,7 +132,7 @@ func BenchmarkCompileVerify(b *testing.B)   { benchCompile(b, true) }
 func TestObserverSeesEveryPass(t *testing.T) {
 	cfg := ConfigPhase1Phase2()
 	model := arch.IA32Win()
-	declared := pipeline(cfg, model)
+	declared := pipeline(cfg)
 	roundOf := map[string]int{}
 	for _, p := range declared {
 		roundOf[p.name] = p.round

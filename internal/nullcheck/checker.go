@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"trapnull/internal/arch"
-	"trapnull/internal/bitset"
-	"trapnull/internal/cfg"
 	"trapnull/internal/ir"
 )
 
@@ -20,10 +18,14 @@ import (
 // paper runs it "purely for experimental purpose"); every other pipeline is
 // tested against this checker.
 func CheckGuards(f *ir.Func, m *arch.Model) error {
-	res := nonNullAnalysis(f, nil)
+	ws := getWorkspace()
+	defer ws.release()
+	res := nonNullAnalysis(f, ws, nil)
 	defer res.Release()
-	cur := bitset.New(f.NumLocals())
-	for _, b := range cfg.ReversePostorderWithHandlers(f) {
+	cur := &ws.cur
+	cur.Reset(f.NumLocals())
+	ws.num.Renumber(f, true)
+	for _, b := range ws.num.Order {
 		cur.CopyFrom(res.In(b))
 		for _, in := range b.Instrs {
 			if sa, ok := in.SlotAccessInfo(); ok {

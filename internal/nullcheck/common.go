@@ -9,7 +9,10 @@
 package nullcheck
 
 import (
+	"sync"
+
 	"trapnull/internal/bitset"
+	"trapnull/internal/cfg"
 	"trapnull/internal/ir"
 )
 
@@ -60,11 +63,45 @@ func overwrites(in *ir.Instr) ir.VarID {
 	return ir.NoVar
 }
 
-// tryEdgeSubtract returns a full set when the edge crosses a try-region
-// boundary (the paper's Edge_try), nil otherwise. The returned closure is
-// shared by all four motion analyses.
-func tryEdgeSubtract(size int) func(from, to *ir.Block) *bitset.Set {
-	full := bitset.NewFull(size)
+// workspace is the scratch memory of one pass: the running sets of its
+// rewrite walks, the sets its data-flow problems hand the solver, phase 1's
+// Earliest table and phase 2's instruction buffer. Workspaces live in a
+// package-level pool, as the solver's do; a pass takes one on entry and
+// puts it back before it returns, so a pass allocates no scratch once a
+// workspace has served a function as large.
+type workspace struct {
+	cur, plain bitset.Set // running sets of a walk over a block
+	scan       bitset.Set // a Scan function's per-block scratch
+	edge       bitset.Set // the non-null EdgeAdd value
+	boundary   bitset.Set // the non-null entry value
+	full       bitset.Set // the Edge_try value: every variable
+	refs       bitset.Set // refVars
+	// earliest backs phase 1's Earliest sets, earliestOf indexes them by
+	// Block.ID.
+	earliest   bitset.Slab
+	earliestOf []*bitset.Set
+	instrs     []*ir.Instr // rewriteBlock's output
+	carrier    []*ir.Instr // rewriteBlock's fate carriers, by variable
+	num        cfg.Numbering
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+func getWorkspace() *workspace { return workspaces.Get().(*workspace) }
+
+func (ws *workspace) release() { workspaces.Put(ws) }
+
+// tryFull returns the full set of the given size that the motion analyses
+// subtract on an edge crossing a try-region boundary (the paper's Edge_try).
+func (ws *workspace) tryFull(size int) *bitset.Set {
+	ws.full.Reset(size)
+	ws.full.Fill()
+	return &ws.full
+}
+
+// tryEdgeSubtract returns the Edge_try function the motion analyses share:
+// full on an edge crossing a try-region boundary, nil otherwise.
+func tryEdgeSubtract(full *bitset.Set) func(from, to *ir.Block) *bitset.Set {
 	return func(from, to *ir.Block) *bitset.Set {
 		if from.Try != to.Try {
 			return full
@@ -84,8 +121,9 @@ func condEdgeNonNull(from, to *ir.Block) ir.VarID {
 		return ir.NoVar
 	}
 
-	// Null-literal comparison form. (The zero Operand has Kind OperVar, so
-	// an explicit matched flag is required.)
+	// Null-literal comparison form. (v stays the zero Operand, whose Kind
+	// is OperInvalid, when neither side matches; nullForm records the
+	// match.)
 	var v ir.Operand
 	nullForm := false
 	switch {
@@ -180,9 +218,11 @@ func condEdgeNonNull(from, to *ir.Block) ir.VarID {
 }
 
 // refVars returns the set of locals with reference kind; checks can only
-// target these, and analyses restrict their universes accordingly.
-func refVars(f *ir.Func) *bitset.Set {
-	s := bitset.New(f.NumLocals())
+// target these, and analyses restrict their universes accordingly. The set
+// lives in ws.
+func (ws *workspace) refVars(f *ir.Func) *bitset.Set {
+	s := &ws.refs
+	s.Reset(f.NumLocals())
 	for i, l := range f.Locals {
 		if l.Kind == ir.KindRef {
 			s.Add(i)

@@ -19,7 +19,9 @@ import (
 // phase-1-only measurement still "utilizes hardware traps" (Table 1 legend)
 // even though the architecture-dependent motion is disabled.
 func ConvertToTraps(f *ir.Func, m *arch.Model) int {
-	return convertToTraps(f, m, dataflow.Intersect)
+	ws := getWorkspace()
+	defer ws.release()
+	return convertToTraps(f, m, ws, dataflow.Intersect)
 }
 
 // ConvertToTrapsAnyPath is ConvertToTraps with its all-paths safety meet
@@ -30,12 +32,15 @@ func ConvertToTraps(f *ir.Func, m *arch.Model) int {
 // bisect/shrink machinery finds real optimizer bugs. It is never reached by
 // a real configuration.
 func ConvertToTrapsAnyPath(f *ir.Func, m *arch.Model) int {
-	return convertToTraps(f, m, dataflow.Union)
+	ws := getWorkspace()
+	defer ws.release()
+	return convertToTraps(f, m, ws, dataflow.Union)
 }
 
-func convertToTraps(f *ir.Func, m *arch.Model, meet dataflow.Meet) int {
+func convertToTraps(f *ir.Func, m *arch.Model, ws *workspace, meet dataflow.Meet) int {
 	size := f.NumLocals()
-	scratch := bitset.New(size)
+	scratch, full := &ws.scan, ws.tryFull(size)
+	scratch.Reset(size)
 	res := dataflow.Solve(f, &dataflow.Problem{
 		Dir:  dataflow.Backward,
 		Meet: meet,
@@ -44,11 +49,12 @@ func convertToTraps(f *ir.Func, m *arch.Model, meet dataflow.Meet) int {
 			scratch.Clear()
 			scanConvert(b, m, gen, kill, scratch)
 		},
-		EdgeSubtract: tryEdgeSubtract(size),
+		EdgeSubtract: tryEdgeSubtract(full),
 	})
 
 	removed := 0
-	cur := bitset.New(size)
+	cur := &ws.cur
+	cur.Reset(size)
 	for _, b := range f.Blocks {
 		inTry := b.Try != ir.NoTry
 		cur.CopyFrom(res.Out(b))

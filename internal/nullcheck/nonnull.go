@@ -8,41 +8,42 @@ import (
 
 // nonNullAnalysis is the forward "known non-null" data-flow problem of
 // §4.1.2, shared by the phase 1 elimination stage, the Whaley baseline, and
-// the guard checker. extraEdge optionally injects facts at block exits — the
-// phase 1 caller passes the Earliest sets so that planned insertions count as
-// checks before they physically exist.
-func nonNullAnalysis(f *ir.Func, extraEdge map[*ir.Block]*bitset.Set) *dataflow.Result {
+// the guard checker. extraEdge, indexed by Block.ID, optionally injects facts
+// at block exits — the phase 1 caller passes the Earliest sets so that
+// planned insertions count as checks before they physically exist. The
+// problem's sets live in ws, which the solve needs only until it returns.
+func nonNullAnalysis(f *ir.Func, ws *workspace, extraEdge []*bitset.Set) *dataflow.Result {
 	size := f.NumLocals()
 	// The solver never retains the returned set, so one scratch serves
 	// every edge evaluation without allocating.
-	edgeScratch := bitset.New(size)
-	p := &dataflow.Problem{
-		Dir:  dataflow.Forward,
-		Meet: dataflow.Intersect,
-		Size: size,
-		Scan: scanNonNull,
-		EdgeAdd: func(from, to *ir.Block) *bitset.Set {
-			add := edgeScratch
-			add.Clear()
-			if v := condEdgeNonNull(from, to); v != ir.NoVar {
-				add.Add(int(v))
-			}
-			if extraEdge != nil {
-				if s := extraEdge[from]; s != nil {
-					add.Union(s)
-				}
-			}
-			return add
-		},
-	}
+	edge := &ws.edge
+	edge.Reset(size)
 	// The receiver of an instance method is non-null on entry (the paper's
 	// Edge rule for the `this` object).
-	boundary := bitset.New(size)
+	boundary := &ws.boundary
+	boundary.Reset(size)
 	if f.IsInstance && f.NumParams > 0 {
 		boundary.Add(0)
 	}
-	p.Boundary = boundary
-	return dataflow.Solve(f, p)
+	return dataflow.Solve(f, &dataflow.Problem{
+		Dir:      dataflow.Forward,
+		Meet:     dataflow.Intersect,
+		Size:     size,
+		Boundary: boundary,
+		Scan:     scanNonNull,
+		EdgeAdd: func(from, to *ir.Block) *bitset.Set {
+			edge.Clear()
+			if v := condEdgeNonNull(from, to); v != ir.NoVar {
+				edge.Add(int(v))
+			}
+			if extraEdge != nil {
+				if s := extraEdge[from.ID]; s != nil {
+					edge.Union(s)
+				}
+			}
+			return edge
+		},
+	})
 }
 
 // scanNonNull computes the block-level gen/kill of non-nullness facts by a
@@ -97,12 +98,14 @@ func stepNonNull(cur *bitset.Set, in *ir.Instr) {
 // removed checks too, mirroring the original function where they still
 // exist. nil plain classifies every removal as eliminated (the Whaley path,
 // whose analysis is the plain one by definition).
-func eliminateKnownNonNull(f *ir.Func, res, plain *dataflow.Result) int {
+func eliminateKnownNonNull(f *ir.Func, ws *workspace, res, plain *dataflow.Result) int {
 	removed := 0
-	cur := bitset.New(f.NumLocals())
+	cur := &ws.cur
+	cur.Reset(f.NumLocals())
 	var curPlain *bitset.Set
 	if f.Track != nil && plain != nil {
-		curPlain = bitset.New(f.NumLocals())
+		curPlain = &ws.plain
+		curPlain.Reset(f.NumLocals())
 	}
 	for _, b := range f.Blocks {
 		cur.CopyFrom(res.In(b))
@@ -140,8 +143,10 @@ func eliminateKnownNonNull(f *ir.Func, res, plain *dataflow.Result) int {
 // ("Old Null Check"): a single forward data-flow elimination of redundant
 // checks, with no motion. It returns the elimination count.
 func Whaley(f *ir.Func) Stats {
-	res := nonNullAnalysis(f, nil)
-	n := eliminateKnownNonNull(f, res, nil)
+	ws := getWorkspace()
+	res := nonNullAnalysis(f, ws, nil)
+	n := eliminateKnownNonNull(f, ws, res, nil)
 	res.Release()
+	ws.release()
 	return Stats{Eliminated: n, ExplicitRemaining: f.CountOp(ir.OpNullCheck)}
 }

@@ -1,6 +1,8 @@
 package nullcheck
 
 import (
+	"slices"
+
 	"trapnull/internal/bitset"
 	"trapnull/internal/dataflow"
 	"trapnull/internal/ir"
@@ -17,15 +19,18 @@ import (
 // The pass is designed to be iterated with bounds-check elimination and
 // scalar replacement (Figure 2); each iteration is one Phase1 call.
 func Phase1(f *ir.Func) Stats {
+	ws := getWorkspace()
+	defer ws.release()
 	size := f.NumLocals()
 	// Critical edges carry the natural insertion points of guarded loops
 	// (the guard→body edge is the loop preheader); split them so "insert at
-	// block exit" can express those placements.
+	// block exit" can express those placements. Splitting leaves the edges
+	// recomputed.
 	f.SplitCriticalEdges()
-	f.RecomputeEdges()
 
 	// --- §4.1.1: backward movable-area analysis -------------------------
-	scratch := bitset.New(size)
+	scratch, full := &ws.scan, ws.tryFull(size)
+	scratch.Reset(size)
 	bwd := dataflow.Solve(f, &dataflow.Problem{
 		Dir:  dataflow.Backward,
 		Meet: dataflow.Intersect,
@@ -34,15 +39,18 @@ func Phase1(f *ir.Func) Stats {
 			scratch.Clear()
 			scanBackwardMotion(b, gen, kill, scratch)
 		},
-		EdgeSubtract: tryEdgeSubtract(size),
+		EdgeSubtract: tryEdgeSubtract(full),
 		// Boundary at exits: nothing is anticipated after a return.
 	})
 
 	// --- Earliest(n): checks anticipated at the exit of n that no
 	// predecessor anticipates at its own exit ----------------------------
-	earliest := make(map[*ir.Block]*bitset.Set, len(f.Blocks))
-	slab := bitset.NewSlab(len(f.Blocks), size)
-	rv := refVars(f)
+	ids := f.MaxBlockID() + 1
+	earliest := slices.Grow(ws.earliestOf[:0], ids)[:ids]
+	clear(earliest)
+	ws.earliestOf = earliest
+	slab := ws.earliest.Carve(len(f.Blocks), size)
+	rv := ws.refVars(f)
 	for i, b := range f.Blocks {
 		e := slab[i]
 		e.CopyFrom(bwd.Out(b))
@@ -54,23 +62,23 @@ func Phase1(f *ir.Func) Stats {
 		// insertion; Out_bwd already guarantees that, but restrict to ref
 		// variables for hygiene.
 		e.Intersect(rv)
-		earliest[b] = e
+		earliest[b.ID] = e
 	}
 	bwd.Release()
 
 	// --- §4.1.2: forward non-null analysis assuming the insertions ------
-	fwd := nonNullAnalysis(f, earliest)
+	fwd := nonNullAnalysis(f, ws, earliest)
 
 	// Fate classification (observability only): the insertion-free analysis
 	// distinguishes "was already redundant" from "moved up to an insertion
 	// point". One extra solve, paid only when a tracker is attached.
 	var plain *dataflow.Result
 	if f.Track != nil {
-		plain = nonNullAnalysis(f, nil)
+		plain = nonNullAnalysis(f, ws, nil)
 	}
 
 	st := Stats{}
-	st.Eliminated = eliminateKnownNonNull(f, fwd, plain)
+	st.Eliminated = eliminateKnownNonNull(f, ws, fwd, plain)
 	if plain != nil {
 		plain.Release()
 	}
@@ -79,7 +87,7 @@ func Phase1(f *ir.Func) Stats {
 	// Earliest(n) = Earliest(n) − Out_fwd(n): an insertion is useless where
 	// the variable is already non-null at the block exit.
 	for _, b := range f.Blocks {
-		e := earliest[b]
+		e := earliest[b.ID]
 		e.Subtract(fwd.Out(b))
 		e.ForEach(func(v int) {
 			b.InsertBeforeTerminator(&ir.Instr{

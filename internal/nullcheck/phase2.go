@@ -1,6 +1,8 @@
 package nullcheck
 
 import (
+	"slices"
+
 	"trapnull/internal/arch"
 	"trapnull/internal/bitset"
 	"trapnull/internal/dataflow"
@@ -35,10 +37,13 @@ func Phase2UnsafeSubst(f *ir.Func, m *arch.Model) Stats {
 }
 
 func phase2(f *ir.Func, m *arch.Model, unsafeAnyPath bool) Stats {
+	ws := getWorkspace()
+	defer ws.release()
 	f.SplitCriticalEdges()
 	size := f.NumLocals()
 
-	scratch := bitset.New(size)
+	scratch, full := &ws.scan, ws.tryFull(size)
+	scratch.Reset(size)
 	res := dataflow.Solve(f, &dataflow.Problem{
 		Dir:  dataflow.Forward,
 		Meet: dataflow.Intersect,
@@ -47,13 +52,13 @@ func phase2(f *ir.Func, m *arch.Model, unsafeAnyPath bool) Stats {
 			scratch.Clear()
 			scanForwardMotion(b, gen, kill, scratch)
 		},
-		EdgeSubtract: tryEdgeSubtract(size),
+		EdgeSubtract: tryEdgeSubtract(full),
 		// Boundary at entry: no checks arrive from outside the function.
 	})
 
 	st := Stats{}
 	for _, b := range f.Blocks {
-		rewriteBlock(b, m, res, &st, unsafeAnyPath, f.Track)
+		rewriteBlock(b, m, ws, res, &st, unsafeAnyPath, f.Track)
 	}
 	res.Release()
 
@@ -68,7 +73,7 @@ func phase2(f *ir.Func, m *arch.Model, unsafeAnyPath bool) Stats {
 	if unsafeAnyPath {
 		substMeet = dataflow.Union
 	}
-	st.Eliminated += convertToTraps(f, m, substMeet)
+	st.Eliminated += convertToTraps(f, m, ws, substMeet)
 	st.ExplicitRemaining = f.CountOp(ir.OpNullCheck)
 	return st
 }
@@ -118,9 +123,11 @@ func scanForwardMotion(b *ir.Block, gen, kill, blockedBelow *bitset.Set) {
 // unsafeAnyPath weakens the block-exit safety test from "every successor
 // expects the moving check" to "some successor expects it" — the planted
 // Phase2UnsafeSubst miscompile.
-func rewriteBlock(b *ir.Block, m *arch.Model, res *dataflow.Result, st *Stats, unsafeAnyPath bool, track ir.CheckTracker) {
+func rewriteBlock(b *ir.Block, m *arch.Model, ws *workspace, res *dataflow.Result, st *Stats, unsafeAnyPath bool, track ir.CheckTracker) {
 	size := res.In(b).Len()
-	inner := res.In(b).Copy()
+	inner := &ws.cur
+	inner.Reset(size)
+	inner.CopyFrom(res.In(b))
 	inTry := b.Try != ir.NoTry
 
 	// carrier (observability only) maps each in-flight bit of inner to the
@@ -130,7 +137,9 @@ func rewriteBlock(b *ir.Block, m *arch.Model, res *dataflow.Result, st *Stats, u
 	// in their home blocks when they crossed the terminator.
 	var carrier []*ir.Instr
 	if track != nil {
-		carrier = make([]*ir.Instr, size)
+		carrier = slices.Grow(ws.carrier[:0], size)[:size]
+		clear(carrier)
+		ws.carrier = carrier
 	}
 	sunk := func(v int) {
 		if carrier != nil {
@@ -141,7 +150,9 @@ func rewriteBlock(b *ir.Block, m *arch.Model, res *dataflow.Result, st *Stats, u
 		}
 	}
 
-	out := make([]*ir.Instr, 0, len(b.Instrs))
+	// The block is rebuilt in ws's buffer and copied back, so a block that
+	// keeps its length reuses its own storage.
+	out := ws.instrs[:0]
 	emitExplicit := func(v int) {
 		out = append(out, &ir.Instr{
 			Op:       ir.OpNullCheck,
@@ -207,8 +218,7 @@ func rewriteBlock(b *ir.Block, m *arch.Model, res *dataflow.Result, st *Stats, u
 			// Checks still moving either continue into every successor
 			// (each successor expects them: the check is in its In set) or
 			// must be emitted here, before the terminator.
-			pending := inner.Copy()
-			pending.ForEach(func(v int) {
+			inner.ForEach(func(v int) {
 				continues := len(b.Succs) > 0
 				if unsafeAnyPath {
 					// Any-path variant: one expecting successor suffices, so
@@ -235,11 +245,12 @@ func rewriteBlock(b *ir.Block, m *arch.Model, res *dataflow.Result, st *Stats, u
 				// In sets, the original check moved past its old position.
 				sunk(v)
 			})
-			inner = bitset.New(size)
+			inner.Clear()
 		}
 		out = append(out, in)
 	}
-	b.Instrs = out
+	b.Instrs = append(b.Instrs[:0], out...)
+	ws.instrs = out
 }
 
 // peepholeImplicit converts an explicit check whose target's first following

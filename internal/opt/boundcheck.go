@@ -41,9 +41,12 @@ func boundKey(in *ir.Instr) (bcKey, bool) {
 // array walks (the Assignment / Neural Net / LU workloads of §5.1).
 // Returns the number of checks removed.
 func BoundCheckElim(f *ir.Func) int {
+	ws := getWorkspace()
+	defer ws.release()
 	// Build the universe of keys.
-	index := map[bcKey]int{}
-	var keys []bcKey
+	index := ws.bcIndex
+	clear(index)
+	keys := ws.bcKeys[:0]
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if k, ok := boundKey(in); ok {
@@ -54,6 +57,7 @@ func BoundCheckElim(f *ir.Func) int {
 			}
 		}
 	}
+	ws.bcKeys = keys
 	if len(keys) == 0 {
 		return 0
 	}
@@ -66,7 +70,8 @@ func BoundCheckElim(f *ir.Func) int {
 			}
 		}
 	}
-	kid := bitset.New(size)
+	kid := &ws.kill
+	kid.Reset(size)
 	scan := func(b *ir.Block, gen, kill *bitset.Set) {
 		for _, in := range b.Instrs {
 			if k, ok := boundKey(in); ok {
@@ -89,7 +94,8 @@ func BoundCheckElim(f *ir.Func) int {
 	})
 
 	removed := 0
-	cur := bitset.New(size)
+	cur := &ws.cur
+	cur.Reset(size)
 	for _, b := range f.Blocks {
 		cur.CopyFrom(res.In(b))
 		kept := b.Instrs[:0]

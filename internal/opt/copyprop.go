@@ -12,10 +12,13 @@ import "trapnull/internal/ir"
 // `x = move y`, uses of x read y (or the constant) until either side is
 // redefined. Returns the number of operands rewritten.
 func CopyProp(f *ir.Func) int {
+	ws := getWorkspace()
+	defer ws.release()
 	rewritten := 0
+	// copyOf[v] is the operand v currently mirrors.
+	copyOf := ws.copyOf
 	for _, b := range f.Blocks {
-		// copyOf[v] is the operand v currently mirrors.
-		copyOf := make(map[ir.VarID]ir.Operand)
+		clear(copyOf)
 		invalidate := func(v ir.VarID) {
 			delete(copyOf, v)
 			for dst, src := range copyOf {

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"trapnull/internal/bitset"
-	"trapnull/internal/cfg"
 	"trapnull/internal/dataflow"
 	"trapnull/internal/ir"
 )
@@ -14,9 +13,12 @@ import (
 // mark (removing a marked dereference would silently delete a null check).
 // Returns the number of instructions removed.
 func DCE(f *ir.Func) int {
-	removed := removeUnreachable(f)
+	ws := getWorkspace()
+	defer ws.release()
+	removed := removeUnreachable(f, ws)
 	live := liveness(f)
-	cur := bitset.New(f.NumLocals())
+	cur := &ws.cur
+	cur.Reset(f.NumLocals())
 	for _, b := range f.Blocks {
 		if b.Try != ir.NoTry {
 			// A handler may observe any local at any faulting point.
@@ -66,17 +68,15 @@ func removableWhenDead(in *ir.Instr) bool {
 }
 
 // removeUnreachable drops blocks with no path from entry.
-func removeUnreachable(f *ir.Func) int {
-	reach := cfg.Reachable(f)
+func removeUnreachable(f *ir.Func, ws *workspace) int {
 	// Handler blocks are reachable through exceptions even without CFG
 	// edges; keep each region handler and everything it reaches.
-	for _, r := range f.Regions {
-		markFrom(r.Handler, reach)
-	}
+	reach := &ws.num
+	reach.Renumber(f, true)
 	kept := f.Blocks[:0]
 	removed := 0
 	for _, b := range f.Blocks {
-		if reach[b.ID] {
+		if reach.Reaches(b) {
 			kept = append(kept, b)
 		} else {
 			removed += len(b.Instrs)
@@ -95,16 +95,6 @@ func removeUnreachable(f *ir.Func) int {
 	f.Blocks = kept
 	f.RecomputeEdges()
 	return removed
-}
-
-func markFrom(b *ir.Block, reach []bool) {
-	if reach[b.ID] {
-		return
-	}
-	reach[b.ID] = true
-	for _, s := range b.Succs {
-		markFrom(s, reach)
-	}
 }
 
 // liveness solves backward may-liveness of locals.

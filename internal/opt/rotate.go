@@ -22,6 +22,7 @@ const rotateMaxHeader = 16
 func RotateLoops(f *ir.Func) int {
 	f.RecomputeEdges()
 	doms := cfg.ComputeDominators(f)
+	defer doms.Release()
 	loops := cfg.FindLoops(f, doms)
 	rotated := 0
 	for _, l := range loops {
@@ -59,7 +60,7 @@ func rotateOne(f *ir.Func, l *cfg.Loop) bool {
 	// one outside.
 	inLoop, outLoop := 0, 0
 	for _, s := range h.Succs {
-		if l.Blocks[s] {
+		if l.Contains(s) {
 			inLoop++
 		} else {
 			outLoop++
@@ -71,7 +72,7 @@ func rotateOne(f *ir.Func, l *cfg.Loop) bool {
 	// Don't rotate across try-region boundaries; the guard copy would need
 	// the header's region and entry edges may come from outside it.
 	for _, p := range h.Preds {
-		if !l.Blocks[p] && p.Try != h.Try {
+		if !l.Contains(p) && p.Try != h.Try {
 			return false
 		}
 	}
@@ -85,7 +86,7 @@ func rotateOne(f *ir.Func, l *cfg.Loop) bool {
 
 	// Retarget every out-of-loop entry edge from H to G.
 	for _, p := range h.Preds {
-		if l.Blocks[p] {
+		if l.Contains(p) {
 			continue
 		}
 		pt := p.Terminator()

@@ -1,11 +1,13 @@
 package opt
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"trapnull/internal/arch"
 	"trapnull/internal/bitset"
 	"trapnull/internal/cfg"
+	"trapnull/internal/dataflow"
 	"trapnull/internal/ir"
 	"trapnull/internal/nullcheck"
 )
@@ -40,21 +42,24 @@ func (s *ScalarStats) Add(o ScalarStats) {
 // which is exactly what iterating with phase 1 provides — or when the model
 // permits read speculation.
 func ScalarReplace(f *ir.Func, m *arch.Model) ScalarStats {
+	ws := getWorkspace()
+	defer ws.release()
 	st := ScalarStats{}
-	st.CSE += localCSE(f)
+	st.CSE += localCSE(f, ws)
 
 	f.RecomputeEdges()
 	doms := cfg.ComputeDominators(f)
+	defer doms.Release()
 	loops := cfg.FindLoops(f, doms)
 	if len(loops) == 0 {
 		return st
 	}
+	// EnsurePreheaders leaves the edges recomputed.
 	cfg.EnsurePreheaders(f, loops)
-	f.RecomputeEdges()
-	nonNull, release := nullcheck.NonNullOut(f)
-	defer release()
+	nonNull := nullcheck.NonNullOut(f)
+	defer nonNull.Release()
 
-	defCount := countDefs(f)
+	defCount := ws.countDefs(f)
 	for _, l := range loops {
 		if loopTouchesTry(l) {
 			// Inside a try region every local write is observable by the
@@ -63,14 +68,24 @@ func ScalarReplace(f *ir.Func, m *arch.Model) ScalarStats {
 			// exception is illegal. No motion in or across regions.
 			continue
 		}
-		h, s := hoistLoop(f, l, m, nonNull, defCount)
+		h, s := hoistLoop(f, l, m, ws, nonNull, defCount)
 		st.Hoisted += h
 		st.Speculated += s
-		p, ps := promoteLoop(f, l, m, nonNull)
+		p, ps := promoteLoop(f, l, m, ws, nonNull)
 		st.Promoted += p
 		st.Speculated += ps
 	}
 	return st
+}
+
+// access is a promotion candidate: a field the loop accesses through base.
+type access struct {
+	field  *ir.Field
+	base   ir.VarID
+	loads  int
+	stores int
+	mixed  bool // multiple bases or non-var base
+	spec   bool // promotable only by read speculation
 }
 
 // loadKey identifies the value a memory read produces.
@@ -117,14 +132,19 @@ func keyOfLoad(in *ir.Instr) (loadKey, bool) {
 // loop motion. The simulated HotSpot comparator uses it: the 1999 server
 // compiler the paper measured did not have the iterated loop-invariant
 // machinery under test here.
-func CSE(f *ir.Func) int { return localCSE(f) }
+func CSE(f *ir.Func) int {
+	ws := getWorkspace()
+	defer ws.release()
+	return localCSE(f, ws)
+}
 
 // localCSE replaces a repeated read of the same location within a block by a
 // move from the variable holding the earlier result.
-func localCSE(f *ir.Func) int {
+func localCSE(f *ir.Func, ws *workspace) int {
 	replaced := 0
+	avail := ws.avail
 	for _, b := range f.Blocks {
-		avail := map[loadKey]ir.VarID{}
+		clear(avail)
 		for _, in := range b.Instrs {
 			k, isLoad := keyOfLoad(in)
 			if isLoad && !in.ExcSite && !in.Speculated {
@@ -179,13 +199,19 @@ func invalidateLoads(avail map[loadKey]ir.VarID, in *ir.Instr) {
 	}
 }
 
-func countDefs(f *ir.Func) map[ir.VarID]int {
-	defs := map[ir.VarID]int{}
+// countDefs counts the definitions of every variable, indexed by VarID. The
+// table lives in ws; a variable created after it was counted has no entry
+// (see defsOf).
+func (ws *workspace) countDefs(f *ir.Func) []int32 {
+	n := f.NumLocals()
+	defs := slices.Grow(ws.defs[:0], n)[:n]
+	clear(defs)
+	ws.defs = defs
 	// Parameters carry an implicit definition at function entry: an
 	// instruction assigning one is always a REdefinition, and hoisting it
 	// would clobber the incoming value for earlier uses.
 	for i := 0; i < f.NumParams; i++ {
-		defs[ir.VarID(i)] = 1
+		defs[i] = 1
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -197,11 +223,20 @@ func countDefs(f *ir.Func) map[ir.VarID]int {
 	return defs
 }
 
+// defsOf returns v's count in defs, and zero for a variable created after
+// defs was counted.
+func defsOf(defs []int32, v ir.VarID) int32 {
+	if int(v) < len(defs) {
+		return defs[v]
+	}
+	return 0
+}
+
 func loopTouchesTry(l *cfg.Loop) bool {
 	if l.Preheader.Try != ir.NoTry {
 		return true
 	}
-	for b := range l.Blocks {
+	for _, b := range l.Blocks {
 		if b.Try != ir.NoTry {
 			return true
 		}
@@ -209,27 +244,31 @@ func loopTouchesTry(l *cfg.Loop) bool {
 	return false
 }
 
-// loopSummary captures the memory behaviour of a loop body.
+// loopSummary captures the memory behaviour of a loop body. Its tables live
+// in a workspace and are indexed by VarID.
 type loopSummary struct {
 	hasCall       bool
 	hasArrayStore bool
-	storedFields  map[*ir.Field]bool
-	defsInLoop    map[ir.VarID]int
+	storedFields  []*ir.Field
+	defsInLoop    []int32
 	// checkedInLoop marks variables with a surviving null check inside the
 	// loop. A read of such a base may not leave the loop: the check is its
 	// motion barrier (the paper's Figure 4 interplay — only after phase 1
 	// removes the in-loop check does the load become hoistable), unless
 	// the model permits read speculation.
-	checkedInLoop map[ir.VarID]bool
+	checkedInLoop bitset.Set
 }
 
-func summarizeLoop(l *cfg.Loop) loopSummary {
-	s := loopSummary{
-		storedFields:  map[*ir.Field]bool{},
-		defsInLoop:    map[ir.VarID]int{},
-		checkedInLoop: map[ir.VarID]bool{},
-	}
-	for b := range l.Blocks {
+// summarizeLoop fills ws.sum for l and returns it.
+func (ws *workspace) summarizeLoop(f *ir.Func, l *cfg.Loop) *loopSummary {
+	s := &ws.sum
+	s.hasCall, s.hasArrayStore = false, false
+	s.storedFields = s.storedFields[:0]
+	n := f.NumLocals()
+	s.defsInLoop = slices.Grow(s.defsInLoop[:0], n)[:n]
+	clear(s.defsInLoop)
+	s.checkedInLoop.Reset(n)
+	for _, b := range l.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpCallStatic, ir.OpCallVirtual:
@@ -237,9 +276,11 @@ func summarizeLoop(l *cfg.Loop) loopSummary {
 			case ir.OpArrayStore:
 				s.hasArrayStore = true
 			case ir.OpPutField:
-				s.storedFields[in.Field] = true
+				if !slices.Contains(s.storedFields, in.Field) {
+					s.storedFields = append(s.storedFields, in.Field)
+				}
 			case ir.OpNullCheck:
-				s.checkedInLoop[in.NullCheckVar()] = true
+				s.checkedInLoop.Add(int(in.NullCheckVar()))
 			}
 			if in.HasDst() {
 				s.defsInLoop[in.Dst]++
@@ -264,8 +305,8 @@ func summarizeLoop(l *cfg.Loop) loopSummary {
 //   - bounds check: additionally it must sit in the loop header before any
 //     side effect, so that it is anticipated on loop entry and hoisting it
 //     cannot surface an exception early across observable state.
-func hoistLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, nonNull map[*ir.Block]*bitset.Set, defCount map[ir.VarID]int) (int, int) {
-	sum := summarizeLoop(l)
+func hoistLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, ws *workspace, nonNull *dataflow.Result, defCount []int32) (int, int) {
+	sum := ws.summarizeLoop(f, l)
 	pre := l.Preheader
 	hoisted, speculated := 0, 0
 
@@ -287,12 +328,13 @@ func hoistLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, nonNull map[*ir.Block]*bi
 		// Visit the header first so dependency order (length before bounds
 		// check before element load) is preserved in the preheader; the
 		// remaining blocks go in ID order for deterministic output.
-		blocks := []*ir.Block{l.Header}
+		blocks := append(ws.blocks[:0], l.Header)
 		for _, b := range f.Blocks {
-			if l.Blocks[b] && b != l.Header {
+			if l.Contains(b) && b != l.Header {
 				blocks = append(blocks, b)
 			}
 		}
+		ws.blocks = blocks
 		for _, b := range blocks {
 			sideEffectSeen := false
 			for i := 0; i < len(b.Instrs); i++ {
@@ -306,13 +348,12 @@ func hoistLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, nonNull map[*ir.Block]*bi
 				case in.ExcSite || in.Speculated:
 					// Never disturb an implicit check site.
 				case pureNonThrowing(in):
-					move = in.HasDst() && defCount[in.Dst] == 1 && invariant(in)
+					move = in.HasDst() && defsOf(defCount, in.Dst) == 1 && invariant(in)
 				case in.Op == ir.OpGetField || in.Op == ir.OpArrayLength || in.Op == ir.OpArrayLoad:
-					if in.HasDst() && defCount[in.Dst] == 1 && invariant(in) && !loadKilledInLoop(in, sum) {
+					if in.HasDst() && defsOf(defCount, in.Dst) == 1 && invariant(in) && !loadKilledInLoop(in, sum) {
 						base := in.Args[0].Var
 						switch {
-						case !sum.checkedInLoop[base] &&
-							nonNull[pre] != nil && nonNull[pre].Has(int(base)):
+						case !sum.checkedInLoop.Has(int(base)) && nonNull.Out(pre).Has(int(base)):
 							move = true
 						case m.SpeculativeReads:
 							move = true
@@ -366,13 +407,13 @@ func pureNonThrowing(in *ir.Instr) bool {
 
 // loadKilledInLoop reports whether any store or call in the loop may change
 // the value in's read observes.
-func loadKilledInLoop(in *ir.Instr, sum loopSummary) bool {
+func loadKilledInLoop(in *ir.Instr, sum *loopSummary) bool {
 	if sum.hasCall {
 		return true
 	}
 	switch in.Op {
 	case ir.OpGetField:
-		return sum.storedFields[in.Field]
+		return slices.Contains(sum.storedFields, in.Field)
 	case ir.OpArrayLength:
 		// Array lengths are immutable after allocation.
 		return false
@@ -386,32 +427,28 @@ func loadKilledInLoop(in *ir.Instr, sum loopSummary) bool {
 // through one invariant base inside a loop is kept in a register; loads
 // become register moves, stores update the register and still write through
 // for precise visibility. Returns (promotions, speculated loads).
-func promoteLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, nonNull map[*ir.Block]*bitset.Set) (int, int) {
-	sum := summarizeLoop(l)
+func promoteLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, ws *workspace, nonNull *dataflow.Result) (int, int) {
+	sum := ws.summarizeLoop(f, l)
 	if sum.hasCall {
 		return 0, 0
 	}
 	pre := l.Preheader
 
 	// Candidate fields: loaded and stored in the loop, always through the
-	// same invariant base variable.
-	type access struct {
-		base   ir.VarID
-		loads  int
-		stores int
-		mixed  bool // multiple bases or non-var base
-	}
-	cand := map[*ir.Field]*access{}
-	for b := range l.Blocks {
+	// same invariant base variable. A loop touches few fields, so the
+	// candidates are a list.
+	cand := ws.cand[:0]
+	for _, b := range l.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpGetField && in.Op != ir.OpPutField {
 				continue
 			}
-			a := cand[in.Field]
-			if a == nil {
-				a = &access{base: -2}
-				cand[in.Field] = a
+			i := slices.IndexFunc(cand, func(a access) bool { return a.field == in.Field })
+			if i < 0 {
+				i = len(cand)
+				cand = append(cand, access{field: in.Field, base: -2})
 			}
+			a := &cand[i]
 			if !in.Args[0].IsVar() || in.ExcSite || in.Speculated {
 				a.mixed = true
 				continue
@@ -429,36 +466,41 @@ func promoteLoop(f *ir.Func, l *cfg.Loop, m *arch.Model, nonNull map[*ir.Block]*
 			}
 		}
 	}
+	ws.cand = cand
 
-	// Deterministic order for the preheader initializers.
-	fields := make([]*ir.Field, 0, len(cand))
-	for field := range cand {
-		fields = append(fields, field)
-	}
-	sort.Slice(fields, func(i, j int) bool { return fields[i].String() < fields[j].String() })
-
-	promoted, speculated := 0, 0
-	for _, field := range fields {
-		a := cand[field]
+	// The promotable candidates, in a deterministic order for the preheader
+	// initializers.
+	promote := ws.promote[:0]
+	for i := range cand {
+		a := &cand[i]
 		if a.mixed || a.stores == 0 || a.loads == 0 || sum.defsInLoop[a.base] != 0 {
 			continue
 		}
-		spec := false
 		switch {
-		case !sum.checkedInLoop[a.base] && nonNull[pre] != nil && nonNull[pre].Has(int(a.base)):
+		case !sum.checkedInLoop.Has(int(a.base)) && nonNull.Out(pre).Has(int(a.base)):
 		case m.SpeculativeReads:
-			spec = true
+			a.spec = true
 		default:
 			continue
 		}
+		promote = append(promote, a)
+	}
+	ws.promote = promote
+	if len(promote) > 1 {
+		slices.SortFunc(promote, func(a, b *access) int { return strings.Compare(a.field.String(), b.field.String()) })
+	}
+
+	promoted, speculated := 0, 0
+	for _, a := range promote {
+		field := a.field
 		tmp := f.NewLocal("prom_"+field.Name, field.Kind)
 		init := &ir.Instr{Op: ir.OpGetField, Dst: tmp, Field: field, Args: []ir.Operand{ir.Var(a.base)}}
-		if spec {
+		if a.spec {
 			init.Speculated = true
 			speculated++
 		}
 		pre.InsertBeforeTerminator(init)
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {
 				in := b.Instrs[i]
 				switch {

@@ -9,6 +9,8 @@ import "trapnull/internal/ir"
 // loop iteration and mask the very savings being measured. Returns the
 // number of edits.
 func SimplifyCFG(f *ir.Func) int {
+	ws := getWorkspace()
+	defer ws.release()
 	edits := 0
 	handlers := make(map[*ir.Block]bool, len(f.Regions))
 	for _, r := range f.Regions {
@@ -54,7 +56,7 @@ func SimplifyCFG(f *ir.Func) int {
 
 	// Drop blocks the threading just bypassed before merging: a stale
 	// unreachable predecessor would otherwise block a legal merge.
-	edits += removeUnreachable(f)
+	edits += removeUnreachable(f, ws)
 
 	// Merge straight-line chains: B ends in Jump(S), S has only B as
 	// predecessor, same try region, S is not a handler.
@@ -85,6 +87,6 @@ func SimplifyCFG(f *ir.Func) int {
 	}
 
 	// Drop unreachable blocks (threaded-past jump blocks).
-	edits += removeUnreachable(f)
+	edits += removeUnreachable(f, ws)
 	return edits
 }
