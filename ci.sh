@@ -123,10 +123,11 @@ go run ./cmd/nulljit -workload Assignment -config full -remarks -profile -trace 
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); evs=d['traceEvents']; assert evs and all(e.get('ph')=='X' for e in evs), 'bad trace events'" "$obs_trace"
 checked go test -run 'TestObsEquivalence|TestFateConservation' ./internal/bench
 checked env TRAPNULL_ENGINE=switch go test -count=1 -run TestObsEquivalence ./internal/bench
-# Compile-cache gate. The bench sweeps compile every cell directly (a
-# sweep's compilations are all distinct); the content-addressed cache serves
-# triage's replays, where identical programs recur. Its keying, bound,
-# error handling and shared-entry immutability run here on their own.
+# Compile-cache gate. Every production path compiles directly: bench cells,
+# policy recompiles and triage, which compiles once per check. The
+# content-addressed cache's remaining user is perfbench, whose per-cell
+# caches call it; its keying, bound, error handling and shared-entry
+# immutability run here on their own.
 checked go test -run 'TestCompileCache' ./internal/bench
 checked go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCompile' ./internal/jit
 # Tiered differential gate: the full ladder — promotion, speculation,
@@ -138,8 +139,10 @@ checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTiered' ./internal
 checked go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/jit
 # The adaptive controller both policies share: counters stay aliased across
 # tier-2 and governed adopts, ResetPrepared keeps governor state and drops
-# speculation.
-checked go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps' ./internal/machine
+# speculation. The hot countdown tier 0 shares with the untiered closure
+# engine: it carries over a governed adopt, hands a loop over mid-invocation
+# and lets a compiled caller reach a callee that turns hot later.
+checked go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps|TestAdoptCarriesTierZeroCountdown|TestHotLoopHandsOverMidInvocation|TestCompiledCallerColdThenHotCallee' ./internal/machine
 # Tiered bench smoke: the -tier table end to end on quick sizes (checksums
 # verified per invocation), plus one tiered nulljit run that must deopt and
 # converge on the lying-profile workload: nulljit exits non-zero on any
@@ -184,6 +187,13 @@ go run ./cmd/benchtab -quick -timeline "$tdir/tl2.txt" -metrics "$tdir/mx2.txt" 
 cmp "$tdir/tl1.txt" "$tdir/tl2.txt"
 cmp "$tdir/mx1.txt" "$tdir/mx2.txt"
 go run ./cmd/benchtab -tier -quick -trace "$tdir/tier-trace.json" -timeline "$tdir/tier-tl.txt" > /dev/null
+# Adaptive-timeline golden gate: the quick -tier and -degradation timelines
+# are purely simulated (logical clocks, simulated cycles) and identical at
+# every -parallel value and on either engine, so each run must reproduce its
+# checked-in file byte for byte, as the ablation gate does.
+cmp "$tdir/tier-tl.txt" tier_timeline.txt
+go run ./cmd/benchtab -degradation -quick -timeline "$tdir/degradation-tl.txt" > /dev/null
+cmp "$tdir/degradation-tl.txt" degradation_timeline.txt
 python3 -c "import json,sys; evs=json.load(open(sys.argv[1]))['traceEvents']; inst=[e for e in evs if e.get('ph')=='i']; assert inst, 'tier trace carries no instant (adaptive-decision) events'" "$tdir/tier-trace.json"
 grep -q 'promote-t1' "$tdir/tier-tl.txt"
 checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTelemetry|TestTieredTelemetry|TestAttributionConservation|TestExecProfileTieredAgree' ./internal/bench

@@ -12,7 +12,7 @@ import (
 )
 
 // TestCompileCacheEntryImmutable deep-freezes a cache entry and verifies
-// that consuming it the way triage's replays do — executing the shared
+// that consuming it the way a caching caller does — executing the shared
 // program, re-deriving statistics — leaves every byte of it untouched.
 func TestCompileCacheEntryImmutable(t *testing.T) {
 	model := arch.IA32Win()

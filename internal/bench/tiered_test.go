@@ -455,8 +455,8 @@ func TestTieredRecompilerSeesOnlyNonEmptySets(t *testing.T) {
 }
 
 // TestTierHookOverheadBudget pins satellite 1: with tiering enabled but
-// promotion thresholds set out of reach, the interpreter pays one tier-state
-// fetch per call and one budget decrement per block entry over the
+// promotion thresholds set out of reach, the machine pays one tier-state
+// fetch per call and one countdown decrement per block entry over the
 // profile-enabled baseline. Host timing is noisy, so the test takes the best
 // of several paired trials and fails only if every attempt exceeds the
 // budget.

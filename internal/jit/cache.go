@@ -1,10 +1,11 @@
 // Content-addressed compilation cache.
 //
-// A triage session compiles the same (program, configuration, model) triple
-// over and over: every bisection replay and every delta-debug oracle call
-// re-runs the whole pass pipeline on an identical input. Compilation is
-// deterministic — same input program, same effective configuration, same
-// models, same output IR — so the triple is a perfect cache key. The cache stores the compiled
+// A caller that compiles the same (program, configuration, model) triple
+// over and over (perfbench's per-cell caches are the only one) can serve
+// the repeats from here instead of re-running the whole pass pipeline on
+// an identical input. Compilation is deterministic — same input program,
+// same effective configuration, same models, same output IR — so the
+// triple is a perfect cache key. The cache stores the compiled
 // program together with its immutable *Result (and fate ledger, when the
 // compile was observed); callers re-attribute per-replay statistics from the
 // shared entry instead of recompiling.
@@ -328,10 +329,8 @@ type CacheStats struct {
 	Misses  int64
 }
 
-// DefaultCacheCapacity bounds a cache. A triage session stays well below it
-// (seed 1643 with the planted bug stores 123 keys); the bound keeps
-// open-ended callers (fuzz loops feeding one cache forever) from growing it
-// without limit.
+// DefaultCacheCapacity bounds a cache. The bound keeps open-ended callers
+// (fuzz loops feeding one cache forever) from growing it without limit.
 const DefaultCacheCapacity = 256
 
 // Cache maps a compilation's key to its artifact. It is safe for concurrent

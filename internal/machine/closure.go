@@ -141,9 +141,7 @@ type cFunc struct {
 	entry  int
 }
 
-// execCf runs an already-compiled function. Call sites keep their own
-// (callee, cFunc) cache, so the per-call table lookup only happens while
-// the callee has no code or when the call target changes.
+// execCf runs an already-compiled function.
 func (m *Machine) execCf(fn *ir.Func, cf *cFunc, args []int64, depth int) (Outcome, error) {
 	if depth > maxCallDepth {
 		return Outcome{}, fmt.Errorf("machine: call depth exceeded in %s", fn.Name)
@@ -180,7 +178,7 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 		prof = m.Profile.Counters(fn)
 	}
 	// One tier-state fetch per call; the block path pays one nil test when
-	// untiered, one decrement-and-test while counting toward promotion. The
+	// untiered, one decrement-and-test while counting toward tier 2. The
 	// countdown runs before the profile increment, mirroring the interpreter,
 	// so hand-offs never double-count a block entry.
 	var mt *methodTier
@@ -410,11 +408,13 @@ func (m *Machine) framePut(fr *frame) {
 }
 
 // compiled returns fn's closure-compiled form, building it on first use
-// into fn's entry in the per-function table.
+// into fn's entry in the per-function table and disarming fn's hot
+// countdown: there is no code left to turn hot into.
 func (m *Machine) compiled(fn *ir.Func) *cFunc {
 	e := m.prepare(fn)
 	if e.cf == nil {
 		e.cf = m.compileFunc(fn, e.pf)
+		e.countdown = 0
 	}
 	return e.cf
 }
@@ -1150,14 +1150,17 @@ func (m *Machine) compileCall(pin *pInstr) stepFn {
 	hasDst := in.HasDst()
 	d := in.Dst
 	args := append([]pOp(nil), pin.args...)
-	// scratch is recursion-safe: execCf copies it into the callee frame
-	// before the callee body (and thus any reentry of this closure) runs.
+	// scratch is recursion-safe: every engine entry copies it into the
+	// callee frame before the callee body (and thus any reentry of this
+	// closure) runs.
 	scratch := make([]int64, len(args))
-	// Per-call-site compilation cache, filled once the callee has closure
-	// code (until then it is interpreted) and valid as long as the target
-	// Func is unchanged. A stale-but-matching entry after ResetPrepared is
-	// harmless — recompiling the same Func yields observationally identical
-	// closures.
+	// Per-call-site memo of the callee's closure code, filled after a call
+	// on an untiered machine once the callee has code, so later calls skip
+	// invoke's table lookup. It is valid as long as the target Func is
+	// unchanged; a stale-but-matching entry after ResetPrepared is harmless,
+	// as recompiling the same Func yields observationally identical
+	// closures. A tiered machine's rung can change between calls, so there
+	// every call goes through invoke.
 	var ccFn *ir.Func
 	var ccCf *cFunc
 	return func(fr *frame) status {
@@ -1201,17 +1204,15 @@ func (m *Machine) compileCall(pin *pInstr) stepFn {
 		}
 		var out Outcome
 		var err error
-		if m.tier != nil {
-			// Tiered dispatch: the callee runs whatever artifact its own
-			// tier currently selects.
-			out, err = m.tierInvoke(callee, scratch, fr.depth+1)
-		} else if callee == ccFn {
-			out, err = m.execCf(callee, ccCf, scratch, fr.depth+1)
-		} else if e := m.prepare(callee); e.cf != nil {
-			ccFn, ccCf = callee, e.cf
+		if callee == ccFn {
 			out, err = m.execCf(callee, ccCf, scratch, fr.depth+1)
 		} else {
-			out, err = m.exec(callee, e, scratch, fr.depth+1)
+			out, err = m.invoke(callee, scratch, fr.depth+1)
+			if m.tier == nil {
+				if e := m.fns[callee]; e.cf != nil {
+					ccFn, ccCf = callee, e.cf
+				}
+			}
 		}
 		if err != nil {
 			fr.err = err

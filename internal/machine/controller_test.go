@@ -325,3 +325,50 @@ func TestDecisionStepIsReferenceCount(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptCarriesTierZeroCountdown: EnableTiering with a T1Blocks past
+// the first invocation, then EnableGovernor. Early in invocation 1 the
+// governor adopts a demoted generation of TrapStorm.main, which is still
+// at tier 0. The frame that trapped finishes invocation 1 on the replaced
+// body, and invocation 2 runs the adopted one; the block entries of both
+// count toward the one tier-1 threshold, so main is promoted once, in
+// invocation 2. The hand-over moves the rest of that invocation onto the
+// adopted generation's code, so the step of promote-t1 and the run's
+// cycles pin where the count stood.
+func TestAdoptCarriesTierZeroCountdown(t *testing.T) {
+	w := workloads.TrapStorm()
+	m, fn, compile := controlled(t, w, jit.ConfigPhase1Phase2(), demoteOpts)
+	m.Recorder = obs.NewRecorder()
+	m.EnableTiering(TierPolicy{T1Blocks: 4000}, nil)
+	m.EnableGovernor(quickGovernor, compile)
+	var last Outcome
+	for rep := 0; rep < 3; rep++ {
+		out, err := m.Call(fn, w.TestN)
+		if err != nil {
+			t.Fatalf("invocation %d: %v", rep+1, err)
+		}
+		if want := w.Ref(w.TestN); out.Value != want {
+			t.Fatalf("invocation %d: checksum %d, want %d", rep+1, out.Value, want)
+		}
+		last = out
+	}
+	type event struct {
+		inv  int
+		step int64
+		kind string
+	}
+	var got []event
+	for _, ev := range m.Recorder.Events() {
+		got = append(got, event{ev.Invocation, ev.Step, ev.Kind})
+	}
+	want := []event{{1, 1285, "demote"}, {1, 1285, "backoff-armed"}, {2, 15737, "promote-t1"}}
+	if !slices.Equal(got, want) {
+		t.Errorf("timeline %v, want %v", got, want)
+	}
+	if last != (Outcome{Value: 2309}) || m.Cycles != 731474 {
+		t.Errorf("last outcome %+v after %d cycles, want {Value:2309} after 731474", last, m.Cycles)
+	}
+	if rep := m.TierReport(); rep.OSREntries != 1 || m.GovernorReport().Recompiles != 1 {
+		t.Errorf("%d OSR entries and %d governed recompiles, want 1 and 1", rep.OSREntries, m.GovernorReport().Recompiles)
+	}
+}

@@ -125,8 +125,8 @@ func TestHotLoopHandsOverMidInvocation(t *testing.T) {
 
 // TestCompiledCallerColdThenHotCallee: compiled code calls a callee that
 // is interpreted until its own countdown expires (one block per call, so
-// during call hotBlockEntries), then runs compiled: the call site caches
-// the callee only once it has code. With a lazily compiled caller the
+// during call hotBlockEntries), then runs compiled: the call site runs
+// the callee's code once it exists. With a lazily compiled caller the
 // caller's own handover comes first. Both agree with the switch engine.
 func TestCompiledCallerColdThenHotCallee(t *testing.T) {
 	p, _ := prog()

@@ -77,7 +77,7 @@ type Machine struct {
 	// tier, when non-nil, drives tiered adaptive execution (EnableTiering):
 	// per-method promotion interpreter → closure engine → speculative
 	// recompile, and trap-triggered deoptimization. Untiered cost: one nil
-	// test per call and one per block entry.
+	// test per call.
 	tier *tierController
 	// fns holds per-function pre-decoded instruction tables and, for
 	// EngineClosure, closure-compiled code, keyed by *ir.Func identity.
@@ -148,22 +148,45 @@ func (m *Machine) Call(fn *ir.Func, args ...int64) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("machine: %s expects %d args, got %d", fn.Name, fn.NumParams, len(args))
 	}
 	m.Recorder.BeginInvocation()
-	if m.tier != nil {
-		return m.tierInvoke(fn, args, 0)
-	}
 	return m.invoke(fn, args, 0)
 }
 
-// invoke runs fn on an untiered machine: in the closure engine once fn has
-// closure code, otherwise in the interpreter. On the closure engine the
-// interpreter counts fn's block entries down and hands the invocation over
-// when fn turns hot (interp), so code that runs once is never compiled.
+// invoke is the machine's one call dispatcher. On a tiered machine the
+// method's rung picks the artifact: its tier-2 body, its conservative body
+// compiled once promoted, or that body interpreted at tier 0; a body outside
+// the program runs compiled at once. Otherwise fn runs in the closure engine
+// once it has closure code. Everything else is interpreted, and interp
+// counts fn's block entries down and hands the invocation over when fn
+// turns hot, so code that runs once is never compiled.
 func (m *Machine) invoke(fn *ir.Func, args []int64, depth int) (Outcome, error) {
+	if m.tier != nil {
+		mt := m.tier.stateOf(fn)
+		switch {
+		case mt == nil:
+			return m.execCf(fn, m.compiled(fn), args, depth)
+		case mt.tier == tierSpec:
+			return m.execCf(mt.fn2, mt.cf2, args, depth)
+		case mt.tier != tierInterp:
+			return m.execCf(mt.fn0, m.compiled(mt.fn0), args, depth)
+		}
+		fn = mt.fn0
+	}
 	e := m.prepare(fn)
 	if e.cf != nil && m.Engine == EngineClosure {
 		return m.execCf(fn, e.cf, args, depth)
 	}
 	return m.exec(fn, e, args, depth)
+}
+
+// hot is called when fn's countdown expires and returns the code the
+// interpreting frame hands over to: an untiered machine compiles fn, a
+// tiered one promotes fn's method to tier 1. nil means an earlier frame
+// already promoted the method, and this frame finishes interpreted.
+func (m *Machine) hot(fn *ir.Func) *cFunc {
+	if m.tier == nil {
+		return m.compiled(fn)
+	}
+	return m.tier.promoteT1(fn)
 }
 
 // stepLimitErr is the shared step-limit error; both engines must produce the
@@ -212,22 +235,15 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 	if m.Profile != nil {
 		prof = m.Profile.Counters(fn)
 	}
-	// Tier state is fetched once per call, like prof; the per-block cost of
-	// the promotion countdown is one nil test (untiered) or one
-	// decrement-and-test (tiered). The countdown runs BEFORE the profile
-	// increment so an on-stack replacement hands over "about to enter this
-	// block" and the closure engine's loop top counts the entry exactly once.
-	var mt *methodTier
-	if m.tier != nil {
-		mt = m.tier.stateOf(fn)
-	}
-	// An untiered closure-engine machine interprets a function until it
-	// turns hot: cold is fn's entry while fn has no closure code, and its
-	// countdown runs at the same point as the tier-0 one. A function the
-	// closure engine hands back at the step limit already has code, so its
-	// countdown neither runs nor restarts.
+	// cold is fn's entry while its hot countdown is armed (see fnEntry), so
+	// the per-block cost is one nil test, or one decrement-and-test while
+	// counting. The countdown runs BEFORE the profile increment so an
+	// on-stack replacement hands over "about to enter this block" and the
+	// closure engine's loop top counts the entry exactly once. A function
+	// the closure engine hands back at the step limit already has code, so
+	// its countdown neither runs nor restarts.
 	var cold *fnEntry
-	if m.tier == nil && m.Engine == EngineClosure && e.cf == nil {
+	if e.countdown > 0 {
 		cold = e
 	}
 
@@ -238,19 +254,13 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 			if m.Abort != nil && m.Abort.Load() {
 				return Outcome{}, ErrAborted
 			}
-			if mt != nil && mt.tier == tierInterp {
-				mt.budget--
-				if mt.budget <= 0 {
-					if cf := m.tier.promoteT1(mt); cf != nil {
-						return m.execCfFrom(fn, cf, locals, blk.ID, depth)
-					}
-					mt = nil
-				}
-			}
 			if cold != nil {
 				cold.countdown--
 				if cold.countdown <= 0 {
-					return m.execCfFrom(fn, m.compiled(fn), locals, blk.ID, depth)
+					if cf := m.hot(fn); cf != nil {
+						return m.execCfFrom(fn, cf, locals, blk.ID, depth)
+					}
+					cold = nil
 				}
 			}
 			if prof != nil {
@@ -630,11 +640,8 @@ func (m *Machine) callTarget(pin *pInstr, locals []int64, depth int) (Outcome, e
 	for i := range pin.args {
 		args[i] = val(locals, &pin.args[i])
 	}
-	if m.tier != nil {
-		// Callees dispatch through the tier table: a hot callee may already
-		// run compiled (or speculative) code while this caller interprets.
-		return m.tierInvoke(cal.Fn, args, depth+1)
-	}
+	// A hot callee may already run compiled (or speculative) code while
+	// this caller interprets.
 	return m.invoke(cal.Fn, args, depth+1)
 }
 

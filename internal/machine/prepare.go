@@ -75,28 +75,31 @@ func decodeOperand(fn *ir.Func, o ir.Operand) pOp {
 }
 
 // fnEntry is one function's entry in the per-Machine table: the prepared
-// table and, once the function has turned hot on the closure engine (or
-// PrecompileClosures ran), its compiled code.
+// table and, once the function has turned hot (or PrecompileClosures ran),
+// its compiled code.
 type fnEntry struct {
 	pf *pFunc
 	cf *cFunc
-	// countdown is the number of block entries, across all calls, an
-	// untiered closure-engine machine interprets fn for before compiling it
-	// (see interp). It starts at hotBlockEntries.
+	// countdown is the number of block entries, across all calls, that
+	// interp interprets fn for before fn turns hot (Machine.hot). prepare
+	// arms it: at hotBlockEntries on an untiered closure-engine machine, at
+	// the policy's T1Blocks for a tiered machine's tier-0 method bodies.
+	// Elsewhere it stays 0, which never expires, and compiled sets it to 0
+	// when fn gets closure code.
 	countdown int64
 }
 
-// hotBlockEntries is how many block entries make a function hot: the
-// untiered closure engine compiles a function after that many interpreted
-// entries, and DefaultTierPolicy promotes to tier 1 after as many.
+// hotBlockEntries is how many block entries make a function hot on an
+// untiered closure-engine machine; DefaultTierPolicy's T1Blocks is the same
+// count.
 const hotBlockEntries = 2048
 
-// ResetPrepared empties the per-function table (prepared operands and
-// closure-compiled code); the next Call of each function prepares it again
-// and, on an untiered closure-engine machine, restarts its hot countdown.
-// It is the invalidation hook for code that swaps Method.Fn between Calls —
-// triage's bisection replays — and for machine settings that prepare binds
-// (EnableGovernor, EnableAttribution). Tables still referenced by an
+// ResetPrepared empties the per-function table (prepared operands,
+// closure-compiled code and hot countdowns); the next Call of each function
+// prepares it again and restarts its countdown. It is the invalidation hook
+// for code that swaps Method.Fn between Calls — triage's bisection replays —
+// and for machine settings that prepare binds (EnableTiering,
+// EnableGovernor, EnableAttribution). Tables still referenced by an
 // in-flight exec remain valid; only the entries are dropped.
 func (m *Machine) ResetPrepared() {
 	clear(m.fns)
@@ -144,7 +147,33 @@ func (m *Machine) prepare(fn *ir.Func) *fnEntry {
 		}
 		pf.blocks[b.ID] = pins
 	}
-	e := &fnEntry{pf: pf, countdown: hotBlockEntries}
+	// Arm the hot countdown. A tiered machine arms only a tier-0 method's
+	// body: with promotion disabled it stays 0, and a body outside the
+	// program runs compiled at once.
+	e := &fnEntry{pf: pf}
+	if t := m.tier; t != nil {
+		if mt := t.stateOf(fn); mt != nil && mt.tier == tierInterp {
+			e.countdown = max(t.policy.T1Blocks, 0)
+		}
+	} else if m.Engine == EngineClosure {
+		e.countdown = hotBlockEntries
+	}
 	m.fns[fn] = e
 	return e
+}
+
+// succeed carries a tier-0 method's hot countdown from its body old to
+// next, the body of a governed generation adopted in its place. Frames of
+// old still running keep counting down old's table entry, so next takes
+// that entry over, with next's prepared table swapped in, and old gets a
+// fresh entry holding old's table: every frame of the method counts down
+// one countdown.
+func (m *Machine) succeed(old, next *ir.Func) {
+	e := m.fns[old]
+	if e == nil || e.countdown <= 0 {
+		return // not armed, or old never ran: next arms its own when prepared
+	}
+	n := m.prepare(next)
+	e.pf, n.pf = n.pf, e.pf
+	m.fns[old], m.fns[next] = n, e
 }

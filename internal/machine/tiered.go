@@ -29,12 +29,15 @@ import (
 // the profile lies.
 //
 // Promotion thresholds count block entries, the same facts
-// obs.ExecProfile records; each method keeps the threshold in decremented
-// ("budget") form so the hot path pays one nil test per block entry when
-// tiering is off and one extra decrement-and-test when it is on. Speculation
-// candidates come from the per-check counters the profile accumulates
-// (obs.CheckCounts), which both engines maintain through pointers bound at
-// prepare/closure-compile time.
+// obs.ExecProfile records, in decremented form. Tier 0→1 is the hot
+// countdown every machine runs (fnEntry.countdown): a tiered machine arms it
+// from T1Blocks, and when it expires promoteT1 takes the place of the
+// untiered machine's compile, so the interpreter pays the same
+// decrement-and-test per block entry tiered or not. Tier 1→2 counts
+// methodTier.budget in the closure engine. Speculation candidates come from
+// the per-check counters the profile accumulates (obs.CheckCounts), which
+// both engines maintain through pointers bound at prepare/closure-compile
+// time.
 //
 // One controller serves both adaptive policies. Tier-2 speculation moves
 // checks toward implicit, the trap-storm governor (governor.go) moves them
@@ -106,7 +109,7 @@ const (
 type methodTier struct {
 	name   string
 	tier   tierLevel
-	budget int64    // block entries remaining until the next promotion attempt
+	budget int64    // tier 1: block entries remaining until the next tier-2 attempt
 	fn0    *ir.Func // conservative artifact (the program's Method.Fn, or the adopted governed generation)
 	fn2    *ir.Func // speculative artifact body; nil below tier 2
 	cf2    *cFunc
@@ -227,9 +230,10 @@ func (m *Machine) EnableTiering(policy TierPolicy, compile Recompiler) {
 	if m.Profile == nil {
 		m.Profile = obs.NewExecProfile()
 	}
-	t := &tierController{m: m, policy: policy, compile: compile}
-	t.reset()
-	m.tier = t
+	m.tier = &tierController{m: m, policy: policy, compile: compile}
+	// Drop tables prepared before tiering so every body re-arms its hot
+	// countdown from the policy.
+	m.ResetPrepared()
 }
 
 // TierReport returns the controller's event log and totals; zero when the
@@ -279,15 +283,11 @@ func (t *tierController) reset() {
 	if t.m.Prog == nil {
 		return
 	}
-	startBudget := t.policy.T1Blocks
-	if startBudget <= 0 {
-		startBudget = 1 << 62 // promotion disabled: the countdown never fires
-	}
 	for _, mth := range t.m.Prog.Methods {
 		if mth.Fn == nil {
 			continue
 		}
-		mt := &methodTier{name: mth.QualifiedName(), tier: tierInterp, budget: startBudget, fn0: mth.Fn}
+		mt := &methodTier{name: mth.QualifiedName(), tier: tierInterp, fn0: mth.Fn}
 		if old := prev[mt.name]; old != nil {
 			mt.govMethod = old.govMethod
 		}
@@ -297,27 +297,12 @@ func (t *tierController) reset() {
 }
 
 // stateOf returns fn's tier state, or nil for bodies outside the program
-// (bare test functions). One map lookup per call; never on the block path.
+// (bare test functions). invoke looks it up once per call to run the
+// artifact the method's rung selects; never on the block path. All rungs
+// are observationally identical, so that choice only moves cycles between
+// "explicit check" and "trap" flavors exactly as the compiled artifacts
+// dictate.
 func (t *tierController) stateOf(fn *ir.Func) *methodTier { return t.byFn[fn] }
-
-// tierInvoke dispatches one call through the tier table. The tier chooses
-// the artifact and engine; all rungs are observationally identical, so this
-// only moves cycles between "explicit check" and "trap" flavors exactly as
-// the compiled artifacts dictate.
-func (m *Machine) tierInvoke(fn *ir.Func, args []int64, depth int) (Outcome, error) {
-	mt := m.tier.byFn[fn]
-	if mt == nil {
-		return m.execCf(fn, m.compiled(fn), args, depth)
-	}
-	switch mt.tier {
-	case tierInterp:
-		return m.exec(mt.fn0, m.prepare(mt.fn0), args, depth)
-	case tierSpec:
-		return m.execCf(mt.fn2, mt.cf2, args, depth)
-	default: // tierClosure, tierClosureFinal
-		return m.execCf(mt.fn0, m.compiled(mt.fn0), args, depth)
-	}
-}
 
 // note logs one tier event and mirrors it into the flight recorder.
 func (t *tierController) note(ev TierEvent, detail string) {
@@ -334,11 +319,12 @@ func (t *tierController) closure(fn *ir.Func) *cFunc {
 	return cf
 }
 
-// promoteT1 promotes an interpreted method to the closure engine, returning
-// the compiled artifact for the caller's on-stack replacement (nil when
-// promotion is disabled).
-func (t *tierController) promoteT1(mt *methodTier) *cFunc {
-	if t.policy.T1Blocks <= 0 {
+// promoteT1 promotes fn's method, whose hot countdown expired, to the
+// closure engine, returning the compiled artifact for the caller's on-stack
+// replacement (nil when the method already left tier 0).
+func (t *tierController) promoteT1(fn *ir.Func) *cFunc {
+	mt := t.stateOf(fn)
+	if mt == nil || mt.tier != tierInterp {
 		return nil
 	}
 	cf := t.closure(mt.fn0)
@@ -471,9 +457,10 @@ func (t *tierController) recompile(set map[string][]int) (*ir.Program, error) {
 // becomes each method's conservative artifact, so the next invocation (any
 // rung, either engine) dispatches to it; demotion shifts check ordinals, so
 // its site counters rebind by trap-site ordinal when the new bodies are
-// prepared. The faulting invocation finishes on the old artifact — the trap
-// that triggered the recompile already became the correct
-// NullPointerException.
+// prepared, and a method still at tier 0 carries its hot countdown over to
+// the new body (succeed). The faulting invocation finishes on the old
+// artifact — the trap that triggered the recompile already became the
+// correct NullPointerException.
 func (t *tierController) adopt(prog *ir.Program, promoting *methodTier) *ir.Func {
 	idx := t.byName()
 	var promoted *ir.Func
@@ -485,6 +472,7 @@ func (t *tierController) adopt(prog *ir.Program, promoting *methodTier) *ir.Func
 		t.byFn[mth.Fn] = mt
 		t.m.Profile.BindCounters(mth.Fn, mt.fn0)
 		if t.gov != nil {
+			t.m.succeed(mt.fn0, mth.Fn)
 			mt.fn0 = mth.Fn
 			continue
 		}

@@ -28,17 +28,14 @@ type edit struct {
 
 // shrink greedily minimizes the entry function while the case still
 // diverges on the triaging input, then fills in the report's reproducer
-// fields. The compile cache makes candidate evaluation content-addressed:
-// different edit sequences that converge on the same program (and the
-// initial no-edit replay, which shares its key with Check's compiles) cost
-// one compilation between them.
-func shrink(c Case, div *Divergence, rep *Report, cache *jit.Cache) error {
+// fields. Each candidate evaluation compiles its edited program afresh.
+func shrink(c Case, div *Divergence, rep *Report) error {
 	var edits []edit
 	cur, err := builtEntry(c, edits)
 	if err != nil {
 		return err
 	}
-	if !editedCaseDiverges(c, edits, div.Input, cache) {
+	if !editedCaseDiverges(c, edits, div.Input) {
 		return fmt.Errorf("case does not diverge on replay (input %d)", div.Input)
 	}
 
@@ -53,7 +50,7 @@ func shrink(c Case, div *Divergence, rep *Report, cache *jit.Cache) error {
 			if ir.Validate(nf) != nil {
 				continue
 			}
-			if editedCaseDiverges(c, trial, div.Input, cache) {
+			if editedCaseDiverges(c, trial, div.Input) {
 				edits, cur = trial, nf
 				improved = true
 				break
@@ -230,7 +227,7 @@ func builtEntry(c Case, edits []edit) (*ir.Func, error) {
 // interpret cleanly unoptimized, compile cleanly, and still disagree with
 // its own baseline on the input. Any disagreement counts — delta debugging
 // preserves "a divergence exists", not the original outcome pair.
-func editedCaseDiverges(c Case, edits []edit, input int64, cache *jit.Cache) bool {
+func editedCaseDiverges(c Case, edits []edit, input int64) bool {
 	base, entryB, err := editedProgram(c, edits)
 	if err != nil {
 		return false
@@ -243,8 +240,7 @@ func editedCaseDiverges(c Case, edits []edit, input int64, cache *jit.Cache) boo
 	if err != nil {
 		return false
 	}
-	opt, entryO, err = compileCached(cache, c, opt, entryO)
-	if err != nil {
+	if _, err := jit.CompileProgram(opt, c.Config, c.Model); err != nil {
 		return false
 	}
 	got, err := interpret(opt, entryO, c.Model, input)

@@ -116,14 +116,11 @@ type PassTime struct {
 // Shrink. A compile error (e.g. a *jit.PassError from a panicking pass) is
 // returned as an error — it is already triaged to a pass by construction.
 //
-// One content-addressed compile cache serves the whole run: Check's
-// per-input replays all share one key (same generator, same projection), and
-// the shrink loop's candidate evaluations hit whenever two edit sequences
-// produce structurally identical programs. The bisection is the one stage
-// that must recompile — it exists to observe the passes running.
+// Check compiles the case once and runs that program on every input; the
+// bisection recompiles once more to observe the passes running, and the
+// shrink loop compiles each candidate it evaluates.
 func Run(c Case) (*Report, error) {
-	cache := jit.NewCache(0)
-	div, err := check(c, cache)
+	div, err := Check(c)
 	if err != nil {
 		return nil, err
 	}
@@ -134,30 +131,26 @@ func Run(c Case) (*Report, error) {
 	if err := bisect(c, div, rep); err != nil {
 		return nil, fmt.Errorf("triage: bisect: %w", err)
 	}
-	if err := shrink(c, div, rep, cache); err != nil {
+	if err := shrink(c, div, rep); err != nil {
 		return nil, fmt.Errorf("triage: shrink: %w", err)
 	}
 	rep.RegressionTest = regressionTest(c, rep)
 	return rep, nil
 }
 
-// Check compiles a fresh copy under the configuration and compares it with
-// the interpreted baseline on every input. It returns the first divergence,
-// or nil when the case behaves.
+// Check compiles a fresh copy under the configuration once and compares it
+// with the interpreted baseline on every input; each run gets its own
+// machine and heap. It returns the first divergence, or nil when the case
+// behaves.
 func Check(c Case) (*Divergence, error) {
-	return check(c, jit.NewCache(0))
-}
-
-func check(c Case, cache *jit.Cache) (*Divergence, error) {
+	prog, entry := c.Gen()
+	if _, err := jit.CompileProgram(prog, c.Config, c.Model); err != nil {
+		return nil, fmt.Errorf("triage: compile: %w", err)
+	}
 	for _, input := range c.Inputs {
 		want, err := interpretFresh(c, input)
 		if err != nil {
 			return nil, fmt.Errorf("triage: baseline: %w", err)
-		}
-		prog, entry := c.Gen()
-		prog, entry, err = compileCached(cache, c, prog, entry)
-		if err != nil {
-			return nil, fmt.Errorf("triage: compile: %w", err)
 		}
 		got, err := interpret(prog, entry, c.Model, input)
 		if err != nil {
@@ -168,40 +161,6 @@ func check(c Case, cache *jit.Cache) (*Divergence, error) {
 		}
 	}
 	return nil, nil
-}
-
-// compileCached compiles prog under the case's configuration, serving
-// structurally identical programs from the cache. On a hit the freshly
-// generated program is discarded and the cached compiled copy runs instead,
-// with the entry function re-resolved by qualified name — sound because
-// cached entries are immutable and every run gets its own machine and heap.
-// An entry function that is not a method of its program cannot be renamed
-// into a cached copy, so that (unusual) shape compiles directly.
-func compileCached(cache *jit.Cache, c Case, prog *ir.Program, entry *ir.Func) (*ir.Program, *ir.Func, error) {
-	em := methodOf(prog, entry)
-	if em == nil {
-		_, err := jit.CompileProgram(prog, c.Config, c.Model)
-		return prog, entry, err
-	}
-	ent, _, err := cache.Compile(prog, c.Config, c.Model, jit.CompileOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	cm := ent.Program.MethodByName(em.QualifiedName())
-	if cm == nil || cm.Fn == nil {
-		return nil, nil, fmt.Errorf("cached program has no entry method %s", em.QualifiedName())
-	}
-	return ent.Program, cm.Fn, nil
-}
-
-// methodOf finds the method whose body is fn, or nil.
-func methodOf(p *ir.Program, fn *ir.Func) *ir.Method {
-	for _, m := range p.Methods {
-		if m.Fn == fn {
-			return m
-		}
-	}
-	return nil
 }
 
 func interpretFresh(c Case, input int64) (Outcome, error) {
