@@ -134,15 +134,19 @@ checked go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCo
 # trap-triggered deoptimization — against the untiered engines, under the
 # race detector and again with the reference switch interpreter as the
 # untiered default, so the tiering layer can never drift from either engine.
-checked go test -race -run 'TestTiered|TestTierHook' ./internal/bench
+# Attaching an execution profile must not change any tiered or governed
+# run: the adaptive policies own the counters they decide from.
+checked go test -race -run 'TestTiered|TestTierHook|TestObservationNeverSteers' ./internal/bench
 checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTiered' ./internal/bench
 checked go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/jit
-# The adaptive controller both policies share: counters stay aliased across
-# tier-2 and governed adopts, ResetPrepared keeps governor state and drops
-# speculation. The hot countdown tier 0 shares with the untiered closure
-# engine: it carries over a governed adopt, hands a loop over mid-invocation
-# and lets a compiled caller reach a callee that turns hot later.
-checked go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps|TestAdoptCarriesTierZeroCountdown|TestHotLoopHandsOverMidInvocation|TestCompiledCallerColdThenHotCallee' ./internal/machine
+# The adaptive controller both policies share: every generation binds the
+# method's counter cells by ordinal across tier-2 and governed adopts, and
+# ResetPrepared keeps governor state and an unchanged body's speculation
+# counts and drops the rest of speculation. The hot countdown tier 0 shares
+# with the untiered closure engine: it carries over a governed adopt, hands
+# a loop over mid-invocation and lets a compiled caller reach a callee that
+# turns hot later.
+checked go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps|TestResetPreparedKeepsSpeculationCounts|TestAdoptCarriesTierZeroCountdown|TestHotLoopHandsOverMidInvocation|TestCompiledCallerColdThenHotCallee' ./internal/machine
 # Tiered bench smoke: the -tier table end to end on quick sizes (checksums
 # verified per invocation), plus one tiered nulljit run that must deopt and
 # converge on the lying-profile workload: nulljit exits non-zero on any

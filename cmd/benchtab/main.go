@@ -13,8 +13,8 @@
 //	benchtab -chaos -chaos-seed 7 # deterministic seeded fault-injection sweep
 //	benchtab -cell-timeout 30s    # per-cell wall-clock deadline -> ERROR(timeout)
 //	benchtab -trace out.json      # Chrome trace of the sweep (Perfetto-viewable)
-//	benchtab -timeline -          # adaptive-decision timeline + trap-cost attribution (- = stdout)
-//	benchtab -metrics -           # deterministic telemetry metrics snapshot (- = stdout)
+//	benchtab -timeline tl.txt     # adaptive-decision timeline + trap-cost attribution
+//	benchtab -metrics mx.txt      # deterministic telemetry metrics snapshot
 //	benchtab -metrics-volatile    # include host-timing metrics in the snapshot
 //	benchtab -remarks             # per-config null check fate histograms
 //	benchtab -profile             # hot-block execution profile per cell
@@ -51,8 +51,8 @@ func main() {
 		cellTO     = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for the main sweep (0 = none; expired cells render ERROR(timeout))")
 		asJSON     = flag.Bool("json", false, "emit the full report as JSON")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the sweep to this file")
-		timelineTo = flag.String("timeline", "", "write the adaptive-decision timeline (flight recorder + trap-cost attribution) to this file, or - for stdout")
-		metricsTo  = flag.String("metrics", "", "write the telemetry metrics snapshot to this file, or - for stdout")
+		timelineTo = flag.String("timeline", "", "write the adaptive-decision timeline (flight recorder + trap-cost attribution) to this file")
+		metricsTo  = flag.String("metrics", "", "write the telemetry metrics snapshot to this file")
 		metricsVol = flag.Bool("metrics-volatile", false, "include volatile (host-timing/interleaving) metrics in the -metrics snapshot")
 		remarks    = flag.Bool("remarks", false, "collect null-check fate remarks (adds fate histograms to tables/JSON)")
 		profile    = flag.Bool("profile", false, "profile execution (adds hot-block summaries to tables/JSON)")
@@ -224,12 +224,9 @@ func main() {
 	failOn(sweepErr)
 }
 
-// writeOut writes a telemetry rendering to a file, or stdout for "-".
+// writeOut writes a telemetry rendering to a file. A file is its one
+// deterministic form: on stdout it would follow tables carrying host time.
 func writeOut(path, content string) {
-	if path == "-" {
-		fmt.Print(content)
-		return
-	}
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 		os.Exit(1)

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"trapnull/internal/arch"
+	"trapnull/internal/ir"
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
 	"trapnull/internal/obs"
@@ -272,12 +274,110 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 	t.Errorf("telemetry overhead %.3fx exceeds %.2fx budget in all %d trials", best, budget, trials)
 }
 
+// observedRun is what one adaptive run shows: every invocation's Outcome
+// and error, then the machine's cycles, counters, reports (host compile time
+// aside), blacklist and flight-recorder events.
+type observedRun struct {
+	Outcomes    []machine.Outcome
+	Errs        []string
+	Cycles      int64
+	Stats       machine.ExecStats
+	Tier        machine.TierReport
+	Gov         machine.GovernorReport
+	Blacklisted map[string][]int
+	Events      []obs.RecEvent
+}
+
+// runObserved runs w four times under policy ("tiered-spec" or "governed",
+// set up as the quick policy sweeps do), with a caller-attached profile
+// when profiled.
+func runObserved(t *testing.T, w *workloads.Workload, model *arch.Model, cfg jit.Config, policy string, profiled bool) observedRun {
+	t.Helper()
+	p, entryM := w.Build()
+	if _, err := jit.CompileProgram(p, cfg, model); err != nil {
+		t.Fatalf("%s/%s: compile: %v", model.Name, w.Name, err)
+	}
+	m := machine.New(model, p)
+	m.Recorder = obs.NewRecorder()
+	if profiled {
+		m.Profile = obs.NewExecProfile()
+	}
+	setupPolicy(policy, m, true, func(co jit.CompileOptions) (*ir.Program, error) {
+		q, _ := w.Build()
+		_, err := jit.CompileProgramWith(q, cfg, model, co)
+		return q, err
+	})
+	if !profiled && m.Profile != nil {
+		t.Errorf("%s/%s: %s machine attached a profile nobody asked for", model.Name, w.Name, policy)
+	}
+	var r observedRun
+	for rep := 0; rep < 4; rep++ {
+		out, err := m.Call(entryM.Fn, w.TestN)
+		r.Outcomes = append(r.Outcomes, out)
+		if err != nil {
+			r.Errs = append(r.Errs, err.Error())
+		}
+	}
+	r.Cycles, r.Stats = m.Cycles, m.Stats
+	r.Tier, r.Gov = m.TierReport(), m.GovernorReport()
+	r.Tier.CompileHost, r.Gov.CompileHost = 0, 0
+	r.Blacklisted = m.Blacklisted()
+	r.Events = m.Recorder.Events()
+	return r
+}
+
+// TestObservationNeverSteers: attaching an execution profile is observation
+// only. Every tiered and degradation workload, on both models, runs under
+// tier-2 speculation and under the trap-storm governor once with a
+// caller-attached profile and once without one, and the two runs must agree
+// on everything the run decides and costs. Neither policy, nor trap-cost
+// attribution, attaches a profile of its own.
+func TestObservationNeverSteers(t *testing.T) {
+	sweeps := []struct {
+		model     func() *arch.Model
+		spec, gov jit.Config
+	}{
+		{arch.IA32Win, jit.ConfigPhase1Phase2(), ImplicitConfigWin()},
+		{arch.PPCAIX, jit.ConfigAIXSpeculation(), ImplicitConfigAIX()},
+	}
+	decided := map[string]int{}
+	for _, sw := range sweeps {
+		model := sw.model()
+		for _, w := range append(TieredWorkloads(), DegradationWorkloads()...) {
+			for _, pc := range []struct {
+				policy string
+				cfg    jit.Config
+			}{{"tiered-spec", sw.spec}, {"governed", sw.gov}} {
+				off := runObserved(t, w, model, pc.cfg, pc.policy, false)
+				on := runObserved(t, w, model, pc.cfg, pc.policy, true)
+				if !reflect.DeepEqual(off, on) {
+					t.Errorf("%s/%s %s: profiling changed the run:\n off %+v\n on  %+v", model.Name, w.Name, pc.policy, off, on)
+				}
+				for _, ev := range off.Events {
+					decided[ev.Kind]++
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"promote-t2", "deopt", "demote"} {
+		if decided[kind] == 0 {
+			t.Errorf("no run logged a %s: the comparison saw no such decision", kind)
+		}
+	}
+
+	m := machine.New(arch.IA32Win(), nil)
+	m.EnableAttribution()
+	if m.Profile != nil {
+		t.Error("EnableAttribution attached a profile nobody asked for")
+	}
+}
+
 // TestExecProfileTieredAgree pins the block-counting fix under tiered
 // execution: a fully tiered machine — promoting through the ladder,
 // speculating, deopting — must report exactly the untiered switch
 // interpreter's total block entries. Tier promotions swap artifacts
-// mid-flight; BindCounters aliases every generation onto the conservative
-// artifact's counter box, so the totals survive the swaps.
+// mid-flight; each generation counts its own entries, so the totals must
+// count every block entry exactly once across the swaps.
 func TestExecProfileTieredAgree(t *testing.T) {
 	model := arch.IA32Win()
 	cfg := jit.ConfigPhase1Phase2()
@@ -296,8 +396,8 @@ func TestExecProfileTieredAgree(t *testing.T) {
 			oracle.Call(entryM.Fn, w.TestN)
 		}
 
-		// Tiered machine with the profile attached BEFORE tiering, so the
-		// controller binds its check counters into the same profile.
+		// Tiered machine with the profile attached before tiering, as the
+		// bench harness attaches it.
 		compile := tierCompiler(w, cfg, model, jit.NewCache(0))
 		prog2, err := compile(nil)
 		if err != nil {

@@ -457,7 +457,7 @@ func TestTieredRecompilerSeesOnlyNonEmptySets(t *testing.T) {
 // TestTierHookOverheadBudget pins satellite 1: with tiering enabled but
 // promotion thresholds set out of reach, the machine pays one tier-state
 // fetch per call and one countdown decrement per block entry over the
-// profile-enabled baseline. Host timing is noisy, so the test takes the best
+// untiered baseline. Host timing is noisy, so the test takes the best
 // of several paired trials and fails only if every attempt exceeds the
 // budget.
 func TestTierHookOverheadBudget(t *testing.T) {
@@ -494,12 +494,9 @@ func tierTrial(t testing.TB, tiered bool) time.Duration {
 	m.Engine = machine.EngineSwitch
 	if tiered {
 		// Thresholds no run can reach: the hook is live on every block
-		// entry but never promotes, isolating its cost.
+		// entry but never promotes, isolating its cost. Neither side
+		// carries a profile, so the trial measures the tier hook alone.
 		m.EnableTiering(machine.TierPolicy{T1Blocks: 1 << 40}, nil)
-	} else {
-		// The baseline carries the same profile, so the trial measures the
-		// tier hook alone, not profiling.
-		m.Profile = obs.NewExecProfile()
 	}
 	start := time.Now()
 	if _, err := m.Call(entry.Fn, 30); err != nil {

@@ -5,9 +5,9 @@ import (
 	"trapnull/internal/obs"
 )
 
-// Trap-cost attribution (obs.Attribution) for untiered machines: prepare
-// binds a CheckCounts cell at every implicit (ExcSite) site in addition to
-// the explicit checks, and CycleAttribution afterwards folds those per-site
+// Trap-cost attribution (obs.Attribution) for untiered machines: the machine
+// owns one CheckCounts cell per explicit check and implicit (ExcSite) site,
+// prepare binds them, and CycleAttribution afterwards folds those per-site
 // tallies through the architecture's cycle model into the four-bucket ledger.
 // The ledger is analytic — no extra cycle accounting runs during execution —
 // so conservation (buckets sum exactly to Machine.Cycles) holds by
@@ -28,13 +28,21 @@ func (m *Machine) Steps() int64 { return m.steps }
 
 // EnableAttribution turns on per-trap-site cycle attribution. Call it before
 // the first Call (it empties the per-function table so sites rebind).
-// Requires a Profile; installs one if absent.
 func (m *Machine) EnableAttribution() {
-	if m.Profile == nil {
-		m.Profile = obs.NewExecProfile()
+	if m.attr == nil {
+		m.attr = make(map[*ir.Instr]*obs.CheckCounts)
 	}
-	m.attrSites = true
 	m.ResetPrepared()
+}
+
+// attrCell returns in's attribution cell, creating it on first use.
+func (m *Machine) attrCell(in *ir.Instr) *obs.CheckCounts {
+	c := m.attr[in]
+	if c == nil {
+		c = &obs.CheckCounts{}
+		m.attr[in] = c
+	}
+	return c
 }
 
 // CycleAttribution builds the trap-cost ledger for everything this machine
@@ -42,7 +50,7 @@ func (m *Machine) EnableAttribution() {
 // machine is tiered/governed (see package comment above). The walk order is
 // Program.Methods declaration order — deterministic, map-free.
 func (m *Machine) CycleAttribution() *obs.Attribution {
-	if !m.attrSites || m.Profile == nil || m.tier != nil {
+	if m.attr == nil || m.tier != nil {
 		return nil
 	}
 	a := &obs.Attribution{
@@ -51,7 +59,6 @@ func (m *Machine) CycleAttribution() *obs.Attribution {
 		TrapCycles:  m.Stats.TrapsTaken * m.Arch.TrapDispatchCycles,
 	}
 	throwCost := m.Arch.TrapDispatchCycles / 5
-	seen := make(map[*obs.CheckCounts]bool)
 	for _, mth := range m.Prog.Methods {
 		if mth.Fn == nil {
 			continue
@@ -68,11 +75,10 @@ func (m *Machine) CycleAttribution() *obs.Attribution {
 				default:
 					continue
 				}
-				c := m.Profile.PeekCheck(in)
-				if c == nil || seen[c] {
-					continue // never executed, or aliased onto a row we counted
+				c := m.attr[in]
+				if c == nil {
+					continue // never prepared
 				}
-				seen[c] = true
 				site := obs.AttrSite{
 					Method: label,
 					Kind:   kind,

@@ -1373,7 +1373,7 @@ func (m *Machine) bareNullDeref(p, q *pInstr) stepFn {
 	costD, impD := q.cost, in.ExcSite
 
 	// countCheck mirrors the unfused check's accounting, including the
-	// per-check profile counters the tier controller speculates from.
+	// check's counter cell (speculation's or attribution's) when bound.
 	countCheck := func(ref int64) {
 		m.Stats.ExplicitChecks++
 		if chk != nil {

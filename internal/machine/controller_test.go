@@ -75,15 +75,26 @@ var (
 func specOpts(set map[string][]int) jit.CompileOptions   { return jit.CompileOptions{Spec: set} }
 func demoteOpts(set map[string][]int) jit.CompileOptions { return jit.CompileOptions{Demote: set} }
 
-// sameBox reports whether two block-counter slices are one shared box.
-func sameBox(a, b []int64) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
+// boundCell returns the counter cell m's prepared table of fn binds to in.
+func boundCell(t *testing.T, m *Machine, fn *ir.Func, in *ir.Instr) *obs.CheckCounts {
+	t.Helper()
+	for _, pins := range m.prepare(fn).pf.blocks {
+		for i := range pins {
+			if pins[i].in == in {
+				return pins[i].chk
+			}
+		}
+	}
+	t.Fatalf("%s has no prepared %s", fn.Name, in)
+	return nil
+}
 
 // TestAdoptAliasesCounters pins the one adopt path's two uses. A tier-2
-// generation shares the conservative artifact's block-entry box and aliases
-// every check onto the conservative check's counter, ordinal by ordinal. A
-// governed generation replaces the conservative artifact, shares the
-// original's block-entry box, and its trap-site-tagged instructions bind to
-// the same canonical per-site cells the original generation's sites used.
+// generation's checks bind, ordinal by ordinal, to the same speculation
+// cells of the method's record as the conservative artifact's checks. A
+// governed generation replaces the conservative artifact, and its
+// trap-site-tagged instructions bind to the same canonical per-site cells
+// the original generation's sites used.
 func TestAdoptAliasesCounters(t *testing.T) {
 	t.Run("tier2", func(t *testing.T) {
 		w := workloads.BigOffsetWalk()
@@ -97,17 +108,14 @@ func TestAdoptAliasesCounters(t *testing.T) {
 		if m.tier.byFn[mt.fn2] != mt {
 			t.Error("speculative body does not dispatch through its method's record")
 		}
-		if !sameBox(m.Profile.Counters(mt.fn2), m.Profile.Counters(mt.fn0)) {
-			t.Error("speculative body counts block entries into its own box")
-		}
 		checks0, checks2 := mt.fn0.NullChecks(), mt.fn2.NullChecks()
 		if len(checks0) == 0 || len(checks0) != len(checks2) {
 			t.Fatalf("check lists not aligned: %d vs %d", len(checks0), len(checks2))
 		}
 		for ord := range checks0 {
-			c0, c2 := m.Profile.PeekCheck(checks0[ord]), m.Profile.PeekCheck(checks2[ord])
-			if c0 == nil || c0 != c2 {
-				t.Errorf("check %d: speculative counter %p is not the conservative %p", ord, c2, c0)
+			c0, c2 := boundCell(t, m, mt.fn0, checks0[ord]), boundCell(t, m, mt.fn2, checks2[ord])
+			if c0 == nil || c0 != mt.checks[ord] || c2 != c0 {
+				t.Errorf("check %d: conservative cell %p and speculative cell %p are not the method's cell %p", ord, c0, c2, mt.checks[ord])
 			}
 		}
 	})
@@ -124,7 +132,7 @@ func TestAdoptAliasesCounters(t *testing.T) {
 			for _, in := range b.Instrs {
 				if in.TrapSite != 0 {
 					sites[int(in.TrapSite)-1] = true
-					if c := m.Profile.PeekCheck(in); c == nil || c != mt.cells[int(in.TrapSite)-1] {
+					if c := boundCell(t, m, orig, in); c == nil || c != mt.cells[int(in.TrapSite)-1] {
 						t.Errorf("original site %d is not bound to its canonical cell", in.TrapSite-1)
 					}
 				}
@@ -140,9 +148,6 @@ func TestAdoptAliasesCounters(t *testing.T) {
 		if m.tier.byFn[mt.fn0] != mt {
 			t.Error("governed body does not dispatch through its method's record")
 		}
-		if !sameBox(m.Profile.Counters(mt.fn0), m.Profile.Counters(orig)) {
-			t.Error("governed generation counts block entries into its own box")
-		}
 		demoted := 0
 		for _, b := range mt.fn0.Blocks {
 			for _, in := range b.Instrs {
@@ -153,7 +158,7 @@ func TestAdoptAliasesCounters(t *testing.T) {
 				if !sites[ord] {
 					t.Errorf("governed generation grew unknown site %d", ord)
 				}
-				if c := m.Profile.PeekCheck(in); c == nil || c != mt.cells[ord] {
+				if c := boundCell(t, m, mt.fn0, in); c == nil || c != mt.cells[ord] {
 					t.Errorf("governed site %d is not bound to the canonical cell", ord)
 				}
 				if in.Op == ir.OpNullCheck {
@@ -370,5 +375,49 @@ func TestAdoptCarriesTierZeroCountdown(t *testing.T) {
 	}
 	if rep := m.TierReport(); rep.OSREntries != 1 || m.GovernorReport().Recompiles != 1 {
 		t.Errorf("%d OSR entries and %d governed recompiles, want 1 and 1", rep.OSREntries, m.GovernorReport().Recompiles)
+	}
+}
+
+// TestResetPreparedKeepsSpeculationCounts: ResetPrepared restarts every
+// method at tier 0, but a method whose body did not change keeps the check
+// counts it speculates from. MinCheckExecs is set one past the explicit
+// checks BigOffsetWalk executes in a whole invocation, so one invocation's
+// counts never justify speculation: a fresh machine does not speculate in
+// its first invocation, and a reset machine speculates in its second only
+// because the first invocation's counts carried over.
+func TestResetPreparedKeepsSpeculationCounts(t *testing.T) {
+	w := workloads.BigOffsetWalk()
+	m, fn, _ := controlled(t, w, jit.ConfigPhase1Phase2(), specOpts)
+	invoke(t, m, w, fn, 1)
+	policy := TierPolicy{T1Blocks: 16, T2Blocks: 16, MinCheckExecs: m.Stats.ExplicitChecks + 1}
+
+	promotions := func(m *Machine) []int {
+		var invs []int
+		for _, ev := range m.Recorder.Events() {
+			if ev.Kind == "promote-t2" {
+				invs = append(invs, ev.Invocation)
+			}
+		}
+		return invs
+	}
+	tiered := func() (*Machine, *ir.Func) {
+		m, fn, compile := controlled(t, w, jit.ConfigPhase1Phase2(), specOpts)
+		m.Recorder = obs.NewRecorder()
+		m.EnableTiering(policy, compile)
+		return m, fn
+	}
+
+	fresh, fn := tiered()
+	invoke(t, fresh, w, fn, 1)
+	if got := promotions(fresh); len(got) != 0 {
+		t.Fatalf("one invocation's counts speculated (promote-t2 in invocations %v)", got)
+	}
+
+	reset, fn := tiered()
+	invoke(t, reset, w, fn, 1)
+	reset.ResetPrepared()
+	invoke(t, reset, w, fn, 1)
+	if got := promotions(reset); !slices.Equal(got, []int{2}) {
+		t.Errorf("promote-t2 in invocations %v, want [2]: the counts did not survive ResetPrepared", got)
 	}
 }

@@ -36,11 +36,12 @@ import (
 // the governor runs — check ordinals shift between demoted generations, and
 // the two policies bet in opposite directions anyway.
 //
-// Per-site profiling reuses obs.CheckCounts: prepare() binds one canonical
-// counter cell per (method, trap-site ordinal), aliased across artifact
-// generations, incremented on every site execution (Execs) and every trap
-// (Nulls). The trigger runs on the trap path only, so the no-trap fast path
-// pays nothing beyond the Execs increment.
+// The governor owns its per-site counts: one obs.CheckCounts cell per
+// (method, trap-site ordinal) on the method's record (govMethod.cells), which
+// prepare binds into every artifact generation, incremented on every site
+// execution (Execs) and every trap (Nulls). The trigger runs on the trap
+// path only, so the no-trap fast path pays nothing beyond the Execs
+// increment.
 
 // GovernorPolicy sets the demotion thresholds.
 type GovernorPolicy struct {
@@ -85,7 +86,7 @@ type GovernorReport struct {
 	Recompiles  int // governed recompiles performed
 	Pinned      []string
 	CompileHost time.Duration
-	// SiteExecs/SiteNulls total the canonical per-site profile across every
+	// SiteExecs/SiteNulls total the canonical per-site counts across every
 	// governed method: how many times marked sites executed and how many of
 	// those executions were null (trapped or explicitly caught).
 	SiteExecs int64
@@ -102,9 +103,9 @@ type govMethod struct {
 	recompiles int
 	backoff    int64
 	pinned     bool
-	// cells holds the canonical per-site profile counters, by trap-site
-	// ordinal, aliased onto every artifact generation at prepare time.
-	cells map[int]*obs.CheckCounts
+	// cells holds the canonical per-site counters, by trap-site ordinal,
+	// bound into every artifact generation at prepare time.
+	cells ordCells
 }
 
 // govSite locates a registered exception site: its method and stable ordinal.
@@ -158,41 +159,29 @@ func (m *Machine) GovernorReport() GovernorReport {
 		if mt.pinned {
 			r.Pinned = append(r.Pinned, mt.name)
 		}
-		// Sums are commutative, so map iteration order cannot leak into the
-		// report.
 		for _, c := range mt.cells {
-			r.SiteExecs += c.Execs
-			r.SiteNulls += c.Nulls
+			if c != nil {
+				r.SiteExecs += c.Execs
+				r.SiteNulls += c.Nulls
+			}
 		}
 	}
 	sort.Strings(r.Pinned)
 	return r
 }
 
-// bindSite attaches the canonical site counter to one prepared instruction.
-// Both current exception sites and demoted explicit checks carry TrapSite
-// tags, so a site's Execs/Nulls keep accumulating into one cell across the
-// implicit→explicit transition and every artifact generation.
-func (t *tierController) bindSite(fn *ir.Func, pin *pInstr) {
-	in := pin.in
-	mt := t.byFn[fn]
-	if in.TrapSite == 0 || mt == nil {
-		return
-	}
+// bindSite returns mt's canonical site counter for in, an instruction with
+// a TrapSite tag, and registers in for the trap path when it is an exception
+// site. Both current exception sites and demoted explicit checks carry
+// TrapSite tags, so a site's Execs/Nulls keep accumulating into one cell
+// across the implicit→explicit transition and every artifact generation.
+func (t *tierController) bindSite(mt *methodTier, in *ir.Instr) *obs.CheckCounts {
 	ord := int(in.TrapSite) - 1
-	cell := mt.cells[ord]
-	if cell == nil {
-		if mt.cells == nil {
-			mt.cells = make(map[int]*obs.CheckCounts)
-		}
-		cell = &obs.CheckCounts{}
-		mt.cells[ord] = cell
-	}
-	pin.chk = cell
-	t.m.Profile.BindCheck(in, cell)
+	cell := mt.cells.at(ord)
 	if in.ExcSite {
 		t.gov.sites[in] = govSite{mt: mt, ord: ord, cell: cell}
 	}
+	return cell
 }
 
 // siteTrapped is the trap-path notification: a hardware trap fired at a

@@ -48,10 +48,16 @@ type Machine struct {
 	// engines produce identical Outcome/ExecStats/Cycles, so this only
 	// trades host speed for reference simplicity.
 	Engine Engine
+	// injectedStepFault marks MaxSteps as a chaos-armed engine fault
+	// (InjectStepFault) rather than the runaway guard. It sits beside
+	// Engine so the two share a word.
+	injectedStepFault bool
 	// Profile, when non-nil, receives per-block entry counts from both
-	// engines (obs layer; benchtab -profile). Block entries are semantic
-	// facts, so the two engines record identical profiles. Disabled cost:
-	// one nil test per function call and one slice-nil test per block.
+	// engines (obs layer; benchtab -profile). Only the caller attaches it,
+	// and nothing the machine decides or charges reads it. Block entries
+	// are semantic facts, so the two engines record identical profiles.
+	// Disabled cost: one nil test per function call and one slice-nil test
+	// per block.
 	Profile *obs.ExecProfile
 	// Abort, when non-nil, is polled at block entry by both engines; once it
 	// reads true the call unwinds with ErrAborted. The bench harness sets it
@@ -67,13 +73,12 @@ type Machine struct {
 	Recorder *obs.Recorder
 
 	steps int64
-	// injectedStepFault marks MaxSteps as a chaos-armed engine fault
-	// (InjectStepFault) rather than the runaway guard.
-	injectedStepFault bool
-	// attrSites, set by EnableAttribution, makes prepare bind per-site
-	// CheckCounts cells at implicit (ExcSite) sites too, so CycleAttribution
-	// can split the run's cycles into per-trap-site buckets afterwards.
-	attrSites bool
+	// attr, made by EnableAttribution, holds trap-cost attribution's
+	// counter cells by instruction: prepare binds one at every explicit
+	// check and implicit (ExcSite) site of an untiered machine, and
+	// CycleAttribution splits the run's cycles into per-trap-site buckets
+	// from them afterwards.
+	attr map[*ir.Instr]*obs.CheckCounts
 	// tier, when non-nil, drives tiered adaptive execution (EnableTiering):
 	// per-method promotion interpreter → closure engine → speculative
 	// recompile, and trap-triggered deoptimization. Untiered cost: one nil
@@ -553,21 +558,15 @@ func (m *Machine) trap() *raise {
 // siteTrap is the shared trap bookkeeping for an implicit-check site: both
 // engines funnel their trap-candidate loads and stores through it, so the
 // governor and the attribution ledger see every hardware trap exactly once.
-// Under a governor the canonical site cell is incremented by siteTrapped;
-// otherwise, when attribution bound a cell at prepare time, the null lands
-// there.
+// Under a governor the canonical site cell is incremented by siteTrapped; on
+// an untiered machine with attribution the null lands in the site's
+// attribution cell.
 func (m *Machine) siteTrap(in *ir.Instr) *raise {
 	r := m.trap()
 	if m.tier != nil {
 		m.tier.siteTrapped(in)
-		if m.tier.gov != nil {
-			return r
-		}
-	}
-	if m.attrSites && m.Profile != nil {
-		if c := m.Profile.PeekCheck(in); c != nil {
-			c.Nulls++
-		}
+	} else if c := m.attr[in]; c != nil {
+		c.Nulls++
 	}
 	return r
 }

@@ -29,9 +29,11 @@ type pOp struct {
 
 // pInstr pairs an instruction with its pre-decoded operands and its static
 // cycle cost under the machine's model (Arch.Cost, bound once like the
-// closures' costs). chk is the per-check profile cell, bound once at prepare
-// time for OpNullCheck when a profile is attached, so the hot path pays plain
-// field increments and never a map lookup.
+// closures' costs). chk is the counter cell of whoever counts the
+// instruction: the tier controller's speculation cell of a null check, the
+// governor's cell of a trap site, or trap-cost attribution's cell of a check
+// or site. prepare binds it once, so the hot path pays plain field
+// increments and never a map lookup; it is nil where nothing counts.
 type pInstr struct {
 	in   *ir.Instr
 	args []pOp
@@ -120,6 +122,17 @@ func (m *Machine) prepare(fn *ir.Func) *fnEntry {
 	if m.fns == nil {
 		m.fns = make(map[*ir.Func]*fnEntry)
 	}
+	t := m.tier
+	var mt *methodTier // fn's method on a tiered machine; nil off the program
+	if t != nil {
+		mt = t.stateOf(fn)
+	}
+	// Who counts fn's checks and sites: the governor or tier-2 speculation
+	// (never both), or trap-cost attribution on an untiered machine.
+	gov := mt != nil && t.gov != nil
+	spec := mt != nil && t.speculates()
+	attr := m.attr != nil && t == nil
+	ord := 0 // the next null check's ordinal, in fn.NullChecks order
 	pf := &pFunc{blocks: make([][]pInstr, fn.MaxBlockID()+1)}
 	for _, b := range fn.Blocks {
 		pins := make([]pInstr, len(b.Instrs))
@@ -129,20 +142,18 @@ func (m *Machine) prepare(fn *ir.Func) *fnEntry {
 				args[j] = decodeOperand(fn, o)
 			}
 			pins[i] = pInstr{in: in, args: args, cost: m.Arch.Cost(in)}
-			if in.Op == ir.OpNullCheck && m.Profile != nil {
-				pins[i].chk = m.Profile.CheckCounter(in)
+			switch {
+			case gov && in.TrapSite != 0:
+				// Trap sites and demoted checks, by trap-site ordinal.
+				pins[i].chk = t.bindSite(mt, in)
+			case spec && in.Op == ir.OpNullCheck:
+				// Every generation's checks, by check ordinal.
+				pins[i].chk = mt.checks.at(ord)
+			case attr && (in.Op == ir.OpNullCheck || in.ExcSite):
+				pins[i].chk = m.attrCell(in)
 			}
-			if m.attrSites && in.ExcSite && m.Profile != nil {
-				// Attribution counts executions at implicit sites too; the
-				// governor bind below overrides with its canonical cell when
-				// both are somehow enabled, so traps are never double-counted.
-				pins[i].chk = m.Profile.CheckCounter(in)
-			}
-			if m.tier != nil && m.tier.gov != nil {
-				// Governed machines profile trap sites (and demoted checks)
-				// through canonical per-(method, ordinal) cells that survive
-				// artifact generations; see tierController.bindSite.
-				m.tier.bindSite(fn, &pins[i])
+			if in.Op == ir.OpNullCheck {
+				ord++
 			}
 		}
 		pf.blocks[b.ID] = pins
@@ -151,8 +162,8 @@ func (m *Machine) prepare(fn *ir.Func) *fnEntry {
 	// body: with promotion disabled it stays 0, and a body outside the
 	// program runs compiled at once.
 	e := &fnEntry{pf: pf}
-	if t := m.tier; t != nil {
-		if mt := t.stateOf(fn); mt != nil && mt.tier == tierInterp {
+	if t != nil {
+		if mt != nil && mt.tier == tierInterp {
 			e.countdown = max(t.policy.T1Blocks, 0)
 		}
 	} else if m.Engine == EngineClosure {

@@ -12,8 +12,8 @@ import (
 // Tiered adaptive execution.
 //
 // A tiered machine starts every method in the switch interpreter (tier 0),
-// promotes it to the closure-compiled engine once its block-entry profile
-// crosses a threshold (tier 1), and — when the per-check profile shows hot
+// promotes it to the closure-compiled engine once its block-entry count
+// crosses a threshold (tier 1), and — when its per-check counts show hot
 // checks that never saw a null — recompiles it speculatively (tier 2):
 // those checks become zero-cost speculation guards (ir.Instr.SpecGuard)
 // beyond what phase 1/phase 2 could prove. A guard that actually meets a
@@ -28,16 +28,16 @@ import (
 // Outcome is identical to the untiered engines by construction, even when
 // the profile lies.
 //
-// Promotion thresholds count block entries, the same facts
-// obs.ExecProfile records, in decremented form. Tier 0→1 is the hot
-// countdown every machine runs (fnEntry.countdown): a tiered machine arms it
-// from T1Blocks, and when it expires promoteT1 takes the place of the
+// Promotion thresholds count block entries in decremented form. Tier 0→1 is
+// the hot countdown every machine runs (fnEntry.countdown): a tiered machine
+// arms it from T1Blocks, and when it expires promoteT1 takes the place of the
 // untiered machine's compile, so the interpreter pays the same
 // decrement-and-test per block entry tiered or not. Tier 1→2 counts
 // methodTier.budget in the closure engine. Speculation candidates come from
-// the per-check counters the profile accumulates (obs.CheckCounts), which
-// both engines maintain through pointers bound at prepare/closure-compile
-// time.
+// the method's own per-check counters (methodTier.checks, one obs.CheckCounts
+// cell per check ordinal), which prepare binds into every generation's
+// prepared table, so both engines count through plain pointers. None of this
+// reads obs.ExecProfile: a profile the caller attaches only reports.
 //
 // One controller serves both adaptive policies. Tier-2 speculation moves
 // checks toward implicit, the trap-storm governor (governor.go) moves them
@@ -105,7 +105,8 @@ const (
 )
 
 // methodTier is one method's record: its tier rung and speculation state,
-// which reset drops, and its governor state, which reset keeps.
+// which reset drops but for an unchanged body's check counts, and its
+// governor state, which reset keeps.
 type methodTier struct {
 	name   string
 	tier   tierLevel
@@ -115,6 +116,10 @@ type methodTier struct {
 	cf2    *cFunc
 	spec   []int  // ordinals speculated in fn2
 	black  ordSet // blacklisted check ordinals (guards that fired)
+	// checks holds the speculation counts by check ordinal (ir.Func.NullChecks
+	// order), shared by every generation of the method; reset keeps them
+	// while the method's body is unchanged.
+	checks ordCells
 	// specAttempts counts tier-2 speculative recompiles; capped by
 	// TierPolicy.SpecRecompileBudget with exponential deopt backoff.
 	specAttempts int
@@ -141,6 +146,22 @@ func (s *ordSet) add(ord int) {
 	*s = append(*s, 0)
 	copy((*s)[i+1:], (*s)[i:])
 	(*s)[i] = ord
+}
+
+// ordCells holds counter cells by check or trap-site ordinal: a method's
+// speculation counts (methodTier.checks) and its governor site counts
+// (govMethod.cells).
+type ordCells []*obs.CheckCounts
+
+// at returns ord's cell, creating it on first use.
+func (c *ordCells) at(ord int) *obs.CheckCounts {
+	if ord >= len(*c) {
+		*c = append(*c, make(ordCells, ord+1-len(*c))...)
+	}
+	if (*c)[ord] == nil {
+		(*c)[ord] = &obs.CheckCounts{}
+	}
+	return (*c)[ord]
 }
 
 // backoff is base doubled once per earlier attempt (capped at 2^20): the
@@ -225,11 +246,7 @@ func (t *tierController) settle(fn *ir.Func) *ir.Func {
 
 // EnableTiering switches the machine to tiered adaptive execution. compile
 // supplies speculative recompiles; nil disables tier 2 regardless of policy.
-// Tiering needs the execution profile, so one is attached if absent.
 func (m *Machine) EnableTiering(policy TierPolicy, compile Recompiler) {
-	if m.Profile == nil {
-		m.Profile = obs.NewExecProfile()
-	}
 	m.tier = &tierController{m: m, policy: policy, compile: compile}
 	// Drop tables prepared before tiering so every body re-arms its hot
 	// countdown from the policy.
@@ -271,7 +288,8 @@ func (t *tierController) byName() map[string]*methodTier {
 // closure of the previous generation. Every method restarts at tier 0 with
 // a clean blacklist; its governor state (demote set, recompiles, backoff,
 // pin, site cells) carries over by name, matching the monotone-demotion
-// contract. Governor site bindings are dropped with the old records they
+// contract, and so do its speculation counts while its body is the one they
+// counted. Governor site bindings are dropped with the old records they
 // point at and rebind when the bodies are next prepared.
 func (t *tierController) reset() {
 	prev := t.byName()
@@ -290,6 +308,9 @@ func (t *tierController) reset() {
 		mt := &methodTier{name: mth.QualifiedName(), tier: tierInterp, fn0: mth.Fn}
 		if old := prev[mt.name]; old != nil {
 			mt.govMethod = old.govMethod
+			if old.fn0 == mth.Fn {
+				mt.checks = old.checks
+			}
 		}
 		t.byFn[mth.Fn] = mt
 		t.order = append(t.order, mt)
@@ -328,9 +349,7 @@ func (t *tierController) promoteT1(fn *ir.Func) *cFunc {
 		return nil
 	}
 	cf := t.closure(mt.fn0)
-	// Tier 2 needs a recompiler and no governor: check ordinals shift between
-	// demoted generations, and the two policies bet in opposite directions.
-	if t.policy.T2Blocks > 0 && t.compile != nil && t.gov == nil {
+	if t.speculates() {
 		mt.tier = tierClosure
 		mt.budget = t.policy.T2Blocks
 	} else {
@@ -341,17 +360,24 @@ func (t *tierController) promoteT1(fn *ir.Func) *cFunc {
 	return cf
 }
 
+// speculates reports whether the controller may promote to tier 2, which
+// needs a recompiler and no governor: check ordinals shift between demoted
+// generations, and the two policies bet in opposite directions.
+func (t *tierController) speculates() bool {
+	return t.policy.T2Blocks > 0 && t.compile != nil && t.gov == nil
+}
+
 // candidates returns the ordinals of mt's speculable checks: executed at
 // least MinCheckExecs times, zero nulls observed, not blacklisted. thin
 // reports whether some check is still below the execution floor (the
 // promotion attempt should be retried once more data accumulates).
 func (t *tierController) candidates(mt *methodTier) (ords []int, thin bool) {
-	for ord, in := range mt.fn0.NullChecks() {
+	for ord := range mt.fn0.NullChecks() {
 		if mt.black.has(ord) {
 			continue
 		}
-		c := t.m.Profile.PeekCheck(in)
-		if c == nil || c.Execs < t.policy.MinCheckExecs {
+		c := mt.checks.at(ord)
+		if c.Execs < t.policy.MinCheckExecs {
 			thin = true
 			continue
 		}
@@ -445,21 +471,19 @@ func (t *tierController) recompile(set map[string][]int) (*ir.Program, error) {
 }
 
 // adopt registers a freshly compiled program generation: every method body
-// maps into byFn (calls inside the new artifact dispatch through the tier
-// table like any other), and — generations being block-aligned — shares the
-// conservative artifact's block-entry counter box, so the execution profile
-// survives the swap instead of fragmenting across generations.
+// maps into byFn, so calls inside the new artifact dispatch through the tier
+// table like any other, and prepare binds the body's counters to its
+// method's cells by ordinal.
 //
-// A speculative generation also aliases each body's checks onto the
-// conservative artifact's check counters (compilation is deterministic, so
-// ordinals align), letting conservative and speculative runs accumulate one
-// profile; adopt returns promoting's new body. A governed generation instead
-// becomes each method's conservative artifact, so the next invocation (any
-// rung, either engine) dispatches to it; demotion shifts check ordinals, so
-// its site counters rebind by trap-site ordinal when the new bodies are
-// prepared, and a method still at tier 0 carries its hot countdown over to
-// the new body (succeed). The faulting invocation finishes on the old
-// artifact — the trap that triggered the recompile already became the
+// A speculative generation's checks bind to the method's speculation cells
+// (compilation is deterministic, so check ordinals align), letting
+// conservative and speculative runs accumulate one count; adopt returns
+// promoting's new body. A governed generation instead becomes each method's
+// conservative artifact, so the next invocation (any rung, either engine)
+// dispatches to it; demotion shifts check ordinals, so its sites bind by
+// trap-site ordinal, and a method still at tier 0 carries its hot countdown
+// over to the new body (succeed). The faulting invocation finishes on the
+// old artifact — the trap that triggered the recompile already became the
 // correct NullPointerException.
 func (t *tierController) adopt(prog *ir.Program, promoting *methodTier) *ir.Func {
 	idx := t.byName()
@@ -470,19 +494,10 @@ func (t *tierController) adopt(prog *ir.Program, promoting *methodTier) *ir.Func
 			continue
 		}
 		t.byFn[mth.Fn] = mt
-		t.m.Profile.BindCounters(mth.Fn, mt.fn0)
 		if t.gov != nil {
 			t.m.succeed(mt.fn0, mth.Fn)
 			mt.fn0 = mth.Fn
-			continue
-		}
-		checks0 := mt.fn0.NullChecks()
-		for ord, in2 := range mth.Fn.NullChecks() {
-			if ord < len(checks0) {
-				t.m.Profile.BindCheck(in2, t.m.Profile.CheckCounter(checks0[ord]))
-			}
-		}
-		if mt == promoting {
+		} else if mt == promoting {
 			promoted = mth.Fn
 		}
 	}

@@ -8,127 +8,56 @@ import (
 	"trapnull/internal/ir"
 )
 
-// ExecProfile counts basic-block entries during simulated execution. The
-// machines fetch one dense counter slice per function call and pay a single
-// slice increment per block entry, so the enabled overhead stays inside the
-// obs budget and the disabled cost is one nil test per call. Block-entry
-// counts are semantic facts (identical across engines); a differential test
-// in internal/machine pins that.
+// ExecProfile counts basic-block entries during simulated execution, for a
+// caller who attached it (Machine.Profile). It is a report only: nothing the
+// machine decides or charges reads it. The machines fetch one dense counter
+// slice per function call and pay a single slice increment per block entry,
+// so the enabled overhead stays inside the obs budget and the disabled cost
+// is one nil test per call. Block-entry counts are semantic facts (identical
+// across engines); a differential test in internal/machine pins that.
+//
+// Counts are kept per function body: a tiered machine's artifact
+// generations of one method each count their own entries, and every block
+// entry lands in exactly one body's counters.
 //
 // An ExecProfile is owned by one Machine and is not safe for concurrent use,
 // matching the Machine itself.
 type ExecProfile struct {
-	funcs  map[*ir.Func]*blockCounters
-	order  []*ir.Func // registration order: deterministic iteration
-	checks map[*ir.Instr]*CheckCounts
-}
-
-// blockCounters is one shared box of per-block entry counts. Block-aligned
-// artifacts of the same method (conservative vs speculative vs demoted
-// recompiles, interpreter fn vs compiled fn across tier promotions and deopt
-// transfers) alias onto ONE box via BindCounters, so the profile survives
-// artifact swaps instead of fragmenting across generations.
-type blockCounters struct {
-	counts []int64
+	funcs map[*ir.Func][]int64
+	order []*ir.Func // registration order: deterministic iteration
 }
 
 // NewExecProfile returns an empty profile.
 func NewExecProfile() *ExecProfile {
-	return &ExecProfile{
-		funcs:  make(map[*ir.Func]*blockCounters),
-		checks: make(map[*ir.Instr]*CheckCounts),
-	}
+	return &ExecProfile{funcs: make(map[*ir.Func][]int64)}
 }
 
-// CheckCounts is the per-null-check dynamic profile: how many times the check
-// executed and how many of those executions saw a null reference. The tier
-// controller speculates checks whose Execs is high and Nulls is zero. The
-// machine binds one counter pointer per compiled check at prepare /
-// closure-compile time, so the hot path pays two field increments and no map
-// lookups.
+// CheckCounts is one null check's or trap site's dynamic counts: how many
+// times it executed and how many of those executions saw a null reference.
+// The machine's adaptive policies and trap-cost attribution own their cells
+// and bind one pointer per prepared instruction, so the hot path pays two
+// field increments and no map lookups.
 type CheckCounts struct {
 	Execs int64
 	Nulls int64
 }
 
-// CheckCounter returns the counter cell for check instruction in, creating it
-// on first use. Distinct *ir.Instr keys from block-aligned artifacts of the
-// same method can be aliased onto one cell with BindCheck so conservative and
-// speculative runs accumulate into the same profile.
-func (p *ExecProfile) CheckCounter(in *ir.Instr) *CheckCounts {
-	if c, ok := p.checks[in]; ok {
+// Counters returns fn's per-block entry counters, indexed by block ID.
+func (p *ExecProfile) Counters(fn *ir.Func) []int64 {
+	if c, ok := p.funcs[fn]; ok {
 		return c
 	}
-	c := &CheckCounts{}
-	p.checks[in] = c
+	c := make([]int64, fn.MaxBlockID()+1)
+	p.funcs[fn] = c
+	p.order = append(p.order, fn)
 	return c
 }
 
-// BindCheck aliases check instruction in onto an existing counter cell. The
-// tier controller uses it to point a speculative recompile's checks at the
-// conservative artifact's counters (same method, same check ordinals).
-func (p *ExecProfile) BindCheck(in *ir.Instr, c *CheckCounts) { p.checks[in] = c }
-
-// PeekCheck returns the counter cell for in, or nil if it never executed and
-// was never bound. Read-only: it does not allocate a cell.
-func (p *ExecProfile) PeekCheck(in *ir.Instr) *CheckCounts { return p.checks[in] }
-
-// Counters returns fn's per-block entry counters, indexed by block ID.
-func (p *ExecProfile) Counters(fn *ir.Func) []int64 {
-	return p.box(fn).counts
-}
-
-func (p *ExecProfile) box(fn *ir.Func) *blockCounters {
-	if b, ok := p.funcs[fn]; ok {
-		return b
-	}
-	b := &blockCounters{counts: make([]int64, fn.MaxBlockID()+1)}
-	p.funcs[fn] = b
-	p.order = append(p.order, fn)
-	return b
-}
-
-// BindCounters aliases fn2's block counters onto fn's box, so a block-aligned
-// recompile of the same method keeps accumulating into one profile across
-// tier promotions, OSR entries, and deopt transfers. If fn2 already counted
-// into a box of its own, those entries merge into fn's box first (block IDs
-// line up by the block-aligned contract). A size mismatch means the artifacts
-// are NOT block-aligned; the bind is refused and fn2 keeps separate counters.
-func (p *ExecProfile) BindCounters(fn2, fn *ir.Func) {
-	if fn2 == fn {
-		return
-	}
-	dst := p.box(fn)
-	if prev, ok := p.funcs[fn2]; ok {
-		if prev == dst {
-			return
-		}
-		if len(prev.counts) != len(dst.counts) {
-			return
-		}
-		for i, v := range prev.counts {
-			dst.counts[i] += v
-		}
-		prev.counts = nil // emptied: the box stays in order but counts nothing
-	} else if fn2.MaxBlockID()+1 != len(dst.counts) {
-		return
-	} else {
-		p.order = append(p.order, fn2)
-	}
-	p.funcs[fn2] = dst
-}
-
-// TotalBlocks sums every block-entry count. Aliased functions share one box,
-// which is summed once.
+// TotalBlocks sums every block-entry count.
 func (p *ExecProfile) TotalBlocks() int64 {
 	var n int64
-	seen := make(map[*blockCounters]bool, len(p.funcs))
-	for _, b := range p.funcs {
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		for _, v := range b.counts {
+	for _, counts := range p.funcs {
+		for _, v := range counts {
 			n += v
 		}
 	}
@@ -144,17 +73,12 @@ type HotBlock struct {
 }
 
 // Hot returns the top-n blocks by entry count. Ordering is deterministic:
-// count descending, then method name, then block name.
+// count descending, then method name, then block name, then registration
+// order (generations of one method share method and block names).
 func (p *ExecProfile) Hot(n int) []HotBlock {
 	var all []HotBlock
-	seen := make(map[*blockCounters]bool, len(p.funcs))
 	for _, fn := range p.order {
-		box := p.funcs[fn]
-		if box == nil || seen[box] {
-			continue // a later generation aliased onto an earlier box
-		}
-		seen[box] = true
-		counters := box.counts
+		counters := p.funcs[fn]
 		name := funcLabel(fn)
 		for _, b := range fn.Blocks {
 			if b.ID < len(counters) && counters[b.ID] > 0 {
@@ -162,7 +86,7 @@ func (p *ExecProfile) Hot(n int) []HotBlock {
 			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
+	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].Count != all[j].Count {
 			return all[i].Count > all[j].Count
 		}
