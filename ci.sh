@@ -99,6 +99,11 @@ checked go test -run FuzzDifferential ./internal/randprog
 # example outputs (simulated cycles included) and the jasm engine-fuzz seeds
 # run here too, so both engines must print and agree on the same numbers.
 TRAPNULL_ENGINE=switch go test -count=1 ./internal/machine ./internal/bench ./internal/randprog ./examples/... ./internal/jasm
+# The prepared table's layout: a fixed number of allocations per function
+# whatever its size, the compact record sizes, and the float view of every
+# operand kind on both engines. Named here so a rename fails CI instead of
+# silently dropping out of the line above.
+checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestPrepareAllocsIndependentOfSize|TestPreparedRecordSizes|TestEngineFloatViewsOfOperands' ./internal/machine
 # Bounded native fuzz smoke: arbitrary jasm programs through both engines.
 # Its 5000-step limit ends every looping program, so the closure engine's
 # hand-off to the interpreter at a stretch the limit could fire in meets
@@ -160,6 +165,11 @@ case "$storm" in
     exit 1
     ;;
 esac
+# -tier refuses the flags its run would ignore instead of accepting them.
+if go run ./cmd/nulljit -workload LateNullStorm -tier -profile > /dev/null 2>&1; then
+    echo "nulljit -tier accepted -profile, which it ignores" >&2
+    exit 1
+fi
 # Robustness gate (governor + fault injection). The chaos pass replays the
 # same seeded fault schedule under the race detector and on both engines —
 # the reports must be byte-identical and every failure one the schedule

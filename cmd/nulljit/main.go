@@ -11,6 +11,8 @@
 //	nulljit -remarks              # per-method null check fate ledger
 //	nulljit -profile              # hot-block execution profile
 //	nulljit -tier -tier-reps 4    # tiered adaptive execution with event log
+//	                              # (takes only -workload, -config, -arch, -n,
+//	                              # -tier-reps, -timeline and -cpuprofile)
 //	nulljit -list
 package main
 
@@ -119,9 +121,17 @@ func main() {
 	fail(err)
 
 	if *tier {
-		if *file != "" {
-			fail(fmt.Errorf("-tier needs a rebuildable program; use -workload, not -file"))
-		}
+		// The tiered run reads only the flags below; refuse the rest rather
+		// than silently ignore them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "tier", "tier-reps", "timeline", "workload", "config", "arch", "n", "cpuprofile":
+			case "file":
+				fail(fmt.Errorf("-tier needs a rebuildable program; use -workload, not -file"))
+			default:
+				fail(fmt.Errorf("-tier does not support -%s", f.Name))
+			}
+		})
 		runTiered(*wname, cfg, model, *n, *tierReps, *timeline)
 		return
 	}

@@ -426,7 +426,7 @@ func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
 	m.heapLo = max(rt.HeapBase, m.Arch.TrapAreaBytes)
 	cf := &cFunc{blocks: make([]cBlock, fn.MaxBlockID()+1), entry: fn.Entry.ID}
 	for _, b := range fn.Blocks {
-		pins := pf.blocks[b.ID]
+		pins := pf.block(b.ID)
 		// Nothing after a block's first terminator runs in either engine.
 		for i := range pins {
 			if pins[i].in.IsTerminator() {
@@ -443,13 +443,13 @@ func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
 		// tail counts the trailing instructions the block loop runs inline:
 		// the terminator and, when foldable, the instruction before it.
 		tail := 0
-		if n := len(pins); n > 0 && decodeTerm(&cb.term, &pins[n-1]) {
+		if n := len(pins); n > 0 && decodeTerm(&cb.term, &pins[n-1], pf.args(&pins[n-1])) {
 			tail = 1
-			if n > 1 && decodePre(&cb.term, &pins[n-2]) {
+			if n > 1 && decodePre(&cb.term, &pins[n-2], pf.args(&pins[n-2])) {
 				tail = 2
 			}
 		}
-		if segs := m.buildSegs(pins, tail); len(segs) > 0 {
+		if segs := m.buildSegs(pf, pins, tail); len(segs) > 0 {
 			cb.seg, cb.more = segs[0], segs[1:]
 		}
 		cf.blocks[b.ID] = cb
@@ -462,8 +462,9 @@ func (m *Machine) compileFunc(fn *ir.Func, pf *pFunc) *cFunc {
 // compileCharged): such an instruction never fuses or runs inline.
 func siteCounted(pin *pInstr) bool { return pin.chk != nil && pin.in.ExcSite }
 
-// decodeTerm decodes pin into t when the block loop can evaluate it inline.
-func decodeTerm(t *cTerm, pin *pInstr) bool {
+// decodeTerm decodes pin, whose operands are args, into t when the block
+// loop can evaluate it inline.
+func decodeTerm(t *cTerm, pin *pInstr, args []pOp) bool {
 	in := pin.in
 	if siteCounted(pin) {
 		return false
@@ -473,15 +474,15 @@ func decodeTerm(t *cTerm, pin *pInstr) bool {
 		t.kind, t.t0 = termJump, in.Targets[0].ID
 	case ir.OpReturn:
 		switch {
-		case len(pin.args) != 1:
+		case len(args) != 1:
 			t.kind = termRetVoid
-		case pin.args[0].varIdx >= 0:
-			t.kind, t.a = termRetVar, pin.args[0].varIdx
+		case args[0].varIdx >= 0:
+			t.kind, t.a = termRetVar, args[0].varIdx
 		default:
-			t.kind, t.k = termRetConst, pin.args[0].i64
+			t.kind, t.k = termRetConst, args[0].i64
 		}
 	case ir.OpIf:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		if a.isFloat || b.isFloat || a.varIdx < 0 {
 			return false
 		}
@@ -498,21 +499,21 @@ func decodeTerm(t *cTerm, pin *pInstr) bool {
 }
 
 // decodePre folds pin, the instruction before an inline terminator, into t
-// when it is one of the integer pre-op shapes.
-func decodePre(t *cTerm, pin *pInstr) bool {
+// when it is one of the integer pre-op shapes; args are its operands.
+func decodePre(t *cTerm, pin *pInstr, args []pOp) bool {
 	in := pin.in
 	if siteCounted(pin) {
 		return false
 	}
 	switch in.Op {
 	case ir.OpMove:
-		if a := pin.args[0]; a.varIdx >= 0 {
+		if a := args[0]; a.varIdx >= 0 {
 			t.pre, t.px = preMovV, a.varIdx
 		} else {
 			t.pre, t.pk = preMovK, a.i64
 		}
 	case ir.OpAdd:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		if a.varIdx < 0 || b.varIdx >= 0 {
 			return false
 		}
@@ -524,11 +525,11 @@ func decodePre(t *cTerm, pin *pInstr) bool {
 	return true
 }
 
-// buildSegs splits a block into charged stretches, each ending after a call
-// or at the block end, and fuses adjacent pairs within each stretch. The
-// block's last tail instructions run inline in the block loop and get no
-// charged entry.
-func (m *Machine) buildSegs(pins []pInstr, tail int) []cSeg {
+// buildSegs splits a block of pf into charged stretches, each ending after
+// a call or at the block end, and fuses adjacent pairs within each stretch.
+// The block's last tail instructions run inline in the block loop and get
+// no charged entry.
+func (m *Machine) buildSegs(pf *pFunc, pins []pInstr, tail int) []cSeg {
 	var segs []cSeg
 	for start := 0; start < len(pins); {
 		end := start + 1
@@ -543,7 +544,7 @@ func (m *Machine) buildSegs(pins []pInstr, tail int) []cSeg {
 		for i := end - 1; i >= start; i-- {
 			sufAt[i-start] = acc
 			acc.count++
-			acc.cycles += pins[i].cost
+			acc.cycles += int64(pins[i].cost)
 			if pins[i].in.ExcSite {
 				acc.imp++
 			}
@@ -554,13 +555,13 @@ func (m *Machine) buildSegs(pins []pInstr, tail int) []cSeg {
 			last -= tail
 		}
 		for i := start; i < last; {
-			if s, w := m.fuse(pins[i:last]); w > 0 {
+			if s, w := m.fuse(pf, pins[i:last]); w > 0 {
 				sg.charged = append(sg.charged, s)
 				sg.suffix = append(sg.suffix, sufAt[i+w-1-start])
 				i += w
 				continue
 			}
-			sg.charged = append(sg.charged, m.compileCharged(&pins[i]))
+			sg.charged = append(sg.charged, m.compileCharged(&pins[i], pf.args(&pins[i])))
 			sg.suffix = append(sg.suffix, sufAt[i-start])
 			i++
 		}
@@ -573,9 +574,10 @@ func (m *Machine) buildSegs(pins []pInstr, tail int) []cSeg {
 // compileCharged compiles one unfused charged entry. A governed or
 // attribution site counter is bumped by a wrapper, mirroring the
 // interpreter's per-site Execs increment: fusion and the inline terminator
-// refuse counter-bearing sites, so every execution flows through it.
-func (m *Machine) compileCharged(pin *pInstr) stepFn {
-	step := m.compileStep(pin)
+// refuse counter-bearing sites, so every execution flows through it. args
+// are pin's operands.
+func (m *Machine) compileCharged(pin *pInstr, args []pOp) stepFn {
+	step := m.compileStep(pin, args)
 	if !siteCounted(pin) {
 		return step
 	}
@@ -605,7 +607,7 @@ func pfv(fr *frame, p *pOp) float64 {
 	if p.varIdx >= 0 {
 		return math.Float64frombits(uint64(fr.locals[p.varIdx]))
 	}
-	return p.f64
+	return constFloat(p)
 }
 
 // fl reads local i as a float.
@@ -696,14 +698,15 @@ func unI(d ir.VarID, a pOp, op func(x int64) int64) stepFn {
 	return func(fr *frame) status { fr.locals[d] = v; return stNext }
 }
 
-// compileStep compiles one instruction into its bare step closure: pure
-// semantics, no accounting (the stretch charge supplies it).
-func (m *Machine) compileStep(pin *pInstr) stepFn {
+// compileStep compiles one instruction, whose operands are args, into its
+// bare step closure: pure semantics, no accounting (the stretch charge
+// supplies it).
+func (m *Machine) compileStep(pin *pInstr, args []pOp) stepFn {
 	in := pin.in
 	d := in.Dst
 	switch in.Op {
 	case ir.OpMove:
-		a := pin.args[0]
+		a := args[0]
 		if a.varIdx >= 0 {
 			ai := a.varIdx
 			return func(fr *frame) status { fr.locals[d] = fr.locals[ai]; return stNext }
@@ -713,7 +716,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		return func(fr *frame) status { fr.locals[d] = v; return stNext }
 
 	case ir.OpAdd:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		switch {
 		case a.varIdx >= 0 && b.varIdx >= 0:
 			ai, bi := a.varIdx, b.varIdx
@@ -724,7 +727,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 		return binI(d, a, b, func(x, y int64) int64 { return x + y })
 	case ir.OpSub:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		switch {
 		case a.varIdx >= 0 && b.varIdx >= 0:
 			ai, bi := a.varIdx, b.varIdx
@@ -735,7 +738,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 		return binI(d, a, b, func(x, y int64) int64 { return x - y })
 	case ir.OpMul:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		switch {
 		case a.varIdx >= 0 && b.varIdx >= 0:
 			ai, bi := a.varIdx, b.varIdx
@@ -746,7 +749,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 		return binI(d, a, b, func(x, y int64) int64 { return x * y })
 	case ir.OpAnd:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		switch {
 		case a.varIdx >= 0 && b.varIdx >= 0:
 			ai, bi := a.varIdx, b.varIdx
@@ -757,7 +760,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 		return binI(d, a, b, func(x, y int64) int64 { return x & y })
 	case ir.OpOr:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		switch {
 		case a.varIdx >= 0 && b.varIdx >= 0:
 			ai, bi := a.varIdx, b.varIdx
@@ -768,7 +771,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 		return binI(d, a, b, func(x, y int64) int64 { return x | y })
 	case ir.OpXor:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		switch {
 		case a.varIdx >= 0 && b.varIdx >= 0:
 			ai, bi := a.varIdx, b.varIdx
@@ -780,7 +783,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		return binI(d, a, b, func(x, y int64) int64 { return x ^ y })
 	case ir.OpShl:
 		// Shift counts are masked to 6 bits, as in the reference.
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		switch {
 		case a.varIdx >= 0 && b.varIdx >= 0:
 			ai, bi := a.varIdx, b.varIdx
@@ -791,7 +794,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 		return binI(d, a, b, func(x, y int64) int64 { return x << (uint64(y) & 63) })
 	case ir.OpShr:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		switch {
 		case a.varIdx >= 0 && b.varIdx >= 0:
 			ai, bi := a.varIdx, b.varIdx
@@ -803,7 +806,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		return binI(d, a, b, func(x, y int64) int64 { return x >> (uint64(y) & 63) })
 
 	case ir.OpDiv, ir.OpRem:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		isDiv := in.Op == ir.OpDiv
 		if b.varIdx < 0 && b.i64 != 0 {
 			k := b.i64
@@ -827,43 +830,43 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 
 	case ir.OpNeg:
-		return unI(d, pin.args[0], func(x int64) int64 { return -x })
+		return unI(d, args[0], func(x int64) int64 { return -x })
 	case ir.OpNot:
-		return unI(d, pin.args[0], func(x int64) int64 { return ^x })
+		return unI(d, args[0], func(x int64) int64 { return ^x })
 
 	case ir.OpFAdd:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		if a.varIdx >= 0 && b.varIdx >= 0 {
 			ai, bi := a.varIdx, b.varIdx
 			return func(fr *frame) status { fr.locals[d] = fbits(fl(fr, ai) + fl(fr, bi)); return stNext }
 		}
 		return binF(d, a, b, func(x, y float64) float64 { return x + y })
 	case ir.OpFSub:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		if a.varIdx >= 0 && b.varIdx >= 0 {
 			ai, bi := a.varIdx, b.varIdx
 			return func(fr *frame) status { fr.locals[d] = fbits(fl(fr, ai) - fl(fr, bi)); return stNext }
 		}
 		return binF(d, a, b, func(x, y float64) float64 { return x - y })
 	case ir.OpFMul:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		if a.varIdx >= 0 && b.varIdx >= 0 {
 			ai, bi := a.varIdx, b.varIdx
 			return func(fr *frame) status { fr.locals[d] = fbits(fl(fr, ai) * fl(fr, bi)); return stNext }
 		}
 		return binF(d, a, b, func(x, y float64) float64 { return x * y })
 	case ir.OpFDiv:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		if a.varIdx >= 0 && b.varIdx >= 0 {
 			ai, bi := a.varIdx, b.varIdx
 			return func(fr *frame) status { fr.locals[d] = fbits(fl(fr, ai) / fl(fr, bi)); return stNext }
 		}
 		return binF(d, a, b, func(x, y float64) float64 { return x / y })
 	case ir.OpFNeg:
-		a := pin.args[0]
+		a := args[0]
 		return func(fr *frame) status { fr.locals[d] = fbits(-pfv(fr, &a)); return stNext }
 	case ir.OpIntToFloat:
-		a := pin.args[0]
+		a := args[0]
 		if a.varIdx >= 0 {
 			ai := a.varIdx
 			return func(fr *frame) status { fr.locals[d] = fbits(float64(fr.locals[ai])); return stNext }
@@ -871,11 +874,11 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		v := fbits(float64(a.i64))
 		return func(fr *frame) status { fr.locals[d] = v; return stNext }
 	case ir.OpFloatToInt:
-		a := pin.args[0]
+		a := args[0]
 		return func(fr *frame) status { fr.locals[d] = int64(pfv(fr, &a)); return stNext }
 
 	case ir.OpCmp:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		if a.isFloat || b.isFloat {
 			cf := floatCmpFn(in.Cond)
 			return func(fr *frame) status {
@@ -899,12 +902,12 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		return func(fr *frame) status { fr.locals[d] = b2i(c.holds(pv(fr, &a), pv(fr, &b))); return stNext }
 
 	case ir.OpMath:
-		a := pin.args[0]
+		a := args[0]
 		mf := in.Fn
 		return func(fr *frame) status { fr.locals[d] = fbits(mathFn(mf, pfv(fr, &a))); return stNext }
 
 	case ir.OpInstanceOf:
-		a := pin.args[0]
+		a := args[0]
 		cid := int64(in.Class.ID)
 		return func(fr *frame) status {
 			ref := pv(fr, &a)
@@ -917,7 +920,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 
 	case ir.OpNullCheck:
-		a := pin.args[0]
+		a := args[0]
 		if in.SpecGuard != 0 {
 			// Tier-2 speculation guard: zero static cost, no explicit-check
 			// accounting. A null fires it as a hardware trap — the same NPE
@@ -961,7 +964,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		cl := in.Class
 		return func(fr *frame) status { fr.locals[d] = m.Heap.AllocObject(cl); return stNext }
 	case ir.OpNewArray:
-		a := pin.args[0]
+		a := args[0]
 		return func(fr *frame) status {
 			n := pv(fr, &a)
 			if n < 0 {
@@ -974,7 +977,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 
 	case ir.OpGetField:
-		a := pin.args[0]
+		a := args[0]
 		off := int64(in.Field.Offset)
 		if a.varIdx >= 0 {
 			ai := a.varIdx
@@ -989,7 +992,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 			return m.finishLoad(fr, in, addr, d)
 		}
 	case ir.OpPutField:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		off := int64(in.Field.Offset)
 		if a.varIdx >= 0 && b.varIdx >= 0 {
 			ai, bi := a.varIdx, b.varIdx
@@ -1010,7 +1013,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 			return m.finishStore(fr, in, pv(fr, &a)+off, pv(fr, &b))
 		}
 	case ir.OpArrayLength:
-		a := pin.args[0]
+		a := args[0]
 		if a.varIdx >= 0 {
 			ai := a.varIdx
 			return func(fr *frame) status {
@@ -1024,7 +1027,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 			return m.finishLoad(fr, in, addr, d)
 		}
 	case ir.OpBoundCheck:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		return func(fr *frame) status {
 			m.Stats.BoundChecks++
 			idx, n := pv(fr, &a), pv(fr, &b)
@@ -1036,7 +1039,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 			return stNext
 		}
 	case ir.OpArrayLoad:
-		a, b := pin.args[0], pin.args[1]
+		a, b := args[0], args[1]
 		if a.varIdx >= 0 && b.varIdx >= 0 {
 			ai, bi := a.varIdx, b.varIdx
 			return func(fr *frame) status {
@@ -1058,7 +1061,7 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 				pv(fr, &a)+ir.ArrayHeaderBytes+pv(fr, &b)*ir.WordBytes, d)
 		}
 	case ir.OpArrayStore:
-		a, b, c := pin.args[0], pin.args[1], pin.args[2]
+		a, b, c := args[0], args[1], args[2]
 		if a.varIdx >= 0 && b.varIdx >= 0 && c.varIdx >= 0 {
 			ai, bi, ci := a.varIdx, b.varIdx, c.varIdx
 			return func(fr *frame) status {
@@ -1089,13 +1092,13 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 		}
 
 	case ir.OpCallStatic, ir.OpCallVirtual:
-		return m.compileCall(pin)
+		return m.compileCall(pin, args)
 
 	case ir.OpIf:
 		// Integer var-first shapes run inline in the block loop (cTerm).
-		return compileIf(pin)
+		return compileIf(pin, args)
 	case ir.OpThrow:
-		a := pin.args[0]
+		a := args[0]
 		return func(fr *frame) status {
 			ref := pv(fr, &a)
 			m.Stats.ThrownSoftware++
@@ -1113,10 +1116,10 @@ func (m *Machine) compileStep(pin *pInstr) stepFn {
 
 // compileIf compiles the conditional branches the block loop does not run
 // inline: float compares and const-first integer shapes.
-func compileIf(pin *pInstr) stepFn {
+func compileIf(pin *pInstr, args []pOp) stepFn {
 	in := pin.in
 	t0, t1 := in.Targets[0].ID, in.Targets[1].ID
-	a, b := pin.args[0], pin.args[1]
+	a, b := args[0], args[1]
 	if a.isFloat || b.isFloat {
 		cf := floatCmpFn(in.Cond)
 		return func(fr *frame) status {
@@ -1142,14 +1145,14 @@ func compileIf(pin *pInstr) stepFn {
 // compileCall compiles OpCallStatic/OpCallVirtual. Callee.Fn is read at run
 // time, not captured: triage's bisection replays swap Method.Fn between
 // Calls and the machine must follow the swap, exactly as the reference
-// engine resolves every call through Callee.Fn dynamically.
-func (m *Machine) compileCall(pin *pInstr) stepFn {
+// engine resolves every call through Callee.Fn dynamically. args are the
+// call's operands, read from the prepared table.
+func (m *Machine) compileCall(pin *pInstr, args []pOp) stepFn {
 	in := pin.in
 	cal := in.Callee
 	virtual := in.Op == ir.OpCallVirtual
 	hasDst := in.HasDst()
 	d := in.Dst
-	args := append([]pOp(nil), pin.args...)
 	// scratch is recursion-safe: every engine entry copies it into the
 	// callee frame before the callee body (and thus any reentry of this
 	// closure) runs.
@@ -1237,8 +1240,8 @@ func (m *Machine) compileCall(pin *pInstr) stepFn {
 // fusion rule. A fused step whose early part exits the block must itself
 // un-charge its unexecuted later parts
 // (the runner's suffix for the step only covers what follows it);
-// uncharge() does that.
-func (m *Machine) fuse(pins []pInstr) (stepFn, int) {
+// uncharge() does that. pins is a stretch of a block of pf.
+func (m *Machine) fuse(pf *pFunc, pins []pInstr) (stepFn, int) {
 	if len(pins) < 2 {
 		return nil, 0
 	}
@@ -1246,29 +1249,30 @@ func (m *Machine) fuse(pins []pInstr) (stepFn, int) {
 	if siteCounted(p) || siteCounted(q) {
 		return nil, 0
 	}
+	pa, qa := pf.args(p), pf.args(q)
 	// Speculation guards never fuse: the guard traps instead of throwing and
 	// must not count as an explicit check, which the fused shapes do.
-	if p.in.Op == ir.OpNullCheck && p.in.SpecGuard == 0 && p.args[0].varIdx >= 0 {
+	if p.in.Op == ir.OpNullCheck && p.in.SpecGuard == 0 && pa[0].varIdx >= 0 {
 		switch q.in.Op {
 		case ir.OpGetField, ir.OpPutField, ir.OpArrayLength:
-			if q.args[0].varIdx == p.args[0].varIdx {
-				return m.bareNullDeref(p, q), 2
+			if qa[0].varIdx == pa[0].varIdx {
+				return m.bareNullDeref(pf, p, q), 2
 			}
 		}
 	}
-	if boundArray(p, q) {
-		return m.bareBoundArray(nil, p, q), 2
+	if boundArray(pf, p, q) {
+		return m.bareBoundArray(pf, nil, p, q), 2
 	}
 	// arraylength n, a; boundcheck i, n; access a[i]: the checked array
 	// access the bound check's length comes from.
-	if p.in.Op == ir.OpArrayLength && p.args[0].varIdx >= 0 && len(pins) > 2 {
+	if p.in.Op == ir.OpArrayLength && pa[0].varIdx >= 0 && len(pins) > 2 {
 		r := &pins[2]
-		if !siteCounted(r) && boundArray(q, r) && q.args[1].varIdx == int32(p.in.Dst) &&
-			r.args[0].varIdx == p.args[0].varIdx {
-			return m.bareBoundArray(p, q, r), 3
+		if !siteCounted(r) && boundArray(pf, q, r) && qa[1].varIdx == int32(p.in.Dst) &&
+			pf.args(r)[0].varIdx == pa[0].varIdx {
+			return m.bareBoundArray(pf, p, q, r), 3
 		}
 	}
-	if s := m.bareMulAdd(p, q); s != nil {
+	if s := m.bareMulAdd(pf, p, q); s != nil {
 		return s, 2
 	}
 	return nil, 0
@@ -1276,29 +1280,34 @@ func (m *Machine) fuse(pins []pInstr) (stepFn, int) {
 
 // boundArray reports whether p;q is a bound check and the array access it
 // guards (the access indexes by the checked variable).
-func boundArray(p, q *pInstr) bool {
-	if p.in.Op != ir.OpBoundCheck || p.args[0].varIdx < 0 || p.args[1].varIdx < 0 {
+func boundArray(pf *pFunc, p, q *pInstr) bool {
+	if p.in.Op != ir.OpBoundCheck {
+		return false
+	}
+	pa := pf.args(p)
+	if pa[0].varIdx < 0 || pa[1].varIdx < 0 {
 		return false
 	}
 	switch q.in.Op {
 	case ir.OpArrayLoad, ir.OpArrayStore:
-		return q.args[0].varIdx >= 0 && q.args[1].varIdx == p.args[0].varIdx
+		qa := pf.args(q)
+		return qa[0].varIdx >= 0 && qa[1].varIdx == pa[0].varIdx
 	}
 	return false
 }
 
-// mulAddShape reports whether p;q is a multiply feeding an add through p's
-// destination, p's first operand a variable, and returns the index of q's
-// other operand.
-func mulAddShape(p, q *pInstr, mul, add ir.Op) (other int, ok bool) {
-	if p.in.Op != mul || q.in.Op != add || p.args[0].varIdx < 0 {
+// mulAddShape reports whether p;q (operands pa and qa) is a multiply
+// feeding an add through p's destination, p's first operand a variable, and
+// returns the index of q's other operand.
+func mulAddShape(p, q *pInstr, pa, qa []pOp, mul, add ir.Op) (other int, ok bool) {
+	if p.in.Op != mul || q.in.Op != add || pa[0].varIdx < 0 {
 		return 0, false
 	}
 	t := int32(p.in.Dst)
 	switch {
-	case q.args[0].varIdx == t:
+	case qa[0].varIdx == t:
 		return 1, true
-	case q.args[1].varIdx == t:
+	case qa[1].varIdx == t:
 		return 0, true
 	}
 	return 0, false
@@ -1309,11 +1318,12 @@ func mulAddShape(p, q *pInstr, mul, add ir.Op) (other int, ok bool) {
 // dot-product shape). The product is still written: later code may read
 // it. The float pair rounds twice, like the reference: the explicit
 // float64 conversion forbids fused multiply-add contraction.
-func (m *Machine) bareMulAdd(p, q *pInstr) stepFn {
+func (m *Machine) bareMulAdd(pf *pFunc, p, q *pInstr) stepFn {
 	t, d := p.in.Dst, q.in.Dst
-	if o, ok := mulAddShape(p, q, ir.OpMul, ir.OpAdd); ok && p.args[1].varIdx < 0 {
-		x, k := p.args[0].varIdx, p.args[1].i64
-		if y := q.args[o]; y.varIdx >= 0 {
+	pa, qa := pf.args(p), pf.args(q)
+	if o, ok := mulAddShape(p, q, pa, qa, ir.OpMul, ir.OpAdd); ok && pa[1].varIdx < 0 {
+		x, k := pa[0].varIdx, pa[1].i64
+		if y := qa[o]; y.varIdx >= 0 {
 			yi := y.varIdx
 			return func(fr *frame) status {
 				v := fr.locals[x] * k
@@ -1322,7 +1332,7 @@ func (m *Machine) bareMulAdd(p, q *pInstr) stepFn {
 				return stNext
 			}
 		}
-		c := q.args[o].i64
+		c := qa[o].i64
 		return func(fr *frame) status {
 			v := fr.locals[x] * k
 			fr.locals[t] = v
@@ -1330,10 +1340,10 @@ func (m *Machine) bareMulAdd(p, q *pInstr) stepFn {
 			return stNext
 		}
 	}
-	if o, ok := mulAddShape(p, q, ir.OpFMul, ir.OpFAdd); ok && p.args[1].varIdx >= 0 && q.args[o].varIdx >= 0 {
+	if o, ok := mulAddShape(p, q, pa, qa, ir.OpFMul, ir.OpFAdd); ok && pa[1].varIdx >= 0 && qa[o].varIdx >= 0 {
 		// The add keeps the reference's operand order: with two NaN
 		// operands the result's payload depends on it.
-		x, y, z := p.args[0].varIdx, p.args[1].varIdx, q.args[o].varIdx
+		x, y, z := pa[0].varIdx, pa[1].varIdx, qa[o].varIdx
 		if o == 1 {
 			return func(fr *frame) status {
 				prod := fl(fr, x) * fl(fr, y)
@@ -1366,11 +1376,11 @@ func (m *Machine) uncharge(cost int64, imp bool) {
 // bareNullDeref fuses an explicit null check with the dereference it guards
 // (same base variable): one closure, one null test, and the base local read
 // once.
-func (m *Machine) bareNullDeref(p, q *pInstr) stepFn {
-	ai := p.args[0].varIdx
+func (m *Machine) bareNullDeref(pf *pFunc, p, q *pInstr) stepFn {
+	ai := pf.args(p)[0].varIdx
 	chk := p.chk
 	in := q.in
-	costD, impD := q.cost, in.ExcSite
+	costD, impD := int64(q.cost), in.ExcSite
 
 	// countCheck mirrors the unfused check's accounting, including the
 	// check's counter cell (speculation's or attribution's) when bound.
@@ -1402,7 +1412,7 @@ func (m *Machine) bareNullDeref(p, q *pInstr) stepFn {
 		}
 	case ir.OpPutField:
 		off := int64(in.Field.Offset)
-		b := q.args[1]
+		b := pf.args(q)[1]
 		return func(fr *frame) status {
 			ref := fr.locals[ai]
 			countCheck(ref)
@@ -1437,12 +1447,13 @@ func (m *Machine) bareNullDeref(p, q *pInstr) stepFn {
 // the bound test feeds straight into the address computation. With l
 // non-nil the step first runs the arraylength the check's length comes
 // from.
-func (m *Machine) bareBoundArray(l, p, q *pInstr) stepFn {
-	ii, ni := p.args[0].varIdx, p.args[1].varIdx
-	bi := q.args[0].varIdx
+func (m *Machine) bareBoundArray(pf *pFunc, l, p, q *pInstr) stepFn {
+	pa, qa := pf.args(p), pf.args(q)
+	ii, ni := pa[0].varIdx, pa[1].varIdx
+	bi := qa[0].varIdx
 	in := q.in
-	costB, impB := p.cost, p.in.ExcSite
-	costD, impD := q.cost, in.ExcSite
+	costB, impB := int64(p.cost), p.in.ExcSite
+	costD, impD := int64(q.cost), in.ExcSite
 	if in.Op == ir.OpArrayLoad {
 		d := in.Dst
 		if l == nil {
@@ -1456,7 +1467,7 @@ func (m *Machine) bareBoundArray(l, p, q *pInstr) stepFn {
 				return m.finishLoad(fr, in, fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, d)
 			}
 		}
-		lin, li := l.in, l.args[0].varIdx
+		lin, li := l.in, pf.args(l)[0].varIdx
 		return func(fr *frame) status {
 			m.Stats.Loads++
 			if st := m.finishLoad(fr, lin, fr.locals[li], ir.VarID(ni)); st != stNext {
@@ -1475,7 +1486,7 @@ func (m *Machine) bareBoundArray(l, p, q *pInstr) stepFn {
 			return m.finishLoad(fr, in, fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, d)
 		}
 	}
-	c := q.args[2]
+	c := qa[2]
 	if l == nil {
 		return func(fr *frame) status {
 			m.Stats.BoundChecks++
@@ -1487,7 +1498,7 @@ func (m *Machine) bareBoundArray(l, p, q *pInstr) stepFn {
 			return m.finishStore(fr, in, fr.locals[bi]+ir.ArrayHeaderBytes+idx*ir.WordBytes, pv(fr, &c))
 		}
 	}
-	lin, li := l.in, l.args[0].varIdx
+	lin, li := l.in, pf.args(l)[0].varIdx
 	return func(fr *frame) status {
 		m.Stats.Loads++
 		if st := m.finishLoad(fr, lin, fr.locals[li], ir.VarID(ni)); st != stNext {

@@ -78,11 +78,10 @@ func demoteOpts(set map[string][]int) jit.CompileOptions { return jit.CompileOpt
 // boundCell returns the counter cell m's prepared table of fn binds to in.
 func boundCell(t *testing.T, m *Machine, fn *ir.Func, in *ir.Instr) *obs.CheckCounts {
 	t.Helper()
-	for _, pins := range m.prepare(fn).pf.blocks {
-		for i := range pins {
-			if pins[i].in == in {
-				return pins[i].chk
-			}
+	pins := m.prepare(fn).pf.ins
+	for i := range pins {
+		if pins[i].in == in {
+			return pins[i].chk
 		}
 	}
 	t.Fatalf("%s has no prepared %s", fn.Name, in)

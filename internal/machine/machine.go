@@ -273,11 +273,15 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 			}
 		}
 		var pending *raise
-		pins := pf.blocks[blk.ID][from:]
+		pins := pf.block(blk.ID)[from:]
 	instrLoop:
 		for pi := range pins {
 			pin := &pins[pi]
 			in := pin.in
+			// in's operands are pf.ops[k:k+len(in.Args)], read through pf:
+			// a copy of the slice held here costs the loop two registers,
+			// and it then keeps its counter in memory.
+			k := int(pin.arg)
 			m.steps++
 			if m.steps > m.MaxSteps {
 				return Outcome{}, m.stepLimitErr(fn)
@@ -291,67 +295,67 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 					pin.chk.Execs++
 				}
 			}
-			m.Cycles += pin.cost
+			m.Cycles += int64(pin.cost)
 
 			switch in.Op {
 			case ir.OpMove:
-				locals[in.Dst] = val(locals, &pin.args[0])
+				locals[in.Dst] = val(locals, &pf.ops[k])
 			case ir.OpAdd:
-				locals[in.Dst] = val(locals, &pin.args[0]) + val(locals, &pin.args[1])
+				locals[in.Dst] = val(locals, &pf.ops[k]) + val(locals, &pf.ops[k+1])
 			case ir.OpSub:
-				locals[in.Dst] = val(locals, &pin.args[0]) - val(locals, &pin.args[1])
+				locals[in.Dst] = val(locals, &pf.ops[k]) - val(locals, &pf.ops[k+1])
 			case ir.OpMul:
-				locals[in.Dst] = val(locals, &pin.args[0]) * val(locals, &pin.args[1])
+				locals[in.Dst] = val(locals, &pf.ops[k]) * val(locals, &pf.ops[k+1])
 			case ir.OpDiv, ir.OpRem:
-				d := val(locals, &pin.args[1])
+				d := val(locals, &pf.ops[k+1])
 				if d == 0 {
 					pending = m.throw(rt.ExcArithmetic)
 					break instrLoop
 				}
 				if in.Op == ir.OpDiv {
-					locals[in.Dst] = val(locals, &pin.args[0]) / d
+					locals[in.Dst] = val(locals, &pf.ops[k]) / d
 				} else {
-					locals[in.Dst] = val(locals, &pin.args[0]) % d
+					locals[in.Dst] = val(locals, &pf.ops[k]) % d
 				}
 			case ir.OpAnd:
-				locals[in.Dst] = val(locals, &pin.args[0]) & val(locals, &pin.args[1])
+				locals[in.Dst] = val(locals, &pf.ops[k]) & val(locals, &pf.ops[k+1])
 			case ir.OpOr:
-				locals[in.Dst] = val(locals, &pin.args[0]) | val(locals, &pin.args[1])
+				locals[in.Dst] = val(locals, &pf.ops[k]) | val(locals, &pf.ops[k+1])
 			case ir.OpXor:
-				locals[in.Dst] = val(locals, &pin.args[0]) ^ val(locals, &pin.args[1])
+				locals[in.Dst] = val(locals, &pf.ops[k]) ^ val(locals, &pf.ops[k+1])
 			case ir.OpShl:
-				locals[in.Dst] = val(locals, &pin.args[0]) << (uint64(val(locals, &pin.args[1])) & 63)
+				locals[in.Dst] = val(locals, &pf.ops[k]) << (uint64(val(locals, &pf.ops[k+1])) & 63)
 			case ir.OpShr:
-				locals[in.Dst] = val(locals, &pin.args[0]) >> (uint64(val(locals, &pin.args[1])) & 63)
+				locals[in.Dst] = val(locals, &pf.ops[k]) >> (uint64(val(locals, &pf.ops[k+1])) & 63)
 			case ir.OpNeg:
-				locals[in.Dst] = -val(locals, &pin.args[0])
+				locals[in.Dst] = -val(locals, &pf.ops[k])
 			case ir.OpNot:
-				locals[in.Dst] = ^val(locals, &pin.args[0])
+				locals[in.Dst] = ^val(locals, &pf.ops[k])
 			case ir.OpFAdd:
-				locals[in.Dst] = fbits(fval(locals, &pin.args[0]) + fval(locals, &pin.args[1]))
+				locals[in.Dst] = fbits(fval(locals, &pf.ops[k]) + fval(locals, &pf.ops[k+1]))
 			case ir.OpFSub:
-				locals[in.Dst] = fbits(fval(locals, &pin.args[0]) - fval(locals, &pin.args[1]))
+				locals[in.Dst] = fbits(fval(locals, &pf.ops[k]) - fval(locals, &pf.ops[k+1]))
 			case ir.OpFMul:
-				locals[in.Dst] = fbits(fval(locals, &pin.args[0]) * fval(locals, &pin.args[1]))
+				locals[in.Dst] = fbits(fval(locals, &pf.ops[k]) * fval(locals, &pf.ops[k+1]))
 			case ir.OpFDiv:
-				locals[in.Dst] = fbits(fval(locals, &pin.args[0]) / fval(locals, &pin.args[1]))
+				locals[in.Dst] = fbits(fval(locals, &pf.ops[k]) / fval(locals, &pf.ops[k+1]))
 			case ir.OpFNeg:
-				locals[in.Dst] = fbits(-fval(locals, &pin.args[0]))
+				locals[in.Dst] = fbits(-fval(locals, &pf.ops[k]))
 			case ir.OpIntToFloat:
-				locals[in.Dst] = fbits(float64(val(locals, &pin.args[0])))
+				locals[in.Dst] = fbits(float64(val(locals, &pf.ops[k])))
 			case ir.OpFloatToInt:
-				locals[in.Dst] = int64(fval(locals, &pin.args[0]))
+				locals[in.Dst] = int64(fval(locals, &pf.ops[k]))
 			case ir.OpCmp:
-				if compareCond(pin, locals) {
+				if compareCond(in.Cond, &pf.ops[k], &pf.ops[k+1], locals) {
 					locals[in.Dst] = 1
 				} else {
 					locals[in.Dst] = 0
 				}
 			case ir.OpMath:
-				locals[in.Dst] = fbits(mathFn(in.Fn, fval(locals, &pin.args[0])))
+				locals[in.Dst] = fbits(mathFn(in.Fn, fval(locals, &pf.ops[k])))
 			case ir.OpInstanceOf:
 				// instanceof never faults: null is simply not an instance.
-				ref := val(locals, &pin.args[0])
+				ref := val(locals, &pf.ops[k])
 				locals[in.Dst] = 0
 				if ref != 0 && m.Heap.ClassIDOf(ref) == int64(in.Class.ID) {
 					locals[in.Dst] = 1
@@ -363,7 +367,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 					// explicit check. A null fires it as a hardware trap —
 					// the same NPE at the same program point the explicit
 					// check would have raised — and deoptimizes.
-					if val(locals, &pin.args[0]) == 0 {
+					if val(locals, &pf.ops[k]) == 0 {
 						pending = m.trap()
 						if m.tier != nil {
 							m.tier.guard = in // deoptimized by settle
@@ -376,7 +380,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				if pin.chk != nil {
 					pin.chk.Execs++
 				}
-				if val(locals, &pin.args[0]) == 0 {
+				if val(locals, &pf.ops[k]) == 0 {
 					if pin.chk != nil {
 						pin.chk.Nulls++
 					}
@@ -388,7 +392,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 			case ir.OpNew:
 				locals[in.Dst] = m.Heap.AllocObject(in.Class)
 			case ir.OpNewArray:
-				n := val(locals, &pin.args[0])
+				n := val(locals, &pf.ops[k])
 				if n < 0 {
 					pending = m.throw(rt.ExcNegativeArraySize)
 					break instrLoop
@@ -398,7 +402,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 
 			case ir.OpGetField:
 				m.Stats.Loads++
-				v, r, err := m.load(in, val(locals, &pin.args[0])+int64(in.Field.Offset))
+				v, r, err := m.load(in, val(locals, &pf.ops[k])+int64(in.Field.Offset))
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -409,7 +413,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				locals[in.Dst] = v
 			case ir.OpPutField:
 				m.Stats.Stores++
-				r, err := m.storeWord(in, val(locals, &pin.args[0])+int64(in.Field.Offset), val(locals, &pin.args[1]))
+				r, err := m.storeWord(in, val(locals, &pf.ops[k])+int64(in.Field.Offset), val(locals, &pf.ops[k+1]))
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -419,7 +423,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				}
 			case ir.OpArrayLength:
 				m.Stats.Loads++
-				v, r, err := m.load(in, val(locals, &pin.args[0]))
+				v, r, err := m.load(in, val(locals, &pf.ops[k]))
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -430,7 +434,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				locals[in.Dst] = v
 			case ir.OpBoundCheck:
 				m.Stats.BoundChecks++
-				idx, n := val(locals, &pin.args[0]), val(locals, &pin.args[1])
+				idx, n := val(locals, &pf.ops[k]), val(locals, &pf.ops[k+1])
 				if idx < 0 || idx >= n {
 					m.Stats.ThrownSoftware++
 					pending = m.throw(rt.ExcArrayIndexOutOfBounds)
@@ -438,7 +442,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				}
 			case ir.OpArrayLoad:
 				m.Stats.Loads++
-				addr := val(locals, &pin.args[0]) + ir.ArrayHeaderBytes + val(locals, &pin.args[1])*ir.WordBytes
+				addr := val(locals, &pf.ops[k]) + ir.ArrayHeaderBytes + val(locals, &pf.ops[k+1])*ir.WordBytes
 				v, r, err := m.load(in, addr)
 				if err != nil {
 					return Outcome{}, err
@@ -450,8 +454,8 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				locals[in.Dst] = v
 			case ir.OpArrayStore:
 				m.Stats.Stores++
-				addr := val(locals, &pin.args[0]) + ir.ArrayHeaderBytes + val(locals, &pin.args[1])*ir.WordBytes
-				r, err := m.storeWord(in, addr, val(locals, &pin.args[2]))
+				addr := val(locals, &pf.ops[k]) + ir.ArrayHeaderBytes + val(locals, &pf.ops[k+1])*ir.WordBytes
+				r, err := m.storeWord(in, addr, val(locals, &pf.ops[k+2]))
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -465,7 +469,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				if in.Op == ir.OpCallVirtual {
 					// Dispatch reads the header slot: the trap point.
 					m.Stats.Loads++
-					_, r, err := m.load(in, val(locals, &pin.args[0]))
+					_, r, err := m.load(in, val(locals, &pf.ops[k]))
 					if err != nil {
 						return Outcome{}, err
 					}
@@ -474,7 +478,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 						break instrLoop
 					}
 				}
-				out, err := m.callTarget(pin, locals, depth)
+				out, err := m.callTarget(in, pf.ops[k:k+len(in.Args)], locals, depth)
 				if err != nil {
 					return Outcome{}, err
 				}
@@ -490,7 +494,7 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				blk = in.Targets[0]
 				goto nextBlock
 			case ir.OpIf:
-				if compareCond(pin, locals) {
+				if compareCond(in.Cond, &pf.ops[k], &pf.ops[k+1], locals) {
 					blk = in.Targets[0]
 				} else {
 					blk = in.Targets[1]
@@ -498,11 +502,11 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				goto nextBlock
 			case ir.OpReturn:
 				if len(in.Args) == 1 {
-					return Outcome{Value: val(locals, &pin.args[0])}, nil
+					return Outcome{Value: val(locals, &pf.ops[k])}, nil
 				}
 				return Outcome{}, nil
 			case ir.OpThrow:
-				ref := val(locals, &pin.args[0])
+				ref := val(locals, &pf.ops[k])
 				m.Stats.ThrownSoftware++
 				pending = &raise{kind: m.Heap.ExcKindOf(ref), ref: ref}
 				break instrLoop
@@ -613,45 +617,43 @@ func (m *Machine) storeWord(in *ir.Instr, addr, v int64) (*raise, error) {
 	}
 }
 
-// callTarget invokes the callee of a call instruction.
-func (m *Machine) callTarget(pin *pInstr, locals []int64, depth int) (Outcome, error) {
-	in := pin.in
+// callTarget invokes the callee of call instruction in, whose operands are
+// args.
+func (m *Machine) callTarget(in *ir.Instr, args []pOp, locals []int64, depth int) (Outcome, error) {
 	cal := in.Callee
 	if cal.Fn == nil {
 		if cal.Intrinsic != ir.MathNone {
 			// Runtime-implemented math (the call form used on models
 			// without the hardware instruction).
 			m.Cycles += m.Arch.MathCycles
-			if len(pin.args) == 0 {
+			if len(args) == 0 {
 				return Outcome{}, fmt.Errorf("machine: intrinsic %s without args", cal.QualifiedName())
 			}
-			return Outcome{Value: fbits(mathFn(cal.Intrinsic, fval(locals, &pin.args[len(pin.args)-1])))}, nil
+			return Outcome{Value: fbits(mathFn(cal.Intrinsic, fval(locals, &args[len(args)-1])))}, nil
 		}
 		return Outcome{}, fmt.Errorf("machine: call to bodyless method %s", cal.QualifiedName())
 	}
 	// Every engine entry copies its arguments into the callee's frame
 	// before it runs anything, so one machine-wide buffer serves every
 	// depth.
-	if cap(m.args) < len(pin.args) {
-		m.args = make([]int64, len(pin.args))
+	if cap(m.args) < len(args) {
+		m.args = make([]int64, len(args))
 	}
-	args := m.args[:len(pin.args)]
-	for i := range pin.args {
-		args[i] = val(locals, &pin.args[i])
+	words := m.args[:len(args)]
+	for i := range args {
+		words[i] = val(locals, &args[i])
 	}
 	// A hot callee may already run compiled (or speculative) code while
 	// this caller interprets.
-	return m.invoke(cal.Fn, args, depth+1)
+	return m.invoke(cal.Fn, words, depth+1)
 }
 
-// compareCond evaluates a Cond over two operands, using float comparison
+// compareCond evaluates c over operands a0 and a1, using float comparison
 // when either side is float-kinded (pre-decoded into pOp.isFloat).
-func compareCond(pin *pInstr, locals []int64) bool {
-	in := pin.in
-	a0, a1 := &pin.args[0], &pin.args[1]
+func compareCond(c ir.Cond, a0, a1 *pOp, locals []int64) bool {
 	if a0.isFloat || a1.isFloat {
 		a, b := fval(locals, a0), fval(locals, a1)
-		switch in.Cond {
+		switch c {
 		case ir.CondEQ:
 			return a == b
 		case ir.CondNE:
@@ -667,7 +669,7 @@ func compareCond(pin *pInstr, locals []int64) bool {
 		}
 	}
 	a, b := val(locals, a0), val(locals, a1)
-	switch in.Cond {
+	switch c {
 	case ir.CondEQ:
 		return a == b
 	case ir.CondNE:

@@ -11,39 +11,59 @@ import (
 // Operand classification (the switch over Operand.Kind the interpreter used
 // to re-run on every dynamic instruction) is hoisted to a once-per-function
 // decode: each operand becomes a pOp that either names a local slot or
-// carries both integer and float views of its constant, and each block gets
-// a pInstr slice parallel to its Instrs. Tables are kept per *ir.Func and
+// carries its constant's word, and each instruction a pInstr that records
+// where its operands start. A function's table is two slabs, one of records
+// and one of operands, each made once at its counted size; a block is a
+// span of the record slab, so preparing a function costs the same few
+// allocations whatever its size. Tables are kept per *ir.Func and
 // invalidated by pointer identity — every compilation builds fresh Func
 // values, so a stale table cannot be observed as long as a function's IR is
 // not mutated between Calls on the same Machine (nothing in this repository
 // does; compilation always completes before execution starts).
 
-// pOp is a pre-decoded operand: a local slot index, or a constant carried in
-// both of the views the exec loop needs.
+// pOp is a pre-decoded operand: a local slot index, or a constant word.
 type pOp struct {
 	varIdx  int32 // local slot, or -1 for constants
 	isFloat bool  // float-kinded (float constant or float-kinded local)
-	i64     int64 // constant as the integer word val() yields
-	f64     float64
+	i64     int64 // constant as the integer word val() yields: a float's bits
 }
 
-// pInstr pairs an instruction with its pre-decoded operands and its static
-// cycle cost under the machine's model (Arch.Cost, bound once like the
-// closures' costs). chk is the counter cell of whoever counts the
+// pInstr pairs an instruction with where its pre-decoded operands start in
+// its function's operand slab (there are len(in.Args) of them) and its
+// static cycle cost under the machine's model (Arch.Cost, bound once like
+// the closures' costs). chk is the counter cell of whoever counts the
 // instruction: the tier controller's speculation cell of a null check, the
 // governor's cell of a trap site, or trap-cost attribution's cell of a check
 // or site. prepare binds it once, so the hot path pays plain field
 // increments and never a map lookup; it is nil where nothing counts.
 type pInstr struct {
 	in   *ir.Instr
-	args []pOp
 	chk  *obs.CheckCounts
-	cost int64
+	arg  int32 // index of the first operand in pFunc.ops
+	cost int32 // a model's per-instruction costs are tens of cycles
 }
 
-// pFunc holds one function's prepared blocks, dense by Block.ID.
+// pFunc holds one function's prepared table: every block's records in one
+// slab, every record's operands in another, and each block's span of the
+// record slab, dense by Block.ID (empty for an ID with no block).
 type pFunc struct {
-	blocks [][]pInstr
+	ins  []pInstr
+	ops  []pOp
+	span []span
+}
+
+// span is a block's records, ins[lo:hi].
+type span struct{ lo, hi int32 }
+
+// block returns the records of the block with the given ID.
+func (pf *pFunc) block(id int) []pInstr {
+	s := pf.span[id]
+	return pf.ins[s.lo:s.hi]
+}
+
+// args returns pin's operands.
+func (pf *pFunc) args(pin *pInstr) []pOp {
+	return pf.ops[pin.arg : int(pin.arg)+len(pin.in.Args)]
 }
 
 // val reads an operand's integer word: operands were pre-classified by
@@ -55,12 +75,21 @@ func val(locals []int64, p *pOp) int64 {
 	return p.i64
 }
 
-// fval reads an operand's float view.
+// fval reads an operand's float view: a local's bits, a float constant's
+// bits, or an integer (or null) constant converted.
 func fval(locals []int64, p *pOp) float64 {
 	if p.varIdx >= 0 {
 		return math.Float64frombits(uint64(locals[p.varIdx]))
 	}
-	return p.f64
+	return constFloat(p)
+}
+
+// constFloat is a constant operand's float view.
+func constFloat(p *pOp) float64 {
+	if p.isFloat {
+		return math.Float64frombits(uint64(p.i64))
+	}
+	return float64(p.i64)
 }
 
 func decodeOperand(fn *ir.Func, o ir.Operand) pOp {
@@ -68,9 +97,9 @@ func decodeOperand(fn *ir.Func, o ir.Operand) pOp {
 	case ir.OperVar:
 		return pOp{varIdx: int32(o.Var), isFloat: fn.Locals[o.Var].Kind == ir.KindFloat}
 	case ir.OperConstInt:
-		return pOp{varIdx: -1, i64: o.Int, f64: float64(o.Int)}
+		return pOp{varIdx: -1, i64: o.Int}
 	case ir.OperConstFloat:
-		return pOp{varIdx: -1, isFloat: true, i64: int64(math.Float64bits(o.Float)), f64: o.Float}
+		return pOp{varIdx: -1, isFloat: true, i64: int64(math.Float64bits(o.Float))}
 	default: // null (and the invalid zero operand): the zero word
 		return pOp{varIdx: -1}
 	}
@@ -132,31 +161,43 @@ func (m *Machine) prepare(fn *ir.Func) *fnEntry {
 	gov := mt != nil && t.gov != nil
 	spec := mt != nil && t.speculates()
 	attr := m.attr != nil && t == nil
-	ord := 0 // the next null check's ordinal, in fn.NullChecks order
-	pf := &pFunc{blocks: make([][]pInstr, fn.MaxBlockID()+1)}
+	// Count first, so both slabs are made once at their final size.
+	nIns, nOps := 0, 0
 	for _, b := range fn.Blocks {
-		pins := make([]pInstr, len(b.Instrs))
-		for i, in := range b.Instrs {
-			args := make([]pOp, len(in.Args))
-			for j, o := range in.Args {
-				args[j] = decodeOperand(fn, o)
+		nIns += len(b.Instrs)
+		for _, in := range b.Instrs {
+			nOps += len(in.Args)
+		}
+	}
+	pf := &pFunc{
+		ins:  make([]pInstr, 0, nIns),
+		ops:  make([]pOp, 0, nOps),
+		span: make([]span, fn.MaxBlockID()+1),
+	}
+	ord := 0 // the next null check's ordinal, in fn.NullChecks order
+	for _, b := range fn.Blocks {
+		lo := len(pf.ins)
+		for _, in := range b.Instrs {
+			pin := pInstr{in: in, arg: int32(len(pf.ops)), cost: int32(m.Arch.Cost(in))}
+			for _, o := range in.Args {
+				pf.ops = append(pf.ops, decodeOperand(fn, o))
 			}
-			pins[i] = pInstr{in: in, args: args, cost: m.Arch.Cost(in)}
 			switch {
 			case gov && in.TrapSite != 0:
 				// Trap sites and demoted checks, by trap-site ordinal.
-				pins[i].chk = t.bindSite(mt, in)
+				pin.chk = t.bindSite(mt, in)
 			case spec && in.Op == ir.OpNullCheck:
 				// Every generation's checks, by check ordinal.
-				pins[i].chk = mt.checks.at(ord)
+				pin.chk = mt.checks.at(ord)
 			case attr && (in.Op == ir.OpNullCheck || in.ExcSite):
-				pins[i].chk = m.attrCell(in)
+				pin.chk = m.attrCell(in)
 			}
 			if in.Op == ir.OpNullCheck {
 				ord++
 			}
+			pf.ins = append(pf.ins, pin)
 		}
-		pf.blocks[b.ID] = pins
+		pf.span[b.ID] = span{int32(lo), int32(len(pf.ins))}
 	}
 	// Arm the hot countdown. A tiered machine arms only a tier-0 method's
 	// body: with promotion disabled it stays 0, and a body outside the

@@ -47,10 +47,13 @@ func BoundCheckElim(f *ir.Func) int {
 	index := ws.bcIndex
 	clear(index)
 	keys := ws.bcKeys[:0]
+	repeated := false
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if k, ok := boundKey(in); ok {
-				if _, seen := index[k]; !seen {
+				if _, seen := index[k]; seen {
+					repeated = true
+				} else {
 					index[k] = len(keys)
 					keys = append(keys, k)
 				}
@@ -58,7 +61,10 @@ func BoundCheckElim(f *ir.Func) int {
 		}
 	}
 	ws.bcKeys = keys
-	if len(keys) == 0 {
+	// A check goes only when an identical one ran earlier on every path, so
+	// a key that occurs once is never available at its own site: with no
+	// key repeated there is nothing to solve for.
+	if !repeated {
 		return 0
 	}
 	size := len(keys)

@@ -235,6 +235,58 @@ func TestBoundCheckElimAcrossMergeNeedsBothPaths(t *testing.T) {
 	}
 }
 
+// boundLoop builds a counted loop whose body holds copies bound checks of
+// the same index and length, neither redefined in the loop.
+func boundLoop(copies int) *ir.Func {
+	b := ir.NewFunc("bceloop", false)
+	i := b.Param("i", ir.KindInt)
+	ln := b.Param("len", ir.KindInt)
+	n := b.Param("n", ir.KindInt)
+	b.Result(ir.KindInt)
+	entry := b.Block("entry")
+	body := b.DeclareBlock("body")
+	exit := b.DeclareBlock("exit")
+	j := b.Temp(ir.KindInt)
+	b.SetBlock(entry)
+	b.Move(j, ir.ConstInt(0))
+	b.Jump(body)
+	b.SetBlock(body)
+	for range copies {
+		b.Emit(&ir.Instr{Op: ir.OpBoundCheck, Dst: ir.NoVar, Args: []ir.Operand{ir.Var(i), ir.Var(ln)}})
+	}
+	b.Binop(ir.OpAdd, j, ir.Var(j), ir.ConstInt(1))
+	b.If(ir.CondLT, ir.Var(j), ir.Var(n), body, exit)
+	b.SetBlock(exit)
+	b.Return(ir.ConstInt(0))
+	return b.Finish()
+}
+
+// TestBoundCheckElimLoneCheckInLoopStays: the back edge carries the check
+// around the loop, but the entry path reaches it unchecked, so a check whose
+// key occurs once stays; a second identical check after it goes.
+func TestBoundCheckElimLoneCheckInLoopStays(t *testing.T) {
+	checks := func(f *ir.Func) int {
+		n := 0
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpBoundCheck {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct{ copies, removed int }{{1, 0}, {2, 1}, {3, 2}} {
+		f := boundLoop(tc.copies)
+		if n := BoundCheckElim(f); n != tc.removed {
+			t.Fatalf("%d checks in the loop: removed %d, want %d:\n%s", tc.copies, n, tc.removed, f)
+		}
+		if n := checks(f); n != 1 {
+			t.Fatalf("%d checks in the loop: %d left, want 1:\n%s", tc.copies, n, f)
+		}
+	}
+}
+
 func TestLocalCSEGetField(t *testing.T) {
 	_, c := testClass()
 	b := ir.NewFunc("cse", false)
