@@ -100,10 +100,11 @@ checked go test -run FuzzDifferential ./internal/randprog
 # run here too, so both engines must print and agree on the same numbers.
 TRAPNULL_ENGINE=switch go test -count=1 ./internal/machine ./internal/bench ./internal/randprog ./examples/... ./internal/jasm
 # The prepared table's layout: a fixed number of allocations per function
-# whatever its size, the compact record sizes, and the float view of every
-# operand kind on both engines. Named here so a rename fails CI instead of
-# silently dropping out of the line above.
-checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestPrepareAllocsIndependentOfSize|TestPreparedRecordSizes|TestEngineFloatViewsOfOperands' ./internal/machine
+# whatever its size, the compact record sizes, the Machine's 224-B size
+# class, and the float view of every operand kind on both engines. Named
+# here so a rename fails CI instead of silently dropping out of the line
+# above.
+checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestPrepareAllocsIndependentOfSize|TestPreparedRecordSizes|TestMachineSize|TestEngineFloatViewsOfOperands' ./internal/machine
 # Bounded native fuzz smoke: arbitrary jasm programs through both engines.
 # Its 5000-step limit ends every looping program, so the closure engine's
 # hand-off to the interpreter at a stretch the limit could fire in meets
@@ -140,8 +141,10 @@ checked go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCo
 # race detector and again with the reference switch interpreter as the
 # untiered default, so the tiering layer can never drift from either engine.
 # Attaching an execution profile must not change any tiered or governed
-# run: the adaptive policies own the counters they decide from.
-checked go test -race -run 'TestTiered|TestTierHook|TestObservationNeverSteers' ./internal/bench
+# run: the adaptive policies own the counters they decide from. The pin,
+# recompile-error and spec-budget-exhausted decisions, which no baseline
+# carries, keep their exported fields.
+checked go test -race -run 'TestTiered|TestTierHook|TestObservationNeverSteers|TestDecisionExports' ./internal/bench
 checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestTiered' ./internal/bench
 checked go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/jit
 # The adaptive controller both policies share: every generation binds the
@@ -170,6 +173,11 @@ if go run ./cmd/nulljit -workload LateNullStorm -tier -profile > /dev/null 2>&1;
     echo "nulljit -tier accepted -profile, which it ignores" >&2
     exit 1
 fi
+# So do benchtab's modes.
+if go run ./cmd/benchtab -tier -quick -profile > /dev/null 2>&1; then
+    echo "benchtab -tier accepted -profile, which it ignores" >&2
+    exit 1
+fi
 # Robustness gate (governor + fault injection). The chaos pass replays the
 # same seeded fault schedule under the race detector and on both engines —
 # the reports must be byte-identical and every failure one the schedule
@@ -190,17 +198,19 @@ go run ./cmd/benchtab -chaos -chaos-seed 7 > /dev/null
 # simulated, so the full-size run must reproduce the checked-in output byte
 # for byte.
 go run ./cmd/benchtab -ablations | cmp - ablation_output.txt
-# Telemetry plane gate. The timeline (flight recorder + trap-cost
+# Telemetry plane gate. The timeline (decision logs + trap-cost
 # attribution) and the metrics snapshot are deterministic surfaces: two
-# sweeps must render them byte-identical, and the merged Perfetto trace of a
-# tiered sweep must carry the adaptive decisions as instant events.
+# sweeps must render them byte-identical, and the Perfetto trace of a tiered
+# sweep must carry the adaptive decisions as instant events, with or without
+# a timeline.
 tdir="$(mktemp -d -t trapnull-telemetry.XXXXXX)"
 trap 'rm -f "$obs_trace"; rm -rf "$tdir"' EXIT
 go run ./cmd/benchtab -quick -timeline "$tdir/tl1.txt" -metrics "$tdir/mx1.txt" > /dev/null
 go run ./cmd/benchtab -quick -timeline "$tdir/tl2.txt" -metrics "$tdir/mx2.txt" > /dev/null
 cmp "$tdir/tl1.txt" "$tdir/tl2.txt"
 cmp "$tdir/mx1.txt" "$tdir/mx2.txt"
-go run ./cmd/benchtab -tier -quick -trace "$tdir/tier-trace.json" -timeline "$tdir/tier-tl.txt" > /dev/null
+go run ./cmd/benchtab -tier -quick -trace "$tdir/tier-trace.json" > /dev/null
+go run ./cmd/benchtab -tier -quick -timeline "$tdir/tier-tl.txt" > /dev/null
 # Adaptive-timeline golden gate: the quick -tier and -degradation timelines
 # are purely simulated (logical clocks, simulated cycles) and identical at
 # every -parallel value and on either engine, so each run must reproduce its

@@ -20,9 +20,11 @@
 //	benchtab -profile             # hot-block execution profile per cell
 //	benchtab -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Every mode runs on the process's default engine, which TRAPNULL_ENGINE
-// selects (closure, the default, or switch for the reference interpreter);
-// the simulated numbers are identical on both.
+// -tier, -degradation, -chaos and -ablations are modes: one runs at a time,
+// and a flag the chosen mode does not read is refused, not ignored. Every
+// mode runs on the process's default engine, which TRAPNULL_ENGINE selects
+// (closure, the default, or switch for the reference interpreter); the
+// simulated numbers are identical on both.
 package main
 
 import (
@@ -31,6 +33,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"trapnull/internal/bench"
 	"trapnull/internal/obs"
@@ -51,7 +55,7 @@ func main() {
 		cellTO     = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for the main sweep (0 = none; expired cells render ERROR(timeout))")
 		asJSON     = flag.Bool("json", false, "emit the full report as JSON")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the sweep to this file")
-		timelineTo = flag.String("timeline", "", "write the adaptive-decision timeline (flight recorder + trap-cost attribution) to this file")
+		timelineTo = flag.String("timeline", "", "write the adaptive-decision timeline (decision logs + trap-cost attribution) to this file")
 		metricsTo  = flag.String("metrics", "", "write the telemetry metrics snapshot to this file")
 		metricsVol = flag.Bool("metrics-volatile", false, "include volatile (host-timing/interleaving) metrics in the -metrics snapshot")
 		remarks    = flag.Bool("remarks", false, "collect null-check fate remarks (adds fate histograms to tables/JSON)")
@@ -60,6 +64,26 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	// Each mode reads only some flags besides the profilers; refuse a second
+	// mode or any other flag rather than silently ignore it. The cases
+	// follow the order in which main picks a mode.
+	mode, reads := "the paper sweep", "all table figure quick parallel cell-timeout json trace timeline metrics metrics-volatile remarks profile"
+	switch {
+	case *tier:
+		mode, reads = "-tier", "tier quick json trace timeline metrics metrics-volatile"
+	case *degrade:
+		mode, reads = "-degradation", "degradation quick json trace timeline metrics metrics-volatile"
+	case *chaos:
+		mode, reads = "-chaos", "chaos chaos-seed parallel cell-timeout timeline metrics metrics-volatile"
+	case *ablations:
+		mode, reads = "-ablations", "ablations quick"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != "cpuprofile" && f.Name != "memprofile" && !slices.Contains(strings.Fields(reads), f.Name) {
+			fmt.Fprintf(os.Stderr, "benchtab: -%s does not apply to %s\n", f.Name, mode)
+			os.Exit(2)
+		}
+	})
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -89,7 +113,7 @@ func main() {
 	}
 
 	// The telemetry plane (shared by every mode): a timeline collecting each
-	// cell's flight-recorder events and trap-cost ledgers, and a metrics
+	// cell's decision log and trap-cost ledger, and a metrics
 	// registry totalling the sweep counters. Both render deterministically.
 	var timeline *obs.Timeline
 	if *timelineTo != "" {

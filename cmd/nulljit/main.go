@@ -211,10 +211,7 @@ func main() {
 		execProf = obs.NewExecProfile()
 		m.Profile = execProf
 	}
-	var rec *obs.Recorder
 	if *timeline {
-		rec = obs.NewRecorder()
-		m.Recorder = rec
 		m.EnableAttribution()
 	}
 	var out machine.Outcome
@@ -282,7 +279,7 @@ func main() {
 	}
 	if *timeline {
 		tl := obs.NewTimeline()
-		tl.Add(label, rec, m.CycleAttribution())
+		tl.Add(label, m.Decisions(), m.CycleAttribution())
 		fmt.Print(tl.Render())
 	}
 	if *metrics {
@@ -321,11 +318,6 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 	fail(err)
 
 	m := machine.New(model, prog)
-	var rec *obs.Recorder
-	if timeline {
-		rec = obs.NewRecorder()
-		m.Recorder = rec
-	}
 	m.EnableTiering(machine.DefaultTierPolicy(), compile)
 
 	fmt.Printf("program     %s (n=%d) on %s under %s, tiered (%d invocations)\n",
@@ -354,11 +346,11 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 	for _, ev := range rep.Events {
 		switch ev.Kind {
 		case "deopt":
-			fmt.Printf("event       %-10s %s (check %d)\n", ev.Kind, ev.Method, ev.Check)
+			fmt.Printf("event       %-10s %s (check %d)\n", ev.Kind, ev.Subject, ev.Ord)
 		case "promote-t2":
-			fmt.Printf("event       %-10s %s (%d checks speculated)\n", ev.Kind, ev.Method, ev.Specs)
+			fmt.Printf("event       %-10s %s (%d checks speculated)\n", ev.Kind, ev.Subject, ev.Count)
 		default:
-			fmt.Printf("event       %-10s %s\n", ev.Kind, ev.Method)
+			fmt.Printf("event       %-10s %s\n", ev.Kind, ev.Subject)
 		}
 	}
 	bl := m.Blacklisted()
@@ -372,7 +364,7 @@ func runTiered(wname string, cfg jit.Config, model *arch.Model, n int64, reps in
 	}
 	if timeline {
 		tl := obs.NewTimeline()
-		tl.Add(w.Name+"/tiered", rec, nil)
+		tl.Add(w.Name+"/tiered", m.Decisions(), nil)
 		fmt.Print(tl.Render())
 	}
 	fail(verdict)

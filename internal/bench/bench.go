@@ -116,11 +116,11 @@ type Options struct {
 	// Cell.Profile (benchtab -profile; JSON profile).
 	Profile bool
 
-	// Timeline, when non-nil, attaches a flight recorder and trap-cost
-	// attribution to every cell's machine and merges each cell's adaptive
-	// events and cycle ledger into it (benchtab -timeline). When Trace is
-	// also set, the recorded events additionally appear as instant markers
-	// on the cell's trace lane.
+	// Timeline, when non-nil, attaches trap-cost attribution to every
+	// untiered cell's machine and merges each cell's decision log and cycle
+	// ledger into it (benchtab -timeline). When Trace is set, with or
+	// without a timeline, the logged decisions appear as instant markers on
+	// the cell's trace lane.
 	Timeline *obs.Timeline
 	// Metrics, when non-nil, receives the sweep's counters after assembly
 	// (benchtab -metrics): engine, static-check and attribution totals,
@@ -273,12 +273,13 @@ type measurement struct {
 	remarks *obs.Remarks
 	prof    *obs.ExecProfile
 	attr    *obs.Attribution
-	// The machine's totals and adaptive reports; the machine itself is
-	// dropped with the cell.
-	cycles int64
-	stats  machine.ExecStats
-	tier   machine.TierReport
-	gov    machine.GovernorReport
+	// The machine's totals, adaptive reports and decision log; the machine
+	// itself is dropped with the cell.
+	cycles    int64
+	stats     machine.ExecStats
+	tier      machine.TierReport
+	gov       machine.GovernorReport
+	decisions []obs.RecEvent
 	// Cycles of invocation 1, of the last invocation and of all of them,
 	// and the last invocation's hardware traps and explicit checks.
 	first, steady, total      int64
@@ -406,11 +407,13 @@ func measureCell(s cellSpec, opts Options, abort *atomic.Bool) (ms *measurement)
 		ms.prof = obs.NewExecProfile()
 		mach.Profile = ms.prof
 	}
-	rec := attachRecorder(opts.Timeline, mach, !adaptive(s.policy))
+	// A timeline carries the untiered policies' trap-cost ledgers too.
+	if opts.Timeline != nil && !adaptive(s.policy) {
+		mach.EnableAttribution()
+	}
 	if opts.Inject != nil {
 		if step, ok := opts.Inject.StepFault(s.model.Name + "/" + s.name); ok {
-			mach.InjectStepFault(step)
-			rec.Record(0, "chaos", "step-fault-arm", s.name, fmt.Sprintf("fires at step %d", step))
+			mach.InjectStepFault(step, s.name)
 		}
 	}
 	ms.toPeak += setupPolicy(s.policy, mach, opts.Quick, s.recompile)
@@ -455,10 +458,10 @@ func measureCell(s cellSpec, opts Options, abort *atomic.Bool) (ms *measurement)
 		opts.Trace.Span(tid, "cell", s.name, cellStart, time.Since(cellStart), nil)
 	}
 	// Publish before failing: a cell that errored (an injected fault, say)
-	// still lands its recorded strand in the timeline — that is what the
+	// still lands its decision log in the timeline — that is what the
 	// chaos fire markers are for.
-	ms.attr = mach.CycleAttribution()
-	publishTimeline(opts.Timeline, opts.Trace, s.model.Name+"/"+s.name, rec, ms.attr, tid, wins)
+	ms.attr, ms.decisions = mach.CycleAttribution(), mach.Decisions()
+	publishTimeline(opts.Timeline, opts.Trace, s.model.Name+"/"+s.name, ms.decisions, ms.attr, tid, wins)
 	if reason != "" {
 		return fail(reason)
 	}

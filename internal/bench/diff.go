@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -261,13 +262,16 @@ type jsonPolicyDiffCell struct {
 	Demotions     int    `json:"demotions"`
 	Recompiles    int    `json:"recompiles"`
 	Pinned        int    `json:"pinned"`
-	Error         string `json:"error,omitempty"`
+	// Events is the cell's decision log as exported, compared as JSON.
+	Events json.RawMessage `json:"events,omitempty"`
+	Error  string          `json:"error,omitempty"`
 }
 
 // diffPolicyCell compares one policy-sweep cell. Steady and first cycles
 // gate under the cycle tolerance; the adaptive decisions (promotions,
-// deopts, demotions, recompiles, pins) are deterministic and gate on any
-// change; compile-to-peak is host time and is only reported.
+// deopts, demotions, recompiles, pins, and the events that log them) are
+// deterministic and gate on any change; compile-to-peak is host time and is
+// only reported.
 func (d *Diff) diffPolicyCell(full, id string, oc, nc *jsonPolicyDiffCell, opts DiffOptions) {
 	if d.cellErrors(full, id, oc.Error, nc.Error) {
 		return
@@ -291,4 +295,17 @@ func (d *Diff) diffPolicyCell(full, id string, oc, nc *jsonPolicyDiffCell, opts 
 			d.Regressions = append(d.Regressions, fmt.Sprintf("%s: %s %d -> %d", full, f.name, f.old, f.new))
 		}
 	}
+	if old, new := compactJSON(oc.Events), compactJSON(nc.Events); old != new {
+		d.Regressions = append(d.Regressions, fmt.Sprintf("%s: events %s -> %s", full, old, new))
+	}
+}
+
+// compactJSON is raw JSON without insignificant whitespace, so reports
+// compare by content however they are indented.
+func compactJSON(raw json.RawMessage) string {
+	var b bytes.Buffer
+	// raw came out of a decoded report: valid JSON, or empty (and then
+	// compacted to "") when the cell exports no events.
+	_ = json.Compact(&b, raw)
+	return b.String()
 }

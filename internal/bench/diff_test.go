@@ -225,7 +225,12 @@ func policyFixture(t *testing.T, edit func(c *jsonTierCell)) []byte {
 	t.Helper()
 	c := jsonTierCell{Workload: "LateNullStorm", Policy: "tiered-spec", Reps: 4,
 		FirstCycles: 483004, SteadyCycles: 482404, CompileToPeak: 1309,
-		PromotionsT1: 1, PromotionsT2: 1, Deopts: 1}
+		PromotionsT1: 1, PromotionsT2: 1, Deopts: 1,
+		Events: []jsonTierDecision{
+			{Method: "LateNullStorm.main", Kind: "promote-t1", Check: -1},
+			{Method: "LateNullStorm.main", Kind: "promote-t2", Check: -1, Specs: 2},
+			{Method: "LateNullStorm.main", Kind: "deopt", Check: 0},
+		}}
 	if edit != nil {
 		edit(&c)
 	}
@@ -257,6 +262,7 @@ func TestDiffPolicyReport(t *testing.T) {
 		{"steady+1%", func(c *jsonTierCell) { c.SteadyCycles = c.SteadyCycles * 101 / 100 }, ""},
 		{"deopts", func(c *jsonTierCell) { c.Deopts = 0 }, "deopts 1 -> 0"},
 		{"promotions", func(c *jsonTierCell) { c.PromotionsT2 = 2 }, "promotions_t2 1 -> 2"},
+		{"event check", func(c *jsonTierCell) { c.Events[2].Check = 1 }, `"kind":"deopt","check":1`},
 		{"error", func(c *jsonTierCell) { c.Error = "checksum mismatch" }, "now fails"},
 	} {
 		d, err := DiffReports(base, policyFixture(t, c.edit), DiffOptions{CyclesTolerancePct: 2})
@@ -292,5 +298,16 @@ func TestDiffPolicyReport(t *testing.T) {
 	}
 	if regs := strings.Join(d.Regressions, "\n"); len(d.Regressions) != 3 || !strings.Contains(regs, "pinned 0 -> 1") {
 		t.Errorf("demotions, recompiles and pins did not each gate: %s", regs)
+	}
+
+	gov.Events = []jsonGovernorDecision{{Method: "TrapStorm.main", Kind: "demote", Site: 3, Demoted: 1}}
+	perturbed := gov
+	perturbed.Events = []jsonGovernorDecision{{Method: "TrapStorm.main", Kind: "demote", Site: 3, Demoted: 2}}
+	d, err = DiffReports(degradation(gov), degradation(perturbed), DiffOptions{CyclesTolerancePct: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs := strings.Join(d.Regressions, "\n"); len(d.Regressions) != 1 || !strings.Contains(regs, `"demoted":2`) {
+		t.Errorf("a changed demoted count did not gate as one event regression: %s", regs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"time"
 
-	"trapnull/internal/machine"
 	"trapnull/internal/obs"
 )
 
@@ -111,10 +110,18 @@ type jsonTierCell struct {
 	SpecLive      int    `json:"spec_live"`
 	OSREntries    int    `json:"osr_entries"`
 	// BudgetExhausted and Events surface the rest of machine.TierReport:
-	// parked methods (sorted) and the full decision log in occurrence order.
-	BudgetExhausted []string            `json:"budget_exhausted,omitempty"`
-	Events          []machine.TierEvent `json:"events,omitempty"`
-	Error           string              `json:"error,omitempty"`
+	// parked methods (sorted) and the tier decisions in occurrence order.
+	BudgetExhausted []string           `json:"budget_exhausted,omitempty"`
+	Events          []jsonTierDecision `json:"events,omitempty"`
+	Error           string             `json:"error,omitempty"`
+}
+
+// jsonTierDecision is the export shape of one tier decision.
+type jsonTierDecision struct {
+	Method string `json:"method"`
+	Kind   string `json:"kind"`  // promote-t1, promote-t2, deopt, spec-budget-exhausted
+	Check  int    `json:"check"` // a deopt's fired check ordinal; -1 otherwise
+	Specs  int    `json:"specs"` // checks a promote-t2 speculated
 }
 
 // jsonDegradationCell is the export shape of one degradation measurement.
@@ -131,19 +138,33 @@ type jsonDegradationCell struct {
 	Pinned       int    `json:"pinned"`
 	// The remaining fields surface machine.GovernorReport: the canonical
 	// per-site profile totals, swallowed-trap count, pinned method names
-	// (sorted) and the full demotion decision log in occurrence order.
-	SiteExecs     int64                   `json:"site_execs"`
-	SiteNulls     int64                   `json:"site_nulls"`
-	Backoffs      int64                   `json:"backoffs"`
-	PinnedMethods []string                `json:"pinned_methods,omitempty"`
-	Events        []machine.GovernorEvent `json:"events,omitempty"`
-	Error         string                  `json:"error,omitempty"`
+	// (sorted) and the demote, pin and recompile-error decisions in
+	// occurrence order.
+	SiteExecs     int64                  `json:"site_execs"`
+	SiteNulls     int64                  `json:"site_nulls"`
+	Backoffs      int64                  `json:"backoffs"`
+	PinnedMethods []string               `json:"pinned_methods,omitempty"`
+	Events        []jsonGovernorDecision `json:"events,omitempty"`
+	Error         string                 `json:"error,omitempty"`
+}
+
+// jsonGovernorDecision is the export shape of one demotion decision.
+type jsonGovernorDecision struct {
+	Method  string `json:"method"`
+	Kind    string `json:"kind"`    // demote, pin, recompile-error
+	Site    int    `json:"site"`    // the demoted trap-site ordinal; -1 otherwise
+	Demoted int    `json:"demoted"` // the method's demoted sites after it
 }
 
 // tierJSON and degradationJSON project a policy cell into its sweep's
-// export shape. A failed cell's measurement fields are zero, so it exports
-// its zero values and the error.
+// export shape, events included: the tier view of its decision log, and the
+// log's demote, pin and recompile-error decisions. A failed cell's
+// measurement fields are zero, so it exports its zero values and the error.
 func tierJSON(c *PolicyCell) any {
+	var events []jsonTierDecision
+	for _, ev := range c.TierReport.Events {
+		events = append(events, jsonTierDecision{ev.Subject, ev.Kind, ev.Ord, ev.Count})
+	}
 	return jsonTierCell{
 		Workload:        c.Workload,
 		Policy:          c.Policy,
@@ -158,12 +179,18 @@ func tierJSON(c *PolicyCell) any {
 		SpecLive:        c.SpecLive,
 		OSREntries:      c.OSREntries,
 		BudgetExhausted: c.BudgetExhausted,
-		Events:          c.TierReport.Events,
+		Events:          events,
 		Error:           c.Err,
 	}
 }
 
 func degradationJSON(c *PolicyCell) any {
+	var events []jsonGovernorDecision
+	for _, ev := range c.Decisions {
+		if ev.Kind == "demote" || ev.Kind == "pin" || ev.Kind == "recompile-error" {
+			events = append(events, jsonGovernorDecision{ev.Subject, ev.Kind, ev.Ord, ev.Count})
+		}
+	}
 	return jsonDegradationCell{
 		Workload:      c.Workload,
 		Policy:        c.Policy,
@@ -179,7 +206,7 @@ func degradationJSON(c *PolicyCell) any {
 		SiteNulls:     c.SiteNulls,
 		Backoffs:      c.Backoffs,
 		PinnedMethods: c.Pinned,
-		Events:        c.GovernorReport.Events,
+		Events:        events,
 		Error:         c.Err,
 	}
 }

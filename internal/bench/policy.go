@@ -77,9 +77,12 @@ type PolicyCell struct {
 	PromotionsT2 int
 	// The tier controller's and the governor's reports, surfaced in
 	// benchtab -json; zero for the policies that use neither. Both carry
-	// Events and CompileHost, which are selected through the type name.
+	// CompileHost, which is selected through the type name.
 	machine.TierReport
 	machine.GovernorReport
+	// Decisions is the machine's decision log; the promotion counts and the
+	// JSON events are its projections.
+	Decisions []obs.RecEvent
 	// Err marks a failed cell (compile error, checksum mismatch, policy
 	// divergence); measurement fields are zero.
 	Err string
@@ -94,13 +97,13 @@ type PolicyOptions struct {
 	// tier and governor thresholds down so those sizes still cross them.
 	Quick bool
 
-	// Timeline, when non-nil, attaches a flight recorder to every cell's
-	// machine and merges its promotion/deopt/demotion events into the
-	// timeline; the untiered policies (interp, eager, implicit, explicit)
-	// additionally carry trap-cost attribution. Trace, when non-nil, gives
-	// each cell a lane of compile and per-invocation spans with the
-	// recorded events as instant markers. Metrics, when non-nil, receives
-	// the tier or governor counters of each cell.
+	// Timeline, when non-nil, merges every cell machine's decision log
+	// (promotions, deopts, demotions) into the timeline; the untiered
+	// policies (interp, eager, implicit, explicit) additionally carry
+	// trap-cost attribution. Trace, when non-nil, gives each cell a lane of
+	// compile and per-invocation spans with the logged decisions as instant
+	// markers. Metrics, when non-nil, receives the tier or governor counters
+	// of each cell.
 	Timeline *obs.Timeline
 	Trace    *obs.Trace
 	Metrics  *obs.Registry
@@ -423,16 +426,9 @@ func newPolicyCell(s cellSpec, ms *measurement) *PolicyCell {
 	c.Reps = s.reps
 	c.FirstCycles, c.SteadyCycles, c.TotalCycles = ms.first, ms.steady, ms.total
 	c.SteadyTraps, c.SteadyChecks = ms.steadyTraps, ms.steadyChecks
-	c.TierReport, c.GovernorReport = ms.tier, ms.gov
+	c.TierReport, c.GovernorReport, c.Decisions = ms.tier, ms.gov, ms.decisions
 	c.CompileToPeak = ms.toPeak + c.TierReport.CompileHost
-	for _, ev := range c.TierReport.Events {
-		switch ev.Kind {
-		case "promote-t1":
-			c.PromotionsT1++
-		case "promote-t2":
-			c.PromotionsT2++
-		}
-	}
+	c.PromotionsT1, c.PromotionsT2 = obs.Count(c.Decisions, "promote-t1"), obs.Count(c.Decisions, "promote-t2")
 	return c
 }
 

@@ -8,9 +8,9 @@ import (
 	"trapnull/internal/obs"
 )
 
-// Telemetry plumbing shared by the sweep modes: the metrics registry names,
-// the per-cell flight-recorder attachment, and the merge of recorded events
-// into the Perfetto trace.
+// Telemetry plumbing shared by the sweep modes: the metrics registry names
+// and the merge of each cell's decision log into the timeline and the
+// Perfetto trace.
 //
 // Determinism contract: everything published here is derived from simulated
 // quantities (cycles, dynamic counters, logical clocks), never from host
@@ -182,21 +182,6 @@ func publishCellMetrics(reg *obs.Registry, c *Cell) {
 	publishRun(reg, &RunCounters{Exec: c.Exec, Checks: c.Static.Checks, Profile: c.Profile, Attr: c.Attr}, true)
 }
 
-// attachRecorder wires a flight recorder (and, for untiered machines,
-// trap-cost attribution) into a cell's machine. Returns nil when the sweep
-// carries no timeline, keeping the default path recorder-free.
-func attachRecorder(tl *obs.Timeline, mach *machine.Machine, attribute bool) *obs.Recorder {
-	if tl == nil {
-		return nil
-	}
-	rec := obs.NewRecorder()
-	mach.Recorder = rec
-	if attribute {
-		mach.EnableAttribution()
-	}
-	return rec
-}
-
 // repWindow is one invocation's wall span and step range, for placing
 // logically-clocked events inside a cell's trace lane.
 type repWindow struct {
@@ -205,32 +190,26 @@ type repWindow struct {
 	s0, s1 int64
 }
 
-// publishTimeline lands one cell's recorded events (and optional ledger) in
-// the timeline and — when the sweep also traces — replays each event as a
-// Perfetto instant marker on the cell's lane. The recorder itself holds
-// logical clocks only; the wall position is derived here as the event's
-// step fraction of its invocation's window, so the instants line up with the
-// span they annotate without the recorder ever touching wall time.
-func publishTimeline(tl *obs.Timeline, tr *obs.Trace, name string, rec *obs.Recorder,
+// publishTimeline lands one cell's decision log (and optional ledger) in
+// the timeline, when the sweep has one, and — when the sweep traces —
+// replays each decision as a Perfetto instant marker on the cell's lane.
+// The log holds logical clocks only; the wall position is derived here as
+// the event's step fraction of its invocation's window, so the instants line
+// up with the span they annotate without the log ever touching wall time.
+func publishTimeline(tl *obs.Timeline, tr *obs.Trace, name string, events []obs.RecEvent,
 	attr *obs.Attribution, tid int64, wins []repWindow) {
-	if rec == nil {
-		return
-	}
-	tl.Add(name, rec, attr)
+	tl.Add(name, events, attr)
 	if tr == nil {
 		return
 	}
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		var at time.Time
 		switch {
 		case e.Invocation >= 1 && e.Invocation <= len(wins):
 			w := wins[e.Invocation-1]
 			at = w.start
 			if span := w.s1 - w.s0; span > 0 && e.Step > w.s0 {
-				frac := float64(e.Step-w.s0) / float64(span)
-				if frac > 1 {
-					frac = 1
-				}
+				frac := min(float64(e.Step-w.s0)/float64(span), 1)
 				at = w.start.Add(time.Duration(float64(w.dur) * frac))
 			}
 		case len(wins) > 0:

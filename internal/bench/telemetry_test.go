@@ -212,8 +212,8 @@ func TestTelemetryOffUnchanged(t *testing.T) {
 }
 
 // telemetryTrial measures one compile+run of the Assignment workload with the
-// whole telemetry plane on (flight recorder + attribution + metrics registry
-// + timeline render) or fully off.
+// whole telemetry plane on (attribution + metrics registry + timeline
+// render of the decision log) or off.
 func telemetryTrial(t *testing.T, observed bool) time.Duration {
 	t.Helper()
 	w, err := workloads.ByName("Assignment")
@@ -229,10 +229,7 @@ func telemetryTrial(t *testing.T, observed bool) time.Duration {
 		t.Fatal(err)
 	}
 	m := machine.New(model, prog)
-	var rec *obs.Recorder
 	if observed {
-		rec = obs.NewRecorder()
-		m.Recorder = rec
 		m.EnableAttribution()
 	}
 	if _, err := m.Call(entry.Fn, 20); err != nil {
@@ -240,7 +237,7 @@ func telemetryTrial(t *testing.T, observed bool) time.Duration {
 	}
 	if observed {
 		tl := obs.NewTimeline()
-		tl.Add(w.Name, rec, m.CycleAttribution())
+		tl.Add(w.Name, m.Decisions(), m.CycleAttribution())
 		reg := obs.NewRegistry()
 		instrs := reg.Counter("engine.instrs", "")
 		instrs.Add(m.Stats.Instrs)
@@ -251,7 +248,7 @@ func telemetryTrial(t *testing.T, observed bool) time.Duration {
 }
 
 // TestTelemetryOverheadBudget pins the enabled-overhead acceptance criterion
-// for the new plane: flight recorder, attribution and metrics together must
+// for the new plane: attribution, metrics and the timeline together must
 // stay within 1.15x of the bare path. Host timing is noisy, so the test takes
 // the best of several paired trials, failing only if every attempt exceeds
 // the budget.
@@ -276,7 +273,7 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 
 // observedRun is what one adaptive run shows: every invocation's Outcome
 // and error, then the machine's cycles, counters, reports (host compile time
-// aside), blacklist and flight-recorder events.
+// aside), blacklist and decision log.
 type observedRun struct {
 	Outcomes    []machine.Outcome
 	Errs        []string
@@ -298,7 +295,6 @@ func runObserved(t *testing.T, w *workloads.Workload, model *arch.Model, cfg jit
 		t.Fatalf("%s/%s: compile: %v", model.Name, w.Name, err)
 	}
 	m := machine.New(model, p)
-	m.Recorder = obs.NewRecorder()
 	if profiled {
 		m.Profile = obs.NewExecProfile()
 	}
@@ -322,7 +318,7 @@ func runObserved(t *testing.T, w *workloads.Workload, model *arch.Model, cfg jit
 	r.Tier, r.Gov = m.TierReport(), m.GovernorReport()
 	r.Tier.CompileHost, r.Gov.CompileHost = 0, 0
 	r.Blacklisted = m.Blacklisted()
-	r.Events = m.Recorder.Events()
+	r.Events = m.Decisions()
 	return r
 }
 

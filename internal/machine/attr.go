@@ -21,7 +21,7 @@ import (
 // EnableGovernor machines simply report a nil ledger.
 
 // Steps returns the cumulative dynamic step count — the logical clock
-// flight-recorder events are stamped with. Callers that merge recorded
+// the decision log's events are stamped with. Callers that merge recorded
 // events into a wall-clock trace use it to place each event at its step
 // fraction of the measured run.
 func (m *Machine) Steps() int64 { return m.steps }

@@ -271,7 +271,7 @@ func decisionFn(c *ir.Class, guard bool, lead, tail int) *ir.Func {
 	return b.Finish()
 }
 
-// TestDecisionStepIsReferenceCount pins the flight recorder's step clock at
+// TestDecisionStepIsReferenceCount pins the decision log's step clock at
 // the reference count: a fired speculation guard's deopt and a governed
 // trap's demotion are logged at the step of the instruction that fired,
 // however many instructions follow it in its block (the closure engine
@@ -291,7 +291,6 @@ func TestDecisionStepIsReferenceCount(t *testing.T) {
 					body := func() *ir.Func { return decisionFn(c, guard, lead, tail) }
 					mth := p.AddMethod(nil, "f", body(), false)
 					m := New(arch.IA32Win(), p)
-					m.Recorder = obs.NewRecorder()
 					if limit > 0 {
 						m.MaxSteps = limit
 					}
@@ -316,7 +315,7 @@ func TestDecisionStepIsReferenceCount(t *testing.T) {
 						t.Fatalf("tail %d guard %v: out=%+v err=%v, want an NPE", tail, guard, out, err)
 					}
 					var got []int64
-					for _, ev := range m.Recorder.Events() {
+					for _, ev := range m.Decisions() {
 						if ev.Kind == kind {
 							got = append(got, ev.Step)
 						}
@@ -342,7 +341,6 @@ func TestDecisionStepIsReferenceCount(t *testing.T) {
 func TestAdoptCarriesTierZeroCountdown(t *testing.T) {
 	w := workloads.TrapStorm()
 	m, fn, compile := controlled(t, w, jit.ConfigPhase1Phase2(), demoteOpts)
-	m.Recorder = obs.NewRecorder()
 	m.EnableTiering(TierPolicy{T1Blocks: 4000}, nil)
 	m.EnableGovernor(quickGovernor, compile)
 	var last Outcome
@@ -362,7 +360,7 @@ func TestAdoptCarriesTierZeroCountdown(t *testing.T) {
 		kind string
 	}
 	var got []event
-	for _, ev := range m.Recorder.Events() {
+	for _, ev := range m.Decisions() {
 		got = append(got, event{ev.Invocation, ev.Step, ev.Kind})
 	}
 	want := []event{{1, 1285, "demote"}, {1, 1285, "backoff-armed"}, {2, 15737, "promote-t1"}}
@@ -392,7 +390,7 @@ func TestResetPreparedKeepsSpeculationCounts(t *testing.T) {
 
 	promotions := func(m *Machine) []int {
 		var invs []int
-		for _, ev := range m.Recorder.Events() {
+		for _, ev := range m.Decisions() {
 			if ev.Kind == "promote-t2" {
 				invs = append(invs, ev.Invocation)
 			}
@@ -401,7 +399,6 @@ func TestResetPreparedKeepsSpeculationCounts(t *testing.T) {
 	}
 	tiered := func() (*Machine, *ir.Func) {
 		m, fn, compile := controlled(t, w, jit.ConfigPhase1Phase2(), specOpts)
-		m.Recorder = obs.NewRecorder()
 		m.EnableTiering(policy, compile)
 		return m, fn
 	}

@@ -66,24 +66,16 @@ func DefaultGovernorPolicy() GovernorPolicy {
 	return GovernorPolicy{MinSiteExecs: 256, NullPerMille: 5, RecompileBudget: 3, BackoffTraps: 16}
 }
 
-// GovernorEvent is one demotion decision, in occurrence order.
-type GovernorEvent struct {
-	Method string `json:"method"`
-	// Kind is "demote" (one site), "pin" (budget exhausted: every site,
-	// terminal) or "recompile-error" (compile failed; the method keeps its
-	// current artifact and the governor pins it to stop retrying).
-	Kind string `json:"kind"`
-	// Site is the demoted trap-site ordinal; -1 for pin/recompile-error.
-	Site int `json:"site"`
-	// Demoted is the method's total demoted sites after this event.
-	Demoted int `json:"demoted"`
-}
-
-// GovernorReport is the governor's summary for the degradation tables.
+// GovernorReport is the governor's summary for the degradation tables. Its
+// decisions are in the machine's decision log (category "governor"): demote
+// (one site), pin (budget spent: every site, terminal), recompile-error
+// (compile failed; the method keeps its current artifact and is pinned to
+// stop retrying) and backoff-armed. Each names the method, the demoted site
+// ordinal as Ord (-1 for all but demote) and the method's demoted sites
+// after it as Count.
 type GovernorReport struct {
-	Events      []GovernorEvent
 	Demotions   int // total sites demoted across all methods
-	Recompiles  int // governed recompiles performed
+	Recompiles  int // governed recompiles performed: the log's demotes and pins
 	Pinned      []string
 	CompileHost time.Duration
 	// SiteExecs/SiteNulls total the canonical per-site counts across every
@@ -122,8 +114,6 @@ type governor struct {
 	// to their coordinates for the trap path.
 	sites map[*ir.Instr]govSite
 
-	events      []GovernorEvent
-	recompiles  int
 	backoffs    int64
 	compileHost time.Duration
 }
@@ -145,14 +135,14 @@ func (m *Machine) EnableGovernor(policy GovernorPolicy, compile Recompiler) {
 	m.ResetPrepared()
 }
 
-// GovernorReport returns the governor's event log and totals; zero when no
-// governor is attached.
+// GovernorReport returns the governor's totals; zero when no governor is
+// attached.
 func (m *Machine) GovernorReport() GovernorReport {
 	if m.tier == nil || m.tier.gov == nil {
 		return GovernorReport{}
 	}
 	g := m.tier.gov
-	r := GovernorReport{Events: g.events, Recompiles: g.recompiles,
+	r := GovernorReport{Recompiles: obs.Count(m.Decisions(), "demote", "pin"),
 		Backoffs: g.backoffs, CompileHost: g.compileHost}
 	for _, mt := range m.tier.order {
 		r.Demotions += len(mt.demote)
@@ -223,8 +213,8 @@ func (t *tierController) trigger(site govSite) {
 	}
 
 	mt.recompiles++
-	g.recompiles++
 	mt.backoff = backoff(g.policy.BackoffTraps, mt.recompiles-1)
+	kind, ord, detail := "demote", site.ord, fmt.Sprintf("site %d: %d/%d nulls", site.ord, c.Nulls, c.Execs)
 	if mt.recompiles >= g.policy.RecompileBudget {
 		// Terminal pin: demote every site of the method, known and future —
 		// the artifact after this recompile carries no implicit sites, so
@@ -237,14 +227,13 @@ func (t *tierController) trigger(site govSite) {
 			}
 		}
 		mt.pinned = true
-		t.govNote(mt, "pin", -1, fmt.Sprintf("budget spent: %d sites demoted", len(mt.demote)))
+		kind, ord, detail = "pin", -1, fmt.Sprintf("budget spent: %d sites demoted", len(mt.demote))
 	} else {
 		mt.demote.add(site.ord)
-		t.govNote(mt, "demote", site.ord, fmt.Sprintf("site %d: %d/%d nulls", site.ord, c.Nulls, c.Execs))
 	}
+	t.m.decide("governor", kind, mt.name, ord, len(mt.demote), detail)
 	if mt.backoff > 0 {
-		t.m.Recorder.Record(t.m.steps, "governor", "backoff-armed", mt.name,
-			fmt.Sprintf("swallowing next %d traps", mt.backoff))
+		t.m.decide("governor", "backoff-armed", mt.name, -1, len(mt.demote), fmt.Sprintf("swallowing next %d traps", mt.backoff))
 	}
 
 	prog, err := t.recompile(t.siteSet(func(o *methodTier) []int { return o.demote }))
@@ -253,14 +242,8 @@ func (t *tierController) trigger(site govSite) {
 		// artifact, stop retrying. The site keeps paying traps, but the
 		// run completes with the exact same Outcome.
 		mt.pinned = true
-		t.govNote(mt, "recompile-error", -1, err.Error())
+		t.m.decide("governor", "recompile-error", mt.name, -1, len(mt.demote), err.Error())
 		return
 	}
 	t.adopt(prog, nil)
-}
-
-// govNote logs one governor event and mirrors it into the flight recorder.
-func (t *tierController) govNote(mt *methodTier, kind string, site int, detail string) {
-	t.gov.events = append(t.gov.events, GovernorEvent{Method: mt.name, Kind: kind, Site: site, Demoted: len(mt.demote)})
-	t.m.Recorder.Record(t.m.steps, "governor", kind, mt.name, detail)
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"trapnull/internal/arch"
@@ -49,9 +50,11 @@ type Machine struct {
 	// trades host speed for reference simplicity.
 	Engine Engine
 	// injectedStepFault marks MaxSteps as a chaos-armed engine fault
-	// (InjectStepFault) rather than the runaway guard. It sits beside
-	// Engine so the two share a word.
+	// (InjectStepFault) rather than the runaway guard, and calls counts
+	// Calls: the decision log's invocation clock. Both sit beside Engine so
+	// the three share a word.
 	injectedStepFault bool
+	calls             int32
 	// Profile, when non-nil, receives per-block entry counts from both
 	// engines (obs layer; benchtab -profile). Only the caller attaches it,
 	// and nothing the machine decides or charges reads it. Block entries
@@ -65,12 +68,10 @@ type Machine struct {
 	// cancelled cooperatively instead of hanging the sweep. Disabled cost:
 	// one nil test per block entry.
 	Abort *atomic.Bool
-	// Recorder, when non-nil, is the flight recorder: the adaptive subsystems
-	// (tier controller, governor, chaos choke point) log their decisions to it
-	// with logical clocks (invocation index + dynamic step). It sits entirely
-	// off the per-instruction hot path — only decision points, which are rare
-	// by construction, touch it. Disabled cost: nil tests at those points.
-	Recorder *obs.Recorder
+	// decisions is the decision log (Decisions), made at the first
+	// decision: a pointer, so a machine that decides nothing pays one word
+	// and no allocation.
+	decisions *[]obs.RecEvent
 
 	steps int64
 	// attr, made by EnableAttribution, holds trap-cost attribution's
@@ -130,12 +131,39 @@ var ErrAborted = errors.New("machine: aborted")
 // dynamic step count step with an injected-fault error. It reuses the
 // step-limit choke point both engines share, so the reported fault names the
 // same function at the same count on either engine — the chaos harness diffs
-// exactly that. Steps at or beyond the current MaxSteps are ignored.
-func (m *Machine) InjectStepFault(step int64) {
+// exactly that. The arm is logged as a decision about subject (the run it
+// names). Steps at or beyond the current MaxSteps are ignored.
+func (m *Machine) InjectStepFault(step int64, subject string) {
 	if step > 0 && step < m.MaxSteps {
 		m.MaxSteps = step
 		m.injectedStepFault = true
+		m.decide("chaos", "step-fault-arm", subject, -1, 0, fmt.Sprintf("fires at step %d", step))
 	}
+}
+
+// decide appends one adaptive decision to the machine's decision log,
+// stamped with the current invocation and step: the tier controller, the
+// governor and the chaos choke point record through it, at decision points
+// only, never on the per-instruction path.
+func (m *Machine) decide(cat, kind, subject string, ord, count int, detail string) {
+	if m.decisions == nil {
+		m.decisions = new([]obs.RecEvent)
+	}
+	*m.decisions = append(*m.decisions, obs.RecEvent{Invocation: int(m.calls), Step: m.steps,
+		Cat: cat, Kind: kind, Subject: subject, Ord: ord, Count: count, Detail: detail})
+}
+
+// Decisions returns the machine's decision log in occurrence order: every
+// promotion, deopt, demotion, pin and chaos arm or fire. It has no cap: the
+// controllers' budgets bound the decisions a machine makes per method (one
+// promote-t1, TierPolicy.SpecRecompileBudget promote-t2s and deopts,
+// GovernorPolicy.RecompileBudget demotes or pins, each with one
+// backoff-armed).
+func (m *Machine) Decisions() []obs.RecEvent {
+	if m.decisions == nil {
+		return nil
+	}
+	return slices.Clip(*m.decisions)
 }
 
 // Outcome is the result of a call: a normal value or an exception that
@@ -152,7 +180,7 @@ func (m *Machine) Call(fn *ir.Func, args ...int64) (Outcome, error) {
 	if len(args) != fn.NumParams {
 		return Outcome{}, fmt.Errorf("machine: %s expects %d args, got %d", fn.Name, fn.NumParams, len(args))
 	}
-	m.Recorder.BeginInvocation()
+	m.calls++
 	return m.invoke(fn, args, 0)
 }
 
@@ -198,8 +226,7 @@ func (m *Machine) hot(fn *ir.Func) *cFunc {
 // byte-identical message at the identical dynamic instruction count.
 func (m *Machine) stepLimitErr(fn *ir.Func) error {
 	if m.injectedStepFault {
-		m.Recorder.Record(m.steps, "chaos", "step-fault-fire", fn.Name,
-			fmt.Sprintf("armed at step %d", m.MaxSteps))
+		m.decide("chaos", "step-fault-fire", fn.Name, -1, 0, fmt.Sprintf("armed at step %d", m.MaxSteps))
 		return fmt.Errorf("machine: injected step fault in %s at step %d: %w", fn.Name, m.MaxSteps, ErrInjectedFault)
 	}
 	return fmt.Errorf("machine: %s exceeded %d steps: %w", fn.Name, m.MaxSteps, ErrStepLimit)

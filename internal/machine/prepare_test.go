@@ -67,6 +67,15 @@ func TestPreparedRecordSizes(t *testing.T) {
 	}
 }
 
+// TestMachineSize pins the Machine inside the 224-B allocation size class:
+// the next class is 240 B, so one more word costs every machine.New 16 B,
+// and a cold compile sweep makes thousands of machines.
+func TestMachineSize(t *testing.T) {
+	if s := unsafe.Sizeof(Machine{}); s > 224 {
+		t.Errorf("Machine is %d B, want at most 224", s)
+	}
+}
+
 // TestEngineFloatViewsOfOperands: an operand's float view is a local's bits
 // (whatever the local's kind), a float constant's value, or an integer or
 // null constant converted. Both engines must read each of them, in float

@@ -171,17 +171,13 @@ func backoff(base int64, attempts int) int64 {
 	return base << uint(min(attempts, 20))
 }
 
-// TierEvent is one promotion/deoptimization, in occurrence order.
-type TierEvent struct {
-	Method string `json:"method"`
-	Kind   string `json:"kind"`  // "promote-t1", "promote-t2", "deopt"
-	Check  int    `json:"check"` // fired guard's check ordinal; -1 otherwise
-	Specs  int    `json:"specs"` // checks speculated by a promote-t2
-}
-
-// TierReport is the controller's summary for the bench tables.
+// TierReport is the controller's summary for the bench tables. Events,
+// Deopts and OSREntries are projections of the machine's decision log.
 type TierReport struct {
-	Events      []TierEvent
+	// Events is the log's tier decisions (promote-t1, promote-t2, deopt,
+	// spec-budget-exhausted) in occurrence order. Ord is a deopt's check
+	// ordinal and Count a promote-t2's speculated checks.
+	Events      []obs.RecEvent
 	Deopts      int
 	SpecLive    int // methods currently at tier 2
 	CompileHost time.Duration
@@ -204,9 +200,6 @@ type tierController struct {
 	byFn  map[*ir.Func]*methodTier // every known artifact body → its method
 	order []*methodTier            // method order: deterministic set building
 
-	events      []TierEvent
-	deopts      int
-	osrEntries  int
 	compileHost time.Duration
 
 	// gov, when non-nil, is the trap-storm governor (EnableGovernor):
@@ -217,7 +210,7 @@ type tierController struct {
 	// guard and site hold a decision a raise triggered until the engine
 	// dispatches that raise (settle). The closure engine pre-charges whole
 	// stretches, so only after its rollback does m.steps read the
-	// reference's count that the flight recorder logs.
+	// reference's count that the decision log stamps.
 	guard     *ir.Instr // a fired speculation guard
 	site      govSite   // a governed trap site that just trapped...
 	siteFired bool      // ...when set
@@ -253,14 +246,20 @@ func (m *Machine) EnableTiering(policy TierPolicy, compile Recompiler) {
 	m.ResetPrepared()
 }
 
-// TierReport returns the controller's event log and totals; zero when the
+// TierReport returns the controller's decisions and totals; zero when the
 // machine is untiered.
 func (m *Machine) TierReport() TierReport {
 	if m.tier == nil {
 		return TierReport{}
 	}
 	t := m.tier
-	r := TierReport{Events: t.events, Deopts: t.deopts, OSREntries: t.osrEntries, CompileHost: t.compileHost}
+	r := TierReport{CompileHost: t.compileHost}
+	for _, ev := range m.Decisions() {
+		if ev.Cat == "tier" {
+			r.Events = append(r.Events, ev)
+		}
+	}
+	r.Deopts, r.OSREntries = obs.Count(r.Events, "deopt"), obs.Count(r.Events, "promote-t1", "promote-t2")
 	for _, mt := range t.order {
 		if mt.tier == tierSpec {
 			r.SpecLive++
@@ -325,12 +324,6 @@ func (t *tierController) reset() {
 // dictate.
 func (t *tierController) stateOf(fn *ir.Func) *methodTier { return t.byFn[fn] }
 
-// note logs one tier event and mirrors it into the flight recorder.
-func (t *tierController) note(ev TierEvent, detail string) {
-	t.events = append(t.events, ev)
-	t.m.Recorder.Record(t.m.steps, "tier", ev.Kind, ev.Method, detail)
-}
-
 // closure closure-compiles fn, counting the host time toward
 // compile-time-to-peak.
 func (t *tierController) closure(fn *ir.Func) *cFunc {
@@ -355,8 +348,7 @@ func (t *tierController) promoteT1(fn *ir.Func) *cFunc {
 	} else {
 		mt.tier = tierClosureFinal
 	}
-	t.osrEntries++
-	t.note(TierEvent{Method: mt.name, Kind: "promote-t1", Check: -1}, "osr into closure artifact")
+	t.m.decide("tier", "promote-t1", mt.name, -1, 0, "osr into closure artifact")
 	return cf
 }
 
@@ -404,7 +396,7 @@ func (t *tierController) promoteT2(mt *methodTier) (*ir.Func, *cFunc) {
 		mt.tier = tierClosureFinal
 		if !mt.exhausted {
 			mt.exhausted = true
-			t.note(TierEvent{Method: mt.name, Kind: "spec-budget-exhausted", Check: -1},
+			t.m.decide("tier", "spec-budget-exhausted", mt.name, -1, 0,
 				fmt.Sprintf("parked after %d recompiles", mt.specAttempts))
 		}
 		return nil, nil
@@ -438,9 +430,7 @@ func (t *tierController) promoteT2(mt *methodTier) (*ir.Func, *cFunc) {
 	mt.tier = tierSpec
 	mt.fn2, mt.cf2 = fn2, t.closure(fn2)
 	mt.spec = cand
-	t.osrEntries++
-	t.note(TierEvent{Method: mt.name, Kind: "promote-t2", Check: -1, Specs: len(cand)},
-		fmt.Sprintf("%d checks speculated", len(cand)))
+	t.m.decide("tier", "promote-t2", mt.name, -1, len(cand), fmt.Sprintf("%d checks speculated", len(cand)))
 	return fn2, mt.cf2
 }
 
@@ -517,15 +507,13 @@ func (t *tierController) deopted(fn *ir.Func, in *ir.Instr) *ir.Func {
 	}
 	ord := int(in.SpecGuard) - 1
 	mt.black.add(ord)
-	t.deopts++
 	mt.tier = tierClosure
 	// Each failed speculation doubles the countdown before the next attempt;
 	// the budget check in promoteT2 is the hard stop.
 	mt.budget = backoff(t.policy.T2Blocks, mt.specAttempts)
 	mt.fn2, mt.cf2 = nil, nil
 	mt.spec = nil
-	t.note(TierEvent{Method: mt.name, Kind: "deopt", Check: ord},
-		fmt.Sprintf("guard %d fired: blacklisted, backoff %d blocks", ord, mt.budget))
+	t.m.decide("tier", "deopt", mt.name, ord, 0, fmt.Sprintf("guard %d fired: blacklisted, backoff %d blocks", ord, mt.budget))
 	return mt.fn0
 }
 

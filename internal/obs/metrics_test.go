@@ -109,17 +109,11 @@ func TestRegistryConcurrentPublish(t *testing.T) {
 	}
 }
 
-// TestRecorderNilSafe pins that a machine without a recorder pays only nil
-// tests: all methods no-op on nil.
-func TestRecorderNilSafe(t *testing.T) {
-	var rec *Recorder
-	rec.BeginInvocation()
-	rec.Record(1, "a", "b", "c", "d")
-	if rec.Events() != nil {
-		t.Error("nil recorder recorded something")
-	}
+// TestTimelineNilSafe pins that a run without a timeline pays only nil
+// tests: Add and Cells no-op on a nil timeline.
+func TestTimelineNilSafe(t *testing.T) {
 	var tl *Timeline
-	tl.Add("x", rec, nil)
+	tl.Add("x", []RecEvent{{Invocation: 1, Step: 1, Cat: "a", Kind: "b", Subject: "c"}}, nil)
 	if tl.Cells() != nil {
 		t.Error("nil timeline holds cells")
 	}
@@ -130,10 +124,8 @@ func TestRecorderNilSafe(t *testing.T) {
 // report.
 func TestTimelineRenderSorted(t *testing.T) {
 	tl := NewTimeline()
-	rec := NewRecorder()
-	rec.BeginInvocation()
-	rec.Record(7, "governor", "demote", "List.walk", "site 2")
-	tl.Add("zeta", rec, nil)
+	tl.Add("zeta", []RecEvent{{Invocation: 1, Step: 7, Cat: "governor", Kind: "demote",
+		Subject: "List.walk", Ord: 2, Count: 1, Detail: "site 2"}}, nil)
 	tl.Add("alpha", nil, &Attribution{TotalCycles: 10, GuardFree: 10})
 	out := tl.Render()
 	if strings.Index(out, "== alpha ==") > strings.Index(out, "== zeta ==") {

@@ -2,17 +2,21 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// Flight recorder: a deterministic timeline of every adaptive
-// decision one machine makes — tier transitions, spec-guard blacklists,
-// deopt transfers, governor demotions/backoffs/pins, chaos arms/fires.
-// Events are stamped with LOGICAL clocks only (invocation index + dynamic
-// step), never wall time, so the recorded timeline is a semantic fact:
-// byte-identical across engines, parallelism, and hosts.
+// Decision log: a deterministic timeline of every adaptive decision one
+// machine makes — tier transitions, spec-guard blacklists, deopt transfers,
+// governor demotions/backoffs/pins, chaos arms/fires. The machine owns the
+// log and appends each decision to it once (machine.Machine.Decisions); the
+// tier and governor reports, the policy JSON and this package's Timeline
+// are projections of it. Events are stamped with LOGICAL clocks only
+// (invocation index + dynamic step), never wall time, so the recorded
+// timeline is a semantic fact: byte-identical across engines, parallelism,
+// and hosts.
 
 // RecEvent is one recorded adaptive decision.
 type RecEvent struct {
@@ -21,62 +25,36 @@ type RecEvent struct {
 	Cat        string `json:"cat"`        // subsystem: tier, governor, chaos
 	Kind       string `json:"kind"`       // decision: promote-t1, deopt, demote, ...
 	Subject    string `json:"subject"`    // method the decision is about
-	Detail     string `json:"detail,omitempty"`
+	// Ord is the check (deopt) or trap-site (demote) ordinal the decision
+	// names; -1 when it names none.
+	Ord int `json:"ord"`
+	// Count is the checks a promote-t2 speculated, or the method's demoted
+	// sites after a governor decision; 0 otherwise.
+	Count  int    `json:"count"`
+	Detail string `json:"detail,omitempty"`
 }
 
-// Recorder accumulates one machine's events. Like the tier and governor
-// event logs it mirrors, it has no cap: the controllers' budgets bound the
-// decisions a machine makes per method (one promote-t1,
-// TierPolicy.SpecRecompileBudget promote-t2s and deopts,
-// GovernorPolicy.RecompileBudget demotes or pins, each with one
-// backoff-armed). Owned by one Machine; not safe for concurrent use,
-// matching the Machine itself. Nil-safe: all methods no-op on a nil
-// receiver.
-type Recorder struct {
-	invocation int
-	events     []RecEvent
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// BeginInvocation advances the logical invocation clock. The machine calls
-// it at the top of every Call, so events sort by (invocation, step).
-func (r *Recorder) BeginInvocation() {
-	if r != nil {
-		r.invocation++
+// Count returns how many of events are decisions of one of the kinds.
+func Count(events []RecEvent, kinds ...string) int {
+	n := 0
+	for _, ev := range events {
+		if slices.Contains(kinds, ev.Kind) {
+			n++
+		}
 	}
-}
-
-// Record appends one event at the current invocation and the given step.
-func (r *Recorder) Record(step int64, cat, kind, subject, detail string) {
-	if r == nil {
-		return
-	}
-	r.events = append(r.events, RecEvent{
-		Invocation: r.invocation, Step: step,
-		Cat: cat, Kind: kind, Subject: subject, Detail: detail,
-	})
-}
-
-// Events returns the recorded events in recording order.
-func (r *Recorder) Events() []RecEvent {
-	if r == nil {
-		return nil
-	}
-	return append([]RecEvent(nil), r.events...)
+	return n
 }
 
 // TimelineCell is one named strand (a bench cell, a nulljit run) of the
-// merged timeline: its recorded events and — when attribution was enabled —
-// its trap-cost ledger.
+// merged timeline: its machine's decision log and — when attribution was
+// enabled — its trap-cost ledger.
 type TimelineCell struct {
 	Name   string       `json:"name"`
 	Events []RecEvent   `json:"events"`
 	Attr   *Attribution `json:"attr,omitempty"`
 }
 
-// Timeline merges the flight recorders of many cells into one deterministic
+// Timeline merges the decision logs of many cells into one deterministic
 // report (benchtab -timeline / nulljit -timeline). Cells render sorted by
 // name; safe for concurrent Add.
 type Timeline struct {
@@ -87,13 +65,13 @@ type Timeline struct {
 // NewTimeline returns an empty timeline.
 func NewTimeline() *Timeline { return &Timeline{} }
 
-// Add records one cell's recorder output (and optional attribution ledger)
+// Add records one cell's decision log (and optional attribution ledger)
 // under the given name. Nil-safe.
-func (t *Timeline) Add(name string, rec *Recorder, attr *Attribution) {
+func (t *Timeline) Add(name string, events []RecEvent, attr *Attribution) {
 	if t == nil {
 		return
 	}
-	c := TimelineCell{Name: name, Events: rec.Events(), Attr: attr}
+	c := TimelineCell{Name: name, Events: events, Attr: attr}
 	t.mu.Lock()
 	t.cells = append(t.cells, c)
 	t.mu.Unlock()

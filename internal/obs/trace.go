@@ -63,8 +63,8 @@ func (t *Trace) Span(tid int64, cat, name string, start time.Time, dur time.Dura
 }
 
 // Instant records one zero-width thread-scoped instant event (ph "i") on the
-// given lane — the Perfetto form of an adaptive decision from the flight
-// recorder. at is the wall position on the lane; the decision's logical
+// given lane — the Perfetto form of an adaptive decision from a machine's
+// decision log. at is the wall position on the lane; the decision's logical
 // clocks travel in args.
 func (t *Trace) Instant(tid int64, cat, name string, at time.Time, args map[string]any) {
 	e := Event{
