@@ -101,10 +101,12 @@ checked go test -run FuzzDifferential ./internal/randprog
 TRAPNULL_ENGINE=switch go test -count=1 ./internal/machine ./internal/bench ./internal/randprog ./examples/... ./internal/jasm
 # The prepared table's layout: a fixed number of allocations per function
 # whatever its size, the compact record sizes, the Machine's 224-B size
-# class, and the float view of every operand kind on both engines. Named
-# here so a rename fails CI instead of silently dropping out of the line
-# above.
-checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestPrepareAllocsIndependentOfSize|TestPreparedRecordSizes|TestMachineSize|TestEngineFloatViewsOfOperands' ./internal/machine
+# class, and the float view of every operand kind on both engines. The heap
+# contract: a finished call's words are reused by the next call unless
+# something outside may reach them, and an allocation past the heap cap is
+# a simulation error on every engine. Named here so a rename fails CI
+# instead of silently dropping out of the line above.
+checked env TRAPNULL_ENGINE=switch go test -count=1 -run 'TestPrepareAllocsIndependentOfSize|TestPreparedRecordSizes|TestMachineSize|TestEngineFloatViewsOfOperands|TestReclaimSteadyState|TestReclaimedWordsReadZero|TestReclaimKeepsReachableAllocations|TestHugeNewArrayIsSimulationError|TestExceptionWithoutHeapRoomIsSimulationError' ./internal/machine
 # Bounded native fuzz smoke: arbitrary jasm programs through both engines.
 # Its 5000-step limit ends every looping program, so the closure engine's
 # hand-off to the interpreter at a stretch the limit could fire in meets
@@ -115,9 +117,9 @@ checked go test -run '^$' -fuzz '^FuzzJasmEngines$' -fuzztime 20s ./internal/jas
 checked go test -bench=Exec -benchtime=1x -run '^$' .
 # Compile-side smoke: one iteration of the compile, phase and solver
 # micro-benchmarks, which build their IR through the builder and the passes
-# and are run by no test, and of the one-shot machine benchmark (New plus
-# one Call on each engine).
-checked go test -run '^$' -bench 'Compile|Whaley|Phase|Solve|OneShotRun' -benchtime=1x ./internal/jit ./internal/nullcheck ./internal/machine .
+# and are run by no test, and of the machine benchmarks (New plus one Call
+# on each engine, and one more Call on a machine that already ran).
+checked go test -run '^$' -bench 'Compile|Whaley|Phase|Solve|OneShotRun|RepeatedCall' -benchtime=1x ./internal/jit ./internal/nullcheck ./internal/machine .
 # Observability smoke: compile-and-run a sample program with tracing and
 # remarks on, then validate the emitted Chrome trace parses and the fate
 # ledger conserves (nulljit exits non-zero when it does not). The
@@ -153,8 +155,9 @@ checked go test -run 'TestSpecSet|TestKeySpec|TestApplySpeculation' ./internal/j
 # counts and drops the rest of speculation. The hot countdown tier 0 shares
 # with the untiered closure engine: it carries over a governed adopt, hands
 # a loop over mid-invocation and lets a compiled caller reach a callee that
-# turns hot later.
-checked go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps|TestResetPreparedKeepsSpeculationCounts|TestAdoptCarriesTierZeroCountdown|TestHotLoopHandsOverMidInvocation|TestCompiledCallerColdThenHotCallee' ./internal/machine
+# turns hot later. Repeated calls on one machine reuse the heap a finished
+# call leaves only when nothing outside can reach it.
+checked go test -race -run 'TestAdoptAliasesCounters|TestResetPreparedKeeps|TestResetPreparedKeepsSpeculationCounts|TestAdoptCarriesTierZeroCountdown|TestHotLoopHandsOverMidInvocation|TestCompiledCallerColdThenHotCallee|TestReclaimSteadyState|TestReclaimedWordsReadZero|TestReclaimKeepsReachableAllocations' ./internal/machine
 # Tiered bench smoke: the -tier table end to end on quick sizes (checksums
 # verified per invocation), plus one tiered nulljit run that must deopt and
 # converge on the lying-profile workload: nulljit exits non-zero on any

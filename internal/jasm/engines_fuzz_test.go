@@ -73,6 +73,22 @@ L0:
 }
 `
 
+// hugeArrays asks for an array one element past the heap cap and for one
+// long enough to overflow the bump pointer: both engines must refuse either
+// with the same simulation error before anything is allocated.
+const hugeArrays = `func main(v0 int) int {
+L0:
+    var v1 ref
+    if v0 gt 3 goto L1 else L2
+L1:
+    v1 = newarray 16777216
+    return 0
+L2:
+    v1 = newarray 9223372036854775807
+    return 1
+}
+`
+
 // fuzzMaxSteps bounds each fuzzed run, so looping inputs end in the step
 // limit error, which both engines must also report identically.
 const fuzzMaxSteps = 5000
@@ -83,8 +99,8 @@ const fuzzMaxSteps = 5000
 // parsed program and on a fresh parse compiled under Phase1+2, and neither
 // panics. The closure engine runs eager, with every body compiled before
 // the call (and it must enter the closure engine), and lazy, as a default
-// machine runs it. The corpus is the example programs, past parser crashers and
-// triage's emitted reproducers.
+// machine runs it. The corpus is the example programs, past parser crashers,
+// triage's emitted reproducers and refused huge arrays.
 func FuzzJasmEngines(f *testing.F) {
 	paths, err := filepath.Glob("../../examples/jasm/*.jasm")
 	if err != nil || len(paths) == 0 {
@@ -100,6 +116,7 @@ func FuzzJasmEngines(f *testing.F) {
 	f.Add(afterTerminator)
 	f.Add(triageReproducer)
 	f.Add(aluShapes)
+	f.Add(hugeArrays)
 	f.Fuzz(func(t *testing.T, src string) {
 		if _, fns, err := Parse(src); err != nil || fns["main"] == nil {
 			return

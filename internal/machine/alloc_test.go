@@ -60,3 +60,24 @@ func BenchmarkOneShotRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRepeatedCall times what a tier or degradation cell pays per
+// repetition: one more Call of a generated program on a machine that has
+// already run it, on each engine. A finished call's heap is reclaimed, so
+// the steady state allocates no heap words.
+func BenchmarkRepeatedCall(b *testing.B) {
+	model := arch.IA32Win()
+	p, fn := randprog.Generate(randprog.DefaultConfig(1))
+	for _, engine := range []Engine{EngineClosure, EngineSwitch} {
+		b.Run(engine.String(), func(b *testing.B) {
+			m := New(model, p)
+			m.Engine = engine
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := m.Call(fn, 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -297,6 +297,9 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 		case stRaise:
 			p := fr.pending
 			fr.pending = nil
+			if p == heapFullRaise {
+				return Outcome{}, heapFullRaiseErr(fn)
+			}
 			// Adaptive decisions the raise triggered (a fired speculation
 			// guard, a governed trap) run here, after the rollback, so they
 			// see the reference's step count.
@@ -961,8 +964,15 @@ func (m *Machine) compileStep(pin *pInstr, args []pOp) stepFn {
 		}
 
 	case ir.OpNew:
-		cl := in.Class
-		return func(fr *frame) status { fr.locals[d] = m.Heap.AllocObject(cl); return stNext }
+		return func(fr *frame) status {
+			ref := m.Heap.AllocObject(in.Class)
+			if ref == 0 {
+				fr.err = heapFullErr(in)
+				return stErr
+			}
+			fr.locals[d] = ref
+			return stNext
+		}
 	case ir.OpNewArray:
 		a := args[0]
 		return func(fr *frame) status {
@@ -971,8 +981,13 @@ func (m *Machine) compileStep(pin *pInstr, args []pOp) stepFn {
 				fr.pending = m.throw(rt.ExcNegativeArraySize)
 				return stRaise
 			}
+			ref := m.Heap.AllocArray(n)
+			if ref == 0 {
+				fr.err = heapFullErr(in)
+				return stErr
+			}
 			m.Cycles += m.Arch.AllocPerWordCycles * n
-			fr.locals[d] = m.Heap.AllocArray(n)
+			fr.locals[d] = ref
 			return stNext
 		}
 

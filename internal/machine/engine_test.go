@@ -46,11 +46,7 @@ func (o observed) same(p observed) bool {
 // before anything is compiled and returns the call's arguments.
 func runEngine(s side, a *arch.Model, p *ir.Program, fn *ir.Func, maxSteps int64,
 	setup func(m *Machine) []int64) (observed, *Machine) {
-	m := New(a, p)
-	m.Engine = EngineClosure
-	if s == switchSide {
-		m.Engine = EngineSwitch
-	}
+	m := newOn(s, a, p)
 	if maxSteps > 0 {
 		m.MaxSteps = maxSteps
 	}
@@ -63,6 +59,17 @@ func runEngine(s side, a *arch.Model, p *ir.Program, fn *ir.Func, maxSteps int64
 	}
 	out, err := m.Call(fn, args...)
 	return observed{out, err, m.Stats, m.Cycles}, m
+}
+
+// newOn returns a fresh machine on the engine side s runs; the caller
+// precompiles for the eager side.
+func newOn(s side, a *arch.Model, p *ir.Program) *Machine {
+	m := New(a, p)
+	m.Engine = EngineClosure
+	if s == switchSide {
+		m.Engine = EngineSwitch
+	}
+	return m
 }
 
 // precompile compiles every program method on m and fn, which may be a

@@ -127,6 +127,10 @@ var ErrInjectedFault = errors.New("machine: injected fault")
 // ErrAborted reports that the Abort flag cancelled the call.
 var ErrAborted = errors.New("machine: aborted")
 
+// ErrHeapFull reports an allocation refused because it would take the heap
+// past rt.MaxWords.
+var ErrHeapFull = errors.New("machine: heap full")
+
 // InjectStepFault arms a deterministic engine fault: execution halts at
 // dynamic step count step with an injected-fault error. It reuses the
 // step-limit choke point both engines share, so the reported fault names the
@@ -171,17 +175,45 @@ func (m *Machine) Decisions() []obs.RecEvent {
 type Outcome struct {
 	Value int64
 	Exc   rt.ExcKind
-	// ExcRef is the escaped exception object (0 when Exc is ExcNone).
+	// ExcRef is the escaped exception object (0 when Exc is ExcNone). It
+	// keeps the invocation's allocations from being reclaimed (see Call),
+	// so it stays readable after later Calls.
 	ExcRef int64
 }
 
 // Call runs fn with the given arguments and returns its outcome.
+//
+// The invocation's heap allocations are reclaimed when nothing outside the
+// heap can reach them: fn returned without a simulation error or an escaped
+// exception, and takes and returns no reference. The IR has no static
+// fields, so then nothing it allocated is reachable. The words are released
+// when the next Call begins, and only if nothing was allocated in between,
+// so after a Call the heap stays intact and readable until the next Call.
+// Addresses never affect cycles, outcomes or trap classification.
 func (m *Machine) Call(fn *ir.Func, args ...int64) (Outcome, error) {
 	if len(args) != fn.NumParams {
 		return Outcome{}, fmt.Errorf("machine: %s expects %d args, got %d", fn.Name, fn.NumParams, len(args))
 	}
 	m.calls++
-	return m.invoke(fn, args, 0)
+	mark := m.Heap.BeginInvocation()
+	out, err := m.invoke(fn, args, 0)
+	if err == nil && out.ExcRef == 0 && !holdsRefs(fn) {
+		m.Heap.EndInvocation(mark)
+	}
+	return out, err
+}
+
+// holdsRefs reports whether fn takes or returns a reference.
+func holdsRefs(fn *ir.Func) bool {
+	if fn.HasResult && fn.ResultKind == ir.KindRef {
+		return true
+	}
+	for _, l := range fn.Locals[:fn.NumParams] {
+		if l.Kind == ir.KindRef {
+			return true
+		}
+	}
+	return false
 }
 
 // invoke is the machine's one call dispatcher. On a tiered machine the
@@ -417,15 +449,23 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 				}
 
 			case ir.OpNew:
-				locals[in.Dst] = m.Heap.AllocObject(in.Class)
+				ref := m.Heap.AllocObject(in.Class)
+				if ref == 0 {
+					return Outcome{}, heapFullErr(in)
+				}
+				locals[in.Dst] = ref
 			case ir.OpNewArray:
 				n := val(locals, &pf.ops[k])
 				if n < 0 {
 					pending = m.throw(rt.ExcNegativeArraySize)
 					break instrLoop
 				}
+				ref := m.Heap.AllocArray(n)
+				if ref == 0 {
+					return Outcome{}, heapFullErr(in)
+				}
 				m.Cycles += m.Arch.AllocPerWordCycles * n
-				locals[in.Dst] = m.Heap.AllocArray(n)
+				locals[in.Dst] = ref
 
 			case ir.OpGetField:
 				m.Stats.Loads++
@@ -544,6 +584,9 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 		}
 
 		if pending != nil {
+			if pending == heapFullRaise {
+				return Outcome{}, heapFullRaiseErr(fn)
+			}
 			if fn0 := m.tier.settle(fn); fn0 != nil {
 				// A fired speculation guard deoptimized the method: the
 				// invocation continues in the conservative artifact, whose
@@ -576,14 +619,40 @@ func (m *Machine) interp(fn *ir.Func, e *fnEntry, locals []int64, blk *ir.Block,
 // throw allocates an exception object and charges the software-throw cost.
 func (m *Machine) throw(k rt.ExcKind) *raise {
 	m.Cycles += m.Arch.TrapDispatchCycles / 5
-	return &raise{kind: k, ref: m.Heap.AllocException(k)}
+	return m.raiseNew(k, false)
 }
 
 // trap converts a hardware trap into an NPE, charging the full OS dispatch.
 func (m *Machine) trap() *raise {
 	m.Stats.TrapsTaken++
 	m.Cycles += m.Arch.TrapDispatchCycles
-	return &raise{kind: rt.ExcNullPointer, ref: m.Heap.AllocException(rt.ExcNullPointer), hardware: true}
+	return m.raiseNew(rt.ExcNullPointer, true)
+}
+
+// heapFullRaise is the raise throw and trap return when the heap has no
+// room for the exception object; both engines turn it into a simulation
+// error where they dispatch it.
+var heapFullRaise = new(raise)
+
+// raiseNew allocates the exception object of a raise of kind k.
+func (m *Machine) raiseNew(k rt.ExcKind, hardware bool) *raise {
+	ref := m.Heap.AllocException(k)
+	if ref == 0 {
+		return heapFullRaise
+	}
+	return &raise{kind: k, ref: ref, hardware: hardware}
+}
+
+// heapFullErr is the error both engines return for a new or newarray the
+// heap refuses.
+func heapFullErr(in *ir.Instr) error {
+	return fmt.Errorf("machine: %s refused: the heap holds at most %d words: %w", in, rt.MaxWords, ErrHeapFull)
+}
+
+// heapFullRaiseErr is the error for an exception raised in fn the heap has
+// no room for.
+func heapFullRaiseErr(fn *ir.Func) error {
+	return fmt.Errorf("machine: no room for an exception object in %s: %w", fn.Name, ErrHeapFull)
 }
 
 // siteTrap is the shared trap bookkeeping for an implicit-check site: both

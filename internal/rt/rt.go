@@ -58,53 +58,90 @@ func (k ExcKind) String() string {
 // (user class IDs are small positive numbers).
 const excClassBase = int64(1) << 40
 
+// MaxWords caps the heap. An allocation that would take it past this many
+// words is refused, so no program can make the host allocate without bound
+// or overflow the bump pointer; the largest heap a sweep builds is 38,195
+// words.
+const MaxWords = int64(1) << 24
+
 // Heap is the simulated memory.
+//
+// A machine reclaims a finished top-level invocation's allocations once
+// nothing outside the heap can reach them: EndInvocation marks them as
+// garbage and the next BeginInvocation releases them, so later invocations
+// reuse the same words. Until that next invocation begins, the heap an
+// invocation left stays intact and readable with Peek.
 type Heap struct {
-	words []int64 // heap cells; words[i] is address HeapBase + 8*i
-	next  int64   // bump pointer (address)
+	// words are the heap cells: words[i] is address HeapBase + 8*i, and
+	// len(words) is the bump pointer.
+	words []int64
+	// garbage is the word count the last EndInvocation marked every word
+	// at or above as garbage, or -1. Any allocation clears it, since the
+	// words it would release may then be reachable.
+	garbage int
 }
 
 // NewHeap returns an empty heap. Its words grow with the run's allocations
 // (AllocWords doubles them); addresses never depend on capacity.
 func NewHeap() *Heap {
-	return &Heap{next: HeapBase}
+	return &Heap{garbage: -1}
 }
 
-// Reset discards all allocations.
+// Reset discards all allocations and any garbage mark.
 func (h *Heap) Reset() {
 	h.words = h.words[:0]
-	h.next = HeapBase
+	h.garbage = -1
 }
 
-// AllocWords allocates n zeroed words and returns the base address.
+// BeginInvocation starts a top-level invocation and returns its mark: the
+// number of words allocated before it. First it releases the words the
+// last EndInvocation marked, unless something was allocated since.
+func (h *Heap) BeginInvocation() (mark int) {
+	if h.garbage >= 0 {
+		h.words = h.words[:h.garbage]
+		h.garbage = -1
+	}
+	return len(h.words)
+}
+
+// EndInvocation marks everything allocated since mark as garbage, which the
+// next BeginInvocation releases. The caller vouches that nothing outside the
+// heap refers to those words.
+func (h *Heap) EndInvocation(mark int) {
+	h.garbage = mark
+}
+
+// AllocWords allocates n zeroed words and returns the base address, or 0
+// (null) when that would take the heap past MaxWords.
 func (h *Heap) AllocWords(n int64) int64 {
 	if n < 0 {
 		panic("rt: negative allocation")
 	}
-	addr := h.next
-	h.next += n * ir.WordBytes
-	need := (h.next - HeapBase) / ir.WordBytes
-	if old := int64(len(h.words)); old < need {
-		if need <= int64(cap(h.words)) {
-			// Reset keeps capacity, so re-extended cells hold stale values
-			// from the previous run and must be re-zeroed.
-			h.words = h.words[:need]
-			clear(h.words[old:])
-		} else {
-			newCap := 2 * int64(cap(h.words))
-			if newCap < need {
-				newCap = need
-			}
-			grown := make([]int64, need, newCap)
-			copy(grown, h.words)
-			h.words = grown
-		}
+	used := int64(len(h.words))
+	if n > MaxWords-used {
+		return 0
 	}
-	return addr
+	h.garbage = -1
+	need := used + n
+	if need <= int64(cap(h.words)) {
+		// Reset and BeginInvocation keep capacity, so re-extended cells
+		// hold stale values and must be re-zeroed.
+		h.words = h.words[:need]
+		clear(h.words[used:])
+	} else {
+		newCap := 2 * int64(cap(h.words))
+		if newCap < need {
+			newCap = need
+		}
+		grown := make([]int64, need, newCap)
+		copy(grown, h.words)
+		h.words = grown
+	}
+	return HeapBase + used*ir.WordBytes
 }
 
 // AllocObject allocates an object of the given class: header word holding
-// the class ID, then its fields, zeroed.
+// the class ID, then its fields, zeroed. It returns 0 when the heap is full.
 func (h *Heap) AllocObject(c *ir.Class) int64 {
 	n := int64(c.SizeBytes) / ir.WordBytes
 	if int64(c.SizeBytes)%ir.WordBytes != 0 {
@@ -116,14 +153,18 @@ func (h *Heap) AllocObject(c *ir.Class) int64 {
 }
 
 // AllocArray allocates an array of length words: the length slot at offset
-// zero, then the elements.
+// zero, then the elements. It returns 0 when the heap is full.
 func (h *Heap) AllocArray(length int64) int64 {
+	if length >= MaxWords { // refused before length+1 can overflow
+		return 0
+	}
 	addr := h.AllocWords(length + 1)
 	h.store(addr, length)
 	return addr
 }
 
-// AllocException allocates an exception object for kind k.
+// AllocException allocates an exception object for kind k. It returns 0
+// when the heap is full.
 func (h *Heap) AllocException(k ExcKind) int64 {
 	addr := h.AllocWords(2)
 	h.store(addr, excClassBase+int64(k))

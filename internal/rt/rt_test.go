@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -64,7 +65,7 @@ func TestClassifyRegions(t *testing.T) {
 		{HeapBase - 8, AccessGarbage},
 		{addr, AccessOK},
 		{addr + 16, AccessOK},
-		{h.next, AccessGarbage}, // just past the bump pointer
+		{HeapBase + int64(h.LiveWords())*ir.WordBytes, AccessGarbage}, // just past the bump pointer
 	}
 	for _, c := range cases {
 		if got := h.Classify(c.addr, trapArea); got != c.want {
@@ -222,5 +223,72 @@ func TestHeapGrowsFromEmpty(t *testing.T) {
 	}
 	if v, _ := h.Peek(a2); v != 42 {
 		t.Fatalf("growth lost a live word: got %d, want 42", v)
+	}
+}
+
+// TestInvocationGarbageReleasedAtNextBegin: the words an invocation marks
+// as garbage stay readable until the next BeginInvocation releases them,
+// and only if nothing was allocated in between; Reset drops the mark.
+func TestInvocationGarbageReleasedAtNextBegin(t *testing.T) {
+	h := NewHeap()
+	kept := h.AllocArray(1) // before any invocation: never released
+	mark := h.BeginInvocation()
+	a := h.AllocArray(3)
+	h.Store(a+ir.ArrayHeaderBytes, 42)
+	h.EndInvocation(mark)
+	if v, _ := h.Peek(a + ir.ArrayHeaderBytes); v != 42 {
+		t.Fatalf("marked garbage reads %d before the next invocation, want 42", v)
+	}
+	if got := h.BeginInvocation(); got != mark || h.LiveWords() != 2 {
+		t.Fatalf("next invocation starts at word %d with %d live words, want %d and 2", got, h.LiveWords(), mark)
+	}
+	if b := h.AllocArray(3); b != a {
+		t.Fatalf("reused allocation at %#x, want %#x", b, a)
+	}
+	if v, _ := h.Peek(a + ir.ArrayHeaderBytes); v != 0 {
+		t.Fatalf("reused word reads %d, want 0", v)
+	}
+
+	// An allocation after the invocation ended keeps its garbage.
+	h.EndInvocation(mark)
+	between := h.AllocArray(1)
+	if h.BeginInvocation(); h.LiveWords() != 8 {
+		t.Fatalf("%d live words after an allocation between invocations, want all 8 kept", h.LiveWords())
+	}
+	if v, _ := h.Peek(kept); v != 1 {
+		t.Fatalf("the pre-invocation array's length reads %d, want 1", v)
+	}
+	if v, _ := h.Peek(between); v != 1 {
+		t.Fatalf("the between-invocations array's length reads %d, want 1", v)
+	}
+
+	// Reset drops a pending mark: the next invocation must not bring
+	// back the words it discarded.
+	h.EndInvocation(mark)
+	h.Reset()
+	if h.BeginInvocation(); h.LiveWords() != 0 {
+		t.Fatalf("%d live words after Reset, want 0", h.LiveWords())
+	}
+}
+
+// TestAllocationsPastMaxWordsRefused: an allocation that would take the
+// heap past MaxWords returns 0 and leaves the heap as it was, however large
+// the request.
+func TestAllocationsPastMaxWordsRefused(t *testing.T) {
+	h := NewHeap()
+	h.AllocWords(5)
+	for _, n := range []int64{MaxWords - 4, MaxWords, 1 << 60, math.MaxInt64} {
+		if addr := h.AllocWords(n); addr != 0 {
+			t.Fatalf("AllocWords(%d) = %#x, want 0", n, addr)
+		}
+		if addr := h.AllocArray(n); addr != 0 {
+			t.Fatalf("AllocArray(%d) = %#x, want 0", n, addr)
+		}
+	}
+	if h.LiveWords() != 5 {
+		t.Fatalf("%d live words after refused allocations, want 5", h.LiveWords())
+	}
+	if addr := h.AllocArray(1); addr != HeapBase+5*ir.WordBytes {
+		t.Fatalf("next allocation at %#x, want %#x", addr, HeapBase+5*ir.WordBytes)
 	}
 }
